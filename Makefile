@@ -10,6 +10,7 @@ all:
 	$(MAKE) --no-print-directory ptsto-smoke
 	$(MAKE) --no-print-directory must-smoke
 	$(MAKE) --no-print-directory bench-check
+	$(MAKE) --no-print-directory pipebench-smoke
 
 test:
 	dune runtest
@@ -270,6 +271,23 @@ must-smoke:
 bench-check:
 	dune exec bench/bench_check.exe
 
+# Smoke-test the pipeline benchmark: a 2-second run of each of its four
+# workloads.  Built once and run from _build directly (a second dune
+# invocation would wait on the build lock).  Each run's last line is its
+# result; it must report correct answers and no failed operations.
+pipebench-smoke:
+	dune build perfbench/pipebench.exe
+	@for w in analyze dataflow lint serve; do \
+	  echo "== pipebench $$w"; \
+	  ./_build/default/perfbench/pipebench.exe --workload $$w --seed 1 \
+	    --seconds 2 --trace 0 > pipebench_smoke.tmp || exit 1; \
+	  last=$$(tail -n 1 pipebench_smoke.tmp); \
+	  echo "$$last" | grep -q '"correct":true' \
+	    || { echo "pipebench-smoke: $$w: not correct: $$last"; exit 1; }; \
+	  echo "$$last" | grep -Eq '"failed":0[,}]' \
+	    || { echo "pipebench-smoke: $$w: failed operations: $$last"; exit 1; }; \
+	done; rm -f pipebench_smoke.tmp
+
 bench-parallel:
 	dune exec bench/bench_parallel.exe
 
@@ -288,4 +306,4 @@ examples:
 	dune exec examples/optimizer.exe
 	dune exec examples/nested_pascal.exe
 
-.PHONY: all test test-force bench bench-quick bench-check bench-parallel bench-dataflow bench-serve bench-ptsto profile-smoke incremental-smoke parallel-smoke lint-smoke dataflow-smoke obs-smoke serve-smoke ptsto-smoke must-smoke examples
+.PHONY: all test test-force bench bench-quick bench-check pipebench-smoke bench-parallel bench-dataflow bench-serve bench-ptsto profile-smoke incremental-smoke parallel-smoke lint-smoke dataflow-smoke obs-smoke serve-smoke ptsto-smoke must-smoke examples

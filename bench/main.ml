@@ -124,7 +124,10 @@ let f3_tests =
       [
         t (tag "rsmod")
           (let info = p.info and binding = p.binding in
-           fun () -> Sections.Rsmod.solve info binding);
+           let unstable = Frontend.Local.imod_flat info in
+           fun () ->
+             Sections.Rsmod.solve info binding ~unstable
+               ~lrsd:(Sections.Lrsd.lrsd_mod prog ~unstable));
         t (tag "full-sectioned") (fun () -> Sections.Analyze_sections.run prog);
         t (tag "bit-level") (fun () -> Core.Analyze.run ?pool prog);
       ])

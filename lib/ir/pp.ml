@@ -1,6 +1,17 @@
 let var_name p vid = (Prog.var p vid).Prog.vname
 let proc_name p pid = (Prog.proc p pid).Prog.pname
 
+(* Does [e], printed in context [ctx], begin with a dereference star?
+   "(*" opens a comment, so an opening parenthesis right before such
+   an expression is printed as "( " (docs/LANGUAGE.md). *)
+let rec starts_with_star ctx (e : Expr.t) =
+  match e with
+  | Deref _ -> true
+  | Binop (op, l, _) ->
+    let prec = Expr.binop_precedence op in
+    prec >= ctx && starts_with_star prec l
+  | Int _ | Bool _ | Var _ | Index _ | Unop _ | Addr _ | New _ -> false
+
 (* Expressions are printed with minimal parentheses: a subexpression is
    parenthesised only when its operator binds looser than the context,
    or equally on the right of a left-associative operator. *)
@@ -19,7 +30,8 @@ let rec pp_expr_prec p ctx ppf (e : Expr.t) =
   | Binop (op, l, r) ->
     let prec = Expr.binop_precedence op in
     let needs_parens = prec < ctx in
-    if needs_parens then Format.pp_print_string ppf "(";
+    if needs_parens then
+      Format.pp_print_string ppf (if starts_with_star prec l then "( " else "(");
     Format.fprintf ppf "%a %a %a" (pp_expr_prec p prec) l Expr.pp_binop op
       (pp_expr_prec p (prec + 1))
       r;
@@ -52,6 +64,13 @@ let pp_arg p ppf = function
   | Prog.Arg_ref lv -> pp_lvalue p ppf lv
   | Prog.Arg_value e -> pp_expr p ppf e
 
+(* An argument list opens with "(", so it is printed as "( " when the
+   first argument starts with a dereference. *)
+let open_args = function
+  | Prog.Arg_ref (Expr.Lderef _) :: _ -> "( "
+  | Prog.Arg_value e :: _ when starts_with_star 0 e -> "( "
+  | _ -> "("
+
 let rec pp_stmt p ppf (s : Stmt.t) =
   match s with
   | Assign (lv, e) -> Format.fprintf ppf "@[<h>%a := %a;@]" (pp_lvalue p) lv (pp_expr p) e
@@ -67,12 +86,14 @@ let rec pp_stmt p ppf (s : Stmt.t) =
       (pp_expr p) lo (pp_expr p) hi (pp_stmts p) body
   | Call sid ->
     let site = Prog.site p sid in
-    Format.fprintf ppf "@[<h>call %s(%a);@]"
+    let args = Array.to_list site.Prog.args in
+    Format.fprintf ppf "@[<h>call %s%s%a);@]"
       (proc_name p site.Prog.callee)
+      (open_args args)
       (Format.pp_print_list
          ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
          (pp_arg p))
-      (Array.to_list site.Prog.args)
+      args
   | Read lv -> Format.fprintf ppf "@[<h>read %a;@]" (pp_lvalue p) lv
   | Write e -> Format.fprintf ppf "@[<h>write %a;@]" (pp_expr p) e
 

@@ -14,7 +14,8 @@ let run ?pool ?locs ?dataflow ?(rules = Rule.all) analysis =
         then
           Some
             (Obs.Span.with_ "lint.sections" (fun () ->
-                 Sections.Analyze_sections.run prog))
+                 Sections.Analyze_sections.run ~info:analysis.Core.Analyze.info
+                   ~call:analysis.Core.Analyze.call prog))
         else None
       in
       let dataflow =

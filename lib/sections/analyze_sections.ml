@@ -4,6 +4,8 @@ type t = {
   info : Ir.Info.t;
   call : Callgraph.Call.t;
   binding : Callgraph.Binding.t;
+  imod_flat : Bitvec.t array;
+  immutable : Bitvec.t;
   rsmod : Rsmod.result;
   rsuse : Rsmod.result;
   imod_plus : Secmap.t array;
@@ -16,9 +18,10 @@ let applicable prog = Prog.max_level prog <= 1
 
 (* Sectioned equation (5): local sections plus, per call site, the
    binding-function image of each modified formal's section. *)
-let imod_plus_sections info ~(rs : Rsmod.result) ~lrsd_of =
+let imod_plus_sections info ~imod_flat ~(rs : Rsmod.result) ~lrsd =
   let prog = Ir.Info.prog info in
-  let result = Array.init (Prog.n_procs prog) (fun pid -> lrsd_of pid) in
+  let result = Array.map Secmap.copy lrsd in
+  let joins = ref 0 in
   Prog.iter_sites prog (fun s ->
       let callee = Prog.proc prog s.Prog.callee in
       Array.iteri
@@ -29,37 +32,55 @@ let imod_plus_sections info ~(rs : Rsmod.result) ~lrsd_of =
             let callee_section = Rsmod.section_of rs callee.Prog.formals.(arg_pos) in
             if not (Section.equal callee_section Section.bottom) then begin
               let base, induced =
-                Bindfn.project info ~site:s ~arg_pos ~callee_section
+                Bindfn.project info ~site:s ~arg_pos
+                  ~caller_unstable:imod_flat.(s.Prog.caller) ~callee_section
               in
+              incr joins;
               ignore (Secmap.add result.(s.Prog.caller) base induced)
             end)
         s.Prog.args);
+  Section.count_joins !joins;
   result
 
-let run prog =
+let run ?info ?call prog =
   if not (applicable prog) then
     invalid_arg "Analyze_sections.run: nested programs are out of scope for §6";
   Obs.Span.with_ "sections" @@ fun () ->
-  let info = Ir.Info.make prog in
-  let call = Callgraph.Call.build prog in
+  let info = match info with Some i -> i | None -> Ir.Info.make prog in
+  let call = match call with Some c -> c | None -> Callgraph.Call.build prog in
   let binding = Callgraph.Binding.build prog in
-  let rsmod = Obs.Span.with_ "sections.rsmod" (fun () -> Rsmod.solve info binding) in
-  let rsuse = Obs.Span.with_ "sections.rsuse" (fun () -> Rsmod.solve_use info binding) in
+  (* The whole-program facts every later step consults, derived once. *)
+  let imod_flat = Frontend.Local.imod_flat info in
+  let immutable = Bitvec.copy (Ir.Info.global info) in
+  Array.iter (fun m -> ignore (Bitvec.diff_into ~src:m ~dst:immutable)) imod_flat;
+  let lmod = Lrsd.lrsd_mod prog ~unstable:imod_flat in
+  let luse = Lrsd.lrsd_use prog ~unstable:imod_flat in
+  let rsmod =
+    Obs.Span.with_ "sections.rsmod" (fun () ->
+        Rsmod.solve info binding ~unstable:imod_flat ~lrsd:lmod)
+  in
+  let rsuse =
+    Obs.Span.with_ "sections.rsuse" (fun () ->
+        Rsmod.solve info binding ~unstable:imod_flat ~lrsd:luse)
+  in
   let imod_plus =
     Obs.Span.with_ "sections.imod_plus" (fun () ->
-        imod_plus_sections info ~rs:rsmod ~lrsd_of:(Lrsd.lrsd_mod info))
+        imod_plus_sections info ~imod_flat ~rs:rsmod ~lrsd:lmod)
   in
   let iuse_plus =
     Obs.Span.with_ "sections.iuse_plus" (fun () ->
-        imod_plus_sections info ~rs:rsuse ~lrsd_of:(Lrsd.lrsd_use info))
+        imod_plus_sections info ~imod_flat ~rs:rsuse ~lrsd:luse)
   in
   let gmod =
-    Obs.Span.with_ "sections.gmod" (fun () -> Gmod_sections.solve info call ~seed:imod_plus)
+    Obs.Span.with_ "sections.gmod" (fun () ->
+        Gmod_sections.solve info call ~immutable ~seed:imod_plus)
   in
   let guse =
-    Obs.Span.with_ "sections.guse" (fun () -> Gmod_sections.solve info call ~seed:iuse_plus)
+    Obs.Span.with_ "sections.guse" (fun () ->
+        Gmod_sections.solve info call ~immutable ~seed:iuse_plus)
   in
-  { info; call; binding; rsmod; rsuse; imod_plus; iuse_plus; gmod; guse }
+  { info; call; binding; imod_flat; immutable; rsmod; rsuse; imod_plus; iuse_plus;
+    gmod; guse }
 
 (* Sectioned equation (2) projection for one site, under a chosen
    caller instability set. *)
@@ -93,8 +114,7 @@ let project_site_unstable t ~which ~caller_unstable sid =
         let callee_section = Secmap.get summary callee.Prog.formals.(arg_pos) in
         if not (Section.equal callee_section Section.bottom) then begin
           let base, induced =
-            Bindfn.project_unstable info ~site:s ~arg_pos ~caller_unstable
-              ~callee_section
+            Bindfn.project info ~site:s ~arg_pos ~caller_unstable ~callee_section
           in
           ignore (Secmap.add result base induced)
         end)
@@ -102,10 +122,8 @@ let project_site_unstable t ~which ~caller_unstable sid =
   result
 
 let project_site t ~which sid =
-  let prog = Ir.Info.prog t.info in
-  let s = Prog.site prog sid in
-  let caller_unstable = Lrsd.unstable_vars t.info s.Prog.caller in
-  project_site_unstable t ~which ~caller_unstable sid
+  let s = Prog.site (Ir.Info.prog t.info) sid in
+  project_site_unstable t ~which ~caller_unstable:t.imod_flat.(s.Prog.caller) sid
 
 let mod_of_site t sid = project_site t ~which:`Mod sid
 
@@ -115,7 +133,7 @@ let use_of_site t sid =
      sectioned. *)
   let prog = Ir.Info.prog t.info in
   let s = Prog.site prog sid in
-  let unstable = Lrsd.unstable_vars t.info s.Prog.caller in
+  let unstable = t.imod_flat.(s.Prog.caller) in
   let add vid sec = ignore (Secmap.add result vid sec) in
   Array.iter
     (fun arg ->
@@ -146,7 +164,7 @@ let pp_report ppf t =
    iteration). *)
 let loop_summary t ~proc ~ivar ~body =
   let prog = Ir.Info.prog t.info in
-  let unstable = Bitvec.copy (Lrsd.unstable_vars t.info proc) in
+  let unstable = Bitvec.copy t.imod_flat.(proc) in
   Bitvec.unset unstable ivar;
   let mod_map = Lrsd.stmts_mod prog ~unstable body in
   let use_map = Lrsd.stmts_use prog ~unstable body in

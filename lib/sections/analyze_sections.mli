@@ -13,6 +13,14 @@ type t = {
   info : Ir.Info.t;
   call : Callgraph.Call.t;
   binding : Callgraph.Binding.t;
+  imod_flat : Bitvec.t array;
+      (** Per procedure, the variables it may modify locally
+          ({!Frontend.Local.imod_flat}, no pointer projection): the
+          set that disqualifies its subscript atoms. *)
+  immutable : Bitvec.t;
+      (** The globals no procedure modifies directly: symbolic
+          constants program-wide, whose atoms survive across procedure
+          boundaries ({!Bindfn.retarget_global}). *)
   rsmod : Rsmod.result;
   rsuse : Rsmod.result;
   imod_plus : Secmap.t array;  (** Sectioned [IMOD+], per procedure. *)
@@ -24,8 +32,19 @@ type t = {
 val applicable : Ir.Prog.t -> bool
 (** Section analysis is defined on flat (two-level) programs. *)
 
-val run : Ir.Prog.t -> t
-(** Raises [Invalid_argument] if not {!applicable}. *)
+val run : ?info:Ir.Info.t -> ?call:Callgraph.Call.t -> Ir.Prog.t -> t
+(** Raises [Invalid_argument] if not {!applicable}.
+
+    [?info] and [?call] let a caller that already has them for [prog]
+    (the lint engine, from its {!Core.Analyze.t}) pass them in.  The
+    binding multi-graph is always rebuilt without points-to edges,
+    which §6 does not model.
+
+    The whole-program facts ([imod_flat], [immutable], each side's
+    local sections) are derived once per run and passed to every later
+    step, so the chain is linear in the call and binding graphs, with
+    each join costing O(touched entries) ({!Secmap}).  The result is
+    not mutated after [run]; lint rules on a domain pool share it. *)
 
 val mod_of_site : t -> int -> Secmap.t
 (** Sectioned [DMOD(s)] — the §5 projection with binding-function

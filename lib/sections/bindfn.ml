@@ -1,12 +1,6 @@
 module Prog = Ir.Prog
 module Expr = Ir.Expr
 
-let globally_immutable info =
-  let result = Bitvec.copy (Ir.Info.global info) in
-  let imod_flat = Frontend.Local.imod_flat info in
-  Array.iter (fun m -> ignore (Bitvec.diff_into ~src:m ~dst:result)) imod_flat;
-  result
-
 (* Substitute a callee-frame atom into the caller's frame at one call
    site.  [caller_unstable] disqualifies atoms the caller modifies. *)
 let subst_atom info ~(site : Prog.site) ~caller_unstable (atom : Section.atom) :
@@ -51,8 +45,7 @@ let subst_section info ~site ~caller_unstable (s : Section.t) : Section.t =
            | Section.Exact a -> subst_atom info ~site ~caller_unstable a)
          dims)
 
-let project_unstable info ~(site : Prog.site) ~arg_pos ~caller_unstable
-    ~callee_section =
+let project info ~(site : Prog.site) ~arg_pos ~caller_unstable ~callee_section =
   match site.Prog.args.(arg_pos) with
   | Prog.Arg_value _ -> invalid_arg "Bindfn.project: by-value argument"
   | Prog.Arg_ref (Expr.Lvar base) ->
@@ -72,21 +65,14 @@ let project_unstable info ~(site : Prog.site) ~arg_pos ~caller_unstable
        project.  Report the pointer base, itself a scalar (rank 0). *)
     (base, Section.whole ~rank:0)
 
-let project info ~site ~arg_pos ~callee_section =
-  let caller_unstable = Lrsd.unstable_vars info site.Prog.caller in
-  project_unstable info ~site ~arg_pos ~caller_unstable ~callee_section
-
-let retarget_global info s =
+let retarget_global ~immutable s =
+  let keep d =
+    match d with
+    | Section.Star | Section.Exact (Section.Const _) -> true
+    | Section.Exact (Section.Affine { var; _ }) -> Bitvec.get immutable var
+  in
   match s with
   | Section.Bottom -> Section.Bottom
+  | Section.Section dims when Array.for_all keep dims -> s
   | Section.Section dims ->
-    let immutable = globally_immutable info in
-    Section.Section
-      (Array.map
-         (fun d ->
-           match d with
-           | Section.Star -> Section.Star
-           | Section.Exact (Section.Const _) -> d
-           | Section.Exact (Section.Affine { var; _ }) ->
-             if Bitvec.get immutable var then d else Section.Star)
-         dims)
+    Section.Section (Array.map (fun d -> if keep d then d else Section.Star) dims)

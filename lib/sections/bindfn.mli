@@ -25,20 +25,14 @@ val project :
   Ir.Info.t ->
   site:Ir.Prog.site ->
   arg_pos:int ->
-  callee_section:Section.t ->
-  int * Section.t
-(** [(base variable of the actual, induced section on it)].  The
-    argument at [arg_pos] must be by-reference. *)
-
-val project_unstable :
-  Ir.Info.t ->
-  site:Ir.Prog.site ->
-  arg_pos:int ->
   caller_unstable:Bitvec.t ->
   callee_section:Section.t ->
   int * Section.t
-(** {!project} with an explicit caller instability set (per-iteration
-    loop summaries clear the loop variable from it). *)
+(** [(base variable of the actual, induced section on it)].  The
+    argument at [arg_pos] must be by-reference.  [caller_unstable] is
+    the set of variables the caller may modify — its flat [IMOD], or
+    that set without the loop variable for a per-iteration loop
+    summary. *)
 
 val subst_section :
   Ir.Info.t -> site:Ir.Prog.site -> caller_unstable:Bitvec.t -> Section.t -> Section.t
@@ -46,13 +40,11 @@ val subst_section :
     call site: callee formals translate through the actuals, stable
     globals survive, everything else widens to [Star]. *)
 
-val retarget_global : Ir.Info.t -> Section.t -> Section.t
+val retarget_global : immutable:Bitvec.t -> Section.t -> Section.t
 (** Widen a section so it is meaningful in {e any} procedure: keeps
-    constant atoms and atoms over globally-immutable globals, widens
-    the rest to [Star].  Used when sections of global arrays flow
-    through the call graph, where no single binding applies. *)
-
-val globally_immutable : Ir.Info.t -> Bitvec.t
-(** Globals no procedure ever modifies directly — usable as symbolic
-    constants program-wide.  (Memoised per {!Ir.Info} instance would be
-    nicer; recomputed per call, callers should cache.) *)
+    constant atoms and atoms over the globals in [immutable] — those no
+    procedure modifies, the [immutable] field of {!Analyze_sections.t},
+    derived once per program — and widens the rest to [Star].  Used
+    when sections of global arrays flow through the call graph, where
+    no single binding applies.  Returns the section itself when nothing
+    widens. *)

@@ -3,34 +3,40 @@ module Prog = Ir.Prog
 
 (* GMOD[dst] ⊔= retarget(GMOD[src]) ∖ LOCAL[src]; returns whether dst
    changed. *)
-let add_escaped info gmod ~src ~dst =
+let add_escaped info ~immutable ~joins gmod ~src ~dst =
   let mask = Ir.Info.non_local info src in
   let changed = ref false in
-  List.iter
-    (fun (vid, s) ->
+  Secmap.iter
+    (fun vid s ->
       if Bitvec.get mask vid then begin
-        let widened = Bindfn.retarget_global info s in
+        let widened = Bindfn.retarget_global ~immutable s in
+        incr joins;
         if Secmap.add gmod.(dst) vid widened then changed := true
       end)
-    (Secmap.touched gmod.(src));
+    gmod.(src);
   !changed
 
-let solve_iterative info (call : Callgraph.Call.t) ~seed =
+let solve_iterative info (call : Callgraph.Call.t) ~immutable ~seed =
   let g = call.Callgraph.Call.graph in
   let gmod = Array.map Secmap.copy seed in
+  let joins = ref 0 in
+  let add_escaped = add_escaped info ~immutable ~joins gmod in
   let changed = ref true in
   while !changed do
     changed := false;
     Digraph.iter_edges g (fun _ p q ->
-        if add_escaped info gmod ~src:q ~dst:p then changed := true)
+        if add_escaped ~src:q ~dst:p then changed := true)
   done;
+  Section.count_joins !joins;
   gmod
 
-let solve info (call : Callgraph.Call.t) ~seed =
+let solve info (call : Callgraph.Call.t) ~immutable ~seed =
   let g = call.Callgraph.Call.graph in
   let n = Digraph.n_nodes g in
   let prog = call.Callgraph.Call.prog in
   let gmod = Array.map Secmap.copy seed in
+  let joins = ref 0 in
+  let add_escaped = add_escaped info ~immutable ~joins gmod in
   let dfn = Array.make n 0 in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -43,7 +49,7 @@ let solve info (call : Callgraph.Call.t) ~seed =
       | u :: rest ->
         tarjan_stack := rest;
         on_stack.(u) <- false;
-        if u <> root then ignore (add_escaped info gmod ~src:root ~dst:u);
+        if u <> root then ignore (add_escaped ~src:root ~dst:u);
         if u <> root then pop ()
     in
     pop ()
@@ -83,7 +89,7 @@ let solve info (call : Callgraph.Call.t) ~seed =
           if dfn.(q) = 0 then push q
           else if on_stack.(q) && dfn.(q) < dfn.(v) then
             lowlink.(v) <- min dfn.(q) lowlink.(v)
-          else ignore (add_escaped info gmod ~src:q ~dst:v)
+          else ignore (add_escaped ~src:q ~dst:v)
         end
         else begin
           decr sp;
@@ -91,7 +97,7 @@ let solve info (call : Callgraph.Call.t) ~seed =
           if !sp > 0 then begin
             let parent = frame_node.(!sp - 1) in
             lowlink.(parent) <- min lowlink.(parent) lowlink.(v);
-            ignore (add_escaped info gmod ~src:v ~dst:parent)
+            ignore (add_escaped ~src:v ~dst:parent)
           end
         end
       done
@@ -101,4 +107,5 @@ let solve info (call : Callgraph.Call.t) ~seed =
   for v = 0 to n - 1 do
     search v
   done;
+  Section.count_joins !joins;
   gmod

@@ -15,9 +15,20 @@
     section analysis; {!Analyze_sections.applicable} guards. *)
 
 val solve :
-  Ir.Info.t -> Callgraph.Call.t -> seed:Secmap.t array -> Secmap.t array
-(** One-pass Tarjan form. *)
+  Ir.Info.t ->
+  Callgraph.Call.t ->
+  immutable:Bitvec.t ->
+  seed:Secmap.t array ->
+  Secmap.t array
+(** One-pass Tarjan form.  [immutable] is the program's set of
+    globally-immutable globals ({!Analyze_sections.t}), derived once by
+    the caller.  Each join along a call edge costs O(touched entries);
+    the joins are added to {!Section.count_joins}. *)
 
 val solve_iterative :
-  Ir.Info.t -> Callgraph.Call.t -> seed:Secmap.t array -> Secmap.t array
+  Ir.Info.t ->
+  Callgraph.Call.t ->
+  immutable:Bitvec.t ->
+  seed:Secmap.t array ->
+  Secmap.t array
 (** Chaotic-iteration reference (test oracle). *)

@@ -15,8 +15,6 @@ let atomize ~unstable (e : Expr.t) : Section.dim =
     Section.Exact (Section.Affine { var = v; offset = -c })
   | _ -> Section.Star
 
-let unstable_vars info pid = (Frontend.Local.imod_flat info).(pid)
-
 (* Shared traversal: record modifications and uses as sections. *)
 let element_section ~unstable idx =
   Section.Section (Array.of_list (List.map (atomize ~unstable) idx))
@@ -89,13 +87,13 @@ let collect_stmts prog ~unstable ~want stmts =
     stmts;
   map
 
-let collect info pid ~want =
-  let prog = Ir.Info.prog info in
-  collect_stmts prog ~unstable:(unstable_vars info pid) ~want
-    (Prog.proc prog pid).Prog.body
+let collect prog ~unstable ~want =
+  Array.map
+    (fun pr -> collect_stmts prog ~unstable:unstable.(pr.Prog.pid) ~want pr.Prog.body)
+    prog.Prog.procs
 
-let lrsd_mod info pid = collect info pid ~want:`Mod
-let lrsd_use info pid = collect info pid ~want:`Use
+let lrsd_mod prog ~unstable = collect prog ~unstable ~want:`Mod
+let lrsd_use prog ~unstable = collect prog ~unstable ~want:`Use
 
 let stmts_mod prog ~unstable stmts = collect_stmts prog ~unstable ~want:`Mod stmts
 let stmts_use prog ~unstable stmts = collect_stmts prog ~unstable ~want:`Use stmts

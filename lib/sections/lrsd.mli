@@ -22,18 +22,16 @@ val atomize : unstable:Bitvec.t -> Ir.Expr.t -> Section.dim
 (** [Exact] for constants and affine forms [v], [v + c], [v - c],
     [c + v] over stable [v]; [Star] otherwise. *)
 
-val unstable_vars : Ir.Info.t -> int -> Bitvec.t
-(** The variables procedure [pid] may modify locally
-    ([IMOD] without the nesting extension) — the set that disqualifies
-    subscript atoms. *)
-
-val lrsd_mod : Ir.Info.t -> int -> Secmap.t
-(** Sectioned local modification summary of one procedure (the
+val lrsd_mod : Ir.Prog.t -> unstable:Bitvec.t array -> Secmap.t array
+(** Sectioned local modification summary of every procedure (the
     sectioned [IMOD], nesting aside — section analysis is defined on
-    flat programs, see {!Analyze_sections}). *)
+    flat programs, see {!Analyze_sections}).  [unstable.(p)] is the set
+    of variables procedure [p] may modify locally
+    ({!Frontend.Local.imod_flat}), which disqualifies subscript
+    atoms. *)
 
-val lrsd_use : Ir.Info.t -> int -> Secmap.t
-(** Sectioned local use summary. *)
+val lrsd_use : Ir.Prog.t -> unstable:Bitvec.t array -> Secmap.t array
+(** Sectioned local use summary of every procedure. *)
 
 val stmts_mod : Ir.Prog.t -> unstable:Bitvec.t -> Ir.Stmt.t list -> Secmap.t
 (** Sectioned local modifications of a statement list under a

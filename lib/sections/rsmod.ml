@@ -5,15 +5,12 @@ module Prog = Ir.Prog
 type result = {
   binding : Binding.t;
   rsd : Section.t array;
-  joins : int;
 }
 
-let solve_seeded info (binding : Binding.t) ~seed_of =
+let solve info (binding : Binding.t) ~unstable ~lrsd =
   let prog = Ir.Info.prog info in
   let g = binding.Binding.graph in
   let n = Digraph.n_nodes g in
-  (* Per-procedure local section maps, computed once. *)
-  let lrsd = Array.init (Prog.n_procs prog) (fun pid -> seed_of pid) in
   let rsd =
     Array.init n (fun node ->
         let vid = Binding.var binding node in
@@ -36,7 +33,8 @@ let solve_seeded info (binding : Binding.t) ~seed_of =
         let callee_section = rsd.(n_node) in
         if not (Section.equal callee_section Section.bottom) then begin
           let base, induced =
-            Bindfn.project info ~site ~arg_pos ~callee_section
+            Bindfn.project info ~site ~arg_pos
+              ~caller_unstable:unstable.(site.Prog.caller) ~callee_section
           in
           assert (base = Binding.var binding m);
           incr joins;
@@ -47,11 +45,8 @@ let solve_seeded info (binding : Binding.t) ~seed_of =
           end
         end)
   done;
-  { binding; rsd; joins = !joins }
-
-let solve info binding = solve_seeded info binding ~seed_of:(Lrsd.lrsd_mod info)
-
-let solve_use info binding = solve_seeded info binding ~seed_of:(Lrsd.lrsd_use info)
+  Section.count_joins !joins;
+  { binding; rsd }
 
 let section_of r vid =
   match Binding.node_opt r.binding vid with

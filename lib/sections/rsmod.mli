@@ -18,14 +18,19 @@
 type result = {
   binding : Callgraph.Binding.t;
   rsd : Section.t array;  (** Per β node, the formal's modified section. *)
-  joins : int;  (** Join operations performed (the §6 cost unit). *)
 }
 
-val solve : Ir.Info.t -> Callgraph.Binding.t -> result
-(** Seeds each formal with its owner's {!Lrsd.lrsd_mod} entry. *)
-
-val solve_use : Ir.Info.t -> Callgraph.Binding.t -> result
-(** Seeded with {!Lrsd.lrsd_use} instead. *)
+val solve :
+  Ir.Info.t ->
+  Callgraph.Binding.t ->
+  unstable:Bitvec.t array ->
+  lrsd:Secmap.t array ->
+  result
+(** Seeds each formal with its owner's entry of [lrsd]
+    ({!Lrsd.lrsd_mod} for the [MOD] side, {!Lrsd.lrsd_use} for [USE]).
+    [unstable] is the per-procedure set [lrsd] was computed under; the
+    binding functions read the caller's entry.  Its joins, the §6 cost
+    unit, go to {!Section.count_joins}. *)
 
 val section_of : result -> int -> Section.t
 (** By variable id; [Bottom] for non-β variables. *)

@@ -1,46 +1,40 @@
-type t = Section.t array
+module Int_map = Map.Make (Int)
 
-let create prog = Array.make (Ir.Prog.n_vars prog) Section.bottom
-let copy = Array.copy
-let get t vid = t.(vid)
-let set t vid s = t.(vid) <- s
+(* Non-[Bottom] entries only; [n_vars] sizes [to_bits]. *)
+type t = {
+  n_vars : int;
+  mutable entries : Section.t Int_map.t;
+}
+
+let create prog = { n_vars = Ir.Prog.n_vars prog; entries = Int_map.empty }
+let copy t = { n_vars = t.n_vars; entries = t.entries }
+
+let get t vid =
+  match Int_map.find vid t.entries with
+  | s -> s
+  | exception Not_found -> Section.bottom
 
 let add t vid s =
-  let joined = Section.join t.(vid) s in
-  if Section.equal joined t.(vid) then false
+  let old = get t vid in
+  if Section.leq s old then false
   else begin
-    t.(vid) <- joined;
+    t.entries <- Int_map.add vid (Section.join old s) t.entries;
     true
   end
 
+let iter f t = Int_map.iter f t.entries
+
 let join_into ~src ~dst =
-  let changed = ref false in
-  Array.iteri (fun vid s -> if add dst vid s then changed := true) src;
-  !changed
+  Int_map.fold (fun vid s changed -> add dst vid s || changed) src.entries false
 
-let join_masked_into ~src ~dst ~mask =
-  let changed = ref false in
-  Array.iteri
-    (fun vid s ->
-      if Bitvec.get mask vid && add dst vid s then changed := true)
-    src;
-  !changed
-
-let equal a b = Array.for_all2 Section.equal a b
+let equal a b = a.n_vars = b.n_vars && Int_map.equal Section.equal a.entries b.entries
 
 let to_bits t =
-  let bits = Bitvec.create (Array.length t) in
-  Array.iteri
-    (fun vid s -> if not (Section.equal s Section.bottom) then Bitvec.set bits vid)
-    t;
+  let bits = Bitvec.create t.n_vars in
+  Int_map.iter (fun vid _ -> Bitvec.set bits vid) t.entries;
   bits
 
-let touched t =
-  let acc = ref [] in
-  for vid = Array.length t - 1 downto 0 do
-    if not (Section.equal t.(vid) Section.bottom) then acc := (vid, t.(vid)) :: !acc
-  done;
-  !acc
+let touched t = Int_map.bindings t.entries
 
 let pp prog ppf t =
   let var_name v = (Ir.Prog.var prog v).Ir.Prog.vname in

@@ -4,7 +4,10 @@
     {!Section.t}: [Bottom] for untouched variables, a rank-0 section
     for touched scalars, a proper section for arrays.  It plays the
     role the bit vector played in §3/§4, with bitwise or generalised to
-    pointwise {!Section.join}. *)
+    pointwise {!Section.join}.
+
+    Only non-[Bottom] entries are stored, so a map costs O(touched),
+    not O(variables of the program), in heap and per traversal. *)
 
 type t
 
@@ -12,20 +15,15 @@ val create : Ir.Prog.t -> t
 (** Everything [Bottom]. *)
 
 val copy : t -> t
-val get : t -> int -> Section.t
+(** O(1): the entries are persistent, so the copy shares them. *)
 
-val set : t -> int -> Section.t -> unit
-(** Direct store (no join). *)
+val get : t -> int -> Section.t
 
 val add : t -> int -> Section.t -> bool
 (** Join a section into one slot; [true] iff the slot changed. *)
 
 val join_into : src:t -> dst:t -> bool
 (** Pointwise join; [true] iff [dst] changed. *)
-
-val join_masked_into : src:t -> dst:t -> mask:Bitvec.t -> bool
-(** Pointwise join restricted to the variables set in [mask] — the
-    sectioned form of [∪ (· ∖ LOCAL)] steps. *)
 
 val equal : t -> t -> bool
 
@@ -34,6 +32,10 @@ val to_bits : t -> Bitvec.t
     of a §6 answer, used by the soundness comparison tests. *)
 
 val touched : t -> (int * Section.t) list
-(** Non-[Bottom] entries, by variable id. *)
+(** Non-[Bottom] entries, in ascending variable id. *)
+
+val iter : (int -> Section.t -> unit) -> t -> unit
+(** {!touched} without building the list.  [f] may add to [t]; the
+    iteration sees the entries as they were when it began. *)
 
 val pp : Ir.Prog.t -> Format.formatter -> t -> unit

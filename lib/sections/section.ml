@@ -46,7 +46,17 @@ let join a b =
     Section
       (Array.map2 (fun x y -> if equal_dim x y then x else Star) d1 d2)
 
-let leq a b = equal (join a b) b
+(* [join a b = b], decided without building the join. *)
+let leq a b =
+  match (a, b) with
+  | Bottom, _ -> true
+  | Section _, Bottom -> false
+  | Section d1, Section d2 ->
+    if Array.length d1 <> Array.length d2 then
+      invalid_arg "Section.join: rank mismatch";
+    Array.for_all2
+      (fun x y -> match y with Star -> true | Exact _ -> equal_dim x y)
+      d1 d2
 
 let rank = function
   | Bottom -> None
@@ -76,6 +86,10 @@ let intersects a b =
             d1 d2)
 
 let height ~rank = rank + 2
+
+(* Registered on first use, so that commands which never run the
+   section analysis do not list the counter. *)
+let count_joins n = Obs.Metric.add (Obs.Metric.counter "sections.joins") n
 
 let pp_atom var_name ppf = function
   | Const c -> Format.pp_print_int ppf c

@@ -71,6 +71,10 @@ val height : rank:int -> int
     [whole] — [rank + 2]; the §6 complexity discussion notes the
     running time does {e not} depend on it. *)
 
+val count_joins : int -> unit
+(** Add to the ["sections.joins"] counter: the joins a solver performed
+    — §6's cost unit.  Solvers call it once per solve. *)
+
 val pp : ?var_name:(int -> string) -> Format.formatter -> t -> unit
 (** Prints like the paper: [A(I, *, 3)] style (without the array
     name). *)

@@ -175,6 +175,51 @@ let test_roundtrip_families () =
       Workload.Families.nested_textbook ();
     ]
 
+(* Pointer programs print dereferences right after "(" (call actuals,
+   parenthesised operands); "(*" would open a comment, so the printer
+   must emit "( *p" and the reparse must give back the same program. *)
+let test_roundtrip_pointer_families () =
+  List.iter
+    (fun (name, prog) ->
+      let s = Ir.Pp.to_string prog in
+      match Frontend.Sema.compile ~file:"rt" s with
+      | Ok p2 -> Alcotest.(check bool) (name ^ " reparses to itself") true (p2 = prog)
+      | Error _ -> Alcotest.failf "%s does not reparse:\n%s" name s)
+    (List.concat_map
+       (fun n ->
+         [
+           (Printf.sprintf "ptr_chain %d" n, Workload.Families.ptr_chain n);
+           (Printf.sprintf "ptr_funnel %d" n, Workload.Families.ptr_funnel n);
+           (Printf.sprintf "ptr_heap %d" n, Workload.Families.ptr_heap n);
+         ])
+       [ 2; 5; 16 ])
+
+let test_print_deref_after_paren () =
+  let src =
+    {|program d;
+var x : int;
+var p : ptr of int;
+procedure q(var a : int; b : int);
+begin
+  a := b;
+end;
+begin
+  p := &x;
+  x := ( *p + 1) * 2;
+  call q( *p, *p - 1);
+  call q(x, ( *p - 1) * 2);
+end.|}
+  in
+  let prog = Frontend.Sema.compile_exn ~file:"d" src in
+  let s = Ir.Pp.to_string prog in
+  let rec opens_comment i =
+    i + 1 < String.length s
+    && ((s.[i] = '(' && s.[i + 1] = '*') || opens_comment (i + 1))
+  in
+  Alcotest.(check bool) "no comment opener" false (opens_comment 0);
+  Alcotest.(check bool) "reparses to itself" true
+    (Frontend.Sema.compile_exn ~file:"d" s = prog)
+
 let prop_roundtrip_random seed =
   let prog = Helpers.flat_of_seed seed in
   let s1 = Ir.Pp.to_string prog in
@@ -207,6 +252,10 @@ let () =
       ( "round-trip",
         [
           Alcotest.test_case "fixed families" `Quick test_roundtrip_families;
+          Alcotest.test_case "pointer families" `Quick
+            test_roundtrip_pointer_families;
+          Alcotest.test_case "dereference after a parenthesis" `Quick
+            test_print_deref_after_paren;
           Helpers.qtest ~count:50 "random flat programs" Helpers.arb_flat_prog
             prop_roundtrip_random;
           Helpers.qtest ~count:50 "random nested programs" Helpers.arb_nested_prog

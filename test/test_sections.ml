@@ -115,11 +115,13 @@ begin
 end.|}
 
 let test_lrsd () =
-  let info = Ir.Info.make kernel in
+  let unstable = Frontend.Local.imod_flat (Ir.Info.make kernel) in
+  let lmod_all = Sections.Lrsd.lrsd_mod kernel ~unstable in
+  let luse_all = Sections.Lrsd.lrsd_use kernel ~unstable in
   let rowk = Helpers.proc_id kernel "rowk" in
   let m = Helpers.var_id kernel "rowk.m" in
   let i = Helpers.var_id kernel "rowk.i" in
-  let lmod = Sections.Lrsd.lrsd_mod info rowk in
+  let lmod = lmod_all.(rowk) in
   (* j is the loop variable, unstable, so the write is the whole row *)
   Alcotest.(check bool) "row section" true
     (S.equal (Sections.Secmap.get lmod m)
@@ -128,12 +130,12 @@ let test_lrsd () =
   let me = Helpers.var_id kernel "elemk.m" in
   let ie = Helpers.var_id kernel "elemk.i" in
   let je = Helpers.var_id kernel "elemk.j" in
-  let lmod_e = Sections.Lrsd.lrsd_mod info elemk in
+  let lmod_e = lmod_all.(elemk) in
   Alcotest.(check bool) "element write" true
     (S.equal (Sections.Secmap.get lmod_e me)
        (sec
           [ ex (S.Affine { var = ie; offset = 0 }); ex (S.Affine { var = je; offset = 0 }) ]));
-  let luse_e = Sections.Lrsd.lrsd_use info elemk in
+  let luse_e = luse_all.(elemk) in
   Alcotest.(check bool) "transposed element read" true
     (S.equal (Sections.Secmap.get luse_e me)
        (sec
@@ -265,7 +267,9 @@ let prop_tarjan_equals_iterative seed =
   let t = Sections.Analyze_sections.run prog in
   let oracle =
     Sections.Gmod_sections.solve_iterative t.Sections.Analyze_sections.info
-      t.Sections.Analyze_sections.call ~seed:t.Sections.Analyze_sections.imod_plus
+      t.Sections.Analyze_sections.call
+      ~immutable:t.Sections.Analyze_sections.immutable
+      ~seed:t.Sections.Analyze_sections.imod_plus
   in
   Array.for_all2 Sections.Secmap.equal t.Sections.Analyze_sections.gmod oracle
 
@@ -298,7 +302,10 @@ let prop_cycle_condition seed =
       let callee_section = rs.Sections.Rsmod.rsd.(n) in
       if not (S.equal callee_section S.bottom) then begin
         let _, induced =
-          Sections.Bindfn.project info ~site ~arg_pos ~callee_section
+          Sections.Bindfn.project info ~site ~arg_pos
+            ~caller_unstable:
+              t.Sections.Analyze_sections.imod_flat.(site.Ir.Prog.caller)
+            ~callee_section
         in
         if not (S.leq induced rs.Sections.Rsmod.rsd.(m)) then ok := false
       end);
@@ -369,6 +376,213 @@ end.|}
     (v.Sections.Deps.conflicts
     = List.sort_uniq compare v.Sections.Deps.conflicts)
 
+(* --- bit-identity golden ---
+
+   Digests of the sectioned report and of the §6 lint verdicts
+   (SFX006/SFX007) on seeded generated programs, one program of every
+   §6 shape and two sample programs.  They were recorded with the
+   earlier, quadratic form of the chain; any change to what the chain
+   computes changes a digest. *)
+
+(* Every §6 shape in one program: row writers reached directly and
+   through a forwarder, a global array indexed by a formal (widened when
+   it crosses a call edge) and by an immutable global (kept), element
+   bindings, and loops around calls with both verdicts. *)
+let sections_shapes =
+  {|program golden;
+var n, k, total, i : int;
+var g : array[8, 8] of int;
+var h : array[8] of int;
+
+procedure wrow(var a : array[8, 8] of int; r : int);
+var j : int;
+begin
+  for j := 1 to n do
+    a[r, j] := j;
+  end;
+end;
+
+procedure fwd(var a : array[8, 8] of int; r : int);
+begin
+  call wrow(a, r + 1);
+end;
+
+procedure gcol(c : int);
+var j : int;
+begin
+  for j := 1 to n do
+    g[j, c] := total;
+  end;
+end;
+
+procedure gk(c : int);
+begin
+  g[k, c] := 1;
+  h[k] := h[k + 1];
+end;
+
+procedure outer(c : int);
+begin
+  call gk(c + 1);
+end;
+
+procedure bump(var e : int);
+begin
+  e := e + 1;
+end;
+
+procedure rd(r : int);
+var j : int;
+begin
+  for j := 1 to n do
+    total := total + g[r, j];
+  end;
+end;
+
+begin
+  n := 8;
+  for i := 1 to n do
+    call wrow(g, i);
+  end;
+  for i := 1 to n do
+    call fwd(g, i);
+  end;
+  for i := 1 to n do
+    call gcol(i);
+  end;
+  for i := 1 to n do
+    call bump(h[i]);
+  end;
+  for i := 1 to n do
+    call rd(i);
+  end;
+  call gk(3);
+  call outer(4);
+  write total;
+end.|}
+
+let golden_programs =
+  let gen fam f n = (Printf.sprintf "%s n=%d" fam n, fun () -> f ~seed:3 ~n) in
+  let file name =
+    ( name,
+      fun () ->
+        let path = Filename.concat "../programs" name in
+        Frontend.Sema.compile_exn ~file:path
+          (In_channel.with_open_bin path In_channel.input_all) )
+  in
+  List.concat_map
+    (fun n ->
+      [
+        gen "fortran_style" Workload.Families.fortran_style n;
+        gen "fortran_fixed" Workload.Families.fortran_fixed n;
+        gen "dag_style" Workload.Families.dag_style n;
+      ])
+    [ 16; 32; 64 ]
+  @ List.map
+      (fun k ->
+        ( Printf.sprintf "array kernels k=%d" k,
+          fun () -> Workload.Arrays.generate ~seed:3 ~n_kernels:k ))
+      [ 8; 24 ]
+  @ [
+      ("sections shapes", fun () -> Helpers.compile sections_shapes);
+      file "stencil.mp";
+      file "lint_demo.mp";
+    ]
+
+let report_digest prog =
+  Digest.to_hex
+    (Digest.string
+       (Fmt.str "%a" Sections.Analyze_sections.pp_report
+          (Sections.Analyze_sections.run prog)))
+
+let loop_findings ?pool prog =
+  Lint.Engine.run ?pool (Core.Analyze.run prog)
+  |> List.filter (fun d ->
+         List.mem d.Lint.Diagnostic.code [ "SFX006"; "SFX007" ])
+  |> List.map (Fmt.str "%a" Lint.Diagnostic.pp)
+  |> String.concat "\n"
+
+(* (program, report digest, SFX006/SFX007 digest); the generated
+   fortran/dag families have no loops around calls, so they have no
+   verdicts. *)
+let no_verdicts = Digest.to_hex (Digest.string "")
+
+let golden_digests =
+  [
+    ("fortran_style n=16", "1e36d16b8599039ee7d1ffca7bed2644", no_verdicts);
+    ("fortran_fixed n=16", "2fa4ab149a54cd80c16162eb766769b7", no_verdicts);
+    ("dag_style n=16", "460084a6a008c579520d8e6f60cc7855", no_verdicts);
+    ("fortran_style n=32", "31f3d1257fdc419bc427f8bda4065a46", no_verdicts);
+    ("fortran_fixed n=32", "8f5b45d15e2cfb8418c675da9124b431", no_verdicts);
+    ("dag_style n=32", "29b750b40ae4a771c429915f8593668e", no_verdicts);
+    ("fortran_style n=64", "1fc9b5857492770eaabe28c0a4caaca7", no_verdicts);
+    ("fortran_fixed n=64", "1d2427a3d85f1a6359d3a3e60f1b944a", no_verdicts);
+    ("dag_style n=64", "f8fc4c42c7cdefabbbc0be6b18dfc5be", no_verdicts);
+    ( "array kernels k=8",
+      "a9af09e5a1945ce309f08a8f9dbf4db9",
+      "6999d3a65537930a253a45af7429f8ef" );
+    ( "array kernels k=24",
+      "8ade2ec2627dd7aa6fc5fc2c4c8be865",
+      "362216ed90cde1cbc83111d8d6fdd406" );
+    ( "sections shapes",
+      "3551f24d6dc076bf727e6673e99ab9f8",
+      "f7477801e7c2d2b29b5e0604a6380d88" );
+    ( "stencil.mp",
+      "36b006aa440f15fa8f4542fe3077d804",
+      "0ec033bfe3ee4240f01cf8176d9bba9b" );
+    ( "lint_demo.mp",
+      "dbe8ffd9c026d8e8b1b41b64128ddf16",
+      "ba269f6b2b6e2e04c1e55e1e6535dc61" );
+  ]
+
+let test_golden_digests () =
+  List.iter
+    (fun (name, make) ->
+      let prog = make () in
+      let got_report = report_digest prog in
+      let got_lint = Digest.to_hex (Digest.string (loop_findings prog)) in
+      let _, report, lint = List.find (fun (n, _, _) -> n = name) golden_digests in
+      Alcotest.(check string) (name ^ " report") report got_report;
+      Alcotest.(check string) (name ^ " SFX006/SFX007") lint got_lint)
+    golden_programs
+
+let test_golden_pool_invariant () =
+  let pool = Par.Pool.create ~jobs:4 in
+  Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun (name, make) ->
+      let prog = make () in
+      Alcotest.(check string) (name ^ " jobs 1 = jobs 4")
+        (loop_findings prog) (loop_findings ~pool prog))
+    golden_programs
+
+(* --- op-count growth ---
+
+   The sectioned chain must stay linear in the paper's cost units: the
+   bit-vector words it touches and the section joins its solvers
+   perform.  fortran_style scales its globals with the procedure count,
+   so 4x the procedures means ~4x the call edges and ~4x the vector
+   length: O(E·V) work grows ~16x.  Measured at these seeds: 9.2x word
+   ops, 11.0x joins.  Before the whole-program facts were derived once
+   per run, re-deriving IMOD per lookup made the word ops grow 46x. *)
+let sections_ops n =
+  let prog = Workload.Families.fortran_style ~seed:1 ~n in
+  let since = Obs.Metric.snapshot () in
+  ignore (Sections.Analyze_sections.run prog);
+  let d = Obs.Metric.delta ~since in
+  (List.assoc "bitvec.word_ops" d, List.assoc "sections.joins" d)
+
+let test_op_growth () =
+  let w64, j64 = sections_ops 64 and w256, j256 = sections_ops 256 in
+  let ratio a b = float_of_int b /. float_of_int a in
+  let check what bound a b =
+    if a <= 0 || ratio a b > bound then
+      Alcotest.failf "%s: %d at n=64, %d at n=256 (%.1fx > %.0fx)" what a b
+        (ratio a b) bound
+  in
+  check "bitvec.word_ops" 12. w64 w256;
+  check "sections.joins" 14. j64 j256
+
 let () =
   Helpers.run "sections"
     [
@@ -411,5 +625,17 @@ let () =
           Alcotest.test_case "loop independence verdicts" `Quick test_deps;
           Alcotest.test_case "conflicts deduplicated and sorted" `Quick
             test_conflicts_deduped;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "report and loop verdict digests" `Quick
+            test_golden_digests;
+          Alcotest.test_case "loop verdicts identical on a 4-job pool" `Quick
+            test_golden_pool_invariant;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "word ops and joins grow linearly" `Quick
+            test_op_growth;
         ] );
     ]
