@@ -1570,9 +1570,12 @@ let bench_table_cmd =
         let imod = Frontend.Local.imod info in
         let rmod = Core.Rmod.solve binding ~imod in
         let imod_plus = Core.Imod_plus.compute info ~rmod ~imod in
-        Bitvec.Stats.reset ();
+        let before = Obs.Metric.snapshot () in
         let _ = Core.Gmod.solve info call ~imod_plus in
-        let vec_ops = Bitvec.Stats.vector_ops () in
+        let vec_ops =
+          Obs.Metric.value_since ~since:before
+            (Obs.Metric.counter "bitvec.vector_ops")
+        in
         let nb = Callgraph.Binding.n_nodes binding
         and eb = Callgraph.Binding.n_edges binding in
         let e = Ir.Prog.n_sites prog in

@@ -15,7 +15,8 @@
     {!Core.Rmod}'s single-word steps is a conservative estimate of the
     paper's claimed "order of magnitude".
 
-    Counted costs are observable through {!Bitvec.Stats}. *)
+    Counted costs show in the [bitvec.vector_ops]/[word_ops] counters
+    (see {!Bitvec}). *)
 
 val rmod : Callgraph.Binding.t -> imod:Bitvec.t array -> Bitvec.t array
 (** Per-procedure bit vector over the variable universe whose set bits

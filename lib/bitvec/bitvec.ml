@@ -45,41 +45,6 @@ let vector_ops_metric = Obs.Metric.counter "bitvec.vector_ops"
 let word_ops_metric = Obs.Metric.counter "bitvec.word_ops"
 let small_ops_metric = Obs.Metric.counter "bitvec.small_ops"
 
-module Stats = struct
-  (* Deprecated shim over the registry.  [reset] no longer zeroes the
-     global counters (that would clobber any concurrent snapshot/delta
-     measurement); it re-bases this module's private baseline, so the
-     old read-after-reset protocol keeps its exact semantics.
-
-     The baseline pair is mutex-guarded so concurrent [reset]/readers
-     cannot observe a torn (vector from one reset, word from another)
-     baseline.  Exactness of the values themselves follows the sharded
-     registry contract: reads are exact at quiescent points (e.g.
-     after a Par.Pool batch join); a read racing live worker
-     increments may lag them. *)
-  let mu = Mutex.create ()
-  let base_vector = ref 0
-  let base_word = ref 0
-
-  let reset () =
-    let v = Obs.Metric.value vector_ops_metric in
-    let w = Obs.Metric.value word_ops_metric in
-    Mutex.lock mu;
-    base_vector := v;
-    base_word := w;
-    Mutex.unlock mu
-
-  let read metric base =
-    let v = Obs.Metric.value metric in
-    Mutex.lock mu;
-    let b = !base in
-    Mutex.unlock mu;
-    v - b
-
-  let vector_ops () = read vector_ops_metric base_vector
-  let word_ops () = read word_ops_metric base_word
-end
-
 let count_words n =
   Obs.Metric.incr vector_ops_metric;
   Obs.Metric.add word_ops_metric n
@@ -289,8 +254,10 @@ let blit ~src ~dst =
   match (src.repr, dst.repr) with
   | Dense s, Dense d ->
     (* In place: copy the occupied prefix, zero what the destination
-       had above it. *)
-    count_words (dense_cost src.length (max s.top d.top));
+       had above it.  Charged by the source alone, like the other two
+       cases: the destination's old contents (often a shared scratch
+       vector) must not leak into the count. *)
+    count_words (dense_cost src.length s.top);
     Array.blit s.words 0 d.words 0 s.top;
     if d.top > s.top then Array.fill d.words s.top (d.top - s.top) 0;
     d.top <- s.top

@@ -57,7 +57,8 @@ val copy : t -> t
 (** Fresh vector with the same contents. *)
 
 val blit : src:t -> dst:t -> unit
-(** Overwrite [dst] with the contents of [src].  Lengths must agree. *)
+(** Overwrite [dst] with the contents of [src].  Lengths must agree.
+    Charged by [src]'s live size alone, whatever [dst] held before. *)
 
 val union_into : src:t -> dst:t -> bool
 (** [union_into ~src ~dst] sets [dst := dst ∪ src]; returns [true] iff
@@ -154,30 +155,15 @@ val repr_kind : t -> [ `Small | `Dense ]
     observability only — the choice is a deterministic function of the
     vector's operation history. *)
 
-(** Global operation counters.
+(** {1 Operation counters}
 
     Every whole-vector operation above bumps the registry counters
     [bitvec.vector_ops] (by one) and [bitvec.word_ops] (by the number
     of machine words of live data touched) — the bit-vector-step
     counts the paper's complexity claims are stated in.  Small-path
-    operations additionally bump [bitvec.small_ops].
-
-    {b Deprecated.}  New code should measure intervals with
-    {!Obs.Metric.snapshot}/{!Obs.Metric.delta} on those counters (or
-    read them off a {!Obs.Span}); the snapshot/delta protocol composes
-    under nesting where the reset protocol clobbers outer measurements.
-    This shim keeps the historical semantics: [reset] re-bases a module
-    baseline (the registry counters themselves are never reset) and the
-    readers report counts since the last [reset].
-
-    Domain-safety: the baseline is mutex-guarded, so concurrent calls
-    cannot tear it, and the underlying counters are per-domain sharded
-    (see {!Obs.Metric}).  Values are exact when the reader is
-    quiescent with respect to worker domains — e.g. after a
-    [Par.Pool.run] batch join; a read racing live workers may lag
-    their most recent increments but never over-counts. *)
-module Stats : sig
-  val reset : unit -> unit
-  val vector_ops : unit -> int
-  val word_ops : unit -> int
-end
+    operations additionally bump [bitvec.small_ops].  Measure an
+    interval with {!Obs.Metric.snapshot} and
+    {!Obs.Metric.value_since}, or read the counts off an {!Obs.Span}.
+    The counters are per-domain sharded (see {!Obs.Metric}): values
+    are exact when the reader is quiescent with respect to worker
+    domains, e.g. after a [Par.Pool.run] batch join. *)

@@ -60,8 +60,8 @@ val run :
     and flat [GMOD]/[GUSE] phases (the nested single-pass solver stays
     sequential); otherwise [?jobs] (default [1]; [0] means
     [Domain.recommended_domain_count ()]) builds a transient
-    {!Par.Pool} for this run — [jobs = 1] takes the sequential code
-    paths unchanged.  Results and [bitvec.vector_ops]/[word_ops]
+    {!Par.Pool} for this run — at [jobs = 1] the same solvers run
+    inline on the caller.  Results and [bitvec.vector_ops]/[word_ops]
     totals are bit-identical at every jobs setting (docs/parallel.md).
 
     [~provenance:true] (default [false]) additionally records the

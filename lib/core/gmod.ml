@@ -1,10 +1,25 @@
 module Digraph = Graphs.Digraph
 module Prog = Ir.Prog
 
-(* Iterative rendering of Figure 2.  The recursion of [search] becomes
-   an explicit frame stack; everything else follows the paper line by
-   line: line 8 is the [gmod.(v) <- copy seed.(v)] on push, line 17 is
-   [add_escaped], lines 19-25 are [close_component].
+(* Figure 2, scheduled as a condensation wavefront (docs/parallel.md).
+   The recursion of [search] becomes an explicit frame stack;
+   everything else follows the paper line by line: line 8 is the
+   [gmod.(v) <- copy seed.(v)] on push, line 17 is [add_escaped],
+   lines 19-25 are [close_component].
+
+   A graph-only Tarjan ([Par.Wavefront.schedule], in the paper's
+   whole-graph visit order) first condenses the active subgraph and
+   levels the condensation.  Each component then becomes one task: a
+   Figure-2 traversal restricted to the component's members, started
+   at the node where the whole-graph DFS first enters it.  Every edge
+   leaving the component points to a strictly lower level — complete
+   before this component runs — so it takes the forward/cross-edge
+   branch of line 17 and folds in a {e final} value, exactly as the
+   one-pass DFS folds closed components.  Without a pool the plan runs
+   inline on the caller; with one, wide levels run as batches.  Either
+   way each component performs the same operations on its own
+   vectors, so results and [bitvec.vector_ops]/[word_ops] totals do
+   not depend on [?pool].
 
    [~prune] selects how equation (4)'s [∖ LOCAL(src)] strip happens:
    [`Nonlocal] performs it explicitly (blit + intersect with
@@ -16,144 +31,11 @@ module Prog = Ir.Prog
 
    With [?region:(dirty, cached)] the traversal is confined to the
    procedures in [dirty]: every other node keeps its [cached] vector
-   (shared, not copied) and is pre-marked as an already-closed
-   component, so an edge into it takes the forward/cross-edge branch
-   and folds the cached value in.  Because the dirty set is closed
-   under reachability-into-it (condensation ancestors), a clean node's
+   (shared, not copied) and has no component, so an edge into it folds
+   the cached value in.  Because the dirty set is closed under
+   reachability-into-it (condensation ancestors), a clean node's
    equation-(4) value cannot have changed, and the region run computes
-   the same fixpoint Figure 2 computes from scratch. *)
-let solve_seq ?region ~prune info (call : Callgraph.Call.t) ~seed =
-  let g = call.Callgraph.Call.graph in
-  let n = Digraph.n_nodes g in
-  let prog = call.Callgraph.Call.prog in
-  let active =
-    match region with
-    | None -> fun _ -> true
-    | Some (dirty, _) -> Bitvec.get dirty
-  in
-  let gmod =
-    match region with
-    | None -> Array.map Bitvec.copy seed
-    | Some (_, cached) ->
-      Array.init n (fun v -> if active v then Bitvec.copy seed.(v) else cached.(v))
-  in
-  let dfn = Array.make n 0 in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let tarjan_stack = ref [] in
-  let next_dfn = ref 1 in
-  let scratch = Bitvec.create (Bitvec.length seed.(0)) in
-  (* GMOD[dst] ∪= GMOD[src] ∖ LOCAL[src]  (equation (4), one edge). *)
-  let add_escaped ~src ~dst =
-    match prune with
-    | `Nonlocal ->
-      Bitvec.blit ~src:gmod.(src) ~dst:scratch;
-      ignore (Bitvec.inter_into ~src:(Ir.Info.non_local info src) ~dst:scratch);
-      ignore (Bitvec.union_into ~src:scratch ~dst:gmod.(dst))
-    | `None -> ignore (Bitvec.union_into ~src:gmod.(src) ~dst:gmod.(dst))
-  in
-  let close_component root =
-    Bitvec.blit ~src:gmod.(root) ~dst:scratch;
-    (match prune with
-    | `Nonlocal ->
-      ignore (Bitvec.inter_into ~src:(Ir.Info.non_local info root) ~dst:scratch)
-    | `None -> ());
-    let rec pop () =
-      match !tarjan_stack with
-      | [] -> assert false
-      | u :: rest ->
-        tarjan_stack := rest;
-        on_stack.(u) <- false;
-        ignore (Bitvec.union_into ~src:scratch ~dst:gmod.(u));
-        if u <> root then pop ()
-    in
-    pop ()
-  in
-  let succs = Array.make n [||] in
-  for v = 0 to n - 1 do
-    if active v then begin
-      let deg = Digraph.out_degree g v in
-      let a = Array.make deg 0 in
-      let i = ref 0 in
-      Digraph.iter_succ g v (fun w ->
-          a.(!i) <- w;
-          incr i);
-      succs.(v) <- a
-    end
-    else
-      (* A clean node is a closed component: edges into it fold its
-         cached value, edges out of it are never walked. *)
-      dfn.(v) <- -1
-  done;
-  let frame_node = Array.make (n + 1) 0 in
-  let frame_next = Array.make (n + 1) 0 in
-  let search root =
-    if dfn.(root) = 0 then begin
-      let sp = ref 0 in
-      let push v =
-        dfn.(v) <- !next_dfn;
-        lowlink.(v) <- !next_dfn;
-        incr next_dfn;
-        tarjan_stack := v :: !tarjan_stack;
-        on_stack.(v) <- true;
-        frame_node.(!sp) <- v;
-        frame_next.(!sp) <- 0;
-        incr sp
-      in
-      push root;
-      while !sp > 0 do
-        let v = frame_node.(!sp - 1) in
-        let i = frame_next.(!sp - 1) in
-        if i < Array.length succs.(v) then begin
-          frame_next.(!sp - 1) <- i + 1;
-          let q = succs.(v).(i) in
-          if dfn.(q) = 0 then push q (* tree edge: continue below when q pops *)
-          else if on_stack.(q) && dfn.(q) < dfn.(v) then
-            (* Back or cross edge within the current component. *)
-            lowlink.(v) <- min dfn.(q) lowlink.(v)
-          else
-            (* Forward edge, or cross edge to a closed component:
-               partial application of equation (4). *)
-            add_escaped ~src:q ~dst:v
-        end
-        else begin
-          decr sp;
-          if lowlink.(v) = dfn.(v) then close_component v;
-          if !sp > 0 then begin
-            let parent = frame_node.(!sp - 1) in
-            lowlink.(parent) <- min lowlink.(parent) lowlink.(v);
-            (* Tree edge (parent, v), after the subtree finished. *)
-            add_escaped ~src:v ~dst:parent
-          end
-        end
-      done
-    end
-  in
-  if active prog.Prog.main then search prog.Prog.main;
-  for v = 0 to n - 1 do
-    if active v then search v
-  done;
-  gmod
-
-(* Condensation-wavefront rendering of the same pass (docs/parallel.md).
-
-   A graph-only Tarjan ([Par.Wavefront.schedule], replicating the
-   sequential visit order exactly) first condenses the active subgraph
-   and levels the condensation.  Each component then becomes one task:
-   a Figure-2 traversal restricted to the component's members, started
-   at the node where the sequential DFS first entered it.  Every edge
-   leaving the component points to a strictly lower level — complete
-   before this level's batch started — so it takes the
-   forward/cross-edge branch of line 17 and folds in a {e final}
-   value, exactly as the sequential run folds closed components (the
-   sequential run's tree-edge detours into lower components change
-   nothing inside this component before that same fold, and their
-   lowlink propagation is provably a no-op).  Discovery order,
-   branching, and close order inside the component replicate the
-   sequential run, so both the resulting vectors and the
-   [bitvec.vector_ops]/[word_ops] totals are identical — batching only
-   groups whole components, never reorders the operations any single
-   vector sees.
+   the same fixpoint Figure 2 computes from scratch.
 
    Components are scheduled through a coarse [Par.Wavefront.plan]:
    consecutive singleton levels fuse into inline sequential stages
@@ -166,9 +48,10 @@ let solve_seq ?region ~prune info (call : Callgraph.Call.t) ~seed =
    Race discipline: a task checks [comp.(q) <> c] {e first} and never
    reads [dfn]/[lowlink]/[on_stack]/[gmod] of a node owned by another
    same-level component; lower-level state is frozen by the batch
-   join.  Seed copies happen at first visit (push) instead of
-   up-front — one copy per active node either way. *)
-let solve_par ?region ~prune info (call : Callgraph.Call.t) ~seed ~pool =
+   join.  Seed copies happen at first visit (push) — one copy per
+   active node. *)
+let solve_seeded ?region ?pool ?(prune = `Nonlocal) info (call : Callgraph.Call.t)
+    ~seed =
   let g = call.Callgraph.Call.graph in
   let n = Digraph.n_nodes g in
   let prog = call.Callgraph.Call.prog in
@@ -201,7 +84,7 @@ let solve_par ?region ~prune info (call : Callgraph.Call.t) ~seed ~pool =
     | Some (_, cached) ->
       Array.init n (fun v -> if active v then seed.(v) else cached.(v))
   in
-  let jobs = Par.Pool.jobs pool in
+  let jobs = Par.Pool.slots pool in
   let scratch_len = Bitvec.length seed.(0) in
   let scratches = Array.init jobs (fun _ -> Bitvec.create scratch_len) in
   let frame_nodes = Array.init jobs (fun _ -> Array.make (n + 1) 0) in
@@ -213,6 +96,7 @@ let solve_par ?region ~prune info (call : Callgraph.Call.t) ~seed ~pool =
     let scratch = scratches.(slot) in
     let frame_node = frame_nodes.(slot) in
     let frame_next = frame_nexts.(slot) in
+    (* GMOD[dst] ∪= GMOD[src] ∖ LOCAL[src]  (equation (4), one edge). *)
     let add_escaped ~src ~dst =
       match prune with
       | `Nonlocal ->
@@ -292,13 +176,8 @@ let solve_par ?region ~prune info (call : Callgraph.Call.t) ~seed ~pool =
   let plan =
     Par.Wavefront.plan sched.Par.Wavefront.levels ~jobs ~cost:(Array.get cost_of)
   in
-  Par.Wavefront.run_plan (Some pool) plan ~f:run_comp;
+  Par.Wavefront.run_plan pool plan ~f:run_comp;
   gmod
-
-let solve_seeded ?region ?pool ?(prune = `Nonlocal) info call ~seed =
-  match pool with
-  | Some pool -> solve_par ?region ~prune info call ~seed ~pool
-  | None -> solve_seq ?region ~prune info call ~seed
 
 (* Flat programs take the compact escape-universe path: renumber the
    seeded globals (renumber.ml), run the same traversal over compact

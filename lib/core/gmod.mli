@@ -18,17 +18,17 @@
     — [GMOD] of an unreachable procedure is only meaningful with
     respect to chains starting at it.
 
-    Every solver takes [?pool].  With a pool, the pass is scheduled as
-    a condensation wavefront: components of the call multi-graph are
-    evaluated level-by-level, concurrently within a level, each by a
-    Figure-2 traversal restricted to the component and started where
-    the sequential DFS first entered it.  Scheduling is coarse
-    ({!Par.Wavefront.plan}): consecutive singleton levels run inline
-    on the caller without a barrier, wide levels are batched by
-    estimated summary size.  Results {e and} the
-    [bitvec.vector_ops]/[word_ops] step counts are bit-identical to
-    the sequential pass (see docs/parallel.md); without a pool the
-    original sequential code runs unchanged.
+    Every solver takes [?pool] and has one body: the pass is scheduled
+    as a condensation wavefront, components of the call multi-graph
+    evaluated level by level, each by a Figure-2 traversal restricted
+    to the component and started where the whole-graph DFS first
+    enters it.  Scheduling is coarse ({!Par.Wavefront.plan}):
+    consecutive singleton levels run inline on the caller without a
+    barrier, wide levels are batched by estimated summary size.
+    Without a pool every stage runs inline; with one, wide levels run
+    concurrently.  Results {e and} the
+    [bitvec.vector_ops]/[word_ops] step counts do not depend on the
+    pool (see docs/parallel.md).
 
     On flat programs (no procedure nesting) {!solve} and {!solve_use}
     run the propagation over a compact renumbered escape universe —

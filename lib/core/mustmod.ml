@@ -370,36 +370,24 @@ let solve_cached ?(label = "mustmod") ?pool info call ~alias ~gmod =
       1
     | procs -> iterate_comp ~transfer ~mustmod ~callers_in_comp procs
   in
-  let rounds =
-    match pool with
-    | None ->
-      let total = ref 0 in
-      for c = 0 to n_comps - 1 do
-        total := !total + solve_comp c
-      done;
-      !total
-    | Some pool ->
-      (* Condensation wavefront: a component is scheduled only after
-         every callee component's level completed, so each [solve_comp]
-         reads final successor values — per-component work is the
-         sequential code, hence results and counted op totals are
-         bit-identical to jobs = 1. *)
-      let jobs = Par.Pool.jobs pool in
-      let slot_rounds = Array.make jobs 0 in
-      let levels =
-        Par.Wavefront.of_comp_succs ~n_comps ~succs_of:(fun c ->
-            succs_by_comp.(c))
-      in
-      let plan =
-        Par.Wavefront.plan levels ~jobs ~cost:(fun c ->
-            List.fold_left
-              (fun acc pid -> acc + Stmt.count (Prog.proc prog pid).Prog.body)
-              1 members.(c))
-      in
-      Par.Wavefront.run_plan (Some pool) plan ~f:(fun ~slot ~comp ->
-          slot_rounds.(slot) <- slot_rounds.(slot) + solve_comp comp);
-      Array.fold_left ( + ) 0 slot_rounds
+  (* Condensation wavefront: a component runs only after every callee
+     component's level completed, so each [solve_comp] reads final
+     successor values.  Per-component work is the same with or without
+     a pool, hence results and counted op totals are too. *)
+  let jobs = Par.Pool.slots pool in
+  let slot_rounds = Array.make jobs 0 in
+  let levels =
+    Par.Wavefront.of_comp_succs ~n_comps ~succs_of:(fun c -> succs_by_comp.(c))
   in
+  let plan =
+    Par.Wavefront.plan levels ~jobs ~cost:(fun c ->
+        List.fold_left
+          (fun acc pid -> acc + Stmt.count (Prog.proc prog pid).Prog.body)
+          1 members.(c))
+  in
+  Par.Wavefront.run_plan pool plan ~f:(fun ~slot ~comp ->
+      slot_rounds.(slot) <- slot_rounds.(slot) + solve_comp comp);
+  let rounds = Array.fold_left ( + ) 0 slot_rounds in
   Obs.Metric.add rounds_metric rounds;
   let mustmod =
     match frame with

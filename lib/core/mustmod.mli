@@ -67,10 +67,10 @@ val solve :
   alias:Alias.t ->
   gmod:Bitvec.t array ->
   result
-(** Solve the whole program.  With [?pool], components are scheduled as
-    a wavefront over the condensation levels; per-component work is the
-    sequential code, so results and counted bit-vector op totals are
-    bit-identical at every jobs setting.  Runs under an {!Obs.Span}
+(** Solve the whole program.  Components are scheduled as a wavefront
+    over the condensation levels, inline without [?pool]; per-component
+    work does not depend on the pool, so results and counted bit-vector
+    op totals are bit-identical at every jobs setting.  Runs under an {!Obs.Span}
     named [label] (default ["mustmod"]) and adds its round count to the
     [mustmod.rounds] registry counter. *)
 

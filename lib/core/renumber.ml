@@ -19,7 +19,7 @@
 
    Compact ids are assigned in first-touch order scanning procedures
    ascending and seed bits ascending — deterministic and independent
-   of any schedule, which is what keeps sequential and pooled solves
+   of any schedule, which is what keeps inline and pooled solves
    op-count-identical. *)
 
 type t = {

@@ -54,97 +54,59 @@ let solve_cached ?(label = "rmod") ?pool (binding : Binding.t) ~imod =
         edges_by_comp.(cs) <- cd :: edges_by_comp.(cs);
         preds_by_comp.(cd) <- cs :: preds_by_comp.(cd)
       end);
-  let steps =
-    match pool with
-    | None ->
-      let steps = ref 0 in
-      (* Step 2: each component's IMOD is the or of its members'. *)
-      for node = 0 to n - 1 do
-        incr steps;
-        let b = seed_bit binding imod node in
-        seed.(node) <- b;
-        if b then comp_val.(scc.Scc.comp.(node)) <- true
-      done;
-      (* Step 3: leaves-to-roots pass over the condensation.
-         Components are numbered in reverse topological order (every
-         inter-component edge points to a smaller number), so
-         processing components in increasing order sees each successor
-         final; one relaxation per edge applies equation (6). *)
-      for c = 0 to n_comps - 1 do
+  (* Steps 2 and 4 are independent per component / per node and run
+     chunked over the pool; step 3 runs as a wavefront over the
+     condensation levels, so a component only reads successor values
+     made final before it.  Without a pool all three run inline on the
+     caller.  Step counts accumulate per worker slot (each slot is
+     owned by one domain) and are summed after the last join. *)
+  let jobs = Par.Pool.slots pool in
+  let slot_steps = Array.make jobs 0 in
+  (* Step 2: each component's IMOD is the or of its members', by
+     component so the node writes and the comp_val write are disjoint
+     across tasks.  Sum of member counts = Nβ. *)
+  Par.Pool.chunked pool n_comps (fun ~slot ~lo ~hi ->
+      let st = ref 0 in
+      for c = lo to hi - 1 do
         List.iter
-          (fun cd ->
-            incr steps;
-            if comp_val.(cd) then comp_val.(c) <- true)
-          edges_by_comp.(c)
+          (fun node ->
+            incr st;
+            let b = seed_bit binding imod node in
+            seed.(node) <- b;
+            if b then comp_val.(c) <- true)
+          members.(c)
       done;
-      (* Step 4: copy the representer's value back to every member. *)
-      for node = 0 to n - 1 do
-        incr steps;
+      slot_steps.(slot) <- slot_steps.(slot) + !st);
+  (* Step 3: leaves-to-roots pass over the condensation; one relaxation
+     per edge applies equation (6).  Components are numbered in reverse
+     topological order, and the plan runs every successor's level
+     first.  Scheduled coarsely: singleton-level runs fuse into inline
+     sequential stages, wide levels batch by per-component edge count,
+     so a chain-shaped condensation never pays a barrier. *)
+  let levels =
+    Par.Wavefront.of_comp_succs ~n_comps ~succs_of:(fun c -> edges_by_comp.(c))
+  in
+  let plan =
+    Par.Wavefront.plan levels ~jobs ~cost:(fun c ->
+        1 + List.length edges_by_comp.(c))
+  in
+  Par.Wavefront.run_plan pool plan ~f:(fun ~slot ~comp:c ->
+      let st = ref 0 in
+      List.iter
+        (fun cd ->
+          incr st;
+          if comp_val.(cd) then comp_val.(c) <- true)
+        edges_by_comp.(c);
+      slot_steps.(slot) <- slot_steps.(slot) + !st);
+  (* Step 4: copy the representer's value back to every member. *)
+  Par.Pool.chunked pool n (fun ~slot ~lo ~hi ->
+      let st = ref 0 in
+      for node = lo to hi - 1 do
+        incr st;
         rmod.(node) <- comp_val.(scc.Scc.comp.(node))
       done;
-      !steps
-    | Some pool ->
-      (* Same four steps, same boolean-step totals.  Steps 2 and 4 are
-         independent per component / per node; step 3 runs as a
-         wavefront over the condensation levels, so a component only
-         reads successor values made final by an earlier batch.  Step
-         counts accumulate per worker slot (each slot is owned by one
-         domain) and are summed after the last join. *)
-      let jobs = Par.Pool.jobs pool in
-      let slot_steps = Array.make jobs 0 in
-      let chunked total f =
-        if total > 0 then begin
-          let chunk = max 1 ((total + (jobs * 4) - 1) / (jobs * 4)) in
-          let n_tasks = (total + chunk - 1) / chunk in
-          Par.Pool.run pool
-            (Array.init n_tasks (fun ti slot ->
-                 f slot (ti * chunk) (min total ((ti + 1) * chunk))))
-        end
-      in
-      (* Step 2, by component: the node writes and the comp_val write
-         are then disjoint across tasks.  Sum of member counts = Nβ. *)
-      chunked n_comps (fun slot lo hi ->
-          let st = ref 0 in
-          for c = lo to hi - 1 do
-            List.iter
-              (fun node ->
-                incr st;
-                let b = seed_bit binding imod node in
-                seed.(node) <- b;
-                if b then comp_val.(c) <- true)
-              members.(c)
-          done;
-          slot_steps.(slot) <- slot_steps.(slot) + !st);
-      (* Step 3: condensation wavefront; one relaxation per edge.
-         Scheduled coarsely: singleton-level runs fuse into inline
-         sequential stages, wide levels batch by per-component edge
-         count, so a chain-shaped condensation never pays a barrier. *)
-      let levels =
-        Par.Wavefront.of_comp_succs ~n_comps
-          ~succs_of:(fun c -> edges_by_comp.(c))
-      in
-      let plan =
-        Par.Wavefront.plan levels ~jobs ~cost:(fun c ->
-            1 + List.length edges_by_comp.(c))
-      in
-      Par.Wavefront.run_plan (Some pool) plan ~f:(fun ~slot ~comp:c ->
-          let st = ref 0 in
-          List.iter
-            (fun cd ->
-              incr st;
-              if comp_val.(cd) then comp_val.(c) <- true)
-            edges_by_comp.(c);
-          slot_steps.(slot) <- slot_steps.(slot) + !st);
-      (* Step 4, by node. *)
-      chunked n (fun slot lo hi ->
-          let st = ref 0 in
-          for node = lo to hi - 1 do
-            incr st;
-            rmod.(node) <- comp_val.(scc.Scc.comp.(node))
-          done;
-          slot_steps.(slot) <- slot_steps.(slot) + !st);
-      Array.fold_left ( + ) 0 slot_steps
-  in
+      slot_steps.(slot) <- slot_steps.(slot) + !st);
+  let steps = Array.fold_left ( + ) 0 slot_steps in
   Obs.Metric.add steps_metric steps;
   {
     res = { binding; rmod; steps };

@@ -46,10 +46,10 @@ val solve :
     included) from {!Frontend.Local.imod}; only its formal-parameter
     bits are consulted.
 
-    With [?pool], steps 2 and 4 are chunked across workers and step 3
-    runs as a condensation wavefront (step 1, the SCC pass, stays
-    sequential); results and the [steps] total are identical to the
-    sequential pass.
+    Steps 2 and 4 are chunked over [?pool] and step 3 runs as a
+    condensation wavefront (step 1, the SCC pass, stays sequential);
+    without a pool the same code runs inline, so results and the
+    [steps] total do not depend on the pool.
 
     Runs under an {!Obs.Span} named [label] (default ["rmod"]; the
     [USE]-side solve passes ["ruse"]) and adds its boolean step count

@@ -66,40 +66,29 @@ let solve_all ?pool t =
   let todo = Array.of_list (List.rev !todo) in
   if Array.length todo > 0 then begin
     let tf = transfer t in
-    (* Each task owns its slot, so the pool path writes disjoint cells
-       and the answers cannot depend on scheduling.  The procedures are
+    (* Each task owns its slot, so tasks write disjoint cells and the
+       answers cannot depend on scheduling.  The procedures are
        independent (one flat level), batched coarsely by estimated CFG
        size — statement and call-site counts — rather than one task
        per procedure. *)
-    (match pool with
-    | Some pool when Par.Pool.jobs pool > 1 ->
-      let width = Array.length todo in
-      let levels =
-        {
-          Par.Wavefront.level = Array.make width 0;
-          n_levels = 1;
-          by_level = [| Array.init width Fun.id |];
-          max_width = width;
-        }
-      in
-      let prog = t.analysis.A.prog in
-      let cost i =
+    let width = Array.length todo in
+    let levels =
+      {
+        Par.Wavefront.level = Array.make width 0;
+        n_levels = 1;
+        by_level = [| Array.init width Fun.id |];
+        max_width = width;
+      }
+    in
+    let prog = t.analysis.A.prog in
+    let cost i =
+      let pid = todo.(i) in
+      1 + List.length (P.proc prog pid).P.body + List.length (P.sites_of prog pid)
+    in
+    let plan = Par.Wavefront.plan levels ~jobs:(Par.Pool.slots pool) ~cost in
+    Par.Wavefront.run_plan pool plan ~f:(fun ~slot:_ ~comp:i ->
         let pid = todo.(i) in
-        1
-        + List.length (P.proc prog pid).P.body
-        + List.length (P.sites_of prog pid)
-      in
-      let plan =
-        Par.Wavefront.plan levels ~jobs:(Par.Pool.jobs pool) ~cost
-      in
-      Par.Wavefront.run_plan (Some pool) plan ~f:(fun ~slot:_ ~comp:i ->
-          let pid = todo.(i) in
-          t.slots.(pid) <- Some (solve_one tf t.locs prog pid))
-    | _ ->
-      Array.iter
-        (fun pid ->
-          t.slots.(pid) <- Some (solve_one tf t.locs t.analysis.A.prog pid))
-        todo);
+        t.slots.(pid) <- Some (solve_one tf t.locs prog pid));
     (* Metrics on the calling domain, in pid order, so profiles are
        jobs-invariant too. *)
     Array.iter

@@ -79,39 +79,20 @@ let luse_stmt ?(deref = no_deref) p (s : Stmt.t) =
   Int_set.elements set
 
 (* Per-procedure union of a per-statement set.  Procedures are
-   independent, so with a pool they fill in chunked tasks; only
-   single-bit sets are involved (nothing counted), and the batch join
-   publishes every vector before the caller reads them. *)
+   independent, so they fill in chunks over the pool (inline without
+   one); only single-bit sets are involved (nothing counted), and the
+   batch join publishes every vector before the caller reads them. *)
 let flat_union ?pool info per_stmt =
   let p = Ir.Info.prog info in
-  let fill (pr : Prog.proc) acc =
-    Stmt.iter
-      (fun s -> List.iter (fun v -> Bitvec.set acc v) (per_stmt p s))
-      pr.Prog.body
-  in
-  match pool with
-  | None ->
-    Array.map
-      (fun pr ->
-        let acc = Ir.Info.fresh info in
-        fill pr acc;
-        acc)
-      p.Prog.procs
-  | Some pool ->
-    let procs = p.Prog.procs in
-    let n = Array.length procs in
-    let result = Array.init n (fun _ -> Ir.Info.fresh info) in
-    if n > 0 then begin
-      let jobs = Par.Pool.jobs pool in
-      let chunk = max 1 ((n + (jobs * 4) - 1) / (jobs * 4)) in
-      let n_tasks = (n + chunk - 1) / chunk in
-      Par.Pool.run pool
-        (Array.init n_tasks (fun ti _slot ->
-             for i = ti * chunk to min n ((ti + 1) * chunk) - 1 do
-               fill procs.(i) result.(i)
-             done))
-    end;
-    result
+  let procs = p.Prog.procs in
+  let result = Array.map (fun _ -> Ir.Info.fresh info) procs in
+  Par.Pool.chunked pool (Array.length procs) (fun ~slot:_ ~lo ~hi ->
+      for i = lo to hi - 1 do
+        Stmt.iter
+          (fun s -> List.iter (fun v -> Bitvec.set result.(i) v) (per_stmt p s))
+          procs.(i).Prog.body
+      done);
+  result
 
 let imod_flat ?pool ?(deref = no_deref) info =
   flat_union ?pool info (fun p s -> lmod_stmt ~deref p s)

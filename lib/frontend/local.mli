@@ -49,10 +49,10 @@ val luse_stmt : ?deref:(int -> int -> int list) -> Ir.Prog.t -> Ir.Stmt.t -> int
 
 val imod_flat :
   ?pool:Par.Pool.t -> ?deref:(int -> int -> int list) -> Ir.Info.t -> Bitvec.t array
-(** Per-procedure [⋃ LMOD(s)] without the nesting extension.  With
-    [?pool], procedures are scanned in parallel chunks (the
-    per-procedure sets are independent); identical results and — these
-    passes perform no whole-vector operations — identical counter
+(** Per-procedure [⋃ LMOD(s)] without the nesting extension.
+    Procedures are scanned in chunks over [?pool] (the per-procedure
+    sets are independent); identical results with or without it and —
+    these passes perform no whole-vector operations — identical counter
     state. *)
 
 val iuse_flat :

@@ -19,8 +19,7 @@
       is disabled is a single branch on one [bool ref];
     - {e reset-free} — measurements are snapshot/delta pairs against
       monotonic counters, so nested or overlapping measurements never
-      clobber each other (the flaw of the old [Bitvec.Stats.reset]
-      design). *)
+      clobber each other, as a global reset protocol would. *)
 
 (** Minimal JSON tree, encoder and parser.
 

@@ -125,6 +125,21 @@ let run t tasks =
     match err with Some e -> raise e | None -> ()
   end
 
+let slots = function None -> 1 | Some t -> t.jobs
+
+let chunked pool n f =
+  if n > 0 then
+    match pool with
+    | None -> f ~slot:0 ~lo:0 ~hi:n
+    | Some t ->
+      (* A few chunks per worker balances uneven per-index costs without
+         paying per-index scheduling. *)
+      let chunk = max 1 ((n + (t.jobs * 4) - 1) / (t.jobs * 4)) in
+      let n_tasks = (n + chunk - 1) / chunk in
+      run t
+        (Array.init n_tasks (fun ti slot ->
+             f ~slot ~lo:(ti * chunk) ~hi:(min n ((ti + 1) * chunk))))
+
 let shutdown t =
   Mutex.lock t.mu;
   t.stop <- true;

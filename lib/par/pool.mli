@@ -45,6 +45,17 @@ val run : t -> (int -> unit) array -> unit
     [par.tasks]/[par.batches]).  Not reentrant: tasks must not call
     [run] on their own pool. *)
 
+val slots : t option -> int
+(** Worker slots a solve over [pool] may see: {!jobs} of the pool, [1]
+    without one.  Size per-slot scratch with this. *)
+
+val chunked : t option -> int -> (slot:int -> lo:int -> hi:int -> unit) -> unit
+(** [chunked pool n f] covers the index range [0 .. n - 1] with calls
+    [f ~slot ~lo ~hi] on disjoint half-open ranges.  With a pool, one
+    {!run} batch of about [4 * jobs] chunks; with [None], the single
+    call [f ~slot:0 ~lo:0 ~hi:n] on the caller.  Calls must write
+    disjoint state, or per-[slot] state. *)
+
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent. *)
 
@@ -54,5 +65,6 @@ val effective_jobs : int -> int
 
 val with_pool : jobs:int -> (t option -> 'a) -> 'a
 (** [with_pool ~jobs f]: applies {!effective_jobs}, then runs [f None]
-    when the result is 1 (callers take their unchanged sequential
-    path), or [f (Some pool)] with shutdown guaranteed afterwards. *)
+    when the result is 1 (the solvers then run their one code path
+    inline on the caller), or [f (Some pool)] with shutdown guaranteed
+    afterwards. *)

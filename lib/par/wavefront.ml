@@ -41,13 +41,13 @@ type schedule = {
   levels : levels;
 }
 
-(* Plain Tarjan (graph work only, no bit-vector operations) replicating
-   the exact visit order of the sequential findgmod: [first_root]
+(* Plain Tarjan (graph work only, no bit-vector operations) in the
+   visit order of the paper's whole-graph findgmod: [first_root]
    first, then every remaining active node in index order, successors
    in the given array order.  Because of that, [entry.(c)] — the root
    at which component [c] closed — is precisely the first member of [c]
-   the sequential one-pass enters, which is what makes the per-level
-   re-runs of the solver bit- and operation-count-identical to it. *)
+   that one-pass DFS enters, so a per-component re-run started there
+   performs the union operations Figure 2 performs inside [c]. *)
 let schedule ~n ?(active = fun _ -> true) ~first_root ~succs () =
   let dfn = Array.make n 0 in
   let low = Array.make n 0 in
@@ -249,28 +249,3 @@ let run_plan pool plan ~f =
                  Array.iter (fun c -> f ~slot ~comp:c) b.comps)
                batches))
       plan.stages
-
-let iter pool levels ~f =
-  match pool with
-  | None ->
-    Array.iter (fun comps -> Array.iter (fun c -> f ~slot:0 ~comp:c) comps)
-      levels.by_level
-  | Some pool ->
-    let jobs = Pool.jobs pool in
-    Array.iter
-      (fun comps ->
-        let width = Array.length comps in
-        if width > 0 then begin
-          (* A few chunks per worker balances heterogeneous component
-             sizes without paying per-component scheduling. *)
-          let chunk = max 1 ((width + (jobs * 4) - 1) / (jobs * 4)) in
-          let n_tasks = (width + chunk - 1) / chunk in
-          Pool.run pool
-            (Array.init n_tasks (fun ti slot ->
-                 let lo = ti * chunk in
-                 let hi = min width (lo + chunk) in
-                 for k = lo to hi - 1 do
-                   f ~slot ~comp:comps.(k)
-                 done))
-        end)
-      levels.by_level

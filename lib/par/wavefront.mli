@@ -5,12 +5,13 @@
     reverse-topological {e levels} are embarrassingly parallel: a
     component only reads values of components it has edges into, all
     of which sit at strictly smaller levels.  The wavefront schedule
-    evaluates level 0 (the sinks) first, then each successive level as
-    one {!Pool} batch — the batch join is the barrier that makes every
-    lower-level result (and its operation counts) visible.  Work
-    {e inside} a component is left to the caller and stays sequential
-    per task, which is what keeps parallel results bit-identical to
-    the sequential one-pass (see docs/parallel.md). *)
+    evaluates level 0 (the sinks) first, then each successive level —
+    with a pool, as {!Pool} batches whose join is the barrier that
+    makes every lower-level result (and its operation counts) visible;
+    without one, inline on the caller.  Work {e inside} a component is
+    left to the caller and stays sequential per task, so a solver has
+    one body whose results and step counts do not depend on the pool
+    (see docs/parallel.md). *)
 
 type levels = {
   level : int array;  (** Per component. *)
@@ -32,10 +33,10 @@ type schedule = {
   n_comps : int;
   comp : int array;  (** Component per node; [-1] for inactive nodes. *)
   entry : int array;
-      (** Per component: the node at which a sequential Figure-2 DFS —
-          [first_root] first, then index order — first enters the
-          component.  Restarting a per-component traversal there
-          reproduces the sequential visit order exactly. *)
+      (** Per component: the node at which one whole-graph Figure-2
+          DFS — [first_root] first, then index order — first enters
+          the component.  Starting a per-component traversal there
+          replays that DFS's visit order inside the component. *)
   levels : levels;
 }
 
@@ -46,18 +47,19 @@ val schedule :
   succs:int array array ->
   unit ->
   schedule
-(** Tarjan over the active subgraph in the sequential solver's exact
-    visit order, plus the leveling of the resulting condensation.
+(** Tarjan over the active subgraph in the visit order of the paper's
+    whole-graph [search] ([first_root] first, then index order), plus
+    the leveling of the resulting condensation.
     [succs] rows of inactive nodes are never read; edges to inactive
     nodes are skipped.  Graph work only — performs no bit-vector
     operations, so it adds nothing to the paper's step counts. *)
 
 (** {1 Coarse plans}
 
-    The plain per-level {!iter} pays one barrier per level and chunks
-    by component count — too fine when the condensation is deep and
-    narrow (long singleton runs) or when components differ wildly in
-    cost.  A {!plan} coarsens both axes: consecutive singleton levels
+    One barrier per level, chunked by component count, is too fine
+    when the condensation is deep and narrow (long singleton runs) or
+    when components differ wildly in cost.  A {!plan} coarsens both
+    axes: consecutive singleton levels
     fuse into one sequential stage that runs inline on the caller (no
     barrier, no task), and each genuinely wide level is split into at
     most [2 * jobs] batches balanced by a caller-supplied cost
@@ -98,13 +100,8 @@ val run_plan :
   Pool.t option -> plan -> f:(slot:int -> comp:int -> unit) -> unit
 (** Execute a plan: [Seq] stages inline on the caller (slot 0), each
     [Par] stage as one {!Pool.run} batch with one task per cost
-    batch.  The requirements on [f] match {!iter}; with [None], plain
-    sequential iteration in stage order. *)
-
-val iter :
-  Pool.t option -> levels -> f:(slot:int -> comp:int -> unit) -> unit
-(** Evaluate every component, level by level.  With a pool, each level
-    is one task batch (components chunked a few per worker, ascending
-    id); [f] must only write state owned by [comp] and only read state
-    of strictly lower levels, plus per-[slot] scratch.  With [None],
-    plain sequential iteration in level-then-id order. *)
+    batch.  [f] must only write state owned by [comp] and only read
+    state of strictly lower levels, plus per-[slot] scratch.  With
+    [None], every stage runs inline on the caller in stage order —
+    the same calls, so a solver written once over [run_plan] is its
+    own sequential version. *)

@@ -108,14 +108,19 @@ let test_popcount_word st =
       Alcotest.failf "popcount_word %#x: want %d, got %d" x want got
   done
 
+(* (vector_ops, word_ops) counted since [before]. *)
+let ops_since before =
+  let since name = Obs.Metric.value_since ~since:before (Obs.Metric.counter name) in
+  (since "bitvec.vector_ops", since "bitvec.word_ops")
+
 let test_stats_counters () =
-  B.Stats.reset ();
+  let before = Obs.Metric.snapshot () in
   let a = B.create 1000 and b = B.create 1000 in
   ignore (B.union_into ~src:a ~dst:b);
   ignore (B.equal a b);
-  Alcotest.(check int) "two vector ops (plus creates don't count)" 2
-    (B.Stats.vector_ops ());
-  Alcotest.(check bool) "word ops counted" true (B.Stats.word_ops () > 0)
+  let vector_ops, word_ops = ops_since before in
+  Alcotest.(check int) "two vector ops (plus creates don't count)" 2 vector_ops;
+  Alcotest.(check bool) "word ops counted" true (word_ops > 0)
 
 (* --- hybrid representation --- *)
 
@@ -296,9 +301,9 @@ let test_hybrid_accounting () =
     with_mode mode @@ fun () ->
     let a = B.of_list len [ 1; 50_000; 99_999 ] in
     let b = B.of_list len [ 2; 50_000 ] in
-    B.Stats.reset ();
+    let before = Obs.Metric.snapshot () in
     ignore (B.union_into ~src:a ~dst:b);
-    (B.Stats.vector_ops (), B.Stats.word_ops ())
+    ops_since before
   in
   let hv, hw = probe true in
   let dv, dw = probe false in
@@ -315,6 +320,29 @@ let test_hybrid_accounting () =
   Alcotest.(check bool) "small_ops counted" true
     (Obs.Metric.value_since ~since:snap (Obs.Metric.counter "bitvec.small_ops")
     > 0)
+
+(* A dense-to-dense blit is charged by the source's occupied prefix
+   alone: what the destination held before must not show in the count
+   (a reused scratch vector would otherwise make word ops depend on
+   evaluation order). *)
+let test_blit_charges_source () =
+  with_mode true @@ fun () ->
+  let len = 10_000 in
+  let src = B.of_list len (List.init 200 Fun.id) in
+  let wide = B.of_list len (List.init 200 (fun i -> i * 50)) in
+  let narrow = B.of_list len (List.init 200 (fun i -> i + 1)) in
+  Alcotest.(check bool) "dense operands" true
+    (List.for_all (fun v -> B.repr_kind v = `Dense) [ src; wide; narrow ]);
+  let cost dst =
+    let before = Obs.Metric.snapshot () in
+    B.blit ~src ~dst;
+    let ops = ops_since before in
+    Alcotest.(check bool) "copied" true (B.equal src dst);
+    ops
+  in
+  let src_words = (200 + Sys.int_size - 1) / Sys.int_size in
+  Alcotest.(check (pair int int)) "wide destination" (1, src_words) (cost wide);
+  Alcotest.(check (pair int int)) "narrow destination" (1, src_words) (cost narrow)
 
 (* --- property tests against a list model --- *)
 
@@ -375,6 +403,8 @@ let () =
             test_hybrid_promotion_boundary;
           Alcotest.test_case "hybrid cost accounting" `Quick
             test_hybrid_accounting;
+          Alcotest.test_case "blit charges the source only" `Quick
+            test_blit_charges_source;
         ] );
       ( "properties",
         [

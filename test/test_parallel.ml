@@ -97,15 +97,28 @@ let test_schedule_diamond () =
     s.Wavefront.entry;
   check_int "3 levels" 3 s.Wavefront.levels.Wavefront.n_levels;
   check_int "a,b share a level" 2 s.Wavefront.levels.Wavefront.max_width;
-  (* Sequential and pooled iteration both visit every component once,
-     and never a component before all of its successors. *)
+  (* Inline and pooled plan runs both visit every component once, and
+     never a component before all of its successors. *)
+  let succs_of = [| []; [ 0 ]; [ 0 ]; [ 1; 2 ] |] in
+  Array.iteri
+    (fun v row ->
+      Array.iter
+        (fun w ->
+          let cs = s.Wavefront.comp.(v) and cd = s.Wavefront.comp.(w) in
+          check_bool "component successors" true (List.mem cd succs_of.(cs)))
+        row)
+    succs;
+  let plan = Wavefront.plan s.Wavefront.levels ~jobs:4 ~cost:(fun _ -> 1) in
   List.iter
     (fun pool ->
       let done_ = Array.make s.Wavefront.n_comps false in
       let mu = Mutex.create () in
-      Wavefront.iter pool s.Wavefront.levels ~f:(fun ~slot:_ ~comp ->
+      Wavefront.run_plan pool plan ~f:(fun ~slot:_ ~comp ->
           Mutex.lock mu;
           check_bool "not evaluated twice" false done_.(comp);
+          List.iter
+            (fun cd -> check_bool "successors first" true done_.(cd))
+            succs_of.(comp);
           done_.(comp) <- true;
           Mutex.unlock mu);
       Array.iter (fun b -> check_bool "all components evaluated" true b) done_)
@@ -242,6 +255,20 @@ let prop_jobs_deterministic of_seed seed =
   check_int "word_ops identical" sw pw;
   true
 
+(* The qchecks stay small; this directed case is large enough that a
+   slot's scratch vector is reused across GMOD components of different
+   sizes, so a word-op charge that depended on what the scratch held
+   before would differ between job counts. *)
+let test_dag_1024_deterministic () =
+  let prog = Workload.Families.dag_style ~seed:7 ~n:1024 in
+  let seq, sv, sw = counted (fun () -> A.run prog) in
+  let par, pv, pw =
+    counted (fun () -> A.run ~pool:(Lazy.force pool4) prog)
+  in
+  check_same_analysis "dag_style n=1024" seq par;
+  check_int "vector_ops identical" sv pv;
+  check_int "word_ops identical" sw pw
+
 let prop_incremental_deterministic seed =
   let prog = flat_of_seed ~n:24 seed in
   let mk_script () =
@@ -300,5 +327,7 @@ let () =
             (prop_jobs_deterministic (nested_of_seed ~n:24 ~depth:3));
           qtest ~count:30 "incremental engine jobs=4 = jobs=1" arb_flat_prog
             prop_incremental_deterministic;
+          Alcotest.test_case "dag n=1024 jobs=4 = jobs=1"
+            `Quick test_dag_1024_deterministic;
         ] );
     ]
