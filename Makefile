@@ -217,7 +217,22 @@ ptsto-smoke:
 	./_build/default/bin/sidefx.exe explain programs/pointers.mp --fact alias:bump:x:cell \
 	  | grep -q 'points-to projection' || exit 1; \
 	./_build/default/bin/sidefx.exe explain programs/pointers.mp --fact alias:bump:x:cell --json \
-	  | ./_build/default/bin/sidefx.exe json-validate || exit 1; \
+	  | ./_build/default/bin/sidefx.exe json-validate || exit 1
+	@echo "== ptr_chain 400 (the storage closure at depth)"; \
+	awk 'BEGIN { n = 400; \
+	  print "program main;"; print "var g0 : int;"; print "var p : ptr of int;"; \
+	  for (i = 1; i <= n; i++) { \
+	    printf "procedure p%d(var x : int);\nbegin\n", i; \
+	    if (i < n) printf "call p%d(x);\n", i + 1; else print "x := 1;"; \
+	    print "end;" } \
+	  print "begin"; print "  p := &g0;"; print "  call p1( *p);"; print "end." }' \
+	  > ptr_chain400.tmp; \
+	for tier in steensgaard andersen; do \
+	  ./_build/default/bin/sidefx.exe ptsto ptr_chain400.tmp --tier $$tier \
+	    | tail -n 1 || exit 1; \
+	  ./_build/default/bin/sidefx.exe check ptr_chain400.tmp --ptsto=$$tier || exit 1; \
+	done; \
+	rm -f ptr_chain400.tmp; \
 	echo "ptsto-smoke: ok"
 
 # Smoke-test the must-modify surface end to end on the MUSTMOD demo:

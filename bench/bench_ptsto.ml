@@ -6,9 +6,10 @@
    induces.  The claim: Andersen's projection is pointwise contained
    in Steensgaard's — strictly smaller on the funnel family (n vs 2n
    pairs, the precision unification gives up by merging the funnel) —
-   and neither tier's raw solve dominates; the cost that does grow is
-   the storage closure on deep by-ref chains (ptr_chain), which is
-   shared by both tiers and quadratic in the chain depth.
+   and neither tier's raw solve dominates.  The storage closure shared
+   by both tiers is one pass over the condensed bound-to graph, so the
+   deep by-ref chains (ptr_chain) grow about linearly; the steepest
+   rows are Andersen's own inclusion fixpoint on ptr_heap.
 
      dune exec bench/bench_ptsto.exe        # writes BENCH_ptsto.json *)
 
@@ -94,9 +95,13 @@ let () =
           Obs.Json.String
             "Andersen's projection is pointwise contained in Steensgaard's: \
              strictly smaller on ptr_funnel (n vs 2n section-5 pairs), \
-             identical where there is nothing to refine; the dominating \
-             cost on ptr_chain is the storage closure over the by-ref \
-             chain, shared by both tiers and quadratic in chain depth" );
+             identical where there is nothing to refine.  The storage \
+             closure shared by both tiers is one pass over the condensed \
+             bound-to graph: ptr_chain grows about 2x per doubling of the \
+             chain in both tiers (the old round-robin closure grew 8x, \
+             cubically).  The steepest rows left are Andersen's naive \
+             inclusion fixpoint on ptr_heap, about 4x per doubling \
+             (quadratic)" );
         ( "workload",
           Obs.Json.String
             "ptr_chain / ptr_heap / ptr_funnel (Workload.Families), both \

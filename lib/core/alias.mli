@@ -21,9 +21,23 @@
     on entry to [p] also holds inside procedures declared in [p], which
     execute within [p]'s activation.
 
-    The pairs are closed by a worklist over call sites.  Two distinct
-    array elements of the same array are (conservatively) treated like
-    the whole arrays, consistent with the §3 bit granularity. *)
+    The pairs are closed by a semi-naive sweep: rounds over the call
+    sites in id order, then inheritance, until a round derives nothing.
+    Each procedure logs every pair that enters [ALIAS(p)] or turns
+    pointer-tainted there; each site reads only the part of its
+    caller's log it has not seen (each nested procedure likewise its
+    parent's), sorted into pair order.  A site's by-reference bindings
+    are built once and sorted by base, so a caller pair touches only
+    the bindings on its two members, and the introduction rules run on
+    the site's first visit only.  Each pair therefore crosses each site
+    at most twice (added, then tainted), and the
+    [alias.pair_visits] counter records the crossings.  Pairs are first
+    added in the same order as a full sweep of every pair each round
+    adds them, so the recorded provenance is that sweep's.
+
+    Two distinct array elements of the same array are (conservatively)
+    treated like the whole arrays, consistent with the §3 bit
+    granularity. *)
 
 type t
 

@@ -369,16 +369,9 @@ type t = {
   tier : tier;
   n_heap : int;
   heap_names : string array;
-  storage_v : Int_set.t array;
-      (* [storage_v.(v)]: variable cells [v]'s storage may actually be —
-         [v] itself, plus (for by-ref formals) every cell a binding may
-         hand it, transitively.  NOT an equivalence relation: two
-         formals bound to the same pair of cells stay distinct, so one
-         binding does not fuse its alternative targets. *)
-  storage_h : Int_set.t array;  (* likewise, heap cells ([new]-site ids) *)
-  steens_members : (int, int list) Hashtbl.t;  (* ECR root -> locs *)
-  solver : solver;
-  memo : (int * int, int list * int list) Hashtbl.t;
+  proj : (int list * int list) array array;
+      (* [proj.(v).(d - 1)]: the variables and the heap sites [*^d v] may
+         name, for [1 <= d <= ptr_depth v]; empty rows elsewhere *)
 }
 
 let tier t = t.tier
@@ -386,64 +379,12 @@ let prog t = t.prog
 let n_heap t = t.n_heap
 let heap_name t k = t.heap_names.(k)
 
-(* Raw (pre-name-closure) cells of [*^d p], split vars / heap ids. *)
-let raw_cells t p d =
-  let nv = Prog.n_vars t.prog in
-  let split locs =
-    let vars = List.filter (fun l -> l < nv) locs in
-    let heap = List.filter_map (fun l -> if l >= nv then Some (l - nv) else None) locs in
-    (vars, heap)
-  in
-  match t.solver with
-  | Sol_ander a -> split (Int_set.elements (Ander.cells a p d))
-  | Sol_steens s ->
-    let rec follow c k =
-      if k = 0 then Some c
-      else
-        match Steens.pts_opt s c with
-        | None -> None
-        | Some c' -> follow c' (k - 1)
-    in
-    (match follow (Uf.find s.Steens.uf p) d with
-    | None -> ([], [])
-    | Some root ->
-      split (match Hashtbl.find_opt t.steens_members root with
-        | Some locs -> locs
-        | None -> []))
+let projection t p d =
+  let row = t.proj.(p) in
+  if d >= 1 && d <= Array.length row then row.(d - 1) else ([], [])
 
-let closed_cells t p d =
-  match Hashtbl.find_opt t.memo (p, d) with
-  | Some r -> r
-  | None ->
-    let vars, heap = raw_cells t p d in
-    (* Storage the dereference may actually strike: the raw cells'
-       own possible storage (a raw formal cell carries its binding
-       sources along). *)
-    let s =
-      List.fold_left
-        (fun acc v -> Int_set.union t.storage_v.(v) acc)
-        Int_set.empty vars
-    in
-    let sh =
-      List.fold_left
-        (fun acc v -> Int_set.union t.storage_h.(v) acc)
-        (Int_set.of_list heap) vars
-    in
-    (* A variable may name the dereferenced cell iff its possible
-       storage meets that of the raw cells. *)
-    let out = ref Int_set.empty in
-    for v = 0 to Prog.n_vars t.prog - 1 do
-      if
-        (not (Int_set.is_empty (Int_set.inter t.storage_v.(v) s)))
-        || not (Int_set.is_empty (Int_set.inter t.storage_h.(v) sh))
-      then out := Int_set.add v !out
-    done;
-    let r = (Int_set.elements !out, Int_set.elements sh) in
-    Hashtbl.replace t.memo (p, d) r;
-    r
-
-let deref_targets t p d = if Types.is_ptr (Prog.var t.prog p).Prog.vty then fst (closed_cells t p d) else []
-let deref_heap t p d = if Types.is_ptr (Prog.var t.prog p).Prog.vty then snd (closed_cells t p d) else []
+let deref_targets t p d = fst (projection t p d)
+let deref_heap t p d = snd (projection t p d)
 let deref t = deref_targets t
 
 let may_overlap t (p, d1) (q, d2) =
@@ -464,6 +405,61 @@ let size t =
   done;
   !acc
 
+(* Raw (pre-storage-closure) cells of [*^d p], split vars / heap ids.
+   [classes] maps a Steensgaard class root to its members, split. *)
+let raw_cells prog solver classes p d =
+  match solver with
+  | Sol_ander a ->
+    let nv = Prog.n_vars prog in
+    let locs = Int_set.elements (Ander.cells a p d) in
+    ( List.filter (fun l -> l < nv) locs,
+      List.filter_map (fun l -> if l >= nv then Some (l - nv) else None) locs )
+  | Sol_steens s ->
+    let rec follow c k =
+      if k = 0 then Some c
+      else
+        match Steens.pts_opt s c with
+        | None -> None
+        | Some c' -> follow c' (k - 1)
+    in
+    (match follow (Uf.find s.Steens.uf p) d with
+    | None -> ([], [])
+    | Some root -> Option.value ~default:([], []) (Hashtbl.find_opt classes root))
+
+(* Storage closure.  The cells variable [v]'s storage may actually be
+   are [v] itself plus, for a by-ref formal, every cell a binding may
+   hand it, transitively: the nodes [v] reaches in the bound-to graph
+   ([v -> s] for each binding source [s]).  So condense that graph and
+   take one union pass in Tarjan's component order, sinks first
+   (Figure 1's shape); every member of a component shares its sets.
+   [heap_src.(v)] are the heap cells bound to [v] directly. *)
+type storage = {
+  comp : int array;  (* variable -> component *)
+  comp_v : Int_set.t array;  (* component -> variable cells reached *)
+  comp_h : Int_set.t array;  (* component -> heap cells reached *)
+}
+
+let storage_closure g ~heap_src =
+  let scc = Graphs.Scc.compute g in
+  let comp = scc.Graphs.Scc.comp in
+  let comp_v = Array.make scc.Graphs.Scc.n_comps Int_set.empty in
+  let comp_h = Array.make scc.Graphs.Scc.n_comps Int_set.empty in
+  Array.iteri
+    (fun c vs ->
+      List.iter
+        (fun v ->
+          comp_v.(c) <- Int_set.add v comp_v.(c);
+          comp_h.(c) <- Int_set.union heap_src.(v) comp_h.(c);
+          Graphs.Digraph.iter_succ g v (fun u ->
+              let cu = comp.(u) in
+              if cu <> c then begin
+                comp_v.(c) <- Int_set.union comp_v.(cu) comp_v.(c);
+                comp_h.(c) <- Int_set.union comp_h.(cu) comp_h.(c)
+              end))
+        vs)
+    (Graphs.Scc.members scc);
+  { comp; comp_v; comp_h }
+
 let analyze ?(tier = Steensgaard) prog =
   let cstrs, n_heap, heap_names = extract prog in
   let nv = Prog.n_vars prog in
@@ -483,72 +479,111 @@ let analyze ?(tier = Steensgaard) prog =
     | Steensgaard -> Sol_steens (Steens.solve n_locs cstrs_loc)
     | Andersen -> Sol_ander (Ander.solve n_locs cstrs_loc)
   in
-  let steens_members = Hashtbl.create 64 in
+  let classes = Hashtbl.create 64 in
   (match solver with
   | Sol_steens s ->
-    for l = 0 to n_locs - 1 do
+    for l = n_locs - 1 downto 0 do
       let r = Uf.find s.Steens.uf l in
-      Hashtbl.replace steens_members r
-        (l :: Option.value ~default:[] (Hashtbl.find_opt steens_members r))
+      let vars, heap = Option.value ~default:([], []) (Hashtbl.find_opt classes r) in
+      Hashtbl.replace classes r
+        (if l < nv then (l :: vars, heap) else (vars, (l - nv) :: heap))
     done
   | Sol_ander _ -> ());
-  let storage_v = Array.init nv Int_set.singleton in
-  let storage_h = Array.make nv Int_set.empty in
-  let t =
-    {
-      prog;
-      tier;
-      n_heap;
-      heap_names;
-      storage_v;
-      storage_h;
-      steens_members;
-      solver;
-      memo = Hashtbl.create 64;
-    }
-  in
-  (* Seed each by-ref formal's possible storage with its binding
-     sources: a [Bind_var] hands it the actual's cell, a [Bind_deref]
-     any raw cell of the dereference.  Crucially this stays a per-node
-     set, not an equivalence class — [call f(ref *r)] with
-     [pts(r) = {x, y}] must not fuse [x] with [y]. *)
+  let raw_cells = raw_cells prog solver classes in
+  (* The bound-to graph: a [Bind_var] hands the formal the actual's
+     cell, a [Bind_deref] any raw cell of the dereference.  Crucially
+     this stays per-node reachability, not an equivalence class —
+     [call f(ref *r)] with [pts(r) = {x, y}] must not fuse [x] with
+     [y]. *)
+  let src_v = Array.make nv Int_set.empty and heap_src = Array.make nv Int_set.empty in
+  (* A formal is often bound to the same raw cells at many sites (every
+     pointer of one Steensgaard class yields the same cells); add each
+     such set once. *)
+  let bound = Hashtbl.create 64 in
   List.iter
     (function
-      | Bind_var (f, b) -> storage_v.(f) <- Int_set.add b storage_v.(f)
+      | Bind_var (f, b) -> src_v.(f) <- Int_set.add b src_v.(f)
       | Bind_deref (f, p, d) ->
-        let vars, heap = raw_cells t p d in
-        storage_v.(f) <-
-          List.fold_left (fun a v -> Int_set.add v a) storage_v.(f) vars;
-        storage_h.(f) <-
-          List.fold_left (fun a k -> Int_set.add k a) storage_h.(f) heap
+        let ((vars, heap) as raw) = raw_cells p d in
+        if not (Hashtbl.mem bound (f, raw)) then begin
+          Hashtbl.add bound (f, raw) ();
+          src_v.(f) <- List.fold_left (fun a v -> Int_set.add v a) src_v.(f) vars;
+          heap_src.(f) <- List.fold_left (fun a k -> Int_set.add k a) heap_src.(f) heap
+        end
       | Flow _ -> ())
     cstrs_loc;
-  (* Transitive closure: if [f] may be bound to [g]'s cell and [g] to
-     [x]'s, then [f] may be [x]'s storage. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for v = 0 to nv - 1 do
-      let u =
-        Int_set.fold
-          (fun s acc -> Int_set.union storage_v.(s) acc)
-          storage_v.(v) storage_v.(v)
-      and uh =
-        Int_set.fold
-          (fun s acc -> Int_set.union storage_h.(s) acc)
-          storage_v.(v) storage_h.(v)
-      in
-      if
-        (not (Int_set.equal u storage_v.(v)))
-        || not (Int_set.equal uh storage_h.(v))
-      then begin
-        storage_v.(v) <- u;
-        storage_h.(v) <- uh;
-        changed := true
-      end
-    done
+  let g = Graphs.Digraph.Builder.create ~nodes:nv () in
+  Array.iteri
+    (fun f srcs ->
+      Int_set.iter
+        (fun v -> ignore (Graphs.Digraph.Builder.add_edge g ~src:f ~dst:v))
+        srcs)
+    src_v;
+  let g = Graphs.Digraph.Builder.freeze g in
+  let st = storage_closure g ~heap_src in
+  (* Reverse index: the bound-to graph reversed (cell -> variables bound
+     to it), and heap cell -> variables bound to it.  Walking it back
+     from a set of cells finds every variable whose storage reaches one
+     of them, in time proportional to what it finds; the transitive
+     index itself would be as large as all storage sets together,
+     quadratic on a by-ref chain. *)
+  let bound_to = Graphs.Digraph.reverse g in
+  let heap_bound = Array.make n_heap [] in
+  for v = nv - 1 downto 0 do
+    Int_set.iter (fun k -> heap_bound.(k) <- v :: heap_bound.(k)) heap_src.(v)
   done;
-  t
+  let mark = Array.make nv (-1) and stamp = ref 0 in
+  (* The projection of a dereference depends only on its raw cells, so
+     dereferences with the same raw cells (every pointer of one
+     Steensgaard class) share one answer. *)
+  let closed = Hashtbl.create 64 in
+  let close ((vars, heap) as raw) =
+    match Hashtbl.find_opt closed raw with
+    | Some r -> r
+    | None ->
+      (* Storage the dereference may actually strike: the raw cells'
+         own possible storage (a raw formal cell carries its binding
+         sources along). *)
+      let comps = List.fold_left (fun a v -> Int_set.add st.comp.(v) a) Int_set.empty vars in
+      let s = Int_set.fold (fun c a -> Int_set.union st.comp_v.(c) a) comps Int_set.empty in
+      let sh =
+        Int_set.fold (fun c a -> Int_set.union st.comp_h.(c) a) comps (Int_set.of_list heap)
+      in
+      (* A variable may name the dereferenced cell iff its possible
+         storage meets that of the raw cells: iff it reaches a cell of
+         [s], or a variable bound to a heap cell of [sh]. *)
+      incr stamp;
+      let q = !stamp in
+      let todo = ref [] and out = ref [] in
+      let reach v =
+        if mark.(v) <> q then begin
+          mark.(v) <- q;
+          todo := v :: !todo
+        end
+      in
+      Int_set.iter reach s;
+      Int_set.iter (fun k -> List.iter reach heap_bound.(k)) sh;
+      let rec drain () =
+        match !todo with
+        | [] -> ()
+        | v :: rest ->
+          todo := rest;
+          out := v :: !out;
+          Graphs.Digraph.iter_succ bound_to v reach;
+          drain ()
+      in
+      drain ();
+      let r = (List.sort Int.compare !out, Int_set.elements sh) in
+      Hashtbl.replace closed raw r;
+      r
+  in
+  let proj =
+    Array.init nv (fun v ->
+        Array.init
+          (Types.ptr_depth (Prog.var prog v).Prog.vty)
+          (fun i -> close (raw_cells v (i + 1))))
+  in
+  { prog; tier; n_heap; heap_names; proj }
 
 let pp ppf t =
   let prog = t.prog in

@@ -45,7 +45,14 @@
     precision on exactly the programs that separate the tiers would be
     thrown away.  Both tiers share the construction, so the soundness
     oracle (the interpreter's observed dereference owners) can compare
-    against either directly. *)
+    against either directly.
+
+    The possible storage of [v] is what [v] reaches in the bound-to
+    graph ([v -> s] for each binding source [s]), so the closure is
+    one pass over its condensation in Tarjan's component order, as
+    Figure 1 closes β.  A reverse index (cell to the variables whose
+    storage may hold it) then gives every projection without a scan
+    over all variables. *)
 
 type tier = Steensgaard | Andersen
 
@@ -64,9 +71,10 @@ val has_pointers : Ir.Prog.t -> bool
 type t
 
 val analyze : ?tier:tier -> Ir.Prog.t -> t
-(** Solve the chosen tier (default [Steensgaard]) and the shared name
-    equivalence.  Linear-ish in program size for Steensgaard; worklist
-    fixpoint for Andersen. *)
+(** Solve the chosen tier (default [Steensgaard]), close the storage
+    sets, and project every pointer variable at every depth its type
+    allows, so the queries below are lookups.  Linear-ish in program
+    size for Steensgaard; worklist fixpoint for Andersen. *)
 
 val tier : t -> tier
 val prog : t -> Ir.Prog.t
@@ -80,8 +88,9 @@ val heap_name : t -> int -> string
 val deref_targets : t -> int -> int -> int list
 (** [deref_targets t p d]: every variable the [d]-fold dereference
     [*...*p] may name, closed under name equivalence, sorted ascending.
-    Empty when [p] is not a pointer or the chain cannot reach variable
-    storage.  This is the projection {!Frontend.Local},
+    Empty when [p] is not a pointer, when [d] is outside [1 ..] [p]'s
+    pointer depth, or when the chain cannot reach variable storage.
+    This is the projection {!Frontend.Local},
     {!Callgraph.Binding} and the §5 seeding consume. *)
 
 val deref_heap : t -> int -> int -> int list
