@@ -55,8 +55,7 @@ let count_small n =
 
 (* --- mode --- *)
 
-let hybrid_mode =
-  ref (match Sys.getenv_opt "SIDEFX_BITVEC" with Some "dense" -> false | _ -> true)
+let hybrid_mode = ref true
 
 let set_hybrid b = hybrid_mode := b
 let hybrid_enabled () = !hybrid_mode

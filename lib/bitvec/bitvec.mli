@@ -127,11 +127,12 @@ val set_hybrid : bool -> unit
 (** [set_hybrid false] switches the module to the legacy dense-only
     behaviour: new vectors are created dense, promotion/demotion is
     disabled, and every whole-vector operation charges the full word
-    count of the universe.  [set_hybrid true] (the default, unless the
-    environment sets [SIDEFX_BITVEC=dense]) restores hybrid mode.
-    The switch is global; flip it only between complete analysis runs
-    (vectors created under one mode remain valid under the other, but
-    their op costs follow the mode current at operation time). *)
+    count of the universe — the reference model the hybrid
+    representation is tested against.  [set_hybrid true] (the default)
+    restores hybrid mode.  The switch is global; flip it only between
+    complete analysis runs (vectors created under one mode remain valid
+    under the other, but their op costs follow the mode current at
+    operation time). *)
 
 val hybrid_enabled : unit -> bool
 (** Current mode (see {!set_hybrid}). *)

@@ -9,49 +9,89 @@ module Call = Callgraph.Call
 module Digraph = Graphs.Digraph
 module Scc = Graphs.Scc
 
-type result = {
-  prog : Prog.t;
-  mustmod : Bitvec.t array;
-  intra : Bitvec.t array;
-  demoted : Bitvec.t array;
-  rounds : int;
+(* --- per-procedure frames ----------------------------------------------
+
+   A procedure's transfer only ever touches variables visible in its
+   own frame, so the fixpoint runs over per-procedure compact
+   universes and expands onto the full universe once, after
+   convergence.  A frame lays out the globals, then the own variables
+   (formals and locals, by vid) of each lexical ancestor, outermost
+   first, then the procedure's own.  A variable's compact id is then
+   the same in every frame that holds it, and since a callee's parent
+   is an ancestor-or-self of the caller (enforced by [Ir.Validate]),
+   the callee's frame below its own tail is a prefix of the caller's.
+   Every counted operation of the hot loop walks the occupied prefix of
+   a vector of length [G + Σ own along the chain], independent of
+   program size; in the full universe the hybrid representation's small
+   form charges card-proportional merges (~|GMOD| element steps per
+   transfer), which the bench gate reads as superlinear
+   (bench/bench_check.ml section 1b pins the compact behaviour). *)
+type frame = {
+  n_globals : int;
+  globals : int array;  (* global rank -> vid *)
+  cid : int array;  (* vid -> compact id, the same in every frame holding it *)
+  base : int array;  (* pid -> compact id of its first own variable *)
+  vids : int array array;  (* pid -> (compact id - n_globals) -> vid *)
 }
 
-type solution = {
-  res : result;
-  scc : Scc.result;
-  members : int list array;
-  succs_by_comp : int list array;
-  preds_by_comp : int list array;
-  callers_in_comp : int list array;
-  trivial : bool array;
-}
+let build_frame prog =
+  let nv = Prog.n_vars prog in
+  let np = Prog.n_procs prog in
+  let cid = Array.make nv 0 in
+  let own = Array.make np [] in
+  let globals = ref [] in
+  let n_globals = ref 0 in
+  for vid = nv - 1 downto 0 do
+    match (Prog.var prog vid).Prog.kind with
+    | Prog.Global ->
+      globals := vid :: !globals;
+      incr n_globals
+    | Prog.Local owner | Prog.Formal { proc = owner; _ } ->
+      own.(owner) <- vid :: own.(owner)
+  done;
+  let globals = Array.of_list !globals in
+  Array.iteri (fun rank vid -> cid.(vid) <- rank) globals;
+  let base = Array.make np 0 in
+  let vids = Array.make np [||] in
+  (* Down the nesting tree: a child's frame extends its parent's. *)
+  let rec lay pid outer =
+    base.(pid) <- !n_globals + Array.length outer;
+    let tail = Array.of_list own.(pid) in
+    Array.iteri (fun i vid -> cid.(vid) <- base.(pid) + i) tail;
+    vids.(pid) <- Array.append outer tail;
+    List.iter (fun child -> lay child vids.(pid)) (Prog.proc prog pid).Prog.nested
+  in
+  lay prog.Prog.main [||];
+  { n_globals = !n_globals; globals; cid; base; vids }
 
-module Int_set = Set.Make (Int)
+let frame_len fr pid = max 1 (fr.n_globals + Array.length fr.vids.(pid))
 
-let rounds_metric = Obs.Metric.counter "mustmod.rounds"
+let vid_of fr pid c =
+  if c < fr.n_globals then fr.globals.(c) else fr.vids.(pid).(c - fr.n_globals)
 
 (* The callee's MUSTMOD carried through a call site into the caller's
-   frame — the same projection the dataflow kill sets use: a by-ref
-   formal lands on a scalar whole-variable actual, non-locals of the
-   callee pass through, everything else (callee locals, by-value
-   formals, element and dereference actuals — a dereference may-defines
-   its targets but never must-defines any one of them) is dropped. *)
-let project prog callee_must sid out =
+   frame — the same projection the dataflow kill sets use.  Below the
+   callee's own tail the ids pass through unchanged (globals and the
+   ancestors' variables, laid out alike in both frames); in the tail, a
+   by-ref formal lands on a scalar whole-variable actual and everything
+   else (callee locals, by-value formals, element and dereference
+   actuals — a dereference may-defines its targets but never
+   must-defines any one of them) is dropped. *)
+let project fr prog callee_must sid out =
   let s = Prog.site prog sid in
+  let callee = s.Prog.callee in
   Bitvec.iter
-    (fun vid ->
-      match (Prog.var prog vid).Prog.kind with
-      | Prog.Formal { proc; index; mode = Prog.By_ref } when proc = s.Prog.callee
-        -> (
-        match s.Prog.args.(index) with
-        | Prog.Arg_ref (E.Lvar b) ->
-          if not (Ir.Types.is_array (Prog.var prog b).Prog.vty) then
-            Bitvec.set out b
-        | Prog.Arg_ref (E.Lindex _ | E.Lderef _) | Prog.Arg_value _ -> ())
-      | Prog.Formal { proc; _ } when proc = s.Prog.callee -> ()
-      | Prog.Local owner when owner = s.Prog.callee -> ()
-      | _ -> Bitvec.set out vid)
+    (fun c ->
+      if c < fr.base.(callee) then Bitvec.set out c
+      else
+        match (Prog.var prog (vid_of fr callee c)).Prog.kind with
+        | Prog.Formal { index; mode = Prog.By_ref; _ } -> (
+          match s.Prog.args.(index) with
+          | Prog.Arg_ref (E.Lvar b) ->
+            if not (Ir.Types.is_array (Prog.var prog b).Prog.vty) then
+              Bitvec.set out fr.cid.(b)
+          | Prog.Arg_ref (E.Lindex _ | E.Lderef _) | Prog.Arg_value _ -> ())
+        | Prog.Formal _ | Prog.Local _ | Prog.Global -> ())
     callee_must
 
 (* Definite assignments of a statement sequence, by structural
@@ -62,115 +102,10 @@ let project prog callee_must sid out =
    body contributes nothing (zero iterations), a [for] header always
    writes its index.  [mustmod] supplies the call transfer; [None]
    computes the call-free IMUSTDEF used for provenance grounding. *)
-let rec seq_gen prog mustmod nv acc stmts =
-  List.iter (stmt_gen prog mustmod nv acc) stmts
+let rec seq_gen fr prog mustmod len acc stmts =
+  List.iter (stmt_gen fr prog mustmod len acc) stmts
 
-and stmt_gen prog mustmod nv acc = function
-  | Stmt.Assign (E.Lvar x, _) | Stmt.Read (E.Lvar x) -> Bitvec.set acc x
-  | Stmt.Assign ((E.Lindex _ | E.Lderef _), _)
-  | Stmt.Read (E.Lindex _ | E.Lderef _)
-  | Stmt.Write _ ->
-    ()
-  | Stmt.For (x, _, _, _) -> Bitvec.set acc x
-  | Stmt.While _ -> ()
-  | Stmt.If (_, t, e) ->
-    let bt = Bitvec.create nv in
-    let be = Bitvec.create nv in
-    seq_gen prog mustmod nv bt t;
-    seq_gen prog mustmod nv be e;
-    ignore (Bitvec.inter_into ~src:be ~dst:bt);
-    ignore (Bitvec.union_into ~src:bt ~dst:acc)
-  | Stmt.Call sid -> (
-    match mustmod with
-    | Some sets -> project prog sets.((Prog.site prog sid).Prog.callee) sid acc
-    | None -> ())
-
-let gen_of prog mustmod nv pid =
-  let acc = Bitvec.create nv in
-  seq_gen prog mustmod nv acc (Prog.proc prog pid).Prog.body;
-  acc
-
-(* --- compact per-procedure frames (flat programs) --------------------- *)
-
-(* In a flat program ([Prog.max_level <= 1]) a procedure's transfer
-   only ever touches variables visible in its own frame: the globals
-   plus its own formals and locals.  Like [Renumber] on the may side,
-   the fixpoint therefore runs over per-procedure compact universes —
-   the globals as a shared low prefix, the procedure's own variables
-   as a short tail — and expands onto the full universe once, after
-   convergence.  Every counted operation of the hot loop then walks
-   the occupied word prefix of a vector of length [G + own], which is
-   independent of program size; without the frames the same sets sit
-   in the full universe where the hybrid representation's small form
-   charges card-proportional merges (~|GMOD| element steps per
-   transfer), and total word work picks up a representation-transition
-   bump that the bench gate reads as superlinear
-   (bench/bench_check.ml section 1b pins the compact behaviour). *)
-type frame = {
-  n_globals : int;
-  globals : int array;  (* global rank -> vid *)
-  cid : int array;  (* vid -> compact id within its owner's universe *)
-  owner_of : int array;  (* vid -> owning pid, or -1 for a global *)
-  owned : int array array;  (* pid -> tail index -> vid *)
-}
-
-let build_frame prog =
-  let nv = Prog.n_vars prog in
-  let np = Prog.n_procs prog in
-  let cid = Array.make nv 0 in
-  let owner_of = Array.make nv (-1) in
-  let tails = Array.make np [] in
-  let globals = ref [] in
-  let n_globals = ref 0 in
-  for vid = 0 to nv - 1 do
-    match (Prog.var prog vid).Prog.kind with
-    | Prog.Global ->
-      cid.(vid) <- !n_globals;
-      globals := vid :: !globals;
-      incr n_globals
-    | Prog.Local owner | Prog.Formal { proc = owner; _ } ->
-      owner_of.(vid) <- owner;
-      tails.(owner) <- vid :: tails.(owner)
-  done;
-  let owned = Array.map (fun l -> Array.of_list (List.rev l)) tails in
-  Array.iter
-    (fun tail -> Array.iteri (fun i vid -> cid.(vid) <- !n_globals + i) tail)
-    owned;
-  {
-    n_globals = !n_globals;
-    globals = Array.of_list (List.rev !globals);
-    cid;
-    owner_of;
-    owned;
-  }
-
-let frame_len fr pid = max 1 (fr.n_globals + Array.length fr.owned.(pid))
-
-(* [project], in compact coordinates: the callee's tail ids are its
-   own variables, so the callee-frame case analysis reduces to "tail
-   by-ref formals re-bind through the site, every other tail id drops,
-   the global prefix passes through unchanged". *)
-let c_project fr prog callee_must sid out =
-  let s = Prog.site prog sid in
-  Bitvec.iter
-    (fun c ->
-      if c < fr.n_globals then Bitvec.set out c
-      else
-        let vid = fr.owned.(s.Prog.callee).(c - fr.n_globals) in
-        match (Prog.var prog vid).Prog.kind with
-        | Prog.Formal { index; mode = Prog.By_ref; _ } -> (
-          match s.Prog.args.(index) with
-          | Prog.Arg_ref (E.Lvar b) ->
-            if not (Ir.Types.is_array (Prog.var prog b).Prog.vty) then
-              Bitvec.set out fr.cid.(b)
-          | Prog.Arg_ref (E.Lindex _ | E.Lderef _) | Prog.Arg_value _ -> ())
-        | Prog.Formal _ | Prog.Local _ | Prog.Global -> ())
-    callee_must
-
-let rec c_seq_gen fr prog mustmod len acc stmts =
-  List.iter (c_stmt_gen fr prog mustmod len acc) stmts
-
-and c_stmt_gen fr prog mustmod len acc = function
+and stmt_gen fr prog mustmod len acc = function
   | Stmt.Assign (E.Lvar x, _) | Stmt.Read (E.Lvar x) -> Bitvec.set acc fr.cid.(x)
   | Stmt.Assign ((E.Lindex _ | E.Lderef _), _)
   | Stmt.Read (E.Lindex _ | E.Lderef _)
@@ -181,46 +116,67 @@ and c_stmt_gen fr prog mustmod len acc = function
   | Stmt.If (_, t, e) ->
     let bt = Bitvec.create len in
     let be = Bitvec.create len in
-    c_seq_gen fr prog mustmod len bt t;
-    c_seq_gen fr prog mustmod len be e;
+    seq_gen fr prog mustmod len bt t;
+    seq_gen fr prog mustmod len be e;
     ignore (Bitvec.inter_into ~src:be ~dst:bt);
     ignore (Bitvec.union_into ~src:bt ~dst:acc)
   | Stmt.Call sid -> (
     match mustmod with
-    | Some sets ->
-      c_project fr prog sets.((Prog.site prog sid).Prog.callee) sid acc
+    | Some sets -> project fr prog sets.((Prog.site prog sid).Prog.callee) sid acc
     | None -> ())
 
-let c_gen_of fr prog mustmod pid =
-  let acc = Bitvec.create (frame_len fr pid) in
-  c_seq_gen fr prog mustmod (frame_len fr pid) acc (Prog.proc prog pid).Prog.body;
+let gen_of fr prog mustmod pid =
+  let len = frame_len fr pid in
+  let acc = Bitvec.create len in
+  seq_gen fr prog mustmod len acc (Prog.proc prog pid).Prog.body;
   acc
 
 (* Compact image of a full-universe per-procedure set (the GMOD cap,
-   the demotion set).  Ids outside [pid]'s frame are dropped: in a
-   flat program the transfer cannot generate them, so they are inert
-   under both the cap and the demotion anyway. *)
-let c_of_full fr pid len full =
-  let v = Bitvec.create len in
+   the demotion set).  Ids outside [pid]'s frame are dropped: the
+   transfer cannot generate them, so they are inert under both the cap
+   and the demotion anyway. *)
+let of_full fr pid full =
+  let v = Bitvec.create (frame_len fr pid) in
+  let size = fr.n_globals + Array.length fr.vids.(pid) in
   Bitvec.iter
     (fun vid ->
-      if fr.owner_of.(vid) < 0 || fr.owner_of.(vid) = pid then
-        Bitvec.set v fr.cid.(vid))
+      let c = fr.cid.(vid) in
+      if c < size && vid_of fr pid c = vid then Bitvec.set v c)
     full;
   v
 
-let expand_frame fr nv compact =
-  Array.mapi
-    (fun pid cv ->
-      let out = Bitvec.create nv in
-      Bitvec.iter
-        (fun c ->
-          Bitvec.set out
-            (if c < fr.n_globals then fr.globals.(c)
-             else fr.owned.(pid).(c - fr.n_globals)))
-        cv;
-      out)
-    compact
+let expand fr nv pid compact =
+  let out = Bitvec.create nv in
+  Bitvec.iter (fun c -> Bitvec.set out (vid_of fr pid c)) compact;
+  out
+
+type state = {
+  scc : Scc.result;
+  members : int list array;  (* pids per component *)
+  succs_by_comp : int list array;  (* caller comp -> callee comps *)
+  preds_by_comp : int list array;  (* callee comp -> caller comps *)
+  callers_in_comp : int list array;
+      (* per pid: its callers inside its own component, deduped
+         ascending — the worklist re-entry edges of a cyclic component *)
+  trivial : bool array;  (* singleton-without-self-loop components *)
+  frame : frame;
+  gmod_c : Bitvec.t array;  (* the GMOD cap, in frame coordinates *)
+  demoted_c : Bitvec.t array;  (* the demotion set, in frame coordinates *)
+  must_c : Bitvec.t array;  (* MUSTMOD, in frame coordinates *)
+}
+
+type result = {
+  prog : Prog.t;
+  mustmod : Bitvec.t array;
+  intra : Bitvec.t array;
+  demoted : Bitvec.t array;
+  rounds : int;
+  state : state;
+}
+
+module Int_set = Set.Make (Int)
+
+let rounds_metric = Obs.Metric.counter "mustmod.rounds"
 
 (* §5/ptsto demotion.  A pair [<x, y> ∈ ALIAS(p)] makes a must-claim
    unreliable for any member whose cell the projection cannot
@@ -261,35 +217,57 @@ let demotions info alias pid =
     (Alias.pairs alias pid);
   v
 
-(* Chaotic worklist iteration of one cyclic component, largest pid
-   first — call edges skew towards higher pids, so draining from the
-   top tends to stabilise callees before their in-component callers.
-   A member re-enters the list only when a callee inside the component
-   changed, so the transfer count is bounded by the bits the
+(* One procedure's transfer under the current callee values:
+   structural IMUSTDEF with the call projection, demoted to may on
+   alias involvement, capped by GMOD (a must-write is a may-write — the
+   enforced MUSTMOD ⊆ GMOD invariant).  Components are numbered in
+   reverse topological order of the call condensation, so a component
+   solved after its callee components sees their values final — the
+   same leaves-to-roots convention as Figure 1's step 3.  Within a
+   cyclic component the members restart at ∅ and iterate to the least
+   fixpoint: the transfer is monotone in the callee values, so the
+   chaotic iteration converges, and starting at ∅ keeps the answer
+   conservative (a recursive procedure's must-set only contains what
+   every unrolling agrees on; on a re-solve, stale bits of a write an
+   edit removed cannot survive).  The iteration drains a worklist
+   largest pid first — call edges skew towards higher pids, so draining
+   from the top tends to stabilise callees before their in-component
+   callers.  A member re-enters the list only when a callee inside the
+   component changed, so the transfer count is bounded by the bits the
    component's values gain on the way up to the least fixpoint — not
    members × sweep rounds, which goes quadratic on large components.
-   Returns the number of transfers computed.  [mustmod] must hold the
-   starting values (∅ for a from-scratch solve) for every member. *)
-let iterate_comp ~transfer ~mustmod ~callers_in_comp procs =
-  let rounds = ref 0 in
-  let work =
-    ref (List.fold_left (fun s p -> Int_set.add p s) Int_set.empty procs)
+   Returns the transfers computed. *)
+let solve_comp prog st c =
+  let transfer pid =
+    let v = gen_of st.frame prog (Some st.must_c) pid in
+    ignore (Bitvec.diff_into ~src:st.demoted_c.(pid) ~dst:v);
+    ignore (Bitvec.inter_into ~src:st.gmod_c.(pid) ~dst:v);
+    v
   in
-  while not (Int_set.is_empty !work) do
-    let pid = Int_set.max_elt !work in
-    work := Int_set.remove pid !work;
-    incr rounds;
-    let v = transfer pid in
-    if not (Bitvec.equal v mustmod.(pid)) then begin
-      mustmod.(pid) <- v;
-      List.iter
-        (fun caller -> work := Int_set.add caller !work)
-        callers_in_comp.(pid)
-    end
-  done;
-  !rounds
+  match st.members.(c) with
+  | [ pid ] when st.trivial.(c) ->
+    st.must_c.(pid) <- transfer pid;
+    1
+  | procs ->
+    List.iter
+      (fun pid -> st.must_c.(pid) <- Bitvec.create (frame_len st.frame pid))
+      procs;
+    let rounds = ref 0 and work = ref (Int_set.of_list procs) in
+    while not (Int_set.is_empty !work) do
+      let pid = Int_set.max_elt !work in
+      work := Int_set.remove pid !work;
+      incr rounds;
+      let v = transfer pid in
+      if not (Bitvec.equal v st.must_c.(pid)) then begin
+        st.must_c.(pid) <- v;
+        List.iter
+          (fun caller -> work := Int_set.add caller !work)
+          st.callers_in_comp.(pid)
+      end
+    done;
+    !rounds
 
-let solve_cached ?(label = "mustmod") ?pool info call ~alias ~gmod =
+let solve ?(label = "mustmod") ?pool info call ~alias ~gmod =
   Obs.Span.with_ label @@ fun () ->
   let prog = Ir.Info.prog info in
   let nv = Ir.Info.n_vars info in
@@ -312,63 +290,33 @@ let solve_cached ?(label = "mustmod") ?pool info call ~alias ~gmod =
   Array.iteri
     (fun pid l -> callers_in_comp.(pid) <- List.sort_uniq compare l)
     callers_in_comp;
-  let trivial = Array.init n_comps (fun c -> Scc.is_trivial g scc c) in
+  let trivial =
+    Array.map
+      (function
+        | [ pid ] -> not (List.mem pid (Digraph.succ_list g pid)) | _ -> false)
+      members
+  in
+  let frame = build_frame prog in
   (* The call-free IMUSTDEF, always computed (not only under
      provenance) so counted op totals are identical either way; it is
      also what [sidefx must] reports as the intraprocedural column. *)
-  let intra = Array.init np (fun pid -> gen_of prog None nv pid) in
+  let intra =
+    Array.init np (fun pid -> expand frame nv pid (gen_of frame prog None pid))
+  in
   let demoted = Array.init np (fun pid -> demotions info alias pid) in
-  (* One procedure's transfer under the current callee values:
-     structural IMUSTDEF with the call projection, demoted to may on
-     alias involvement, capped by GMOD (a must-write is a may-write —
-     the enforced MUSTMOD ⊆ GMOD invariant).  Flat programs run the
-     fixpoint in compact per-procedure frames (see [build_frame]);
-     nested ones, where an inner procedure can must-write an outer
-     frame's variable, keep the full universe. *)
-  let frame =
-    if Prog.max_level prog <= 1 then Some (build_frame prog) else None
-  in
-  let mustmod =
-    match frame with
-    | Some fr -> Array.init np (fun pid -> Bitvec.create (frame_len fr pid))
-    | None -> Array.init np (fun _ -> Bitvec.create nv)
-  in
-  let transfer =
-    match frame with
-    | Some fr ->
-      let gmod_c =
-        Array.init np (fun pid -> c_of_full fr pid (frame_len fr pid) gmod.(pid))
-      in
-      let demoted_c =
-        Array.init np (fun pid ->
-            c_of_full fr pid (frame_len fr pid) demoted.(pid))
-      in
-      fun pid ->
-        let v = c_gen_of fr prog (Some mustmod) pid in
-        ignore (Bitvec.diff_into ~src:demoted_c.(pid) ~dst:v);
-        ignore (Bitvec.inter_into ~src:gmod_c.(pid) ~dst:v);
-        v
-    | None ->
-      fun pid ->
-        let v = gen_of prog (Some mustmod) nv pid in
-        ignore (Bitvec.diff_into ~src:demoted.(pid) ~dst:v);
-        ignore (Bitvec.inter_into ~src:gmod.(pid) ~dst:v);
-        v
-  in
-  (* Components are numbered in reverse topological order of the call
-     condensation, so walking them in increasing order sees every
-     callee's value final — the same leaves-to-roots convention as
-     Figure 1's step 3.  Within a cyclic component the members iterate
-     from ∅ to the least fixpoint: the transfer is monotone in the
-     callee values, so the chaotic iteration converges, and starting
-     at ∅ keeps the answer conservative (a recursive procedure's
-     must-set only contains what every unrolling agrees on). *)
-  let solve_comp c =
-    match members.(c) with
-    | [ pid ] when trivial.(c) ->
-      mustmod.(pid) <- transfer pid;
-      1
-    | procs -> iterate_comp ~transfer ~mustmod ~callers_in_comp procs
+  let st =
+    {
+      scc;
+      members;
+      succs_by_comp;
+      preds_by_comp;
+      callers_in_comp;
+      trivial;
+      frame;
+      gmod_c = Array.init np (fun pid -> of_full frame pid gmod.(pid));
+      demoted_c = Array.init np (fun pid -> of_full frame pid demoted.(pid));
+      must_c = Array.init np (fun pid -> Bitvec.create (frame_len frame pid));
+    }
   in
   (* Condensation wavefront: a component runs only after every callee
      component's level completed, so each [solve_comp] reads final
@@ -376,9 +324,7 @@ let solve_cached ?(label = "mustmod") ?pool info call ~alias ~gmod =
      a pool, hence results and counted op totals are too. *)
   let jobs = Par.Pool.slots pool in
   let slot_rounds = Array.make jobs 0 in
-  let levels =
-    Par.Wavefront.of_comp_succs ~n_comps ~succs_of:(fun c -> succs_by_comp.(c))
-  in
+  let levels = Par.Wavefront.of_comp_succs ~n_comps ~succs_of:(Array.get succs_by_comp) in
   let plan =
     Par.Wavefront.plan levels ~jobs ~cost:(fun c ->
         List.fold_left
@@ -386,98 +332,69 @@ let solve_cached ?(label = "mustmod") ?pool info call ~alias ~gmod =
           1 members.(c))
   in
   Par.Wavefront.run_plan pool plan ~f:(fun ~slot ~comp ->
-      slot_rounds.(slot) <- slot_rounds.(slot) + solve_comp comp);
+      slot_rounds.(slot) <- slot_rounds.(slot) + solve_comp prog st comp);
   let rounds = Array.fold_left ( + ) 0 slot_rounds in
   Obs.Metric.add rounds_metric rounds;
-  let mustmod =
-    match frame with
-    | Some fr -> expand_frame fr nv mustmod
-    | None -> mustmod
-  in
-  {
-    res = { prog; mustmod; intra; demoted; rounds };
-    scc;
-    members;
-    succs_by_comp;
-    preds_by_comp;
-    callers_in_comp;
-    trivial;
-  }
+  let mustmod = Array.mapi (expand frame nv) st.must_c in
+  { prog; mustmod; intra; demoted; rounds; state = st }
 
-let solve ?label ?pool info call ~alias ~gmod =
-  (solve_cached ?label ?pool info call ~alias ~gmod).res
-
-let resolve ?(label = "mustmod.region") sol info ~alias ~gmod ~changed_procs =
+(* Copies before it writes: a server session re-solves from the
+   registry's shared record, which must not change. *)
+let resolve ?(label = "mustmod.region") r info ~alias ~gmod ~changed_procs =
   Obs.Span.with_ label @@ fun () ->
   let prog = Ir.Info.prog info in
   let nv = Ir.Info.n_vars info in
-  let np = Prog.n_procs prog in
+  let fr = r.state.frame in
   (* Re-derive the per-procedure ingredients of the edited procedures
-     (body gen and alias demotion can both shift under a body edit),
-     then push change leaves-to-roots over the cached condensation —
-     the same pruned ancestor cone as [Rmod.resolve]: the smallest
-     queued component always has final callee values, and a component
-     whose recomputed sets come out unchanged stops the walk. *)
-  let intra = Array.copy sol.res.intra in
-  let demoted = Array.copy sol.res.demoted in
-  let mustmod = Array.copy sol.res.mustmod in
-  let queue = ref Int_set.empty in
+     (body gen, alias demotion and the GMOD cap can all shift under a
+     body edit), then push change leaves-to-roots over the
+     condensation — the same pruned ancestor cone as [Rmod.resolve]:
+     the smallest queued component always has final callee values, and
+     a component whose recomputed sets come out unchanged stops the
+     walk. *)
+  let intra = Array.copy r.intra in
+  let demoted = Array.copy r.demoted in
+  let mustmod = Array.copy r.mustmod in
+  let st =
+    {
+      r.state with
+      gmod_c = Array.copy r.state.gmod_c;
+      demoted_c = Array.copy r.state.demoted_c;
+      must_c = Array.copy r.state.must_c;
+    }
+  in
   List.iter
     (fun pid ->
-      intra.(pid) <- gen_of prog None nv pid;
+      intra.(pid) <- expand fr nv pid (gen_of fr prog None pid);
       demoted.(pid) <- demotions info alias pid;
-      queue := Int_set.add sol.scc.Scc.comp.(pid) !queue)
+      st.demoted_c.(pid) <- of_full fr pid demoted.(pid);
+      st.gmod_c.(pid) <- of_full fr pid gmod.(pid))
     changed_procs;
-  let transfer pid =
-    let v = gen_of prog (Some mustmod) nv pid in
-    ignore (Bitvec.diff_into ~src:demoted.(pid) ~dst:v);
-    ignore (Bitvec.inter_into ~src:gmod.(pid) ~dst:v);
-    v
+  let queue =
+    ref (Int_set.of_list (List.map (fun pid -> st.scc.Scc.comp.(pid)) changed_procs))
   in
   let rounds = ref 0 in
-  let changed_set = Array.make np false in
+  let changed = ref Int_set.empty in
   while not (Int_set.is_empty !queue) do
     let c = Int_set.min_elt !queue in
     queue := Int_set.remove c !queue;
-    let comp_changed = ref false in
-    (match sol.members.(c) with
-    | [ pid ] when sol.trivial.(c) ->
-      incr rounds;
-      let v = transfer pid in
-      if not (Bitvec.equal v mustmod.(pid)) then begin
-        mustmod.(pid) <- v;
-        comp_changed := true;
-        changed_set.(pid) <- true
-      end
-    | procs ->
-      (* A cyclic component re-solves from ∅: restarting at the cached
-         values could keep stale bits alive (the must lattice grows
-         downward under an edit that removes a write). *)
-      List.iter (fun pid -> mustmod.(pid) <- Bitvec.create nv) procs;
-      rounds :=
-        !rounds
-        + iterate_comp ~transfer ~mustmod
-            ~callers_in_comp:sol.callers_in_comp procs;
-      List.iter
-        (fun pid ->
-          if not (Bitvec.equal mustmod.(pid) sol.res.mustmod.(pid)) then begin
-            comp_changed := true;
-            changed_set.(pid) <- true
-          end)
-        procs);
-    if !comp_changed then
-      List.iter (fun cp -> queue := Int_set.add cp !queue) sol.preds_by_comp.(c)
+    rounds := !rounds + solve_comp prog st c;
+    let moved =
+      List.filter
+        (fun pid -> not (Bitvec.equal st.must_c.(pid) r.state.must_c.(pid)))
+        st.members.(c)
+    in
+    List.iter
+      (fun pid ->
+        mustmod.(pid) <- expand fr nv pid st.must_c.(pid);
+        changed := Int_set.add pid !changed)
+      moved;
+    if moved <> [] then
+      List.iter (fun cp -> queue := Int_set.add cp !queue) st.preds_by_comp.(c)
   done;
   Obs.Metric.add rounds_metric !rounds;
-  let changed = ref [] in
-  for pid = np - 1 downto 0 do
-    if changed_set.(pid) then changed := pid :: !changed
-  done;
-  ( {
-      sol with
-      res = { prog; mustmod; intra; demoted; rounds = !rounds };
-    },
-    !changed )
+  ( { prog; mustmod; intra; demoted; rounds = !rounds; state = st },
+    Int_set.elements !changed )
 
 (* --- provenance grounding --------------------------------------------- *)
 

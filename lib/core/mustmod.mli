@@ -29,6 +29,14 @@
     [lib/dataflow]) project these sets per site; docs/mustmod.md has
     the full write-up. *)
 
+type state
+(** The call-graph condensation the solve ran on (components, members,
+    inter-component successor and predecessor lists, in-component
+    caller lists) with the per-procedure frames and, in frame
+    coordinates, the GMOD caps, demotion sets and MUSTMOD values —
+    everything {!resolve} needs to push an edit through without
+    re-walking the graph. *)
+
 type result = {
   prog : Ir.Prog.t;
   mustmod : Bitvec.t array;  (** Final per-procedure [MUSTMOD], by pid. *)
@@ -41,23 +49,8 @@ type result = {
       (** Per-procedure alias-demoted variables (members of any §5
           pair). *)
   rounds : int;  (** Component-iteration rounds executed. *)
+  state : state;
 }
-
-type solution = {
-  res : result;
-  scc : Graphs.Scc.result;  (** Call-graph condensation, cached. *)
-  members : int list array;  (** Pids per component. *)
-  succs_by_comp : int list array;  (** Caller comp → callee comps. *)
-  preds_by_comp : int list array;  (** Callee comp → caller comps. *)
-  callers_in_comp : int list array;
-      (** Per pid: its callers {e inside} its own component, deduped
-          ascending — the worklist re-entry edges of the cyclic-SCC
-          iteration. *)
-  trivial : bool array;  (** Singleton-without-self-loop components. *)
-}
-(** A solved instance plus the condensation it was solved on —
-    everything {!resolve} needs to push an edit through without
-    re-walking the graph. *)
 
 val solve :
   ?label:string ->
@@ -67,42 +60,35 @@ val solve :
   alias:Alias.t ->
   gmod:Bitvec.t array ->
   result
-(** Solve the whole program.  Components are scheduled as a wavefront
-    over the condensation levels, inline without [?pool]; per-component
-    work does not depend on the pool, so results and counted bit-vector
-    op totals are bit-identical at every jobs setting.  Runs under an {!Obs.Span}
-    named [label] (default ["mustmod"]) and adds its round count to the
-    [mustmod.rounds] registry counter. *)
-
-val solve_cached :
-  ?label:string ->
-  ?pool:Par.Pool.t ->
-  Ir.Info.t ->
-  Callgraph.Call.t ->
-  alias:Alias.t ->
-  gmod:Bitvec.t array ->
-  solution
-(** As {!solve}, but keeps the condensation artifacts for incremental
-    re-solving. *)
+(** Solve the whole program.  The program must pass {!Ir.Validate}: the
+    per-procedure frames rely on every call naming a procedure in scope
+    at the call site.  Components are scheduled as a wavefront over the
+    condensation levels, inline without [?pool]; per-component work does
+    not depend on the pool, so results and counted bit-vector op totals
+    are bit-identical at every jobs setting.  Runs under an
+    {!Obs.Span} named [label] (default ["mustmod"]) and adds its round
+    count to the [mustmod.rounds] registry counter. *)
 
 val resolve :
   ?label:string ->
-  solution ->
+  result ->
   Ir.Info.t ->
   alias:Alias.t ->
   gmod:Bitvec.t array ->
   changed_procs:int list ->
-  solution * int list
-(** [resolve sol info ~alias ~gmod ~changed_procs] updates a
-    cached solution after a body edit that left the call graph's shape
-    intact.  Re-derives the edited procedures' own gen and demotion
-    sets, then runs change propagation leaves-to-roots over the cached
-    condensation (cyclic components re-solve from ∅ — must facts can
-    shrink under an edit); the walk stops where recomputed sets come
-    out unchanged — the condensation-ancestor cone, pruned.  Returns
-    the new solution and the pids whose [MUSTMOD] changed, ascending.
-    Equal, bit for bit, to {!solve_cached} on the edited program
-    (default span label ["mustmod.region"]). *)
+  result * int list
+(** [resolve r info ~alias ~gmod ~changed_procs] updates a solved
+    instance after a body edit that left the call graph's shape intact.
+    [changed_procs] must list the edited procedures and every procedure
+    whose [GMOD] changed.  Re-derives their gen, demotion and cap sets,
+    then runs change propagation leaves-to-roots over [r]'s
+    condensation with the batch component
+    solver (cyclic components re-solve from ∅ — must facts can shrink
+    under an edit); the walk stops where recomputed sets come out
+    unchanged.  Returns the new result and the pids whose [MUSTMOD]
+    changed, ascending.  [r] itself is left untouched.  Equal, bit for
+    bit, to {!solve} on the edited program (default span label
+    ["mustmod.region"]). *)
 
 val ground_reasons : result -> Provenance.must_table -> unit
 (** Fill a pre-created {!Provenance.must_table} with a first-reason

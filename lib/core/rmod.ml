@@ -3,20 +3,20 @@ module Digraph = Graphs.Digraph
 module Scc = Graphs.Scc
 module Prog = Ir.Prog
 
-type result = {
-  binding : Binding.t;
-  rmod : bool array;
-  steps : int;
-}
-
-type solution = {
-  res : result;
+type state = {
   scc : Scc.result;
   members : int list array;
   edges_by_comp : int list array;
   preds_by_comp : int list array;
   comp_val : bool array;
   seed : bool array;
+}
+
+type result = {
+  binding : Binding.t;
+  rmod : bool array;
+  steps : int;
+  state : state;
 }
 
 module Int_set = Set.Make (Int)
@@ -34,7 +34,7 @@ let owner_of (binding : Binding.t) node =
 let seed_bit (binding : Binding.t) imod node =
   Bitvec.get imod.(owner_of binding node) (Binding.var binding node)
 
-let solve_cached ?(label = "rmod") ?pool (binding : Binding.t) ~imod =
+let solve ?(label = "rmod") ?pool (binding : Binding.t) ~imod =
   Obs.Span.with_ label @@ fun () ->
   let g = binding.Binding.graph in
   let n = Digraph.n_nodes g in
@@ -109,27 +109,23 @@ let solve_cached ?(label = "rmod") ?pool (binding : Binding.t) ~imod =
   let steps = Array.fold_left ( + ) 0 slot_steps in
   Obs.Metric.add steps_metric steps;
   {
-    res = { binding; rmod; steps };
-    scc;
-    members;
-    edges_by_comp;
-    preds_by_comp;
-    comp_val;
-    seed;
+    binding;
+    rmod;
+    steps;
+    state = { scc; members; edges_by_comp; preds_by_comp; comp_val; seed };
   }
 
-let solve ?label ?pool binding ~imod =
-  (solve_cached ?label ?pool binding ~imod).res
-
-let resolve ?(label = "rmod.region") sol ~imod ~changed_procs =
+(* Copies before it writes: a server session re-solves from the
+   registry's shared record, which must not change. *)
+let resolve ?(label = "rmod.region") r ~imod ~changed_procs =
   Obs.Span.with_ label @@ fun () ->
-  let binding = sol.res.binding in
+  let binding = r.binding and st = r.state in
   let prog = binding.Binding.prog in
   let steps = ref 0 in
   (* Re-read the seed bit of the β nodes (by-reference formals) of the
      procedures whose IMOD may have changed; a flipped bit queues the
      node's component. *)
-  let seed = Array.copy sol.seed in
+  let seed = Array.copy st.seed in
   let queue = ref Int_set.empty in
   List.iter
     (fun pid ->
@@ -142,18 +138,18 @@ let resolve ?(label = "rmod.region") sol ~imod ~changed_procs =
             let b = seed_bit binding imod node in
             if b <> seed.(node) then begin
               seed.(node) <- b;
-              queue := Int_set.add sol.scc.Scc.comp.(node) !queue
+              queue := Int_set.add st.scc.Scc.comp.(node) !queue
             end)
         (Prog.proc prog pid).Prog.formals)
     changed_procs;
-  (* Change propagation leaves-to-roots over the cached condensation.
+  (* Change propagation leaves-to-roots over the condensation.
      Components are numbered in reverse topological order, so taking
      the smallest queued component always sees final successor values;
      when a value actually changes, the component's condensation
      predecessors (all larger-numbered) join the queue.  The walk stops
      as soon as recomputed values come out unchanged — the
      condensation-ancestor cone, pruned. *)
-  let comp_val = Array.copy sol.comp_val in
+  let comp_val = Array.copy st.comp_val in
   let changed_comps = ref [] in
   while not (Int_set.is_empty !queue) do
     let c = Int_set.min_elt !queue in
@@ -163,12 +159,12 @@ let resolve ?(label = "rmod.region") sol ~imod ~changed_procs =
         (fun node ->
           incr steps;
           seed.(node))
-        sol.members.(c)
+        st.members.(c)
       || List.exists
            (fun cd ->
              incr steps;
              comp_val.(cd))
-           sol.edges_by_comp.(c)
+           st.edges_by_comp.(c)
     in
     if v <> comp_val.(c) then begin
       comp_val.(c) <- v;
@@ -177,10 +173,10 @@ let resolve ?(label = "rmod.region") sol ~imod ~changed_procs =
         (fun cp ->
           incr steps;
           queue := Int_set.add cp !queue)
-        sol.preds_by_comp.(c)
+        st.preds_by_comp.(c)
     end
   done;
-  let rmod = Array.copy sol.res.rmod in
+  let rmod = Array.copy r.rmod in
   let changed_nodes = ref [] in
   List.iter
     (fun c ->
@@ -189,15 +185,10 @@ let resolve ?(label = "rmod.region") sol ~imod ~changed_procs =
           incr steps;
           rmod.(node) <- comp_val.(c);
           changed_nodes := node :: !changed_nodes)
-        sol.members.(c))
+        st.members.(c))
     !changed_comps;
   Obs.Metric.add steps_metric !steps;
-  ( {
-      sol with
-      res = { binding; rmod; steps = !steps };
-      comp_val;
-      seed;
-    },
+  ( { binding; rmod; steps = !steps; state = { st with comp_val; seed } },
     !changed_nodes )
 
 let modified r vid =

@@ -15,6 +15,12 @@
     operations — the "order of magnitude" gain over bit-vector methods
     (§3.2). *)
 
+type state
+(** The condensation of β the solve ran on — components, members,
+    inter-component successor and predecessor lists — with each
+    component's value and each node's seed bit: everything {!resolve}
+    needs to push a seed change through without re-walking the graph. *)
+
 type result = {
   binding : Callgraph.Binding.t;
   rmod : bool array;  (** Per β node. *)
@@ -23,22 +29,8 @@ type result = {
           relaxations, over both the condensation and the copy-back) —
           the quantity the paper's [O(Nβ + Eβ)] bound counts.  Used by
           the empirical-linearity experiment. *)
+  state : state;
 }
-
-type solution = {
-  res : result;
-  scc : Graphs.Scc.result;  (** Condensation of β, cached for reuse. *)
-  members : int list array;  (** β nodes per component. *)
-  edges_by_comp : int list array;
-      (** Inter-component successor lists ([cs -> cd] with [cd < cs]). *)
-  preds_by_comp : int list array;
-      (** The reverse adjacency — change propagation walks these. *)
-  comp_val : bool array;  (** Fixpoint value per component. *)
-  seed : bool array;  (** The [IMOD] seed bit each β node was solved with. *)
-}
-(** A solved instance together with the condensation it was solved on —
-    everything {!resolve} needs to push a seed change through without
-    re-walking the graph. *)
 
 val solve :
   ?label:string -> ?pool:Par.Pool.t -> Callgraph.Binding.t -> imod:Bitvec.t array -> result
@@ -55,28 +47,23 @@ val solve :
     [USE]-side solve passes ["ruse"]) and adds its boolean step count
     to the [rmod.steps] registry counter. *)
 
-val solve_cached :
-  ?label:string -> ?pool:Par.Pool.t -> Callgraph.Binding.t -> imod:Bitvec.t array -> solution
-(** As {!solve}, but keeps the condensation artifacts for incremental
-    re-solving. *)
-
 val resolve :
   ?label:string ->
-  solution ->
+  result ->
   imod:Bitvec.t array ->
   changed_procs:int list ->
-  solution * int list
-(** [resolve sol ~imod ~changed_procs] updates a cached solution after
+  result * int list
+(** [resolve r ~imod ~changed_procs] updates a solved instance after
     an edit that left the binding multi-graph intact but may have
     changed the [IMOD] bits of the listed procedures.  Re-reads seeds
     only for those procedures' by-reference formals, then runs change
-    propagation leaves-to-roots over the cached condensation: a
-    component is re-evaluated only if its own seed flipped or a
-    successor component's value actually changed (the
-    condensation-ancestor cone, pruned at unchanged values).  Returns
-    the new solution and the β nodes whose [RMOD] bit changed.  Equal,
-    bit for bit, to [solve] on the new seeds (default span label
-    ["rmod.region"]). *)
+    propagation leaves-to-roots over [r]'s condensation
+   : a component is re-evaluated only if its
+    own seed flipped or a successor component's value actually changed
+    (the condensation-ancestor cone, pruned at unchanged values).
+    Returns the new result and the β nodes whose [RMOD] bit changed.
+    [r] itself is left untouched.  Equal, bit for bit, to [solve] on
+    the new seeds (default span label ["rmod.region"]). *)
 
 val modified : result -> int -> bool
 (** [modified r vid]: is this by-reference formal modified?  [false]

@@ -27,11 +27,6 @@ type caches = {
       (** [IMOD ∪ RMOD-site-projections], before the second nesting
           fold — the [sets] argument [IMOD+] is the fold of. *)
   iuse_aug : Bitvec.t array;
-  rmod_sol : Rmod.solution;
-  ruse_sol : Rmod.solution;
-  must_sol : Core.Mustmod.solution;
-      (** [MUSTMOD] with its call condensation, for the same
-          ancestor-cone change propagation the β side gets. *)
   sites : site_index;
 }
 
@@ -168,8 +163,7 @@ let refold_region info prog ~flat ~folded ~seeds =
     cone;
   (result, List.filter (fun q -> changed.(q)) cone)
 
-let rebind (sol : Rmod.solution) binding =
-  { sol with Rmod.res = { sol.Rmod.res with Rmod.binding } }
+let rebind (r : Rmod.result) binding = { r with Rmod.binding }
 
 let build_caches ?pool (a : Analyze.t) =
   let prog = a.Analyze.prog in
@@ -178,13 +172,6 @@ let build_caches ?pool (a : Analyze.t) =
     iuse_flat = Frontend.Local.iuse_flat ?pool a.Analyze.info;
     imod_aug = aug_full prog ~imod:a.Analyze.imod ~rmod:a.Analyze.rmod;
     iuse_aug = aug_full prog ~imod:a.Analyze.iuse ~rmod:a.Analyze.ruse;
-    rmod_sol = Rmod.solve_cached ?pool a.Analyze.binding ~imod:a.Analyze.imod;
-    ruse_sol =
-      Rmod.solve_cached ~label:"ruse" ?pool a.Analyze.binding
-        ~imod:a.Analyze.iuse;
-    must_sol =
-      Core.Mustmod.solve_cached ?pool a.Analyze.info a.Analyze.call
-        ~alias:a.Analyze.alias ~gmod:a.Analyze.gmod;
     sites = site_index prog;
   }
 
@@ -204,8 +191,8 @@ let create ?(threshold = 0.5) ?pool ?(provenance = false) prog =
 (* Adopt an existing batch result instead of re-running it.  The
    analysis server creates one engine per client session over a shared
    registry entry, so re-entry must cost only the caches: the adopted
-   record is treated as read-only (the solvers never mutate cached
-   vectors; every edit replaces [t.analysis] wholesale), which keeps a
+   record is treated as read-only (the solvers' [resolve]s copy before
+   they write; every edit replaces [t.analysis] wholesale), which keeps a
    still-unedited session's queries reading the same vectors as the
    registry base. *)
 let of_analysis ?(threshold = 0.5) ?pool (analysis : Analyze.t) =
@@ -262,7 +249,7 @@ let full t prog reason =
    β re-solve → IMOD+ recompute.  Returns everything the GMOD stage
    needs, changed-sets included. *)
 let solve_side ~info ~prog ~binding ~graph_changed ~flat ~old_flat ~old_folded
-    ~flat_seeds ~old_sol ~rmod_label =
+    ~flat_seeds ~(old : Rmod.result) ~rmod_label =
   let changed_flat =
     List.filter (fun q -> not (Bitvec.equal flat.(q) old_flat.(q))) flat_seeds
   in
@@ -270,26 +257,25 @@ let solve_side ~info ~prog ~binding ~graph_changed ~flat ~old_flat ~old_folded
     if changed_flat = [] then (old_folded, [])
     else refold_region info prog ~flat ~folded:old_folded ~seeds:changed_flat
   in
-  let sol, changed_nodes =
+  let r, changed_nodes =
     if graph_changed then begin
-      let sol = Rmod.solve_cached ~label:rmod_label binding ~imod:folded in
-      let old_rmod = old_sol.Rmod.res.Rmod.rmod in
+      let r = Rmod.solve ~label:rmod_label binding ~imod:folded in
       let changed = ref [] in
       Array.iteri
-        (fun node b -> if b <> old_rmod.(node) then changed := node :: !changed)
-        sol.Rmod.res.Rmod.rmod;
-      (sol, !changed)
+        (fun node b -> if b <> old.Rmod.rmod.(node) then changed := node :: !changed)
+        r.Rmod.rmod;
+      (r, !changed)
     end
-    else if folded_changed = [] then (rebind old_sol binding, [])
+    else if folded_changed = [] then (rebind old binding, [])
     else
-      Rmod.resolve ~label:(rmod_label ^ ".region") (rebind old_sol binding)
+      Rmod.resolve ~label:(rmod_label ^ ".region") (rebind old binding)
         ~imod:folded ~changed_procs:folded_changed
   in
-  (folded, folded_changed, sol, changed_nodes)
+  (folded, folded_changed, r, changed_nodes)
 
-let aug_and_plus ~info ~prog ~sites ~folded ~folded_changed ~sol ~changed_nodes
-    ~old_aug ~old_plus ~extra_seeds =
-  let binding = sol.Rmod.res.Rmod.binding in
+let aug_and_plus ~info ~prog ~sites ~folded ~folded_changed ~(rmod : Rmod.result)
+    ~changed_nodes ~old_aug ~old_plus ~extra_seeds =
+  let binding = rmod.Rmod.binding in
   let aug_seeds =
     folded_changed
     @ List.concat_map
@@ -308,7 +294,7 @@ let aug_and_plus ~info ~prog ~sites ~folded ~folded_changed ~sol ~changed_nodes
       let changed = ref [] in
       List.iter
         (fun q ->
-          let v = aug_of_proc prog ~imod:folded ~rmod:sol.Rmod.res ~sites q in
+          let v = aug_of_proc prog ~imod:folded ~rmod ~sites q in
           if not (Bitvec.equal v old_aug.(q)) then begin
             aug.(q) <- v;
             changed := q :: !changed
@@ -358,24 +344,24 @@ let incremental t prog kind =
         seeds;
       (im, iu)
   in
-  let imod, imod_changed, rmod_sol, rmod_changed =
+  let imod, imod_changed, rmod, rmod_changed =
     solve_side ~info ~prog ~binding ~graph_changed ~flat:imod_flat
       ~old_flat:c.imod_flat ~old_folded:old.Analyze.imod ~flat_seeds
-      ~old_sol:c.rmod_sol ~rmod_label:"rmod"
+      ~old:old.Analyze.rmod ~rmod_label:"rmod"
   in
-  let iuse, iuse_changed, ruse_sol, ruse_changed =
+  let iuse, iuse_changed, ruse, ruse_changed =
     solve_side ~info ~prog ~binding ~graph_changed ~flat:iuse_flat
       ~old_flat:c.iuse_flat ~old_folded:old.Analyze.iuse ~flat_seeds
-      ~old_sol:c.ruse_sol ~rmod_label:"ruse"
+      ~old:old.Analyze.ruse ~rmod_label:"ruse"
   in
   let imod_aug, imod_plus, imod_plus_changed =
     aug_and_plus ~info ~prog ~sites ~folded:imod ~folded_changed:imod_changed
-      ~sol:rmod_sol ~changed_nodes:rmod_changed ~old_aug:c.imod_aug
+      ~rmod ~changed_nodes:rmod_changed ~old_aug:c.imod_aug
       ~old_plus:old.Analyze.imod_plus ~extra_seeds:shape_seeds
   in
   let iuse_aug, iuse_plus, iuse_plus_changed =
     aug_and_plus ~info ~prog ~sites ~folded:iuse ~folded_changed:iuse_changed
-      ~sol:ruse_sol ~changed_nodes:ruse_changed ~old_aug:c.iuse_aug
+      ~rmod:ruse ~changed_nodes:ruse_changed ~old_aug:c.iuse_aug
       ~old_plus:old.Analyze.iuse_plus ~extra_seeds:shape_seeds
   in
   (* GMOD/GUSE: re-solve the condensation-ancestor cone of everything
@@ -427,14 +413,13 @@ let incremental t prog kind =
         | Some p -> Some p.Core.Provenance.alias
         | None -> None )
   in
-  (* MUSTMOD rides the same cached condensation: a body edit reseeds
-     the edited procedure plus every procedure whose GMOD (the ∩-cap)
+  (* MUSTMOD rides its own condensation: a body edit reseeds the
+     edited procedure plus every procedure whose GMOD (the ∩-cap)
      actually moved, and change propagation walks the pruned
      condensation-ancestor cone; a shape edit rebuilt the call graph,
-     so the cached condensation is stale and the solve reruns. *)
-  let must_sol =
-    if graph_changed then
-      Core.Mustmod.solve_cached ?pool:t.pool info call ~alias ~gmod
+     so the old condensation is stale and the solve reruns. *)
+  let mustmod =
+    if graph_changed then Core.Mustmod.solve ?pool:t.pool info call ~alias ~gmod
     else begin
       let gmod_changed =
         if gmod == old.Analyze.gmod then []
@@ -444,7 +429,9 @@ let incremental t prog kind =
             (List.init np Fun.id)
       in
       let seeds = List.sort_uniq compare (flat_seeds @ gmod_changed) in
-      fst (Core.Mustmod.resolve c.must_sol info ~alias ~gmod ~changed_procs:seeds)
+      fst
+        (Core.Mustmod.resolve old.Analyze.mustmod info ~alias ~gmod
+           ~changed_procs:seeds)
     end
   in
   let summary = Core.Summary.make info ~gmod ~guse ~alias in
@@ -460,11 +447,10 @@ let incremental t prog kind =
         | None -> Core.Provenance.create_alias_table ()
       in
       let must = Core.Provenance.create_must_table () in
-      Core.Mustmod.ground_reasons must_sol.Core.Mustmod.res must;
+      Core.Mustmod.ground_reasons mustmod must;
       Some
-        (Core.Provenance.compute ~must info ~binding ~imod ~iuse
-           ~rmod:rmod_sol.Rmod.res ~ruse:ruse_sol.Rmod.res ~imod_plus
-           ~iuse_plus ~gmod ~guse ~alias:table)
+        (Core.Provenance.compute ~must info ~binding ~imod ~iuse ~rmod ~ruse
+           ~imod_plus ~iuse_plus ~gmod ~guse ~alias:table)
     end
   in
   t.analysis <-
@@ -480,28 +466,18 @@ let incremental t prog kind =
       deref = old.Analyze.deref;
       imod;
       iuse;
-      rmod = rmod_sol.Rmod.res;
-      ruse = ruse_sol.Rmod.res;
+      rmod;
+      ruse;
       imod_plus;
       iuse_plus;
       gmod;
       guse;
       alias;
-      mustmod = must_sol.Core.Mustmod.res;
+      mustmod;
       summary;
       provenance;
     };
-  t.caches <-
-    {
-      imod_flat;
-      iuse_flat;
-      imod_aug;
-      iuse_aug;
-      rmod_sol;
-      ruse_sol;
-      must_sol;
-      sites;
-    };
+  t.caches <- { imod_flat; iuse_flat; imod_aug; iuse_aug; sites };
   (match t.dataflow with
   | None -> ()
   | Some d -> (

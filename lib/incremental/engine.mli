@@ -8,7 +8,7 @@
 
     - a {b body} edit reruns local analysis for the one edited
       procedure, refolds the nesting cone above it, pushes flipped seed
-      bits through the cached β condensation ({!Core.Rmod.resolve}),
+      bits through the previous β condensation ({!Core.Rmod.resolve}),
       recomputes [IMOD+] for the touched callers, and reruns [findgmod]
       only on the call-graph condensation ancestors of procedures whose
       seeds changed ({!Core.Gmod.solve_region}) — everything else is
@@ -59,8 +59,9 @@ val create :
 
 val of_analysis : ?threshold:float -> ?pool:Par.Pool.t -> Core.Analyze.t -> t
 (** Adopt an already-solved batch result instead of re-running it:
-    only the caches are built (local set re-derivation plus the cached
-    β solutions — no bit-vector [GMOD] work).  The adopted record is
+    only the caches are built (local set re-derivation and the
+    [RMOD]-site projections — no solver runs; the [RMOD]/[RUSE]/
+    [MUSTMOD] condensations come with the record).  The adopted record is
     treated as read-only: until the first {!apply} the engine answers
     queries straight from it, and every edit replaces the engine's
     analysis wholesale, so several engines may adopt one shared record

@@ -94,6 +94,11 @@ let is_ancestor p ~anc ~desc =
   in
   up desc
 
+let callable p ~caller ~callee =
+  match (proc p callee).parent with
+  | Some parent -> is_ancestor p ~anc:parent ~desc:caller
+  | None -> false
+
 let visible p ~proc:pid ~var:vid =
   match (var p vid).kind with
   | Global -> true

@@ -94,6 +94,12 @@ val ancestors : t -> int -> int list
 val is_ancestor : t -> anc:int -> desc:int -> bool
 (** Lexical (nesting-tree) ancestry, reflexive. *)
 
+val callable : t -> caller:int -> callee:int -> bool
+(** Static scoping of procedure names: [callee] may be called from
+    [caller] iff its parent is [caller] or one of [caller]'s lexical
+    ancestors (so: [caller]'s children, itself, its siblings, its
+    ancestors and their siblings).  Main is never callable. *)
+
 val visible : t -> proc:int -> var:int -> bool
 (** Static scoping: a variable is visible in [proc] iff it is global or
     declared by [proc] or one of its lexical ancestors.  (Shadowing is

@@ -140,7 +140,9 @@ let run (p : Prog.t) =
         fail pname "site %d callee %d out of range" sid s.Prog.callee
       else begin
         let callee = Prog.proc p s.Prog.callee in
-        if s.Prog.callee = p.Prog.main then fail pname "site %d calls main" sid;
+        if s.Prog.callee = p.Prog.main then fail pname "site %d calls main" sid
+        else if not (Prog.callable p ~caller:pid ~callee:s.Prog.callee) then
+          fail pname "site %d: %s not visible here" sid callee.Prog.pname;
         let n_formals = Array.length callee.Prog.formals in
         if Array.length s.Prog.args <> n_formals then
           fail pname "site %d passes %d args to %s/%d" sid (Array.length s.Prog.args)

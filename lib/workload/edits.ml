@@ -82,7 +82,9 @@ let args_for rand prog ~caller callee =
 
 let gen_add_call rand prog =
   let* caller = pick rand (all_pids prog) in
-  let callees = List.filter (fun pid -> pid <> prog.Prog.main) (all_pids prog) in
+  let callees =
+    List.filter (fun callee -> Prog.callable prog ~caller ~callee) (all_pids prog)
+  in
   let* callee = pick rand callees in
   let* args = args_for rand prog ~caller callee in
   Some (Edit.Add_call { caller; callee; args })
@@ -91,13 +93,14 @@ let gen_remove_call rand prog =
   let* sid = pick rand (List.init (Prog.n_sites prog) Fun.id) in
   Some (Edit.Remove_call { sid })
 
-(* A retarget must keep the argument vector valid for the new callee:
-   same arity, same modes, and each [Arg_ref (Lvar v)]'s type equal to
-   the new formal's type ([Lindex] actuals bind only [Int] formals). *)
+(* A retarget must name a callee visible from the caller and keep the
+   argument vector valid for it: same arity, same modes, and each
+   [Arg_ref (Lvar v)]'s type equal to the new formal's type ([Lindex]
+   actuals bind only [Int] formals). *)
 let retarget_ok prog site callee =
   let p = Prog.proc prog callee in
   callee <> site.Prog.callee
-  && callee <> prog.Prog.main
+  && Prog.callable prog ~caller:site.Prog.caller ~callee
   && Array.length p.Prog.formals = Array.length site.Prog.args
   && Array.for_all2
        (fun fv arg ->

@@ -26,6 +26,9 @@ let check_equiv msg (inc : A.t) (batch : A.t) =
   ok "IMUSTDEF"
     (gmod_arrays_equal inc.A.mustmod.Core.Mustmod.intra
        batch.A.mustmod.Core.Mustmod.intra);
+  ok "demoted"
+    (gmod_arrays_equal inc.A.mustmod.Core.Mustmod.demoted
+       batch.A.mustmod.Core.Mustmod.demoted);
   for sid = 0 to Ir.Prog.n_sites batch.A.prog - 1 do
     ok
       (Printf.sprintf "MOD(s%d)" sid)
@@ -306,6 +309,61 @@ let prop_of_analysis_equiv of_seed steps seed =
     script;
   true
 
+(* Adoption costs no solver work: the engine reads RMOD, RUSE and
+   MUSTMOD (and the condensations they were solved on) straight from
+   the adopted record. *)
+let test_adopt_no_resolve () =
+  List.iter
+    (fun prog ->
+      let a = A.run prog in
+      let steps = Option.get (Obs.Metric.find "rmod.steps") in
+      let rounds = Option.get (Obs.Metric.find "mustmod.rounds") in
+      let snap = Obs.Metric.snapshot () in
+      let (_ : Engine.t) = Engine.of_analysis a in
+      check_int "rmod.steps added by of_analysis" 0
+        (Obs.Metric.value_since ~since:snap steps);
+      check_int "mustmod.rounds added by of_analysis" 0
+        (Obs.Metric.value_since ~since:snap rounds))
+    [
+      Workload.Families.fortran_style ~seed:7 ~n:64;
+      Workload.Families.pascal_style ~seed:7 ~n:64 ~depth:4;
+    ]
+
+(* A server session's engine re-solves from the registry's shared
+   record; every solver must copy before it writes, so the record —
+   solver state included — comes out of a session's edits unchanged. *)
+let test_adopted_read_only () =
+  List.iter
+    (fun (prog, seed) ->
+      let a = A.run prog in
+      let digest x = Digest.to_hex (Digest.string (Marshal.to_string x [])) in
+      let image () =
+        [
+          digest a.A.rmod;
+          digest a.A.ruse;
+          digest a.A.mustmod;
+          digest a.A.imod_plus;
+          digest a.A.gmod;
+          digest a.A.guse;
+        ]
+      in
+      let before = image () in
+      let engine = Engine.of_analysis ~threshold:1.0 a in
+      let rand = Random.State.make [| seed; 0x5e55 |] in
+      let script = Workload.Edits.gen ~rand ~steps:12 prog in
+      let resolved = ref 0 in
+      List.iter
+        (fun (edit, _) ->
+          let out = Engine.apply engine edit in
+          if out.Engine.fallback = None then incr resolved)
+        script;
+      check_bool "some edits took the region path" true (!resolved > 0);
+      Alcotest.(check (list string)) "adopted record unchanged" before (image ()))
+    [
+      (Workload.Families.fortran_style ~seed:3 ~n:32, 3);
+      (Workload.Families.pascal_style ~seed:3 ~n:32 ~depth:3, 3);
+    ]
+
 let () =
   run "incremental"
     [
@@ -326,6 +384,13 @@ let () =
         ] );
       ( "opcount",
         [ Alcotest.test_case "ref_chain 64 region" `Quick test_opcount_ref_chain ] );
+      ( "adoption",
+        [
+          Alcotest.test_case "of_analysis re-solves nothing" `Quick
+            test_adopt_no_resolve;
+          Alcotest.test_case "adopted record stays read-only" `Quick
+            test_adopted_read_only;
+        ] );
       ( "equivalence",
         [
           qtest ~count:160 "incremental = batch (flat scripts)" arb_flat_prog
@@ -336,5 +401,7 @@ let () =
             (prop_render_roundtrip (flat_of_seed ~n:24) 8);
           qtest ~count:60 "of_analysis = create" arb_flat_prog
             (prop_of_analysis_equiv (flat_of_seed ~n:24) 6);
+          qtest ~count:40 "of_analysis = create (nested scripts)" arb_nested_prog
+            (prop_of_analysis_equiv (nested_of_seed ~n:20 ~depth:3) 6);
         ] );
     ]

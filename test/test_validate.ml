@@ -132,6 +132,50 @@ let test_visibility_violation () =
          p))
     "not visible here"
 
+(* A procedure name is in scope only where its parent is: [b] cannot
+   call [inner], which is nested in its sibling [a]. *)
+let test_call_visibility () =
+  let prog =
+    Helpers.compile
+      {|program m;
+var g : int;
+procedure a();
+var x : int;
+  procedure inner();
+  begin
+    x := 1;
+  end;
+begin
+  call inner();
+end;
+procedure b();
+begin
+  g := 1;
+end;
+begin
+  call a();
+  call b();
+end.|}
+  in
+  Ir.Validate.check_exn prog;
+  let inner = Helpers.proc_id prog "inner" and b = Helpers.proc_id prog "b" in
+  let a = Helpers.proc_id prog "a" in
+  Helpers.check_bool "a sees its child" true
+    (Prog.callable prog ~caller:a ~callee:inner);
+  Helpers.check_bool "inner sees itself" true
+    (Prog.callable prog ~caller:inner ~callee:inner);
+  Helpers.check_bool "inner sees its parent's sibling" true
+    (Prog.callable prog ~caller:inner ~callee:b);
+  let bad, sid = Ir.Patch.add_call prog ~caller:b ~callee:inner ~args:[||] in
+  match Ir.Validate.run bad with
+  | Ok () -> Alcotest.fail "call to a sibling's nested procedure accepted"
+  | Error errs ->
+    Helpers.check_bool "diagnostic names the callee" true
+      (List.exists
+         (fun e ->
+           e.Ir.Validate.what = Printf.sprintf "site %d: inner not visible here" sid)
+         errs)
+
 let test_rank_violation () =
   let a_vid = Helpers.var_id base "a" in
   expect_error
@@ -162,5 +206,6 @@ let () =
           Alcotest.test_case "dangling site" `Quick test_dangling_site;
           Alcotest.test_case "visibility violation" `Quick test_visibility_violation;
           Alcotest.test_case "rank violation" `Quick test_rank_violation;
+          Alcotest.test_case "call visibility" `Quick test_call_visibility;
         ] );
     ]
