@@ -1,8 +1,8 @@
 (* Interprocedural MUSTMOD — the must-modify dual of GMOD.  Directed
    cases pin the structural equations (branch intersection, loop
    erasure, call projection), the §5/ptsto demotion rules, and the
-   precision gained by interprocedural kill sets over the retired local
-   under-approximation; property tests check the MUSTMOD ⊆ GMOD
+   precision gained by interprocedural kill sets over a
+   top-level-statement under-approximation; property tests check the MUSTMOD ⊆ GMOD
    invariant and soundness against the interpreter's dynamic
    must-write oracle on random programs, pointer families included. *)
 
@@ -187,13 +187,13 @@ let test_heap_demotion () =
   check_must fine "andersen: allocations stay apart, both formals definite"
     "mix" [ "mix.c"; "mix.d" ]
 
-(* --- precision over the retired local approximation --- *)
+(* --- precision over a top-level-statement approximation --- *)
 
 (* A pinned family: the definite write sits under an if/else at the
-   bottom of a call chain, invisible to the retired top-level local
-   MUSTDEF but carried up by the interprocedural summaries — so the
-   dataflow kill set crosses the chain and the dead-store rule fires on
-   the store before the call.  Soundness of the claim is cross-checked
+   bottom of a call chain, invisible to a MUSTDEF that counts only
+   top-level statements but carried up by the interprocedural
+   summaries — so the dataflow kill set crosses the chain and the
+   dead-store rule fires on the store before the call.  Soundness of the claim is cross-checked
    against the interpreter: every completed execution of the site
    writes x, and none reads it first. *)
 let deep_kill_src depth =
@@ -217,16 +217,20 @@ let test_deep_kill () =
       let top = Printf.sprintf "w%d" depth in
       check_must a (top ^ " carries the branch-intersected write up") top
         [ top ^ ".v" ];
+      (* Interprocedural MUSTMOD is strictly stronger than a
+         top-level-statement approximation: w0's body is a single
+         [if] with no top-level write, yet MUSTMOD(w0) = {w0.v}. *)
+      check_must a "w0 intersects both branches" "w0" [ "w0.v" ];
+      (match (P.proc prog (Helpers.proc_id prog "w0")).P.body with
+      | [ Ir.Stmt.If _ ] -> ()
+      | _ -> Alcotest.fail "w0's body should be a single if");
       let tf = Dataflow.Transfer.make a in
-      let local = Dataflow.Transfer.local_must_mod prog in
       let x = Helpers.var_id prog "x" in
       let sid = ref (-1) in
       P.iter_sites prog (fun s ->
           if s.P.caller = prog.P.main then sid := s.P.sid);
       Helpers.check_bool "interprocedural kill reaches x" true
         (Bitvec.get (Dataflow.Transfer.kill_of_site tf !sid) x);
-      Helpers.check_bool "the local approximation sees nothing" true
-        (Bitvec.is_empty local.(Helpers.proc_id prog "w0"));
       let fs = Lint.Engine.run a in
       Helpers.check_bool "SFX008 flags the pre-call store" true
         (List.exists (fun d -> d.Lint.Diagnostic.code = "SFX008") fs);
