@@ -96,13 +96,20 @@ let gmod_word_ops build n =
 
 (* The must-side dual of the ladder above: MUSTMOD alone, after the
    may-side inputs it consumes are in hand.  On [fortran_fixed]'s
-   bounded summaries the pass must stay in the linear regime. *)
-let mustmod_word_ops build n =
+   bounded summaries the pass must stay in the linear regime.  The same
+   analysed program then feeds the reaching-definitions gate: the
+   definition ids the gen/kill build visits, summed over procedures. *)
+let kill_visits_metric = Obs.Metric.counter "dataflow.kill_visits"
+
+let mustmod_point build n =
   let prog = build ~seed:7 ~n in
   let a = A.run prog in
   let snap = Obs.Metric.snapshot () in
   ignore (Core.Mustmod.solve a.A.info a.A.call ~alias:a.A.alias ~gmod:a.A.gmod);
-  Obs.Metric.value_since ~since:snap word_ops_metric
+  let words = Obs.Metric.value_since ~since:snap word_ops_metric in
+  let snap = Obs.Metric.snapshot () in
+  Dataflow.Driver.solve_all (Dataflow.Driver.create a);
+  (words, Obs.Metric.value_since ~since:snap kill_visits_metric)
 
 let mustmod_ladder =
   parse_ladder "SIDEFX_BENCH_LADDER_MUST" [ 256; 512; 1024; 2048 ]
@@ -116,6 +123,28 @@ let mustmod_ladder =
    loose per-step cap that catches a localized cliff. *)
 let mustmod_exponent_max = 1.6
 let mustmod_step_max = 4.0
+
+(* Reaching definitions build gen/kill with one walk of defs(v) per
+   block that definitely writes [v], so on [fortran_fixed]'s bounded
+   summaries the visits grow near-linearly (measured ~1.2); re-walking
+   defs(v) at every definite write grows ~2.07, about 4x per
+   doubling. *)
+let kill_visits_exponent_max = 1.5
+
+(* Growth exponent of [counts] fitted from its first to its last
+   point: 1.0 is linear, 2.0 quadratic. *)
+let exponent_gate name counts ceiling =
+  match (counts, List.rev counts) with
+  | (n0, w0) :: _, (n1, w1) :: _ when n1 > n0 ->
+    let e =
+      log (float_of_int w1 /. float_of_int (max 1 w0))
+      /. log (float_of_int n1 /. float_of_int n0)
+    in
+    check
+      (Printf.sprintf "%s growth exponent %d..%d" name n0 n1)
+      (e <= ceiling)
+      (Printf.sprintf "n^%.2f fitted over the ladder (max n^%.2f)" e ceiling)
+  | _ -> ()
 
 let () =
   Printf.printf "== bench-check: pinned perf regressions (reduced config) ==\n";
@@ -140,11 +169,12 @@ let () =
       ratios counts)
     word_ops_ladders;
   (* 1b. MUSTMOD growth-exponent gate on the linear regime *)
-  let counts =
+  let points =
     List.map
-      (fun n -> (n, mustmod_word_ops Workload.Families.fortran_fixed n))
+      (fun n -> (n, mustmod_point Workload.Families.fortran_fixed n))
       mustmod_ladder
   in
+  let counts = List.map (fun (n, (w, _)) -> (n, w)) points in
   List.iter
     (fun (n, w) ->
       Printf.printf "   fortran_fixed mustmod_word_ops n=%-5d %d\n%!" n w)
@@ -160,18 +190,14 @@ let () =
     | _ -> ()
   in
   must_steps counts;
-  (match (counts, List.rev counts) with
-  | (n0, w0) :: _, (n1, w1) :: _ when n1 > n0 ->
-    let e =
-      log (float_of_int w1 /. float_of_int (max 1 w0))
-      /. log (float_of_int n1 /. float_of_int n0)
-    in
-    check
-      (Printf.sprintf "mustmod word-ops growth exponent %d..%d" n0 n1)
-      (e <= mustmod_exponent_max)
-      (Printf.sprintf "n^%.2f fitted over the ladder (max n^%.2f)" e
-         mustmod_exponent_max)
-  | _ -> ());
+  exponent_gate "mustmod word-ops" counts mustmod_exponent_max;
+  (* 1c. reaching-definitions gen/kill growth exponent, same programs *)
+  let visits = List.map (fun (n, (_, k)) -> (n, k)) points in
+  List.iter
+    (fun (n, k) ->
+      Printf.printf "   fortran_fixed dataflow_kill_visits n=%-5d %d\n%!" n k)
+    visits;
+  exponent_gate "dataflow kill-visits" visits kill_visits_exponent_max;
   (* 2. jobs-4 overhead + bit-identity on the 2048-proc families *)
   Printf.printf "   speedup floor %.2f (recommended_domain_count %d)\n%!"
     speedup_floor

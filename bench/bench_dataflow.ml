@@ -7,8 +7,12 @@
    size), so liveness cost is linear in instructions.  Reaching
    definitions instead tracks its definition universe — every call
    contributes one definition per variable of MOD(s), so the universe
-   grows with summary sizes, not with the CFG; the per-definition cost
-   column is the one that should stay nearly flat.
+   grows with summary sizes, not with the CFG.  Its cost is the gen/kill
+   build, [kill_visits] definition ids (Σ_b Σ_{v killed in b} |defs(v)|),
+   plus the solve over one bit per (definition, block) pair.
+
+   [before] in BENCH_dataflow.json holds rows this harness measured on
+   the earlier per-instruction gen/kill build; reruns keep it as is.
 
      dune exec bench/bench_dataflow.exe        # writes BENCH_dataflow.json *)
 
@@ -38,7 +42,7 @@ let measure n =
   let d = solve_fresh t () in
   let blocks = ref 0 and instrs = ref 0 and defs = ref 0 in
   let live_passes = ref 0 and reach_passes = ref 0 in
-  let defblocks = ref 0 in
+  let defblocks = ref 0 and kill_visits = ref 0 in
   Ir.Prog.iter_procs prog (fun p ->
       let s = Dataflow.Driver.solution d p.Ir.Prog.pid in
       let b = Dataflow.Cfg.n_blocks s.Dataflow.Driver.cfg in
@@ -47,6 +51,8 @@ let measure n =
       instrs := !instrs + Dataflow.Cfg.n_instrs s.Dataflow.Driver.cfg;
       defs := !defs + nd;
       defblocks := !defblocks + (b * nd);
+      kill_visits :=
+        !kill_visits + Dataflow.Reach.kill_visits s.Dataflow.Driver.reach;
       live_passes := !live_passes + Dataflow.Live.passes s.Dataflow.Driver.live;
       reach_passes :=
         !reach_passes + Dataflow.Reach.passes s.Dataflow.Driver.reach);
@@ -56,20 +62,23 @@ let measure n =
   (* The reach state is one bit per (def, block) pair of each
      procedure; normalise by that sum, the actual work term. *)
   let ns_per_defblock = 1e9 *. elapsed /. float_of_int (max 1 !defblocks) in
+  let top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
   Printf.printf
-    "   n=%4d | %5d blocks %6d instrs %6d defs | %.2f live + %.2f reach \
-     passes/proc | %8.4fs  %6.2f us/instr  %5.2f ns/def-block\n\
+    "   n=%4d | %5d blocks %6d instrs %6d defs %8d kill visits | %.2f live \
+     + %.2f reach passes/proc | %8.4fs  %6.2f us/instr  %5.2f ns/def-block \
+     %9d top heap words\n\
      %!"
-    n !blocks !instrs !defs
+    n !blocks !instrs !defs !kill_visits
     (float_of_int !live_passes /. float_of_int n_procs)
     (float_of_int !reach_passes /. float_of_int n_procs)
-    elapsed us_per_instr ns_per_defblock;
+    elapsed us_per_instr ns_per_defblock top_heap_words;
   Obs.Json.Obj
     [
       ("n_procs", Obs.Json.Int n_procs);
       ("blocks", Obs.Json.Int !blocks);
       ("instrs", Obs.Json.Int !instrs);
       ("defs", Obs.Json.Int !defs);
+      ("kill_visits", Obs.Json.Int !kill_visits);
       ("live_passes", Obs.Json.Int !live_passes);
       ("reach_passes", Obs.Json.Int !reach_passes);
       ("elapsed_s", Obs.Json.Float elapsed);
@@ -79,7 +88,7 @@ let measure n =
         Obs.Json.Int
           ((Gc.quick_stat ()).Gc.major_collections - gc0.Gc.major_collections)
       );
-      ("top_heap_words", Obs.Json.Int (Gc.quick_stat ()).Gc.top_heap_words);
+      ("top_heap_words", Obs.Json.Int top_heap_words);
     ]
 
 let () =
@@ -88,21 +97,36 @@ let () =
      Analyze.run) ==\n"
     reps;
   let rows = List.map measure sizes in
+  let before =
+    match
+      Obs.Json.parse (In_channel.with_open_bin "BENCH_dataflow.json" In_channel.input_all)
+    with
+    | Ok (Obs.Json.Obj kv) ->
+      Option.to_list (Option.map (fun b -> ("before", b)) (List.assoc_opt "before" kv))
+    | Ok _ | Error _ | (exception Sys_error _) -> []
+  in
   let json =
     Obs.Json.Obj
-      [
+      ([
         ("experiment", Obs.Json.String "dataflow");
         ( "claim",
           Obs.Json.String
             "round-robin pass counts stay flat (~2) on structured CFGs, so \
-             liveness is linear in instructions; reaching definitions scales \
-             with its definition universe (one def per MOD variable per \
-             call), which grows with summary sizes, not the CFG — the \
-             per-(def x block) cost is the near-constant column" );
+             liveness is linear in instructions; reaching definitions scale \
+             with their definition universe (one def per MOD variable per \
+             call), which grows with summary sizes, not the CFG.  The \
+             gen/kill build visits kill_visits definition ids, one walk of \
+             defs(v) per block that definitely writes v, about 1x defs on \
+             this ladder; the solve is bounded by passes x blocks x defs \
+             bits.  Time per (def x block) is not constant: 130-290 ns with \
+             the per-block build, while the earlier per-instruction build \
+             (before) rose from 236 to 4128 ns as its kill visits grew from \
+             3x to 127x defs" );
         ( "workload",
           Obs.Json.String "fortran_style, seed 7, Driver.create + solve_all" );
         ("rows", Obs.Json.List rows);
       ]
+      @ before)
   in
   let oc = open_out "BENCH_dataflow.json" in
   output_string oc (Obs.Json.to_string json);

@@ -18,6 +18,7 @@ let m_solved = Obs.Metric.counter "dataflow.procs_solved"
 let m_blocks = Obs.Metric.counter "dataflow.blocks"
 let m_live_passes = Obs.Metric.counter "dataflow.live_passes"
 let m_reach_passes = Obs.Metric.counter "dataflow.reach_passes"
+let m_kill_visits = Obs.Metric.counter "dataflow.kill_visits"
 let m_invalidated = Obs.Metric.counter "dataflow.invalidated"
 
 let create ?locs (a : A.t) =
@@ -48,7 +49,8 @@ let note sol =
   Obs.Metric.add m_solved 1;
   Obs.Metric.add m_blocks (Cfg.n_blocks sol.cfg);
   Obs.Metric.add m_live_passes (Live.passes sol.live);
-  Obs.Metric.add m_reach_passes (Reach.passes sol.reach)
+  Obs.Metric.add m_reach_passes (Reach.passes sol.reach);
+  Obs.Metric.add m_kill_visits (Reach.kill_visits sol.reach)
 
 let solution t pid =
   match t.slots.(pid) with

@@ -36,7 +36,9 @@ val solution : t -> int -> solution
 val solve_all : ?pool:Par.Pool.t -> t -> unit
 (** Fill every unsolved slot, under the "dataflow.solve" span; counters
     [dataflow.procs_solved], [dataflow.blocks], [dataflow.live_passes],
-    [dataflow.reach_passes]. *)
+    [dataflow.reach_passes], [dataflow.kill_visits] — published on the
+    calling domain in pid order, so they are the same at every
+    [--jobs]. *)
 
 val refresh : ?locs:Frontend.Locs.t -> t -> Core.Analyze.t -> edited:int list -> int list
 (** Re-target the driver at a re-analysed program after body edits

@@ -5,7 +5,14 @@
     one pair per variable of [MOD(s)] — a summary-sized proxy for every
     store the callee might do.  A definition is killed only by a
     definite overwrite (the same must-def sets liveness kills with), so
-    call sites kill through {!Transfer.kill_of_site}. *)
+    call sites kill through {!Transfer.kill_of_site}.
+
+    Gen/kill are built with one backward walk per block: a definition
+    is generated iff no later instruction of the block definitely
+    writes its variable, and each variable's definitions are walked
+    once per block that definitely writes it ({!kill_visits}).  Every
+    table is sized by the procedure's definitions and instructions,
+    none by the program's variable count (docs/dataflow.md). *)
 
 type def = {
   did : int;
@@ -20,6 +27,11 @@ type t
 val solve : Transfer.t -> Cfg.t -> t
 val cfg : t -> Cfg.t
 val passes : t -> int
+
+val kill_visits : t -> int
+(** Definition ids the gen/kill build visited:
+    [Σ_blocks Σ_{v killed in b} |defs(v)|]. *)
+
 val n_defs : t -> int
 val def : t -> int -> def
 val defs_of_var : t -> int -> int list

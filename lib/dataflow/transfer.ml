@@ -36,51 +36,13 @@ let project_must prog must_of sid =
     (must_of s.P.callee);
   out
 
-(* The retired local under-approximation, kept for comparison tests
-   and the precision-delta experiment: least fixpoint of the
-   definitely-written scalars counting only top-level statements — a
-   branch may be skipped, a loop body may run zero times, but a [for]
-   initialisation and anything before/after control flow always runs.
-   Strictly weaker than [Core.Mustmod] (which intersects over branch
-   paths and demotes on aliasing instead of claiming everything). *)
-let local_must_mod prog =
-  let nv = P.n_vars prog and np = P.n_procs prog in
-  let must = Array.init np (fun _ -> Bitvec.create nv) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    P.iter_procs prog (fun pr ->
-        let v = Bitvec.create nv in
-        List.iter
-          (fun s ->
-            match s with
-            | Ir.Stmt.Assign (E.Lvar x, _) | Ir.Stmt.Read (E.Lvar x) -> Bitvec.set v x
-            | Ir.Stmt.For (x, _, _, _) -> Bitvec.set v x
-            | Ir.Stmt.Call sid ->
-              ignore
-                (Bitvec.union_into
-                   ~src:(project_must prog (fun q -> must.(q)) sid)
-                   ~dst:v)
-            | Ir.Stmt.Assign _ | Ir.Stmt.Read _ | Ir.Stmt.If _ | Ir.Stmt.While _
-            | Ir.Stmt.Write _ ->
-              ())
-          pr.P.body;
-        if not (Bitvec.equal v must.(pr.P.pid)) then begin
-          must.(pr.P.pid) <- v;
-          changed := true
-        end)
-  done;
-  must
-
 let make (a : A.t) =
   let prog = a.A.prog in
   let info = a.A.info in
   let np = P.n_procs prog and ns = P.n_sites prog in
   (* Kill sets come from the interprocedural must-modify summaries:
      intersection over branch paths, propagated through the call
-     condensation, alias-demoted and capped by GMOD (Core.Mustmod) —
-     strictly stronger than the old top-level-statement
-     under-approximation ([local_must_mod]). *)
+     condensation, alias-demoted and capped by GMOD (Core.Mustmod). *)
   let must_mod_ = Array.init np (fun pid -> Core.Mustmod.mustmod_of a.A.mustmod pid) in
   let aliased_ =
     Array.init np (fun pid ->

@@ -31,11 +31,6 @@ val must_mod : t -> int -> Bitvec.t
     terminating run, in the callee's own frame — the interprocedural
     summaries of {!Core.Mustmod}.  Do not mutate. *)
 
-val local_must_mod : Ir.Prog.t -> Bitvec.t array
-(** The retired per-procedure under-approximation (top-level statements
-    only, no branch intersection, no alias demotion) — kept so tests
-    can pin the precision gained by the interprocedural summaries. *)
-
 val aliased : t -> int -> Bitvec.t
 (** Variables appearing in some §5 alias pair of the procedure.  Do not
     mutate. *)
