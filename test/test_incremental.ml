@@ -364,6 +364,123 @@ let test_adopted_read_only () =
       (Workload.Families.pascal_style ~seed:3 ~n:32 ~depth:3, 3);
     ]
 
+(* --- region golden ---
+
+   Digests of what the GMOD/GUSE cone re-solve computes over a fixed
+   edit corpus, at threshold 1.0 so that every non-structural edit
+   takes the region path: per edit, its outcome, the word and vector
+   op counts of each [gmod.region] span, and the resulting GMOD/GUSE
+   sets.  The corpus has cones that contain main and cones that do not
+   (edits inside procedures an earlier edit added or cut off from
+   main); any change to what a region re-solve computes, or to how
+   many bit-vector operations it spends, changes a digest. *)
+
+let rec region_spans (s : Obs.Span.t) =
+  (if s.Obs.Span.name = "gmod.region" then [ s ] else [])
+  @ List.concat_map region_spans s.Obs.Span.children
+
+let region_digest_text prog ~seed =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  let ints v = String.concat "," (List.map string_of_int (Bitvec.to_list v)) in
+  let engine = Engine.create ~threshold:1.0 prog in
+  let rand = Random.State.make [| seed; 0x6e61 |] in
+  let main_clean = ref 0 and main_dirty = ref 0 in
+  List.iteri
+    (fun i (edit, _) ->
+      let old = Engine.analysis engine in
+      let out, span =
+        Obs.Span.collect "edit" (fun () -> Engine.apply engine edit)
+      in
+      let a = Engine.analysis engine in
+      add "edit %d fallback %b resolved %d\n" i (out.Engine.fallback <> None)
+        out.Engine.procs_resolved;
+      List.iter
+        (fun s ->
+          add "region word_ops %d vector_ops %d\n"
+            (Obs.Span.metric s "bitvec.word_ops")
+            (Obs.Span.metric s "bitvec.vector_ops"))
+        (region_spans span);
+      (* A side that ran recomputed main iff main was in its cone:
+         clean entries share the cached vector. *)
+      let side now before =
+        let main = a.A.prog.Ir.Prog.main in
+        if out.Engine.fallback = None && now != before then
+          incr (if now.(main) == before.(main) then main_clean else main_dirty)
+      in
+      side a.A.gmod old.A.gmod;
+      side a.A.guse old.A.guse;
+      Array.iteri
+        (fun pid g -> add "p%d gmod [%s] guse [%s]\n" pid (ints g) (ints a.A.guse.(pid)))
+        a.A.gmod)
+    (Workload.Edits.gen ~rand ~steps:12 prog);
+  (Buffer.contents b, !main_clean, !main_dirty)
+
+let region_golden_programs =
+  let module F = Workload.Families in
+  List.concat_map
+    (fun seed ->
+      [
+        (Printf.sprintf "fortran_style s%d" seed, fun () -> F.fortran_style ~seed ~n:24);
+        (Printf.sprintf "fortran_fixed s%d" seed, fun () -> F.fortran_fixed ~seed ~n:24);
+        (Printf.sprintf "dag_style s%d" seed, fun () -> F.dag_style ~seed ~n:24);
+      ])
+    [ 1; 2; 3 ]
+  @ [
+      ("ref_chain 16", fun () -> F.ref_chain 16);
+      ("ref_cycle 8", fun () -> F.ref_cycle 8);
+      ("mutual_pair", F.mutual_pair);
+      ("diamond", F.diamond);
+    ]
+  @ List.init 12 (fun seed ->
+        ( Printf.sprintf "gen %d" seed,
+          fun () ->
+            Workload.Gen.generate
+              (Random.State.make [| seed; 0x6e67 |])
+              { Workload.Gen.default with n_procs = 24; max_depth = 1 } ))
+
+let region_digests =
+  [
+    ("fortran_style s1", "539f3d99ddbb2b01347037d9aa4b04f7");
+    ("fortran_fixed s1", "f1636cdaa81285ada2992c4e7fb4c410");
+    ("dag_style s1", "39b023b039e0bc55dcef7e5cfdc045df");
+    ("fortran_style s2", "5437be3985448321671c12d6fc1c1a61");
+    ("fortran_fixed s2", "0f48f1fe0565fce22ec67f28c176619c");
+    ("dag_style s2", "5fb9e4aa56174c95c299d6d649f391cb");
+    ("fortran_style s3", "d6410d3e8ce23c157d6cda0cf836766c");
+    ("fortran_fixed s3", "8ec179c2cd76a7f06e7df47f3d7728dc");
+    ("dag_style s3", "a18a816a935bf43bf7558586291ff9b7");
+    ("ref_chain 16", "c782076f0c7371507d2e06cbfe0ad0e4");
+    ("ref_cycle 8", "0d5db6bb973ff809d6ddd41be6b31a2c");
+    ("mutual_pair", "408ab77899f66d9230f456d9b51d6eca");
+    ("diamond", "f99a67759d8c1e2df8581ff9e6aba00b");
+    ("gen 0", "0b944a39134b30425335f4b72dbd9a56");
+    ("gen 1", "428399ba261f8334c63ce4cf24899ed8");
+    ("gen 2", "eb637990ba25dde32b396f6e5e8befd8");
+    ("gen 3", "12e59f12e726e093518eca2a919fb14b");
+    ("gen 4", "73913a654955762de92bd79f79f3a6cf");
+    ("gen 5", "1419b7472c599f30fb059e26cd4fa0f1");
+    ("gen 6", "11a10a8b91d15833a47286d7898664d7");
+    ("gen 7", "caf7f8ce654323616793e95bb22d10fa");
+    ("gen 8", "e90d457663d8abe0dfce6d54806e2321");
+    ("gen 9", "3f31124b4a4a4793c71bd7f18aeb505a");
+    ("gen 10", "6584dead30b0f2270ae76adbccb96116");
+    ("gen 11", "cc29e88e0dc7bf1e6c99a26db3ee776d");
+  ]
+
+let test_region_golden () =
+  let clean = ref 0 and dirty = ref 0 in
+  List.iteri
+    (fun seed (name, make) ->
+      let text, c, d = region_digest_text (make ()) ~seed in
+      clean := !clean + c;
+      dirty := !dirty + d;
+      let got = Digest.to_hex (Digest.string text) in
+      Alcotest.(check string) name (List.assoc name region_digests) got)
+    region_golden_programs;
+  check_bool "some cones leave main clean" true (!clean > 0);
+  check_bool "some cones contain main" true (!dirty > 0)
+
 let () =
   run "incremental"
     [
@@ -384,6 +501,8 @@ let () =
         ] );
       ( "opcount",
         [ Alcotest.test_case "ref_chain 64 region" `Quick test_opcount_ref_chain ] );
+      ( "golden",
+        [ Alcotest.test_case "region re-solve digests" `Quick test_region_golden ] );
       ( "adoption",
         [
           Alcotest.test_case "of_analysis re-solves nothing" `Quick
