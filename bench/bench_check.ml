@@ -51,7 +51,9 @@ let word_ops_ladders =
    2048-proc families.  The floor depends on what the host can
    deliver: with >= 4 cores the pool must actually win (ISSUE 8 claims
    >1.5x there); with fewer cores extra domains can only add GC
-   rendezvous cost, so the floor just bounds that overhead. *)
+   rendezvous cost, so the floor just bounds that overhead.  The two
+   sides are timed in alternation, best of [reps] each, so host noise
+   hits both alike. *)
 let speedup_families =
   [ ("fortran_style", Workload.Families.fortran_style);
     ("dag_style", Workload.Families.dag_style) ]
@@ -63,7 +65,8 @@ let speedup_floor =
   let cores = Domain.recommended_domain_count () in
   if cores >= speedup_jobs then 1.5 else if cores >= 2 then 0.85 else 0.5
 
-let reps = 3
+(* Repetitions per side of the speedup measurement. *)
+let reps = 5
 
 let word_ops_metric = Obs.Metric.counter "bitvec.word_ops"
 
@@ -73,14 +76,21 @@ let check name ok detail =
   Printf.printf "   [%s] %s — %s\n%!" (if ok then "ok" else "FAIL") name detail;
   if not ok then incr failures
 
-let timed f =
-  let best = ref infinity in
-  for _ = 1 to reps do
+(* Best wall-clock times of [reps] alternating runs of [seq] and [par].
+   Interleaving exposes both sides to the same host noise, and the
+   minimum on each side keeps its least-disturbed run. *)
+let interleaved_best ~seq ~par =
+  let time f =
     let t0 = Unix.gettimeofday () in
     ignore (f ());
-    best := Float.min !best (Unix.gettimeofday () -. t0)
+    Unix.gettimeofday () -. t0
+  in
+  let seq_s = ref infinity and par_s = ref infinity in
+  for _ = 1 to reps do
+    seq_s := Float.min !seq_s (time seq);
+    par_s := Float.min !par_s (time par)
   done;
-  !best
+  (!seq_s, !par_s)
 
 let gmod_word_ops build n =
   let prog = build ~seed:7 ~n in
@@ -206,7 +216,6 @@ let () =
     (fun (family, build) ->
       let prog = build ~seed:7 ~n:speedup_n in
       let seq = A.run prog in
-      let seq_s = timed (fun () -> A.run prog) in
       let pool = Par.Pool.create ~jobs:speedup_jobs in
       Fun.protect
         ~finally:(fun () -> Par.Pool.shutdown pool)
@@ -224,7 +233,11 @@ let () =
             (Printf.sprintf "%s n=%d jobs-%d identity" family speedup_n
                speedup_jobs)
             identical "summaries bit-identical to sequential";
-          let par_s = timed (fun () -> A.run ~pool prog) in
+          let seq_s, par_s =
+            interleaved_best
+              ~seq:(fun () -> A.run prog)
+              ~par:(fun () -> A.run ~pool prog)
+          in
           let speedup = seq_s /. Float.max par_s 1e-9 in
           check
             (Printf.sprintf "%s n=%d jobs-%d speedup" family speedup_n

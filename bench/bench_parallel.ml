@@ -44,6 +44,9 @@ let assert_identical ~family ~n ~jobs (seq : A.t) (par : A.t) =
       (Printf.sprintf "%s n=%d jobs=%d: parallel result diverges from jobs=1"
          family n jobs)
 
+(* Largest speedup seen: (speedup, family, n, jobs). *)
+let best = ref (0., "", 0, 0)
+
 let vector_ops = Obs.Metric.counter "bitvec.vector_ops"
 let par_tasks = Obs.Metric.counter "par.tasks"
 let par_batches = Obs.Metric.counter "par.batches"
@@ -67,21 +70,11 @@ let timed f =
   done;
   !best
 
-(* Level structure of the call-graph condensation: how much same-level
-   concurrency the wavefront has to work with. *)
-let condensation graph =
-  let scc = Graphs.Scc.compute graph in
-  let csuccs = Array.make (max 1 scc.Graphs.Scc.n_comps) [] in
-  Graphs.Digraph.iter_edges graph (fun _ src dst ->
-      let cs = scc.Graphs.Scc.comp.(src) and cd = scc.Graphs.Scc.comp.(dst) in
-      if cs <> cd then csuccs.(cs) <- cd :: csuccs.(cs));
-  Par.Wavefront.of_comp_succs ~n_comps:scc.Graphs.Scc.n_comps
-    ~succs_of:(Array.get csuccs)
-
 let measure family build n =
   let prog = build ~seed:7 ~n in
-  let call = Callgraph.Call.build prog in
-  let levels = condensation call.Callgraph.Call.graph in
+  (* Level structure of the call-graph condensation: how much
+     same-level concurrency the wavefront has to work with. *)
+  let levels = (Callgraph.Call.build prog).Callgraph.Call.scc.Graphs.Scc.levels in
   let gc0 = Gc.quick_stat () in
   let seq, seq_vec, _, _ = counted (fun () -> A.run prog) in
   let seq_s = timed (fun () -> A.run prog) in
@@ -105,10 +98,12 @@ let measure family build n =
                    family n jobs par_vec seq_vec);
             let par_s = timed (fun () -> A.run ~pool prog) in
             let speedup = seq_s /. Float.max par_s 1e-9 in
+            let best_speedup, _, _, _ = !best in
+            if speedup > best_speedup then best := (speedup, family, n, jobs);
             Printf.printf
               "   %-13s %6d | %3d levels, width %4d | jobs %2d | %9.4f %9.4f | %5.2fx | %6d tasks %4d batches\n%!"
-              family n levels.Par.Wavefront.n_levels
-              levels.Par.Wavefront.max_width jobs seq_s par_s speedup tasks
+              family n levels.Graphs.Scc.n_levels
+              levels.Graphs.Scc.max_width jobs seq_s par_s speedup tasks
               batches;
             Obs.Json.Obj
               [
@@ -129,8 +124,8 @@ let measure family build n =
     [
       ("family", Obs.Json.String family);
       ("n_procs", Obs.Json.Int n);
-      ("call_levels", Obs.Json.Int levels.Par.Wavefront.n_levels);
-      ("call_max_width", Obs.Json.Int levels.Par.Wavefront.max_width);
+      ("call_levels", Obs.Json.Int levels.Graphs.Scc.n_levels);
+      ("call_max_width", Obs.Json.Int levels.Graphs.Scc.max_width);
       ("vector_ops", Obs.Json.Int seq_vec);
       ("sequential_s", Obs.Json.Float seq_s);
       ( "major_collections",
@@ -159,17 +154,28 @@ let () =
         ])
       sizes
   in
+  (* A speedup above the core count cannot come from parallelism: it
+     would mean the jobs=1 baseline was slowed by something else (the
+     1.89x at --jobs 2 of an earlier one-core run). *)
+  let speedup, family, n, jobs = !best in
   let json =
     Obs.Json.Obj
       [
         ("experiment", Obs.Json.String "parallel");
         ( "claim",
           Obs.Json.String
-            "the one condensation-wavefront solver per layer gives \
-             GMOD/GUSE/RMOD bit-identical to its jobs=1 inline run with \
-             identical bitvec.vector_ops; wall-clock speedup tracks \
-             recommended_domain_count and level width, and degrades to pure \
-             (small) overhead on a single core" );
+            (Printf.sprintf
+               "the one condensation-wavefront solver per layer gives \
+                GMOD/GUSE/RMOD bit-identical to its jobs=1 inline run with \
+                identical bitvec.vector_ops; wall-clock speedup tracks \
+                recommended_domain_count and level width, and degrades to \
+                pure (small) overhead on a single core. Largest speedup \
+                here: %.2fx (%s n=%d, --jobs %d) with \
+                recommended_domain_count %d, so a speedup beyond the core \
+                count (the earlier 1.89x at --jobs 2 on one core) %s"
+               speedup family n jobs cores
+               (if speedup > float_of_int cores then "shows again"
+                else "does not show") ) );
         ( "workload",
           Obs.Json.String "fortran_style and dag_style, seed 7, full Analyze.run"
         );

@@ -100,37 +100,27 @@ let var_set_json prog set =
        (fun vid -> Obs.Json.String (Ir.Pp.qualified_var_name prog vid))
        (Bitvec.to_list set))
 
-(* Wavefront leveling of a graph's SCC condensation: how many
-   sequential batches the parallel scheduler needs, and the widest one
-   (the available parallelism). *)
-let condensation_levels graph (scc : Graphs.Scc.result) =
-  let csuccs = Array.make (max 1 scc.Graphs.Scc.n_comps) [] in
-  Graphs.Digraph.iter_edges graph (fun _ src dst ->
-      let cs = scc.Graphs.Scc.comp.(src) and cd = scc.Graphs.Scc.comp.(dst) in
-      if cs <> cd then csuccs.(cs) <- cd :: csuccs.(cs));
-  Par.Wavefront.of_comp_succs ~n_comps:scc.Graphs.Scc.n_comps
-    ~succs_of:(Array.get csuccs)
-
 let graph_shape_json call binding =
   let prog = call.Callgraph.Call.prog in
-  let call_scc = Graphs.Scc.compute call.Callgraph.Call.graph in
-  let beta_scc = Graphs.Scc.compute binding.Callgraph.Binding.graph in
-  let call_levels = condensation_levels call.Callgraph.Call.graph call_scc in
-  let beta_levels =
-    condensation_levels binding.Callgraph.Binding.graph beta_scc
-  in
+  (* Wavefront leveling of each graph's condensation: how many
+     sequential batches the parallel scheduler needs, and the widest
+     one (the available parallelism). *)
+  let call_scc = call.Callgraph.Call.scc in
+  let beta_scc = binding.Callgraph.Binding.scc in
+  let call_levels = call_scc.Graphs.Scc.levels in
+  let beta_levels = beta_scc.Graphs.Scc.levels in
   Obs.Json.Obj
     [
       ("procedures", Obs.Json.Int (Ir.Prog.n_procs prog));
       ("call_sites", Obs.Json.Int (Ir.Prog.n_sites prog));
       ("call_sccs", Obs.Json.Int call_scc.Graphs.Scc.n_comps);
-      ("call_levels", Obs.Json.Int call_levels.Par.Wavefront.n_levels);
-      ("call_max_width", Obs.Json.Int call_levels.Par.Wavefront.max_width);
+      ("call_levels", Obs.Json.Int call_levels.Graphs.Scc.n_levels);
+      ("call_max_width", Obs.Json.Int call_levels.Graphs.Scc.max_width);
       ("beta_nodes", Obs.Json.Int (Callgraph.Binding.n_nodes binding));
       ("beta_edges", Obs.Json.Int (Callgraph.Binding.n_edges binding));
       ("beta_sccs", Obs.Json.Int beta_scc.Graphs.Scc.n_comps);
-      ("beta_levels", Obs.Json.Int beta_levels.Par.Wavefront.n_levels);
-      ("beta_max_width", Obs.Json.Int beta_levels.Par.Wavefront.max_width);
+      ("beta_levels", Obs.Json.Int beta_levels.Graphs.Scc.n_levels);
+      ("beta_max_width", Obs.Json.Int beta_levels.Graphs.Scc.max_width);
       ( "beta_edges_by_level",
         Obs.Json.Obj
           (List.map
@@ -876,16 +866,15 @@ let stats_cmd =
          [chain] plan means a pooled run downgrades to fully-inline
          sequential execution and never spawns a domain. *)
       let scheduling =
-        let call_scc = Graphs.Scc.compute t.Core.Analyze.call.Callgraph.Call.graph in
-        let cl = condensation_levels t.Core.Analyze.call.Callgraph.Call.graph call_scc in
+        let cl = t.Core.Analyze.call.Callgraph.Call.scc.Graphs.Scc.levels in
         let plan = Par.Wavefront.plan cl ~jobs:(max 1 jobs) ~cost:(fun _ -> 1) in
         Obs.Json.Obj
           [
             ("jobs", Obs.Json.Int jobs);
             ( "recommended_domain_count",
               Obs.Json.Int (Domain.recommended_domain_count ()) );
-            ("call_levels", Obs.Json.Int cl.Par.Wavefront.n_levels);
-            ("call_max_width", Obs.Json.Int cl.Par.Wavefront.max_width);
+            ("call_levels", Obs.Json.Int cl.Graphs.Scc.n_levels);
+            ("call_max_width", Obs.Json.Int cl.Graphs.Scc.max_width);
             ("fused_levels", Obs.Json.Int plan.Par.Wavefront.fused_levels);
             ("plan_batches", Obs.Json.Int plan.Par.Wavefront.n_batches);
             ("chain", Obs.Json.Bool plan.Par.Wavefront.chain);
@@ -922,21 +911,20 @@ let stats_cmd =
     let binding = Callgraph.Binding.build prog in
     Format.printf "%a@.%a@." Callgraph.Call.pp_stats call Callgraph.Binding.pp_stats
       binding;
-    let beta_scc = Graphs.Scc.compute binding.Callgraph.Binding.graph in
+    let beta_scc = binding.Callgraph.Binding.scc in
     Format.printf "beta SCCs: %d; beta edges by level: %s@."
       beta_scc.Graphs.Scc.n_comps
       (String.concat " "
          (List.map
             (fun (lvl, count) -> Printf.sprintf "L%d=%d" lvl count)
             (Callgraph.Binding.edges_by_level binding)));
-    let call_scc = Graphs.Scc.compute call.Callgraph.Call.graph in
-    let cl = condensation_levels call.Callgraph.Call.graph call_scc in
-    let bl = condensation_levels binding.Callgraph.Binding.graph beta_scc in
+    let cl = call.Callgraph.Call.scc.Graphs.Scc.levels in
+    let bl = beta_scc.Graphs.Scc.levels in
     Format.printf
       "condensation wavefront: call %d levels (max width %d); beta %d levels \
        (max width %d)@."
-      cl.Par.Wavefront.n_levels cl.Par.Wavefront.max_width
-      bl.Par.Wavefront.n_levels bl.Par.Wavefront.max_width;
+      cl.Graphs.Scc.n_levels cl.Graphs.Scc.max_width
+      bl.Graphs.Scc.n_levels bl.Graphs.Scc.max_width;
     let reach = Callgraph.Call.reachable_from_main call in
     Format.printf "procedures reachable from main: %d / %d@." (Bitvec.cardinal reach)
       (Ir.Prog.n_procs prog);

@@ -14,6 +14,7 @@ type t = {
   node_of_var : int array;
   var_of_node : int array;
   edges : edge_info array;
+  scc : Graphs.Scc.t;
 }
 
 let nodes_metric = Obs.Metric.gauge "callgraph.beta.nodes"
@@ -62,18 +63,22 @@ let build ?(deref = fun _ _ -> []) prog =
                   add_edge ~src:node_of_var.(target) ~via_element:true)
                 (deref ptr d)))
         s.Prog.args);
+  let graph = Digraph.Builder.freeze b in
   let t =
     {
       prog;
-      graph = Digraph.Builder.freeze b;
+      graph;
       node_of_var;
       var_of_node;
       edges = Array.of_list (List.rev !edges);
+      scc = Graphs.Scc.compute graph;
     }
   in
   Obs.Metric.set nodes_metric (Digraph.n_nodes t.graph);
   Obs.Metric.set edges_metric (Digraph.n_edges t.graph);
   t
+
+let with_prog t prog = { t with prog }
 
 let n_nodes t = Digraph.n_nodes t.graph
 let n_edges t = Digraph.n_edges t.graph

@@ -30,12 +30,15 @@ type edge_info = {
           links [A] to the callee's formal. *)
 }
 
-type t = {
+type t = private {
   prog : Ir.Prog.t;
   graph : Graphs.Digraph.t;  (** Nodes are β-node indices. *)
   node_of_var : int array;  (** vid → β node, or [-1]. *)
   var_of_node : int array;  (** β node → vid. *)
   edges : edge_info array;  (** Indexed by β edge id. *)
+  scc : Graphs.Scc.t;
+      (** Condensation of [graph], computed with it: RMOD and RUSE
+          both solve over it. *)
 }
 
 val build : ?deref:(int -> int -> int list) -> Ir.Prog.t -> t
@@ -45,6 +48,10 @@ val build : ?deref:(int -> int -> int list) -> Ir.Prog.t -> t
     target.  Defaults to the empty projection — exact when the program
     has no pointers.  Linear in the size of the program's site table
     (§3.1). *)
+
+val with_prog : t -> Ir.Prog.t -> t
+(** The same graph and condensation over an edited program whose
+    binding events are unchanged (a body edit). *)
 
 val n_nodes : t -> int
 val n_edges : t -> int

@@ -97,7 +97,7 @@ let run_with ?(force_flat = false) ?pool ?(provenance = false)
         Gmod_nested.solve ~label:"guse" info call ~imod_plus:iuse_plus )
     else
       ( Gmod.solve ?pool info call ~imod_plus,
-        Gmod.solve_use ?pool info call ~iuse_plus )
+        Gmod.solve ~label:"guse" ?pool info call ~imod_plus:iuse_plus )
   in
   let alias_table =
     if provenance then Some (Provenance.create_alias_table ()) else None

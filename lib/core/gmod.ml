@@ -7,19 +7,19 @@ module Prog = Ir.Prog
    [gmod.(v) <- copy seed.(v)] on push, line 17 is [add_escaped],
    lines 19-25 are [close_component].
 
-   A graph-only Tarjan ([Par.Wavefront.schedule], in the paper's
-   whole-graph visit order) first condenses the active subgraph and
-   levels the condensation.  Each component then becomes one task: a
-   Figure-2 traversal restricted to the component's members, started
-   at the node where the whole-graph DFS first enters it.  Every edge
-   leaving the component points to a strictly lower level — complete
-   before this component runs — so it takes the forward/cross-edge
-   branch of line 17 and folds in a {e final} value, exactly as the
-   one-pass DFS folds closed components.  Without a pool the plan runs
-   inline on the caller; with one, wide levels run as batches.  Either
-   way each component performs the same operations on its own
-   vectors, so results and [bitvec.vector_ops]/[word_ops] totals do
-   not depend on [?pool].
+   The call graph comes condensed and levelled ([call.scc], Tarjan in
+   the paper's whole-graph visit order: main first, then index order).
+   Each component becomes one task: a Figure-2 traversal restricted to
+   the component's members, started at the node where the whole-graph
+   DFS first enters it ([entry]).  Every edge leaving the component
+   points to a strictly lower level — complete before this component
+   runs — so it takes the forward/cross-edge branch of line 17 and
+   folds in a {e final} value, exactly as the one-pass DFS folds
+   closed components.  Without a pool the plan runs inline on the
+   caller; with one, wide levels run as batches.  Either way each
+   component performs the same operations on its own vectors, so
+   results and [bitvec.vector_ops]/[word_ops] totals do not depend on
+   [?pool].
 
    [~prune] selects how equation (4)'s [∖ LOCAL(src)] strip happens:
    [`Nonlocal] performs it explicitly (blit + intersect with
@@ -29,13 +29,15 @@ module Prog = Ir.Prog
    procedure-locals at all (see renumber.ml), collapsing the fold to a
    single union.
 
-   With [?region:(dirty, cached)] the traversal is confined to the
-   procedures in [dirty]: every other node keeps its [cached] vector
-   (shared, not copied) and has no component, so an edge into it folds
-   the cached value in.  Because the dirty set is closed under
-   reachability-into-it (condensation ancestors), a clean node's
-   equation-(4) value cannot have changed, and the region run computes
-   the same fixpoint Figure 2 computes from scratch.
+   With [?region:(dirty, cached)] only the components in [dirty] run,
+   level by level: every other node keeps its [cached] vector (shared,
+   not copied), and an edge into it folds the cached value in.  The
+   dirty set is closed under condensation predecessors, so a clean
+   node's equation-(4) value cannot have changed, and the region run
+   computes the same fixpoint Figure 2 computes from scratch.  Clean
+   nodes reach only clean nodes, so the whole-graph DFS enters each
+   dirty component where a DFS of the dirty subgraph alone would: the
+   region run performs exactly that run's operations.
 
    Components are scheduled through a coarse [Par.Wavefront.plan]:
    consecutive singleton levels fuse into inline sequential stages
@@ -49,40 +51,21 @@ module Prog = Ir.Prog
    reads [dfn]/[lowlink]/[on_stack]/[gmod] of a node owned by another
    same-level component; lower-level state is frozen by the batch
    join.  Seed copies happen at first visit (push) — one copy per
-   active node. *)
+   dirty node. *)
 let solve_seeded ?region ?pool ?(prune = `Nonlocal) info (call : Callgraph.Call.t)
     ~seed =
   let g = call.Callgraph.Call.graph in
   let n = Digraph.n_nodes g in
-  let prog = call.Callgraph.Call.prog in
-  let active =
-    match region with
-    | None -> fun _ -> true
-    | Some (dirty, _) -> Bitvec.get dirty
-  in
-  let succs = Array.make n [||] in
-  for v = 0 to n - 1 do
-    if active v then begin
-      let deg = Digraph.out_degree g v in
-      let a = Array.make deg 0 in
-      let i = ref 0 in
-      Digraph.iter_succ g v (fun w ->
-          a.(!i) <- w;
-          incr i);
-      succs.(v) <- a
-    end
-  done;
-  let sched =
-    Par.Wavefront.schedule ~n ~active ~first_root:prog.Prog.main ~succs ()
-  in
-  let comp = sched.Par.Wavefront.comp in
-  (* Active entries are placeholders (never read before the first-visit
+  let scc = call.Callgraph.Call.scc in
+  let comp = scc.Graphs.Scc.comp in
+  (* Dirty entries are placeholders (never read before the first-visit
      copy overwrites them); clean entries share their cached vector. *)
-  let gmod =
+  let gmod, levels =
     match region with
-    | None -> Array.copy seed
-    | Some (_, cached) ->
-      Array.init n (fun v -> if active v then seed.(v) else cached.(v))
+    | None -> (Array.copy seed, scc.Graphs.Scc.levels)
+    | Some (dirty, cached) ->
+      ( Array.init n (fun v -> if dirty.(comp.(v)) then seed.(v) else cached.(v)),
+        Graphs.Scc.restrict_levels scc.Graphs.Scc.levels ~keep:(Array.get dirty) )
   in
   let jobs = Par.Pool.slots pool in
   let scratch_len = Bitvec.length seed.(0) in
@@ -138,13 +121,13 @@ let solve_seeded ?region ?pool ?(prune = `Nonlocal) info (call : Callgraph.Call.
       frame_next.(!sp) <- 0;
       incr sp
     in
-    push sched.Par.Wavefront.entry.(c);
+    push scc.Graphs.Scc.entry.(c);
     while !sp > 0 do
       let v = frame_node.(!sp - 1) in
       let i = frame_next.(!sp - 1) in
-      if i < Array.length succs.(v) then begin
+      if i < Digraph.out_degree g v then begin
         frame_next.(!sp - 1) <- i + 1;
-        let q = succs.(v).(i) in
+        let q = Digraph.nth_succ g v i in
         if comp.(q) <> c then
           (* Strictly lower level (or clean): final, fold it in. *)
           add_escaped ~src:q ~dst:v
@@ -166,16 +149,12 @@ let solve_seeded ?region ?pool ?(prune = `Nonlocal) info (call : Callgraph.Call.
   in
   (* Batch cost: member count plus live seed words — an uncounted O(1)
      probe per node that weighs components by estimated summary size. *)
-  let cost_of = Array.make (max 1 sched.Par.Wavefront.n_comps) 0 in
-  for v = 0 to n - 1 do
-    let c = comp.(v) in
-    if c >= 0 then
-      cost_of.(c) <-
-        cost_of.(c) + 1 + (Bitvec.live_estimate seed.(v) / Sys.int_size)
-  done;
-  let plan =
-    Par.Wavefront.plan sched.Par.Wavefront.levels ~jobs ~cost:(Array.get cost_of)
+  let cost_of c =
+    List.fold_left
+      (fun acc v -> acc + 1 + (Bitvec.live_estimate seed.(v) / Sys.int_size))
+      0 scc.Graphs.Scc.members.(c)
   in
+  let plan = Par.Wavefront.plan levels ~jobs ~cost:cost_of in
   Par.Wavefront.run_plan pool plan ~f:run_comp;
   gmod
 
@@ -185,7 +164,8 @@ let solve_seeded ?region ?pool ?(prune = `Nonlocal) info (call : Callgraph.Call.
    the IMOD+ bases.  Nested programs (any procedure visible inside
    another's scope) keep the explicit [`Nonlocal] strip over the full
    universe. *)
-let solve_full ?pool info (call : Callgraph.Call.t) ~seed =
+let solve ?(label = "gmod") ?pool info (call : Callgraph.Call.t) ~imod_plus:seed =
+  Obs.Span.with_ label @@ fun () ->
   if Prog.max_level call.Callgraph.Call.prog <= 1 then begin
     let rn = Renumber.build info ~seed in
     let compact =
@@ -194,12 +174,6 @@ let solve_full ?pool info (call : Callgraph.Call.t) ~seed =
     Renumber.expand rn ~base:seed ~compact
   end
   else solve_seeded ?pool info call ~seed
-
-let solve ?(label = "gmod") ?pool info call ~imod_plus =
-  Obs.Span.with_ label (fun () -> solve_full ?pool info call ~seed:imod_plus)
-
-let solve_use ?(label = "guse") ?pool info call ~iuse_plus =
-  Obs.Span.with_ label (fun () -> solve_full ?pool info call ~seed:iuse_plus)
 
 let solve_region ?(label = "gmod.region") ?pool info call ~seed ~dirty ~cached =
   Obs.Span.with_ label (fun () ->

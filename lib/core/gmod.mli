@@ -20,7 +20,7 @@
 
     Every solver takes [?pool] and has one body: the pass is scheduled
     as a condensation wavefront, components of the call multi-graph
-    evaluated level by level, each by a Figure-2 traversal restricted
+    (its own condensation, [call.scc]) evaluated level by level, each by a Figure-2 traversal restricted
     to the component and started where the whole-graph DFS first
     enters it.  Scheduling is coarse ({!Par.Wavefront.plan}):
     consecutive singleton levels run inline on the caller without a
@@ -30,9 +30,9 @@
     [bitvec.vector_ops]/[word_ops] step counts do not depend on the
     pool (see docs/parallel.md).
 
-    On flat programs (no procedure nesting) {!solve} and {!solve_use}
-    run the propagation over a compact renumbered escape universe —
-    only the seeded globals, the only variables a call edge can carry
+    On flat programs (no procedure nesting) {!solve} runs the
+    propagation over a compact renumbered escape universe — only the
+    seeded globals, the only variables a call edge can carry
     (see {!Renumber}) — which makes the fold's word cost track live
     set sizes instead of the full variable universe.  The computed
     sets are identical either way; {!solve_region} always uses the
@@ -44,15 +44,9 @@ val solve :
   Ir.Info.t -> Callgraph.Call.t -> imod_plus:Bitvec.t array -> Bitvec.t array
 (** Per-procedure [GMOD].  Fresh vectors.  Runs under an {!Obs.Span}
     named [label] (default ["gmod"]), whose [bitvec.vector_ops] /
-    [bitvec.word_ops] deltas are the paper's bit-vector-step count. *)
-
-val solve_use :
-  ?label:string ->
-  ?pool:Par.Pool.t ->
-  Ir.Info.t -> Callgraph.Call.t -> iuse_plus:Bitvec.t array -> Bitvec.t array
-(** The identical algorithm seeded with [IUSE+], producing [GUSE] (§2:
-    "the USE problem has an analogous solution").  Span default
-    ["guse"]. *)
+    [bitvec.word_ops] deltas are the paper's bit-vector-step count.
+    Seeded with [IUSE+] instead it computes [GUSE] (§2: "the USE
+    problem has an analogous solution"); callers pass [~label:"guse"]. *)
 
 val solve_region :
   ?label:string ->
@@ -60,17 +54,20 @@ val solve_region :
   Ir.Info.t ->
   Callgraph.Call.t ->
   seed:Bitvec.t array ->
-  dirty:Bitvec.t ->
+  dirty:bool array ->
   cached:Bitvec.t array ->
   Bitvec.t array
-(** [findgmod] confined to a dirty region.  [dirty] must be closed
-    under reaches-into-it on the call multi-graph — every procedure
-    with a path to a procedure whose seed changed (condensation
-    ancestors) — so a clean procedure's fixpoint value is provably
-    [cached].  Runs Figure 2 over the dirty-induced subgraph, treating
-    each clean successor as an already-closed component whose [cached]
-    vector is folded in, and returns a full per-procedure array in
-    which clean entries {e share} (not copy) their [cached] vectors.
-    Bit-identical to {!solve} on the new seeds.  Cost: the dirty
-    procedures' nodes and out-edges only.  Span default
+(** [findgmod] confined to a dirty region.  [dirty] is a set of
+    components of [call.scc] (indexed by component id) and must be
+    closed under condensation predecessors — the ancestors of every
+    component holding a procedure whose seed changed — so a clean
+    procedure's fixpoint value is provably [cached].  Runs the
+    per-component Figure-2 traversals of the dirty components only,
+    level by level, treating each clean successor as an already-closed
+    component whose [cached] vector is folded in, and returns a full
+    per-procedure array in which clean entries {e share} (not copy)
+    their [cached] vectors.  Bit-identical to {!solve} on the new
+    seeds, with the operations of a Figure-2 run over the dirty
+    subgraph alone.  Cost: the dirty procedures' nodes and out-edges,
+    plus one pass over the condensation's levels.  Span default
     ["gmod.region"]. *)

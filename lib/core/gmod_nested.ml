@@ -13,11 +13,10 @@ let solve_by_levels ?(label = "gmod.by_levels") ?pool info
   let scratch = Bitvec.create (Ir.Info.n_vars info) in
   for i = 1 to max 1 dp do
     (* C_i: drop edges whose callee is declared at a level < i. *)
-    let b = Digraph.Builder.create ~nodes:(Prog.n_procs prog) () in
-    Prog.iter_sites prog (fun s ->
-        if (Prog.proc prog s.Prog.callee).Prog.level >= i then
-          ignore (Digraph.Builder.add_edge b ~src:s.Prog.caller ~dst:s.Prog.callee));
-    let call_i = { call with Callgraph.Call.graph = Digraph.Builder.freeze b } in
+    let call_i =
+      Callgraph.Call.restrict call ~keep:(fun s ->
+          (Prog.proc prog s.Prog.callee).Prog.level >= i)
+    in
     let gmod_i = Gmod.solve ?pool info call_i ~imod_plus in
     (* Problem i owns the variables declared at level i - 1. *)
     let mask = Ir.Info.level_at_most info (i - 1) in
@@ -82,16 +81,6 @@ let solve ?(label = "gmod") info (call : Callgraph.Call.t) ~imod_plus =
     in
     pop ()
   in
-  let succs = Array.make n [||] in
-  for v = 0 to n - 1 do
-    let deg = Digraph.out_degree g v in
-    let a = Array.make deg 0 in
-    let i = ref 0 in
-    Digraph.iter_succ g v (fun w ->
-        a.(!i) <- w;
-        incr i);
-    succs.(v) <- a
-  done;
   let frame_node = Array.make (n + 1) 0 in
   let frame_next = Array.make (n + 1) 0 in
   let search root =
@@ -113,9 +102,9 @@ let solve ?(label = "gmod") info (call : Callgraph.Call.t) ~imod_plus =
       while !sp > 0 do
         let v = frame_node.(!sp - 1) in
         let i = frame_next.(!sp - 1) in
-        if i < Array.length succs.(v) then begin
+        if i < Digraph.out_degree g v then begin
           frame_next.(!sp - 1) <- i + 1;
-          let q = succs.(v).(i) in
+          let q = Digraph.nth_succ g v i in
           let lq = max 1 (Prog.proc prog q).Prog.level in
           if dfn.(q) = 0 then push q
           else begin

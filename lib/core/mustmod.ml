@@ -151,10 +151,7 @@ let expand fr nv pid compact =
   out
 
 type state = {
-  scc : Scc.result;
-  members : int list array;  (* pids per component *)
-  succs_by_comp : int list array;  (* caller comp -> callee comps *)
-  preds_by_comp : int list array;  (* callee comp -> caller comps *)
+  call : Call.t;  (* the call graph and the condensation the solve rides *)
   callers_in_comp : int list array;
       (* per pid: its callers inside its own component, deduped
          ascending — the worklist re-entry edges of a cyclic component *)
@@ -244,7 +241,7 @@ let solve_comp prog st c =
     ignore (Bitvec.inter_into ~src:st.gmod_c.(pid) ~dst:v);
     v
   in
-  match st.members.(c) with
+  match st.call.Call.scc.Scc.members.(c) with
   | [ pid ] when st.trivial.(c) ->
     st.must_c.(pid) <- transfer pid;
     1
@@ -273,19 +270,10 @@ let solve ?(label = "mustmod") ?pool info call ~alias ~gmod =
   let nv = Ir.Info.n_vars info in
   let np = Prog.n_procs prog in
   let g = call.Call.graph in
-  let scc = Scc.compute g in
-  let n_comps = scc.Scc.n_comps in
-  let members = Scc.members scc in
-  let succs_by_comp = Array.make n_comps [] in
-  let preds_by_comp = Array.make n_comps [] in
+  let scc = call.Call.scc in
   let callers_in_comp = Array.make np [] in
   Digraph.iter_edges g (fun _ src dst ->
-      let cs = scc.Scc.comp.(src) and cd = scc.Scc.comp.(dst) in
-      if cs <> cd then begin
-        succs_by_comp.(cs) <- cd :: succs_by_comp.(cs);
-        preds_by_comp.(cd) <- cs :: preds_by_comp.(cd)
-      end
-      else if src <> dst then
+      if src <> dst && scc.Scc.comp.(src) = scc.Scc.comp.(dst) then
         callers_in_comp.(dst) <- src :: callers_in_comp.(dst));
   Array.iteri
     (fun pid l -> callers_in_comp.(pid) <- List.sort_uniq compare l)
@@ -294,7 +282,7 @@ let solve ?(label = "mustmod") ?pool info call ~alias ~gmod =
     Array.map
       (function
         | [ pid ] -> not (List.mem pid (Digraph.succ_list g pid)) | _ -> false)
-      members
+      scc.Scc.members
   in
   let frame = build_frame prog in
   (* The call-free IMUSTDEF, always computed (not only under
@@ -306,10 +294,7 @@ let solve ?(label = "mustmod") ?pool info call ~alias ~gmod =
   let demoted = Array.init np (fun pid -> demotions info alias pid) in
   let st =
     {
-      scc;
-      members;
-      succs_by_comp;
-      preds_by_comp;
+      call;
       callers_in_comp;
       trivial;
       frame;
@@ -324,12 +309,11 @@ let solve ?(label = "mustmod") ?pool info call ~alias ~gmod =
      a pool, hence results and counted op totals are too. *)
   let jobs = Par.Pool.slots pool in
   let slot_rounds = Array.make jobs 0 in
-  let levels = Par.Wavefront.of_comp_succs ~n_comps ~succs_of:(Array.get succs_by_comp) in
   let plan =
-    Par.Wavefront.plan levels ~jobs ~cost:(fun c ->
+    Par.Wavefront.plan scc.Scc.levels ~jobs ~cost:(fun c ->
         List.fold_left
           (fun acc pid -> acc + Stmt.count (Prog.proc prog pid).Prog.body)
-          1 members.(c))
+          1 scc.Scc.members.(c))
   in
   Par.Wavefront.run_plan pool plan ~f:(fun ~slot ~comp ->
       slot_rounds.(slot) <- slot_rounds.(slot) + solve_comp prog st comp);
@@ -370,8 +354,9 @@ let resolve ?(label = "mustmod.region") r info ~alias ~gmod ~changed_procs =
       st.demoted_c.(pid) <- of_full fr pid demoted.(pid);
       st.gmod_c.(pid) <- of_full fr pid gmod.(pid))
     changed_procs;
+  let scc = st.call.Call.scc in
   let queue =
-    ref (Int_set.of_list (List.map (fun pid -> st.scc.Scc.comp.(pid)) changed_procs))
+    ref (Int_set.of_list (List.map (fun pid -> scc.Scc.comp.(pid)) changed_procs))
   in
   let rounds = ref 0 in
   let changed = ref Int_set.empty in
@@ -382,7 +367,7 @@ let resolve ?(label = "mustmod.region") r info ~alias ~gmod ~changed_procs =
     let moved =
       List.filter
         (fun pid -> not (Bitvec.equal st.must_c.(pid) r.state.must_c.(pid)))
-        st.members.(c)
+        scc.Scc.members.(c)
     in
     List.iter
       (fun pid ->
@@ -390,7 +375,7 @@ let resolve ?(label = "mustmod.region") r info ~alias ~gmod ~changed_procs =
         changed := Int_set.add pid !changed)
       moved;
     if moved <> [] then
-      List.iter (fun cp -> queue := Int_set.add cp !queue) st.preds_by_comp.(c)
+      Array.iter (fun cp -> queue := Int_set.add cp !queue) scc.Scc.preds.(c)
   done;
   Obs.Metric.add rounds_metric !rounds;
   ( { prog; mustmod; intra; demoted; rounds = !rounds; state = st },

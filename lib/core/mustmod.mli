@@ -30,9 +30,9 @@
     the full write-up. *)
 
 type state
-(** The call-graph condensation the solve ran on (components, members,
-    inter-component successor and predecessor lists, in-component
-    caller lists) with the per-procedure frames and, in frame
+(** The call graph the solve ran on (its condensation, [call.scc], is
+    the one GMOD and GUSE share) plus in-component caller lists, the
+    per-procedure frames and, in frame
     coordinates, the GMOD caps, demotion sets and MUSTMOD values —
     everything {!resolve} needs to push an edit through without
     re-walking the graph. *)

@@ -4,10 +4,6 @@ module Scc = Graphs.Scc
 module Prog = Ir.Prog
 
 type state = {
-  scc : Scc.result;
-  members : int list array;
-  edges_by_comp : int list array;
-  preds_by_comp : int list array;
   comp_val : bool array;
   seed : bool array;
 }
@@ -38,22 +34,14 @@ let solve ?(label = "rmod") ?pool (binding : Binding.t) ~imod =
   Obs.Span.with_ label @@ fun () ->
   let g = binding.Binding.graph in
   let n = Digraph.n_nodes g in
-  (* Step 1: strongly-connected components of β (always sequential —
-     graph work, outside the paper's boolean step count). *)
-  let scc = Scc.compute g in
+  (* Step 1: the strongly-connected components of β came with the graph
+     ({!Binding.build}) — graph work, outside the paper's boolean step
+     count. *)
+  let scc = binding.Binding.scc in
   let n_comps = scc.Scc.n_comps in
-  let members = Scc.members scc in
   let comp_val = Array.make n_comps false in
   let seed = Array.make n false in
   let rmod = Array.make n false in
-  let edges_by_comp = Array.make n_comps [] in
-  let preds_by_comp = Array.make n_comps [] in
-  Digraph.iter_edges g (fun _ src dst ->
-      let cs = scc.Scc.comp.(src) and cd = scc.Scc.comp.(dst) in
-      if cs <> cd then begin
-        edges_by_comp.(cs) <- cd :: edges_by_comp.(cs);
-        preds_by_comp.(cd) <- cs :: preds_by_comp.(cd)
-      end);
   (* Steps 2 and 4 are independent per component / per node and run
      chunked over the pool; step 3 runs as a wavefront over the
      condensation levels, so a component only reads successor values
@@ -74,29 +62,30 @@ let solve ?(label = "rmod") ?pool (binding : Binding.t) ~imod =
             let b = seed_bit binding imod node in
             seed.(node) <- b;
             if b then comp_val.(c) <- true)
-          members.(c)
+          scc.Scc.members.(c)
       done;
       slot_steps.(slot) <- slot_steps.(slot) + !st);
   (* Step 3: leaves-to-roots pass over the condensation; one relaxation
      per edge applies equation (6).  Components are numbered in reverse
      topological order, and the plan runs every successor's level
      first.  Scheduled coarsely: singleton-level runs fuse into inline
-     sequential stages, wide levels batch by per-component edge count,
+     sequential stages, wide levels batch by condensation out-degree,
      so a chain-shaped condensation never pays a barrier. *)
-  let levels =
-    Par.Wavefront.of_comp_succs ~n_comps ~succs_of:(fun c -> edges_by_comp.(c))
-  in
   let plan =
-    Par.Wavefront.plan levels ~jobs ~cost:(fun c ->
-        1 + List.length edges_by_comp.(c))
+    Par.Wavefront.plan scc.Scc.levels ~jobs ~cost:(fun c ->
+        1 + Array.length scc.Scc.succs.(c))
   in
   Par.Wavefront.run_plan pool plan ~f:(fun ~slot ~comp:c ->
       let st = ref 0 in
       List.iter
-        (fun cd ->
-          incr st;
-          if comp_val.(cd) then comp_val.(c) <- true)
-        edges_by_comp.(c);
+        (fun node ->
+          Digraph.iter_succ g node (fun w ->
+              let cd = scc.Scc.comp.(w) in
+              if cd <> c then begin
+                incr st;
+                if comp_val.(cd) then comp_val.(c) <- true
+              end))
+        scc.Scc.members.(c);
       slot_steps.(slot) <- slot_steps.(slot) + !st);
   (* Step 4: copy the representer's value back to every member. *)
   Par.Pool.chunked pool n (fun ~slot ~lo ~hi ->
@@ -108,12 +97,7 @@ let solve ?(label = "rmod") ?pool (binding : Binding.t) ~imod =
       slot_steps.(slot) <- slot_steps.(slot) + !st);
   let steps = Array.fold_left ( + ) 0 slot_steps in
   Obs.Metric.add steps_metric steps;
-  {
-    binding;
-    rmod;
-    steps;
-    state = { scc; members; edges_by_comp; preds_by_comp; comp_val; seed };
-  }
+  { binding; rmod; steps; state = { comp_val; seed } }
 
 (* Copies before it writes: a server session re-solves from the
    registry's shared record, which must not change. *)
@@ -121,6 +105,7 @@ let resolve ?(label = "rmod.region") r ~imod ~changed_procs =
   Obs.Span.with_ label @@ fun () ->
   let binding = r.binding and st = r.state in
   let prog = binding.Binding.prog in
+  let scc = binding.Binding.scc in
   let steps = ref 0 in
   (* Re-read the seed bit of the β nodes (by-reference formals) of the
      procedures whose IMOD may have changed; a flipped bit queues the
@@ -138,7 +123,7 @@ let resolve ?(label = "rmod.region") r ~imod ~changed_procs =
             let b = seed_bit binding imod node in
             if b <> seed.(node) then begin
               seed.(node) <- b;
-              queue := Int_set.add st.scc.Scc.comp.(node) !queue
+              queue := Int_set.add scc.Scc.comp.(node) !queue
             end)
         (Prog.proc prog pid).Prog.formals)
     changed_procs;
@@ -159,21 +144,21 @@ let resolve ?(label = "rmod.region") r ~imod ~changed_procs =
         (fun node ->
           incr steps;
           seed.(node))
-        st.members.(c)
-      || List.exists
+        scc.Scc.members.(c)
+      || Array.exists
            (fun cd ->
              incr steps;
              comp_val.(cd))
-           st.edges_by_comp.(c)
+           scc.Scc.succs.(c)
     in
     if v <> comp_val.(c) then begin
       comp_val.(c) <- v;
       changed_comps := c :: !changed_comps;
-      List.iter
+      Array.iter
         (fun cp ->
           incr steps;
           queue := Int_set.add cp !queue)
-        st.preds_by_comp.(c)
+        scc.Scc.preds.(c)
     end
   done;
   let rmod = Array.copy r.rmod in
@@ -185,10 +170,10 @@ let resolve ?(label = "rmod.region") r ~imod ~changed_procs =
           incr steps;
           rmod.(node) <- comp_val.(c);
           changed_nodes := node :: !changed_nodes)
-        st.members.(c))
+        scc.Scc.members.(c))
     !changed_comps;
   Obs.Metric.add steps_metric !steps;
-  ( { binding; rmod; steps = !steps; state = { st with comp_val; seed } },
+  ( { binding; rmod; steps = !steps; state = { comp_val; seed } },
     !changed_nodes )
 
 let modified r vid =

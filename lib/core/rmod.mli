@@ -16,10 +16,9 @@
     (§3.2). *)
 
 type state
-(** The condensation of β the solve ran on — components, members,
-    inter-component successor and predecessor lists — with each
-    component's value and each node's seed bit: everything {!resolve}
-    needs to push a seed change through without re-walking the graph. *)
+(** Each component's value and each node's seed bit: with β's own
+    condensation ([binding.scc]), everything {!resolve} needs to push
+    a seed change through without re-walking the graph. *)
 
 type result = {
   binding : Callgraph.Binding.t;
@@ -38,10 +37,10 @@ val solve :
     included) from {!Frontend.Local.imod}; only its formal-parameter
     bits are consulted.
 
-    Steps 2 and 4 are chunked over [?pool] and step 3 runs as a
-    condensation wavefront (step 1, the SCC pass, stays sequential);
-    without a pool the same code runs inline, so results and the
-    [steps] total do not depend on the pool.
+    Step 1 is [binding.scc], computed when β was built.  Steps 2 and 4
+    are chunked over [?pool] and step 3 runs as a condensation
+    wavefront; without a pool the same code runs inline, so results
+    and the [steps] total do not depend on the pool.
 
     Runs under an {!Obs.Span} named [label] (default ["rmod"]; the
     [USE]-side solve passes ["ruse"]) and adds its boolean step count
@@ -57,10 +56,10 @@ val resolve :
     an edit that left the binding multi-graph intact but may have
     changed the [IMOD] bits of the listed procedures.  Re-reads seeds
     only for those procedures' by-reference formals, then runs change
-    propagation leaves-to-roots over [r]'s condensation
-   : a component is re-evaluated only if its
-    own seed flipped or a successor component's value actually changed
-    (the condensation-ancestor cone, pruned at unchanged values).
+    propagation leaves-to-roots over β's condensation: a component is
+    re-evaluated only if its own seed flipped or a successor
+    component's value actually changed (the condensation-ancestor
+    cone, pruned at unchanged values).
     Returns the new result and the β nodes whose [RMOD] bit changed.
     [r] itself is left untouched.  Equal, bit for bit, to [solve] on
     the new seeds (default span label ["rmod.region"]). *)

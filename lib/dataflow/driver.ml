@@ -73,15 +73,7 @@ let solve_all ?pool t =
        independent (one flat level), batched coarsely by estimated CFG
        size — statement and call-site counts — rather than one task
        per procedure. *)
-    let width = Array.length todo in
-    let levels =
-      {
-        Par.Wavefront.level = Array.make width 0;
-        n_levels = 1;
-        by_level = [| Array.init width Fun.id |];
-        max_width = width;
-      }
-    in
+    let levels = Graphs.Scc.of_comp_succs (Array.map (fun _ -> [||]) todo) in
     let prog = t.analysis.A.prog in
     let cost i =
       let pid = todo.(i) in

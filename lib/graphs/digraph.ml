@@ -99,6 +99,8 @@ let iter_out_edges g v f =
 
 let iter_succ g v f = iter_out_edges g v (fun _ w -> f w)
 
+let nth_succ g v i = g.dst.(g.adj_edges.(g.adj_start.(v) + i))
+
 let fold_out_edges g v ~init ~f =
   let acc = ref init in
   iter_out_edges g v (fun e w -> acc := f !acc e w);

@@ -57,6 +57,11 @@ val iter_succ : t -> node -> (node -> unit) -> unit
 (** Visit the destination of every out-edge of a node (with
     multiplicity, in insertion order). *)
 
+val nth_succ : t -> node -> int -> node
+(** [nth_succ g v i] is the destination of [v]'s [i]-th out-edge
+    ([0 <= i < out_degree g v], insertion order), read straight from
+    the frozen rows — the cursor step of an iterative DFS. *)
+
 val iter_out_edges : t -> node -> (edge_id -> node -> unit) -> unit
 (** Visit every out-edge of a node as [(edge id, destination)]. *)
 

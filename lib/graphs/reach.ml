@@ -18,33 +18,6 @@ let from g root =
   loop ();
   seen
 
-let from_set g seeds =
-  let n = Digraph.n_nodes g in
-  let seen = Bitvec.create n in
-  let stack = ref [] in
-  for v = 0 to n - 1 do
-    if Bitvec.get seeds v then begin
-      Bitvec.set seen v;
-      stack := v :: !stack
-    end
-  done;
-  let rec loop () =
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-      stack := rest;
-      Digraph.iter_succ g v (fun w ->
-          if not (Bitvec.get seen w) then begin
-            Bitvec.set seen w;
-            stack := w :: !stack
-          end);
-      loop ()
-  in
-  loop ();
-  seen
-
-let ancestors g seeds = from_set (Digraph.reverse g) seeds
-
 let all g = Array.init (Digraph.n_nodes g) (fun v -> from g v)
 
 let reaches g ~src ~dst = Bitvec.get (from g src) dst

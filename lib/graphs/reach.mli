@@ -9,17 +9,6 @@ val from : Digraph.t -> Digraph.node -> Bitvec.t
 (** [from g v] is the set of nodes reachable from [v], including [v]
     itself (the paper follows Tarjan's empty-path convention). *)
 
-val from_set : Digraph.t -> Bitvec.t -> Bitvec.t
-(** [from_set g seeds] is the union of [from g v] over every [v] in
-    [seeds] — one multi-source DFS, [O(N+E)]. *)
-
-val ancestors : Digraph.t -> Bitvec.t -> Bitvec.t
-(** [ancestors g seeds] is the set of nodes with a path {e into}
-    [seeds] (seeds included): [from_set] on the reversed graph.  On a
-    condensation this is exactly the invalidation cone of an
-    incremental update — components whose fixpoint value can depend on
-    a changed seed. *)
-
 val all : Digraph.t -> Bitvec.t array
 (** [all g] is [from g v] for every [v] — [O(N·(N+E))]. *)
 

@@ -318,8 +318,8 @@ let incremental t prog kind =
     match kind with
     | `Body proc ->
       ( false,
-        { old.Analyze.call with Call.prog },
-        { old.Analyze.binding with Binding.prog },
+        Call.with_prog old.Analyze.call prog,
+        Binding.with_prog old.Analyze.binding prog,
         c.sites,
         [ proc ],
         [] )
@@ -380,10 +380,21 @@ let incremental t prog kind =
         match List.sort_uniq compare (seeds @ shape_seeds) with
         | [] -> (cached, 0)
         | seeds ->
-          let dirty =
-            Graphs.Reach.ancestors call.Call.graph (Bitvec.of_list np seeds)
-          in
-          let card = Bitvec.cardinal dirty in
+          (* The dirty region: the seeds' components and their
+             condensation ancestors.  Predecessors have larger ids, so
+             one pass in increasing id closes the set. *)
+          let scc = call.Call.scc in
+          let dirty = Array.make scc.Graphs.Scc.n_comps false in
+          List.iter (fun q -> dirty.(scc.Graphs.Scc.comp.(q)) <- true) seeds;
+          let card = ref 0 in
+          Array.iteri
+            (fun c preds ->
+              if dirty.(c) then begin
+                card := !card + List.length scc.Graphs.Scc.members.(c);
+                Array.iter (fun cp -> dirty.(cp) <- true) preds
+              end)
+            scc.Graphs.Scc.preds;
+          let card = !card in
           if float_of_int card > t.threshold *. float_of_int np then
             raise
               (Fallback
@@ -413,11 +424,11 @@ let incremental t prog kind =
         | Some p -> Some p.Core.Provenance.alias
         | None -> None )
   in
-  (* MUSTMOD rides its own condensation: a body edit reseeds the
-     edited procedure plus every procedure whose GMOD (the ∩-cap)
+  (* MUSTMOD rides the call graph's condensation: a body edit reseeds
+     the edited procedure plus every procedure whose GMOD (the ∩-cap)
      actually moved, and change propagation walks the pruned
-     condensation-ancestor cone; a shape edit rebuilt the call graph,
-     so the old condensation is stale and the solve reruns. *)
+     condensation-ancestor cone; a shape edit rebuilt the call graph
+     (and its condensation), so the solve reruns. *)
   let mustmod =
     if graph_changed then Core.Mustmod.solve ?pool:t.pool info call ~alias ~gmod
     else begin

@@ -6,7 +6,8 @@
     edited program (the per-result operation counters aside).  What the
     driver buys is locality:
 
-    - a {b body} edit reruns local analysis for the one edited
+    - a {b body} edit keeps both multi-graphs and their condensations
+      (it runs no Tarjan), reruns local analysis for the one edited
       procedure, refolds the nesting cone above it, pushes flipped seed
       bits through the previous β condensation ({!Core.Rmod.resolve}),
       recomputes [IMOD+] for the touched callers, and reruns [findgmod]

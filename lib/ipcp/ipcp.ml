@@ -136,7 +136,7 @@ let analyze info ~imod_plus =
     contributions;
   let g = Digraph.Builder.freeze b in
   let scc = Scc.compute g in
-  let members = Scc.members scc in
+  let members = scc.Scc.members in
   let value = Array.make nv Cval.Top in
   Array.iter (fun f -> value.(f) <- Cval.Bottom) var_of;
   let meets = ref 0 in

@@ -449,15 +449,14 @@ let storage_closure g ~heap_src =
       List.iter
         (fun v ->
           comp_v.(c) <- Int_set.add v comp_v.(c);
-          comp_h.(c) <- Int_set.union heap_src.(v) comp_h.(c);
-          Graphs.Digraph.iter_succ g v (fun u ->
-              let cu = comp.(u) in
-              if cu <> c then begin
-                comp_v.(c) <- Int_set.union comp_v.(cu) comp_v.(c);
-                comp_h.(c) <- Int_set.union comp_h.(cu) comp_h.(c)
-              end))
-        vs)
-    (Graphs.Scc.members scc);
+          comp_h.(c) <- Int_set.union heap_src.(v) comp_h.(c))
+        vs;
+      Array.iter
+        (fun cu ->
+          comp_v.(c) <- Int_set.union comp_v.(cu) comp_v.(c);
+          comp_h.(c) <- Int_set.union comp_h.(cu) comp_h.(c))
+        scc.Graphs.Scc.succs.(c))
+    scc.Graphs.Scc.members;
   { comp; comp_v; comp_h }
 
 let analyze ?(tier = Steensgaard) prog =

@@ -54,16 +54,6 @@ let solve info (call : Callgraph.Call.t) ~immutable ~seed =
     in
     pop ()
   in
-  let succs = Array.make n [||] in
-  for v = 0 to n - 1 do
-    let deg = Digraph.out_degree g v in
-    let a = Array.make deg 0 in
-    let i = ref 0 in
-    Digraph.iter_succ g v (fun w ->
-        a.(!i) <- w;
-        incr i);
-    succs.(v) <- a
-  done;
   let frame_node = Array.make (n + 1) 0 in
   let frame_next = Array.make (n + 1) 0 in
   let search root =
@@ -83,9 +73,9 @@ let solve info (call : Callgraph.Call.t) ~immutable ~seed =
       while !sp > 0 do
         let v = frame_node.(!sp - 1) in
         let i = frame_next.(!sp - 1) in
-        if i < Array.length succs.(v) then begin
+        if i < Digraph.out_degree g v then begin
           frame_next.(!sp - 1) <- i + 1;
-          let q = succs.(v).(i) in
+          let q = Digraph.nth_succ g v i in
           if dfn.(q) = 0 then push q
           else if on_stack.(q) && dfn.(q) < dfn.(v) then
             lowlink.(v) <- min dfn.(q) lowlink.(v)

@@ -464,16 +464,9 @@ let exec_stats t =
         (* Condensation shape of the call multi-graph: how much level
            parallelism a pooled re-analysis of this program could use.
            Graph work only — safe to compute for unanalyzed entries. *)
-        let call = Callgraph.Call.build e.Registry.prog in
-        let scc = Graphs.Scc.compute call.Callgraph.Call.graph in
-        let csuccs = Array.make (max 1 scc.Graphs.Scc.n_comps) [] in
-        Graphs.Digraph.iter_edges call.Callgraph.Call.graph (fun _ src dst ->
-            let cs = scc.Graphs.Scc.comp.(src)
-            and cd = scc.Graphs.Scc.comp.(dst) in
-            if cs <> cd then csuccs.(cs) <- cd :: csuccs.(cs));
         let levels =
-          Par.Wavefront.of_comp_succs ~n_comps:scc.Graphs.Scc.n_comps
-            ~succs_of:(Array.get csuccs)
+          (Callgraph.Call.build e.Registry.prog).Callgraph.Call.scc
+            .Graphs.Scc.levels
         in
         Json.Obj
           [
@@ -486,8 +479,8 @@ let exec_stats t =
               Json.Int
                 (List.fold_left (fun acc s -> acc + Session.edits s) 0 sessions)
             );
-            ("call_levels", Json.Int levels.Par.Wavefront.n_levels);
-            ("call_max_width", Json.Int levels.Par.Wavefront.max_width);
+            ("call_levels", Json.Int levels.Graphs.Scc.n_levels);
+            ("call_max_width", Json.Int levels.Graphs.Scc.max_width);
           ])
       (Registry.entries t.registry)
   in

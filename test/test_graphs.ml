@@ -1,6 +1,6 @@
 (* Graph kernel tests: CSR representation, Tarjan SCC against a
-   reachability-based oracle, condensation, DFS classification, topo
-   order, reachability. *)
+   reachability-based oracle, the condensation record, DFS
+   classification, topo order, reachability. *)
 
 module D = Graphs.Digraph
 module Scc = Graphs.Scc
@@ -25,6 +25,8 @@ let test_builder () =
   Alcotest.(check int) "edges" 2 (D.n_edges g);
   Alcotest.(check (list int)) "succ with multiplicity" [ 1; 1 ] (D.succ_list g 0);
   Alcotest.(check int) "out degree" 2 (D.out_degree g 0);
+  Alcotest.(check (list int)) "nth_succ reads the row" [ 1; 1 ]
+    (List.init (D.out_degree g 0) (D.nth_succ g 0));
   Alcotest.(check int) "sink degree" 0 (D.out_degree g 1)
 
 let test_edge_endpoints () =
@@ -87,20 +89,66 @@ let test_scc_self_loop () =
   let g = mk 2 [ (0, 0) ] in
   let r = Scc.compute g in
   Alcotest.(check int) "two singletons" 2 r.Scc.n_comps;
-  Alcotest.(check bool) "self-loop not trivial" false (Scc.is_trivial g r r.Scc.comp.(0));
-  Alcotest.(check bool) "isolated trivial" true (Scc.is_trivial g r r.Scc.comp.(1))
+  Array.iteri
+    (fun c ms ->
+      Alcotest.(check (list int)) "singleton members" [ r.Scc.entry.(c) ] ms;
+      Alcotest.(check int) "self-loop is no condensation edge" 0
+        (Array.length r.Scc.succs.(c)))
+    r.Scc.members
+
+(* The condensation laws every solver relies on: members partition the
+   nodes by [comp], each entry is a member, successor lists hold each
+   inter-component edge target once and only smaller ids, [preds] is
+   their transpose, and the levels put every component above its
+   successors. *)
+let check_condensation g r =
+  let ok = ref true in
+  let check b = if not b then ok := false in
+  Array.iteri
+    (fun c ms ->
+      List.iter (fun v -> check (r.Scc.comp.(v) = c)) ms;
+      check (List.mem r.Scc.entry.(c) ms);
+      check (List.sort_uniq compare ms = ms))
+    r.Scc.members;
+  check
+    (Array.fold_left (fun acc ms -> acc + List.length ms) 0 r.Scc.members
+    = D.n_nodes g);
+  let edges = Hashtbl.create 16 in
+  D.iter_edges g (fun _ s d ->
+      let cs = r.Scc.comp.(s) and cd = r.Scc.comp.(d) in
+      if cs <> cd then Hashtbl.replace edges (cs, cd) ());
+  let listed = ref 0 in
+  Array.iteri
+    (fun c cs ->
+      Array.iteri
+        (fun i cd ->
+          check (cd < c);
+          check (Hashtbl.mem edges (c, cd));
+          check (not (Array.exists (( = ) cd) (Array.sub cs 0 i)));
+          check (Array.mem c r.Scc.preds.(cd));
+          check (r.Scc.levels.Scc.level.(c) > r.Scc.levels.Scc.level.(cd)))
+        cs;
+      listed := !listed + Array.length cs)
+    r.Scc.succs;
+  check (!listed = Hashtbl.length edges);
+  Array.iteri
+    (fun cd ps -> Array.iter (fun c -> check (Array.mem cd r.Scc.succs.(c))) ps)
+    r.Scc.preds;
+  check
+    (Array.fold_left (fun acc ps -> acc + Array.length ps) 0 r.Scc.preds = !listed);
+  !ok
 
 let test_condense () =
   let g = mk 6 [ (0, 1); (1, 0); (1, 2); (2, 3); (3, 2); (3, 4); (0, 4); (4, 5) ] in
   let r = Scc.compute g in
-  let c = Scc.condense g r in
   Alcotest.(check int) "four comps" 4 r.Scc.n_comps;
-  (* Condensation is a simple DAG. *)
-  Alcotest.(check bool) "acyclic" true (Graphs.Topo.sort c <> None);
-  let seen = Hashtbl.create 8 in
-  D.iter_edges c (fun _ s d ->
-      Alcotest.(check bool) "no dup edges" false (Hashtbl.mem seen (s, d));
-      Hashtbl.add seen (s, d) ())
+  Alcotest.(check bool) "condensation laws" true (check_condensation g r);
+  (* {0,1} reaches 4 twice (0 -> 4 and via {2,3}); listed once. *)
+  let c01 = r.Scc.comp.(0) and c23 = r.Scc.comp.(2) and c4 = r.Scc.comp.(4) in
+  Alcotest.(check (list int)) "deduplicated successors"
+    (List.sort compare [ c23; c4 ])
+    (List.sort compare (Array.to_list r.Scc.succs.(c01)));
+  Alcotest.(check int) "four levels" 4 r.Scc.levels.Scc.n_levels
 
 let arb_graph =
   let gen =
@@ -130,8 +178,19 @@ let prop_scc_reverse_topo params =
 
 let prop_condensation_acyclic params =
   let g = graph_of params in
-  let r = Scc.compute g in
-  Graphs.Topo.sort (Scc.condense g r) <> None
+  check_condensation g (Scc.compute g)
+
+(* [entry.(c)] is where a DFS from [first_root], then every other node
+   in index order, first enters [c]: its earliest member in preorder. *)
+let prop_entry_first_in_preorder (n, m, seed) =
+  let g = graph_of (n, m, seed) in
+  let first_root = seed mod n in
+  let r = Scc.compute ~first_root g in
+  let t = Dfs.run ~roots:(first_root :: List.init n Fun.id) g in
+  Array.for_all2
+    (fun e ms ->
+      List.for_all (fun v -> t.Dfs.pre.(e) <= t.Dfs.pre.(v)) ms)
+    r.Scc.entry r.Scc.members
 
 (* --- DFS --- *)
 
@@ -201,13 +260,12 @@ let test_misc_api () =
   (* fold over out-edges *)
   let deg0 = D.fold_out_edges g 0 ~init:0 ~f:(fun acc _ _ -> acc + 1) in
   Alcotest.(check int) "fold counts out-edges" 2 deg0;
-  (* one representative per SCC, a member of it *)
+  (* one entry per SCC, a member of it *)
   let r = Scc.compute g in
-  let reps = Scc.representative r in
-  Alcotest.(check int) "one rep per comp" r.Scc.n_comps (Array.length reps);
+  Alcotest.(check int) "one entry per comp" r.Scc.n_comps (Array.length r.Scc.entry);
   Array.iteri
-    (fun c v -> Alcotest.(check int) "rep belongs to its comp" c r.Scc.comp.(v))
-    reps;
+    (fun c v -> Alcotest.(check int) "entry belongs to its comp" c r.Scc.comp.(v))
+    r.Scc.entry;
   (* reverse postorder of a DAG is a topological order *)
   let dag = mk 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
   let order = Graphs.Topo.reverse_post_order dag in
@@ -231,8 +289,7 @@ let test_fixed_generators rng =
   let cl = Graphs.Gen.clustered rng ~clusters:4 ~cluster_size:5 ~extra:6 in
   let rc = Scc.compute cl in
   Alcotest.(check int) "clustered: one SCC per cluster" 4 rc.Scc.n_comps;
-  Alcotest.(check bool) "condensation acyclic" true
-    (Graphs.Topo.sort (Scc.condense cl rc) <> None)
+  Alcotest.(check bool) "condensation laws" true (check_condensation cl rc)
 
 let prop_generators_shape params =
   let n, m, seed = params in
@@ -259,6 +316,8 @@ let () =
           Helpers.qtest "components in reverse topo order" arb_graph
             prop_scc_reverse_topo;
           Helpers.qtest "condensation acyclic" arb_graph prop_condensation_acyclic;
+          Helpers.qtest "entry is first member in DFS preorder" arb_graph
+            prop_entry_first_in_preorder;
         ] );
       ( "dfs",
         [

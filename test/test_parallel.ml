@@ -11,6 +11,7 @@ open Helpers
 module A = Core.Analyze
 module Pool = Par.Pool
 module Wavefront = Par.Wavefront
+module Scc = Graphs.Scc
 
 (* One shared 4-way pool for the whole binary: pools are reusable, and
    spawning domains per qcheck case would dominate the run. *)
@@ -72,46 +73,38 @@ let test_effective_jobs () =
 let test_leveling () =
   (* 4 <- {2,3} <- ... a diamond condensation: 0 and 1 are sinks,
      2 and 3 depend on them, 4 on both of those. *)
-  let succs = [| []; []; [ 0; 1 ]; [ 1 ]; [ 2; 3 ] |]
-  in
-  let l = Wavefront.of_comp_succs ~n_comps:5 ~succs_of:(fun c -> succs.(c)) in
-  check_int "n_levels" 3 l.Wavefront.n_levels;
-  check_int "max_width" 2 l.Wavefront.max_width;
-  Alcotest.(check (list int)) "level 0" [ 0; 1 ]
-    (Array.to_list l.Wavefront.by_level.(0));
-  Alcotest.(check (list int)) "level 1" [ 2; 3 ]
-    (Array.to_list l.Wavefront.by_level.(1));
-  Alcotest.(check (list int)) "level 2" [ 4 ]
-    (Array.to_list l.Wavefront.by_level.(2))
+  let l = Scc.of_comp_succs [| [||]; [||]; [| 0; 1 |]; [| 1 |]; [| 2; 3 |] |] in
+  check_int "n_levels" 3 l.Scc.n_levels;
+  check_int "max_width" 2 l.Scc.max_width;
+  Alcotest.(check (list int)) "level 0" [ 0; 1 ] (Array.to_list l.Scc.by_level.(0));
+  Alcotest.(check (list int)) "level 1" [ 2; 3 ] (Array.to_list l.Scc.by_level.(1));
+  Alcotest.(check (list int)) "level 2" [ 4 ] (Array.to_list l.Scc.by_level.(2))
 
 let test_schedule_diamond () =
   (* main(0) -> a(1), b(2); a,b -> c(3); c is the only sink. *)
-  let succs = [| [| 1; 2 |]; [| 3 |]; [| 3 |]; [||] |] in
-  let s = Wavefront.schedule ~n:4 ~first_root:0 ~succs () in
-  check_int "4 singleton components" 4 s.Wavefront.n_comps;
+  let g = Graphs.Digraph.of_edges ~nodes:4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
+  let s = Scc.compute ~first_root:0 g in
+  check_int "4 singleton components" 4 s.Scc.n_comps;
   (* Reverse topological: c first, main last. *)
-  check_int "comp of c is 0" 0 s.Wavefront.comp.(3);
-  check_int "comp of main is largest" 3 s.Wavefront.comp.(0);
+  check_int "comp of c is 0" 0 s.Scc.comp.(3);
+  check_int "comp of main is largest" 3 s.Scc.comp.(0);
   Array.iteri
-    (fun c v -> check_int (Printf.sprintf "entry of comp %d" c) c s.Wavefront.comp.(v))
-    s.Wavefront.entry;
-  check_int "3 levels" 3 s.Wavefront.levels.Wavefront.n_levels;
-  check_int "a,b share a level" 2 s.Wavefront.levels.Wavefront.max_width;
+    (fun c v -> check_int (Printf.sprintf "entry of comp %d" c) c s.Scc.comp.(v))
+    s.Scc.entry;
+  check_int "3 levels" 3 s.Scc.levels.Scc.n_levels;
+  check_int "a,b share a level" 2 s.Scc.levels.Scc.max_width;
   (* Inline and pooled plan runs both visit every component once, and
      never a component before all of its successors. *)
   let succs_of = [| []; [ 0 ]; [ 0 ]; [ 1; 2 ] |] in
   Array.iteri
-    (fun v row ->
-      Array.iter
-        (fun w ->
-          let cs = s.Wavefront.comp.(v) and cd = s.Wavefront.comp.(w) in
-          check_bool "component successors" true (List.mem cd succs_of.(cs)))
-        row)
-    succs;
-  let plan = Wavefront.plan s.Wavefront.levels ~jobs:4 ~cost:(fun _ -> 1) in
+    (fun c cs ->
+      Alcotest.(check (list int)) "component successors" succs_of.(c)
+        (List.sort compare (Array.to_list cs)))
+    s.Scc.succs;
+  let plan = Wavefront.plan s.Scc.levels ~jobs:4 ~cost:(fun _ -> 1) in
   List.iter
     (fun pool ->
-      let done_ = Array.make s.Wavefront.n_comps false in
+      let done_ = Array.make s.Scc.n_comps false in
       let mu = Mutex.create () in
       Wavefront.run_plan pool plan ~f:(fun ~slot:_ ~comp ->
           Mutex.lock mu;
@@ -128,8 +121,7 @@ let test_plan_fusion_and_chain () =
   (* A pure chain condensation: every level is a singleton, so the plan
      must fuse everything into one Seq stage, report chain = true, and
      never touch the pool. *)
-  let succs = [| []; [ 0 ]; [ 1 ]; [ 2 ] |] in
-  let l = Wavefront.of_comp_succs ~n_comps:4 ~succs_of:(fun c -> succs.(c)) in
+  let l = Scc.of_comp_succs [| [||]; [| 0 |]; [| 1 |]; [| 2 |] |] in
   let p = Wavefront.plan l ~jobs:4 ~cost:(fun _ -> 1) in
   check_bool "chain" true p.Wavefront.chain;
   check_int "all levels fused" 4 p.Wavefront.fused_levels;
@@ -152,12 +144,10 @@ let test_plan_batching () =
      respect the 2*jobs cap, and balance deterministically (LPT:
      heaviest first into the lightest batch). *)
   let width = 10 in
-  let succs = Array.make (width + 1) [] in
+  let succs = Array.make (width + 1) [||] in
   (* component [width] depends on all of level 0 — gives 2 levels *)
-  succs.(width) <- List.init width (fun i -> i);
-  let l =
-    Wavefront.of_comp_succs ~n_comps:(width + 1) ~succs_of:(fun c -> succs.(c))
-  in
+  succs.(width) <- Array.init width Fun.id;
+  let l = Scc.of_comp_succs succs in
   let cost c = if c = 0 then 100 else 1 in
   let p = Wavefront.plan l ~jobs:2 ~cost in
   check_bool "not a chain" false p.Wavefront.chain;
@@ -188,26 +178,17 @@ let test_plan_batching () =
   check_bool "plans identical" true (p = p')
 
 let test_schedule_cycle_entry () =
-  (* 0 -> 1 <-> 2, entered at 1: the SCC {1,2} must record entry 1 —
-     where a sequential DFS from 0 first touches it. *)
-  let succs = [| [| 1 |]; [| 2 |]; [| 1 |]; [||] |] in
-  let s = Wavefront.schedule ~n:4 ~first_root:0 ~succs () in
-  check_int "three components" 3 s.Wavefront.n_comps;
-  let c12 = s.Wavefront.comp.(1) in
-  check_int "1 and 2 share a component" c12 s.Wavefront.comp.(2);
-  check_int "entered at 1" 1 s.Wavefront.entry.(c12)
-
-let test_schedule_active_subset () =
-  (* Restricting to the active subset must ignore inactive nodes and
-     the edges touching them. *)
-  let succs = [| [| 1; 2 |]; [| 2 |]; [| 0 |]; [||] |] in
-  let s =
-    Wavefront.schedule ~n:4 ~active:(fun v -> v <> 2) ~first_root:0 ~succs ()
-  in
-  check_int "inactive node has no component" (-1) s.Wavefront.comp.(2);
-  check_int "two active components" 3 s.Wavefront.n_comps;
-  check_bool "0 and 1 in different components" true
-    (s.Wavefront.comp.(0) <> s.Wavefront.comp.(1))
+  (* 0 -> 1 <-> 2 <- 3, searched from 0: the SCC {1,2} must record
+     entry 1 — where a sequential DFS from 0 first touches it. *)
+  let g = Graphs.Digraph.of_edges ~nodes:4 [ (0, 1); (1, 2); (2, 1); (3, 2) ] in
+  let s = Scc.compute ~first_root:0 g in
+  check_int "three components" 3 s.Scc.n_comps;
+  let c12 = s.Scc.comp.(1) in
+  check_int "1 and 2 share a component" c12 s.Scc.comp.(2);
+  check_int "entered at 1" 1 s.Scc.entry.(c12);
+  (* Rooted at 3 instead, the search enters the cycle at 2. *)
+  let s3 = Scc.compute ~first_root:3 g in
+  check_int "entered at 2 from 3" 2 s3.Scc.entry.(s3.Scc.comp.(1))
 
 (* --- determinism: jobs=4 vs jobs=1, values and step counts --- *)
 
@@ -313,8 +294,6 @@ let () =
           Alcotest.test_case "plan: cost batching" `Quick test_plan_batching;
           Alcotest.test_case "schedule: cycle entry" `Quick
             test_schedule_cycle_entry;
-          Alcotest.test_case "schedule: active subset" `Quick
-            test_schedule_active_subset;
         ] );
       ( "determinism",
         [
