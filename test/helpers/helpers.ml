@@ -137,6 +137,14 @@ let seeded_case name speed f =
           (Lazy.force qcheck_seed);
         raise e)
 
+(* Whether some call site calls its own caller: the [v -> v] edge whose
+   fold Figure 2 and the multi-level pass treat differently. *)
+let self_recursive prog =
+  let found = ref false in
+  Ir.Prog.iter_sites prog (fun s ->
+      if s.Ir.Prog.caller = s.Ir.Prog.callee then found := true);
+  !found
+
 let gmod_arrays_equal a b = Array.for_all2 Bitvec.equal a b
 
 let run name suites = Alcotest.run ~verbose:false name suites

@@ -489,11 +489,18 @@ let golden_programs =
       file "lint_demo.mp";
     ]
 
+(* The report digest, plus the exact [sections.joins] each sectioned
+   findgmod side performs. *)
 let report_digest prog =
-  Digest.to_hex
-    (Digest.string
-       (Fmt.str "%a" Sections.Analyze_sections.pp_report
-          (Sections.Analyze_sections.run prog)))
+  let report, span =
+    Obs.Span.collect "golden" (fun () -> Sections.Analyze_sections.run prog)
+  in
+  let joins side =
+    Obs.Span.metric (Option.get (Obs.Span.find span side)) "sections.joins"
+  in
+  ( Digest.to_hex
+      (Digest.string (Fmt.str "%a" Sections.Analyze_sections.pp_report report)),
+    (joins "sections.gmod", joins "sections.guse") )
 
 let loop_findings ?pool prog =
   Lint.Engine.run ?pool (Core.Analyze.run prog)
@@ -502,49 +509,62 @@ let loop_findings ?pool prog =
   |> List.map (Fmt.str "%a" Lint.Diagnostic.pp)
   |> String.concat "\n"
 
-(* (program, report digest, SFX006/SFX007 digest); the generated
+(* (program, report digest, SFX006/SFX007 digest, sections.gmod and
+   sections.guse joins); the generated
    fortran/dag families have no loops around calls, so they have no
    verdicts. *)
 let no_verdicts = Digest.to_hex (Digest.string "")
 
 let golden_digests =
   [
-    ("fortran_style n=16", "1e36d16b8599039ee7d1ffca7bed2644", no_verdicts);
-    ("fortran_fixed n=16", "2fa4ab149a54cd80c16162eb766769b7", no_verdicts);
-    ("dag_style n=16", "460084a6a008c579520d8e6f60cc7855", no_verdicts);
-    ("fortran_style n=32", "31f3d1257fdc419bc427f8bda4065a46", no_verdicts);
-    ("fortran_fixed n=32", "8f5b45d15e2cfb8418c675da9124b431", no_verdicts);
-    ("dag_style n=32", "29b750b40ae4a771c429915f8593668e", no_verdicts);
-    ("fortran_style n=64", "1fc9b5857492770eaabe28c0a4caaca7", no_verdicts);
-    ("fortran_fixed n=64", "1d2427a3d85f1a6359d3a3e60f1b944a", no_verdicts);
-    ("dag_style n=64", "f8fc4c42c7cdefabbbc0be6b18dfc5be", no_verdicts);
+    ("fortran_style n=16", "1e36d16b8599039ee7d1ffca7bed2644", no_verdicts, (551, 650));
+    ("fortran_fixed n=16", "2fa4ab149a54cd80c16162eb766769b7", no_verdicts, (887, 1640));
+    ("dag_style n=16", "460084a6a008c579520d8e6f60cc7855", no_verdicts, (568, 654));
+    ("fortran_style n=32", "31f3d1257fdc419bc427f8bda4065a46", no_verdicts, (1642, 1728));
+    ("fortran_fixed n=32", "8f5b45d15e2cfb8418c675da9124b431", no_verdicts, (3400, 4496));
+    ("dag_style n=32", "29b750b40ae4a771c429915f8593668e", no_verdicts, (1314, 1353));
+    ("fortran_style n=64", "1fc9b5857492770eaabe28c0a4caaca7", no_verdicts, (4248, 4529));
+    ("fortran_fixed n=64", "1d2427a3d85f1a6359d3a3e60f1b944a", no_verdicts, (8023, 11876));
+    ("dag_style n=64", "f8fc4c42c7cdefabbbc0be6b18dfc5be", no_verdicts, (2952, 3947));
     ( "array kernels k=8",
       "a9af09e5a1945ce309f08a8f9dbf4db9",
-      "6999d3a65537930a253a45af7429f8ef" );
+      "6999d3a65537930a253a45af7429f8ef",
+      (0, 5) );
     ( "array kernels k=24",
       "8ade2ec2627dd7aa6fc5fc2c4c8be865",
-      "362216ed90cde1cbc83111d8d6fdd406" );
+      "362216ed90cde1cbc83111d8d6fdd406",
+      (2, 24) );
     ( "sections shapes",
       "3551f24d6dc076bf727e6673e99ab9f8",
-      "f7477801e7c2d2b29b5e0604a6380d88" );
+      "f7477801e7c2d2b29b5e0604a6380d88",
+      (8, 14) );
     ( "stencil.mp",
       "36b006aa440f15fa8f4542fe3077d804",
-      "0ec033bfe3ee4240f01cf8176d9bba9b" );
+      "0ec033bfe3ee4240f01cf8176d9bba9b",
+      (1, 4) );
     ( "lint_demo.mp",
       "dbe8ffd9c026d8e8b1b41b64128ddf16",
-      "ba269f6b2b6e2e04c1e55e1e6535dc61" );
+      "ba269f6b2b6e2e04c1e55e1e6535dc61",
+      (2, 1) );
   ]
 
 let test_golden_digests () =
   List.iter
     (fun (name, make) ->
       let prog = make () in
-      let got_report = report_digest prog in
+      let got_report, (got_gmod, got_guse) = report_digest prog in
       let got_lint = Digest.to_hex (Digest.string (loop_findings prog)) in
-      let _, report, lint = List.find (fun (n, _, _) -> n = name) golden_digests in
+      let _, report, lint, (gmod, guse) =
+        List.find (fun (n, _, _, _) -> n = name) golden_digests
+      in
       Alcotest.(check string) (name ^ " report") report got_report;
-      Alcotest.(check string) (name ^ " SFX006/SFX007") lint got_lint)
-    golden_programs
+      Alcotest.(check string) (name ^ " SFX006/SFX007") lint got_lint;
+      Alcotest.(check int) (name ^ " sections.gmod joins") gmod got_gmod;
+      Alcotest.(check int) (name ^ " sections.guse joins") guse got_guse)
+    golden_programs;
+  (* Figure 2 folds a [v -> v] edge like any other; the joins pin it. *)
+  Alcotest.(check bool) "corpus has self-recursive calls" true
+    (List.exists (fun (_, make) -> Helpers.self_recursive (make ())) golden_programs)
 
 let test_golden_pool_invariant () =
   let pool = Par.Pool.create ~jobs:4 in
