@@ -3,6 +3,7 @@
 all:
 	dune build @all
 	$(MAKE) --no-print-directory parallel-smoke
+	$(MAKE) --no-print-directory incremental-smoke
 	$(MAKE) --no-print-directory lint-smoke
 	$(MAKE) --no-print-directory dataflow-smoke
 	$(MAKE) --no-print-directory obs-smoke

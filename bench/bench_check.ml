@@ -27,22 +27,16 @@
 
 module A = Core.Analyze
 
-let parse_ladder env default =
-  (* Override for ad-hoc probing, e.g. SIDEFX_BENCH_LADDER=512,1024,2048. *)
-  match Sys.getenv_opt env with
-  | Some s -> List.map int_of_string (String.split_on_char ',' s)
-  | None -> default
-
 let word_ops_ladders =
   [
     ( "fortran_fixed",
       Workload.Families.fortran_fixed,
-      parse_ladder "SIDEFX_BENCH_LADDER_FIXED" [ 256; 512; 1024; 2048 ],
+      [ 256; 512; 1024; 2048 ],
       (* linear regime: 2x per doubling + headroom *)
       2.4 );
     ( "fortran_style",
       Workload.Families.fortran_style,
-      parse_ladder "SIDEFX_BENCH_LADDER" [ 128; 256; 512; 1024 ],
+      [ 128; 256; 512; 1024 ],
       (* near the quadratic-output information floor *)
       2.5 );
   ]
@@ -121,8 +115,7 @@ let mustmod_point build n =
   Dataflow.Driver.solve_all (Dataflow.Driver.create a);
   (words, Obs.Metric.value_since ~since:snap kill_visits_metric)
 
-let mustmod_ladder =
-  parse_ladder "SIDEFX_BENCH_LADDER_MUST" [ 256; 512; 1024; 2048 ]
+let mustmod_ladder = [ 256; 512; 1024; 2048 ]
 
 (* MUSTMOD rounds per procedure wobble with the random call graph's
    SCC shapes (the chaotic iteration of a giant component converges

@@ -360,37 +360,6 @@ let lint_cmd =
 
 (* --- explain --- *)
 
-(* Fact grammar (the --fact argument):
-     gmod:P:V   why V ∈ GMOD(P)        guse:P:V   why V ∈ GUSE(P)
-     must:P:V   why V ∈ MUSTMOD(P)
-     rmod:P:F   why formal F of P is in RMOD      ruse:P:F   ... RUSE
-     alias:P:X:Y   why <X, Y> ∈ ALIAS(P)
-     diag:CODE[:FILTER]   witnesses of the lint findings with that code
-                          (FILTER substring-matches scope or message) *)
-type fact =
-  | Fglobal of [ `Mod | `Use ] * string * string
-  | Fmust of string * string
-  | Fref of [ `Mod | `Use ] * string * string
-  | Falias of string * string * string
-  | Fdiag of string * string option
-
-let parse_fact s =
-  match String.split_on_char ':' s with
-  | [ "gmod"; p; v ] -> Ok (Fglobal (`Mod, p, v))
-  | [ "guse"; p; v ] -> Ok (Fglobal (`Use, p, v))
-  | [ "must"; p; v ] -> Ok (Fmust (p, v))
-  | [ "rmod"; p; f ] -> Ok (Fref (`Mod, p, f))
-  | [ "ruse"; p; f ] -> Ok (Fref (`Use, p, f))
-  | [ "alias"; p; x; y ] -> Ok (Falias (p, x, y))
-  | [ "diag"; code ] -> Ok (Fdiag (code, None))
-  | "diag" :: code :: rest -> Ok (Fdiag (code, Some (String.concat ":" rest)))
-  | _ ->
-    Error
-      (Printf.sprintf
-         "unrecognised fact '%s' (expected gmod:P:V | guse:P:V | must:P:V | \
-          rmod:P:F | ruse:P:F | alias:P:X:Y | diag:CODE[:FILTER])"
-         s)
-
 let explain_cmd =
   let run file fact all json jobs ptsto =
     if (fact = None) = not all then begin
@@ -507,25 +476,15 @@ let explain_cmd =
     end
     else begin
       let fact_str = Option.get fact in
-      match parse_fact fact_str with
+      match Core.Explain.parse_fact fact_str with
       | Error msg ->
         Format.eprintf "explain: %s@." msg;
         exit 2
-      | Ok (Fdiag (code, filter)) ->
-        let matches d =
-          d.Lint.Diagnostic.code = code
-          && match filter with
-             | None -> true
-             | Some sub ->
-               let has hay =
-                 let n = String.length sub and m = String.length hay in
-                 let rec go i = i + n <= m && (String.sub hay i n = sub || go (i + 1)) in
-                 n = 0 || go 0
-               in
-               has d.Lint.Diagnostic.scope || has d.Lint.Diagnostic.message
-        in
+      | Ok (Core.Explain.Fdiag (code, filter)) ->
         let found =
-          List.filter matches (Lint.Engine.run ?pool ~locs t)
+          List.filter
+            (Lint.Diagnostic.matches ~code ~filter)
+            (Lint.Engine.run ?pool ~locs t)
         in
         if found = [] then begin
           Format.eprintf "explain: no finding matches '%s'@." fact_str;
@@ -549,7 +508,7 @@ let explain_cmd =
       | Ok fact ->
         let lines =
           match fact with
-          | Fglobal (side, p, v) ->
+          | Core.Explain.Fglobal (side, p, v) ->
             let pid = resolve_proc p in
             let vid = resolve_var ~proc:pid v in
             Core.Explain.explain_gmod t ~locs ~side ~proc:pid ~var:vid

@@ -389,3 +389,29 @@ let explain_alias (a : Analyze.t) ~locs ~proc x y =
         (vname prog (max x y)) (pname prog proc)
     in
     Some (head :: alias_link_lines a ~locs links)
+
+(* --- the fact grammar --- *)
+
+type fact =
+  | Fglobal of side * string * string
+  | Fmust of string * string
+  | Fref of side * string * string
+  | Falias of string * string * string
+  | Fdiag of string * string option
+
+let parse_fact s =
+  match String.split_on_char ':' s with
+  | [ "gmod"; p; v ] -> Ok (Fglobal (`Mod, p, v))
+  | [ "guse"; p; v ] -> Ok (Fglobal (`Use, p, v))
+  | [ "must"; p; v ] -> Ok (Fmust (p, v))
+  | [ "rmod"; p; f ] -> Ok (Fref (`Mod, p, f))
+  | [ "ruse"; p; f ] -> Ok (Fref (`Use, p, f))
+  | [ "alias"; p; x; y ] -> Ok (Falias (p, x, y))
+  | [ "diag"; code ] -> Ok (Fdiag (code, None))
+  | "diag" :: code :: rest -> Ok (Fdiag (code, Some (String.concat ":" rest)))
+  | _ ->
+    Error
+      (Printf.sprintf
+         "unrecognised fact '%s' (expected gmod:P:V | guse:P:V | must:P:V | \
+          rmod:P:F | ruse:P:F | alias:P:X:Y | diag:CODE[:FILTER])"
+         s)

@@ -97,3 +97,21 @@ val find_def :
     the {!Frontend.Locs.stmt} ordinal) in [proc]'s own body — or,
     failing that, a lexical descendant's — whose direct
     [LMOD]/[LUSE] contains [var]. *)
+
+(** {1 The fact grammar}
+
+    What [sidefx explain --fact] and the server's [explain] request
+    accept: [gmod:P:V], [guse:P:V], [must:P:V] (why [V] is in that set
+    of procedure [P]); [rmod:P:F], [ruse:P:F] (why by-reference formal
+    [F] of [P] is); [alias:P:X:Y]; and [diag:CODE[:FILTER]], the lint
+    findings with that code ({!Lint.Diagnostic.matches}). *)
+
+type fact =
+  | Fglobal of side * string * string
+  | Fmust of string * string
+  | Fref of side * string * string
+  | Falias of string * string * string
+  | Fdiag of string * string option
+
+val parse_fact : string -> (fact, string) result
+(** Names stay unresolved; the error message lists the grammar. *)

@@ -7,8 +7,11 @@
     This is the only graph-only Tarjan in the tree.  A graph is
     condensed once, where it is built ({!Callgraph.Call.build},
     {!Callgraph.Binding.build}), and every solver over it — RMOD and
-    RUSE on β; GMOD, GUSE, MUSTMOD and the incremental engine's dirty
-    region on the call graph — reads the same record.
+    RUSE on β; GMOD, GUSE (flat, nested and sectioned), MUSTMOD and the
+    incremental engine's dirty region on the call graph — reads the
+    same record.  The one search fused with propagation is
+    [Core.Gmod.findgmod]; it replays this search inside each component,
+    from the component's [entry].
 
     Components are numbered in the order Tarjan closes them, which is
     reverse topological order of the condensation: for any edge

@@ -1,8 +1,9 @@
 (** Topological order of a DAG (Kahn's algorithm).
 
-    Used to drive the leaves-to-roots propagation pass of Figure 1 over
-    the condensed binding multi-graph, and by tests to validate the
-    reverse-topological numbering that {!Scc.compute} promises. *)
+    A test oracle: the tests use it to validate the reverse-topological
+    numbering that {!Scc.compute} promises.  No solver uses it — Figure
+    1's leaves-to-roots pass reads its order from the condensation
+    {!Scc.compute} builds. *)
 
 val sort : Digraph.t -> Digraph.node list option
 (** [sort g] is [Some order] with every edge pointing forward in

@@ -47,6 +47,18 @@ let compare a b =
 
 let key d = (d.code, d.scope, d.message)
 
+let matches ~code ~filter d =
+  let has hay sub =
+    let n = String.length sub and m = String.length hay in
+    let rec go i = i + n <= m && (String.sub hay i n = sub || go (i + 1)) in
+    n = 0 || go 0
+  in
+  d.code = code
+  &&
+  match filter with
+  | None -> true
+  | Some sub -> has d.scope sub || has d.message sub
+
 let pp ppf d =
   if d.loc = Frontend.Loc.dummy then
     Format.fprintf ppf "%s[%s] %s: %s"

@@ -48,6 +48,11 @@ val key : t -> string * string * string
     deltas match on (edits renumber ids and invalidate positions, but a
     finding that persists keeps its key). *)
 
+val matches : code:string -> filter:string option -> t -> bool
+(** Whether a finding answers the fact [diag:CODE[:FILTER]] of
+    {!Core.Explain.parse_fact}: its code is [code] and, given a
+    [filter], the filter is a substring of its scope or message. *)
+
 val pp : Format.formatter -> t -> unit
 (** One text-report entry: [file:line:col: severity[CODE] scope:
     message], the position omitted when it is {!Frontend.Loc.dummy},

@@ -2,9 +2,9 @@
     bit vector technique for solving the global variable problem can be
     directly extended to vectors of lattice elements".
 
-    Same one-pass Tarjan structure as {!Core.Gmod}, with bitwise or
-    replaced by pointwise {!Section.join} and the [∖ LOCAL] masking
-    unchanged.  Sections crossing procedure boundaries are first
+    An instance of the shared {!Core.Gmod.findgmod} traversal with one
+    problem, its fold bitwise or replaced by pointwise {!Section.join}
+    and the [∖ LOCAL] masking unchanged.  Sections crossing procedure boundaries are first
     widened by {!Bindfn.retarget_global} so their symbolic atoms remain
     meaningful in any frame (constants and immutable globals survive;
     frame-specific atoms become [Star]) — keeping the propagation
@@ -20,10 +20,10 @@ val solve :
   immutable:Bitvec.t ->
   seed:Secmap.t array ->
   Secmap.t array
-(** One-pass Tarjan form.  [immutable] is the program's set of
+(** One-pass form.  [immutable] is the program's set of
     globally-immutable globals ({!Analyze_sections.t}), derived once by
     the caller.  Each join along a call edge costs O(touched entries);
-    the joins are added to {!Section.count_joins}. *)
+    the joins are added to {!Section.count_joins}.  Runs sequentially. *)
 
 val solve_iterative :
   Ir.Info.t ->

@@ -261,35 +261,6 @@ let exec_edit t entry ~client ~program ~session ~script ~lint =
 
 (* --- explain (the CLI fact grammar, served) --- *)
 
-type fact =
-  | Fglobal of [ `Mod | `Use ] * string * string
-  | Fref of [ `Mod | `Use ] * string * string
-  | Falias of string * string * string
-  | Fmust of string * string
-  | Fdiag of string * string option
-
-let parse_fact s =
-  match String.split_on_char ':' s with
-  | [ "gmod"; p; v ] -> Ok (Fglobal (`Mod, p, v))
-  | [ "guse"; p; v ] -> Ok (Fglobal (`Use, p, v))
-  | [ "rmod"; p; f ] -> Ok (Fref (`Mod, p, f))
-  | [ "ruse"; p; f ] -> Ok (Fref (`Use, p, f))
-  | [ "alias"; p; x; y ] -> Ok (Falias (p, x, y))
-  | [ "must"; p; v ] -> Ok (Fmust (p, v))
-  | [ "diag"; code ] -> Ok (Fdiag (code, None))
-  | "diag" :: code :: rest -> Ok (Fdiag (code, Some (String.concat ":" rest)))
-  | _ ->
-    Error
-      (Printf.sprintf
-         "unrecognised fact '%s' (expected gmod:P:V | guse:P:V | must:P:V | \
-          rmod:P:F | ruse:P:F | alias:P:X:Y | diag:CODE[:FILTER])"
-         s)
-
-let has_substring hay sub =
-  let n = String.length sub and m = String.length hay in
-  let rec go i = i + n <= m && (String.sub hay i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 let lint_for t entry sess =
   ignore t;
   match sess with
@@ -384,19 +355,12 @@ let exec_explain t entry ~client ~program ~session ~fact ~all =
   end
   else
     let fact_str = Option.get fact in
-    let* f = parse_fact fact_str in
+    let* f = Core.Explain.parse_fact fact_str in
     match f with
-    | Fdiag (code, filter) ->
-      let matches d =
-        d.Lint.Diagnostic.code = code
-        &&
-        match filter with
-        | None -> true
-        | Some sub ->
-          has_substring d.Lint.Diagnostic.scope sub
-          || has_substring d.Lint.Diagnostic.message sub
+    | Core.Explain.Fdiag (code, filter) ->
+      let found =
+        List.filter (Lint.Diagnostic.matches ~code ~filter) (lint_for t entry sess)
       in
-      let found = List.filter matches (lint_for t entry sess) in
       if found = [] then
         Error (Printf.sprintf "no finding matches '%s'" fact_str)
       else

@@ -240,15 +240,31 @@ let prop_jobs_deterministic of_seed seed =
    slot's scratch vector is reused across GMOD components of different
    sizes, so a word-op charge that depended on what the scratch held
    before would differ between job counts. *)
-let test_dag_1024_deterministic () =
-  let prog = Workload.Families.dag_style ~seed:7 ~n:1024 in
+let check_directed name prog =
   let seq, sv, sw = counted (fun () -> A.run prog) in
   let par, pv, pw =
     counted (fun () -> A.run ~pool:(Lazy.force pool4) prog)
   in
-  check_same_analysis "dag_style n=1024" seq par;
+  check_same_analysis name seq par;
   check_int "vector_ops identical" sv pv;
   check_int "word_ops identical" sw pw
+
+let test_dag_1024_deterministic () =
+  check_directed "dag_style n=1024" (Workload.Families.dag_style ~seed:7 ~n:1024)
+
+(* The multi-level findgmod runs through the same wavefront: on a
+   nested program whose condensation has wide levels, the pooled run
+   must match the sequential one, op counts included. *)
+let test_nested_256_deterministic () =
+  let prog = Workload.Families.pascal_style ~seed:7 ~n:256 ~depth:4 in
+  let call = Callgraph.Call.build prog in
+  let plan =
+    Par.Wavefront.plan call.Callgraph.Call.scc.Graphs.Scc.levels ~jobs:4
+      ~cost:(fun _ -> 1)
+  in
+  check_bool "nested" true (Ir.Prog.max_level prog > 1);
+  check_bool "plan has parallel stages" false plan.Par.Wavefront.chain;
+  check_directed "pascal_style n=256 d4" prog
 
 let prop_incremental_deterministic seed =
   let prog = flat_of_seed ~n:24 seed in
@@ -308,5 +324,7 @@ let () =
             prop_incremental_deterministic;
           Alcotest.test_case "dag n=1024 jobs=4 = jobs=1"
             `Quick test_dag_1024_deterministic;
+          Alcotest.test_case "nested n=256 jobs=4 = jobs=1"
+            `Quick test_nested_256_deterministic;
         ] );
     ]
