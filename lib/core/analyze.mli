@@ -57,8 +57,8 @@ val run :
     ablations).
 
     Parallelism: [?pool], when given, is used for the local, [RMOD],
-    and flat [GMOD]/[GUSE] phases (the nested single-pass solver stays
-    sequential); otherwise [?jobs] (default [1]; [0] means
+    [GMOD]/[GUSE] (flat or multi-level) and [MUSTMOD] phases;
+    otherwise [?jobs] (default [1]; [0] means
     [Domain.recommended_domain_count ()]) builds a transient
     {!Par.Pool} for this run — at [jobs = 1] the same solvers run
     inline on the caller.  Results and [bitvec.vector_ops]/[word_ops]
