@@ -304,6 +304,9 @@ pipebench-smoke:
 	    || { echo "pipebench-smoke: $$w: failed operations: $$last"; exit 1; }; \
 	done; rm -f pipebench_smoke.tmp
 
+bench-incremental:
+	dune exec bench/bench_incremental.exe
+
 bench-parallel:
 	dune exec bench/bench_parallel.exe
 
@@ -322,4 +325,4 @@ examples:
 	dune exec examples/optimizer.exe
 	dune exec examples/nested_pascal.exe
 
-.PHONY: all test test-force bench bench-quick bench-check pipebench-smoke bench-parallel bench-dataflow bench-serve bench-ptsto profile-smoke incremental-smoke parallel-smoke lint-smoke dataflow-smoke obs-smoke serve-smoke ptsto-smoke must-smoke examples
+.PHONY: all test test-force bench bench-quick bench-check pipebench-smoke bench-incremental bench-parallel bench-dataflow bench-serve bench-ptsto profile-smoke incremental-smoke parallel-smoke lint-smoke dataflow-smoke obs-smoke serve-smoke ptsto-smoke must-smoke examples

@@ -1,26 +1,36 @@
-(* Incremental vs from-scratch re-analysis after single-procedure
-   edits (experiment for the incremental engine; see
-   docs/incremental.md).
+(* Incremental vs from-scratch re-analysis after edits (experiment for
+   the incremental engine; see docs/incremental.md).
 
-   Workload: the two chain families whose condensation makes locality
-   visible — [ref_chain n] (main -> p1 -> ... -> pn through one by-ref
-   formal) and [global_chain n] (same spine, effects through a global).
-   The edit stream alternates adding and removing [g0 := 1] at the head
-   procedure [p1], whose ancestor cone is just {main, p1}; every edit
-   flips IMOD(p1), so nothing is amortised away by no-op detection.
+   Workloads:
+   - [head]: the two chain families whose condensation makes locality
+     visible — [ref_chain n] (main -> p1 -> ... -> pn through one by-ref
+     formal) and [global_chain n] (same spine, effects through a
+     global).  The edit stream alternates adding and removing [g0 := 1]
+     at the head procedure [p1], whose ancestor cone is just {main, p1};
+     every edit flips IMOD(p1), so nothing is amortised away by no-op
+     detection.
+   - [deep]: the same stream at ref_chain's tail procedure [pn], whose
+     ancestor cone is the whole chain — the case a size cut-off would
+     send to a from-scratch run.
+   - [script]: seeded [Workload.Edits.gen] scripts over dag_style and
+     fortran_fixed, every edit constructor mixed; structural edits are
+     the only full re-analyses ([full_fallbacks]).
 
    Every edit is also an equality assertion: the engine's GMOD/GUSE and
    RMOD/RUSE are compared bit for bit against the fresh run it is being
    timed against.
 
-     dune exec bench/bench_incremental.exe                  # writes BENCH_incremental.json
+     make bench-incremental                                 # writes BENCH_incremental.json
      dune exec bench/bench_incremental.exe -- --jobs 4      # cone re-solves on a 4-way pool *)
 
 module A = Core.Analyze
 module Engine = Incremental.Engine
 module Edit = Incremental.Edit
 
-let edits_per_size = 20
+let edits_per_chain = 20
+let script_seed = 1
+let script_n = 256
+let script_steps = 40
 
 (* --jobs N: run both sides (engine cone re-solves and the from-scratch
    baseline) on a shared domain pool; output is identical by the
@@ -51,43 +61,36 @@ let assert_equal ~family ~n ~i (inc : A.t) (batch : A.t) =
       (Printf.sprintf "%s n=%d edit %d: incremental result diverges from batch"
          family n i)
 
-(* One family at one size: drive the same edit stream through the
-   engine and through from-scratch analysis, timing each side. *)
-let measure family build n =
-  let prog = build n in
-  let p1 = (Option.get (Ir.Prog.find_proc prog "p1")).Ir.Prog.pid in
-  let g0 = (Option.get (Ir.Prog.find_var prog ~proc:p1 "g0")).Ir.Prog.vid in
-  let add = Edit.Add_assign { proc = p1; target = g0; value = Ir.Expr.Int 1 } in
-  let base_len = List.length (Ir.Prog.proc prog p1).Ir.Prog.body in
-  let remove = Edit.Remove_assign { proc = p1; index = base_len } in
+(* One edit stream: drive it through the engine and through
+   from-scratch analysis of each resulting program, timing each side. *)
+let measure ~family ~workload ~n prog steps =
   let resolved = Obs.Metric.counter "incremental.procs_resolved" in
   let fallbacks = Obs.Metric.counter "incremental.full_fallbacks" in
   let snap = Obs.Metric.snapshot () in
   let gc0 = Gc.quick_stat () in
   let engine = Engine.create ?pool prog in
   let inc_time = ref 0.0 and batch_time = ref 0.0 in
-  let cur = ref prog in
-  for i = 0 to edits_per_size - 1 do
-    let edit = if i mod 2 = 0 then add else remove in
-    let t0 = Obs.Clock.now () in
-    let (_ : Engine.outcome) = Engine.apply engine edit in
-    inc_time := !inc_time +. (Obs.Clock.now () -. t0);
-    cur := Edit.apply !cur edit;
-    let t0 = Obs.Clock.now () in
-    let batch = A.run ?pool !cur in
-    batch_time := !batch_time +. (Obs.Clock.now () -. t0);
-    assert_equal ~family ~n ~i (Engine.analysis engine) batch
-  done;
+  List.iteri
+    (fun i (edit, expected) ->
+      let t0 = Obs.Clock.now () in
+      let (_ : Engine.outcome) = Engine.apply engine edit in
+      inc_time := !inc_time +. (Obs.Clock.now () -. t0);
+      let t0 = Obs.Clock.now () in
+      let batch = A.run ?pool expected in
+      batch_time := !batch_time +. (Obs.Clock.now () -. t0);
+      assert_equal ~family ~n ~i (Engine.analysis engine) batch)
+    steps;
   let speedup = !batch_time /. Float.max !inc_time 1e-9 in
-  Printf.printf "   %-12s %6d | %10.6f %10.6f | %8.1fx | %6d %4d\n" family n
-    !inc_time !batch_time speedup
+  Printf.printf "   %-12s %-8s %6d | %10.6f %10.6f | %8.1fx | %6d %4d\n" family
+    workload n !inc_time !batch_time speedup
     (Obs.Metric.value_since ~since:snap resolved)
     (Obs.Metric.value_since ~since:snap fallbacks);
   Obs.Json.Obj
     [
       ("family", Obs.Json.String family);
+      ("workload", Obs.Json.String workload);
       ("n_procs", Obs.Json.Int n);
-      ("edits", Obs.Json.Int edits_per_size);
+      ("edits", Obs.Json.Int (List.length steps));
       ("incremental_s", Obs.Json.Float !inc_time);
       ("batch_s", Obs.Json.Float !batch_time);
       ("speedup", Obs.Json.Float speedup);
@@ -102,20 +105,52 @@ let measure family build n =
       ("top_heap_words", Obs.Json.Int (Gc.quick_stat ()).Gc.top_heap_words);
     ]
 
+(* Alternately add and remove [g0 := 1] at the end of [proc]'s body. *)
+let chain_steps prog proc =
+  let pid = (Option.get (Ir.Prog.find_proc prog proc)).Ir.Prog.pid in
+  let g0 = (Option.get (Ir.Prog.find_var prog ~proc:pid "g0")).Ir.Prog.vid in
+  let add = Edit.Add_assign { proc = pid; target = g0; value = Ir.Expr.Int 1 } in
+  let base_len = List.length (Ir.Prog.proc prog pid).Ir.Prog.body in
+  let remove = Edit.Remove_assign { proc = pid; index = base_len } in
+  let cur = ref prog in
+  List.init edits_per_chain (fun i ->
+      let edit = if i mod 2 = 0 then add else remove in
+      cur := Edit.apply !cur edit;
+      (edit, !cur))
+
+let chain ~family ~workload build n =
+  let prog = build n in
+  let proc = if workload = "head" then "p1" else Printf.sprintf "p%d" n in
+  measure ~family ~workload ~n prog (chain_steps prog proc)
+
+let script family build =
+  let prog = build ~seed:script_seed ~n:script_n in
+  let rand = Random.State.make [| script_seed; 0xed17 |] in
+  measure ~family ~workload:"script" ~n:script_n prog
+    (Workload.Edits.gen ~rand ~steps:script_steps prog)
+
 let () =
   Printf.printf
-    "== incremental re-analysis vs from-scratch (head edit, %d edits/row, jobs=%d) ==\n"
-    edits_per_size jobs;
-  Printf.printf "   %-12s %6s | %10s %10s | %9s | %6s %4s\n" "family" "N"
-    "inc (s)" "batch (s)" "speedup" "rslv" "fb";
-  let rows =
+    "== incremental re-analysis vs from-scratch (%d edits/chain row, \
+     %d-step scripts, jobs=%d) ==\n"
+    edits_per_chain script_steps jobs;
+  Printf.printf "   %-12s %-8s %6s | %10s %10s | %9s | %6s %4s\n" "family"
+    "workload" "N" "inc (s)" "batch (s)" "speedup" "rslv" "fb";
+  let chains =
     List.concat_map
       (fun n ->
-        let r = measure "ref_chain" Workload.Families.ref_chain n in
-        let g = measure "global_chain" Workload.Families.global_chain n in
-        [ r; g ])
+        let module F = Workload.Families in
+        let r = chain ~family:"ref_chain" ~workload:"head" F.ref_chain n in
+        let g = chain ~family:"global_chain" ~workload:"head" F.global_chain n in
+        (* global_chain's pn already writes g0, so only ref_chain has a
+           deep row. *)
+        let d = chain ~family:"ref_chain" ~workload:"deep" F.ref_chain n in
+        [ r; g; d ])
       [ 64; 256; 1024; 4096 ]
   in
+  let dag = script "dag_style" Workload.Families.dag_style in
+  let fixed = script "fortran_fixed" Workload.Families.fortran_fixed in
+  let rows = chains @ [ dag; fixed ] in
   let json =
     Obs.Json.Obj
       [
@@ -123,11 +158,15 @@ let () =
         ( "claim",
           Obs.Json.String
             "single-procedure edits re-solve the condensation-ancestor cone, \
-             beating from-scratch analysis at n >= 256; results asserted \
-             bit-identical per edit" );
+             beating from-scratch analysis at every size even when the cone \
+             is the whole chain; only structural edits re-analyze from \
+             scratch; results asserted bit-identical per edit" );
         ( "workload",
           Obs.Json.String
-            "ref_chain/global_chain, alternating add/remove of g0 := 1 in p1" );
+            "ref_chain/global_chain, alternating add/remove of g0 := 1 in p1 \
+             (head), and in pn of ref_chain (deep); Workload.Edits.gen \
+             scripts (seed 1, 40 steps) on dag_style and fortran_fixed \
+             n=256" );
         ("rows", Obs.Json.List rows);
       ]
   in

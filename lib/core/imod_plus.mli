@@ -12,7 +12,30 @@
     ({!Ir.Info.fold_up_nesting}), the "corresponding redefinition of
     IMOD+" the paper calls for: effects that a nested procedure's call
     sites inflict on variables non-local to it belong to every
-    enclosing procedure as well. *)
+    enclosing procedure as well.  {!compute} is {!augment} followed
+    by that fold. *)
+
+val augment :
+  ?deref:(int -> int -> int list) ->
+  Ir.Info.t ->
+  rmod:Rmod.result ->
+  imod:Bitvec.t array ->
+  Bitvec.t array
+(** The step before the nesting fold: a fresh copy of [imod] with, for
+    every call site, [b_e(RMOD(callee))] added to the caller's entry.
+    A dereference actual [*p] contributes its [deref] targets. *)
+
+val augment_proc :
+  ?deref:(int -> int -> int list) ->
+  Ir.Info.t ->
+  rmod:Rmod.result ->
+  imod:Bitvec.t array ->
+  sites:Ir.Prog.site list ->
+  int ->
+  Bitvec.t
+(** [augment_proc info ~rmod ~imod ~sites pid] is procedure [pid]'s
+    entry of {!augment}; [sites] must be exactly the call sites whose
+    caller is [pid]. *)
 
 val compute :
   ?label:string ->

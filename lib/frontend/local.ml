@@ -78,19 +78,24 @@ let luse_stmt ?(deref = no_deref) p (s : Stmt.t) =
   in
   Int_set.elements set
 
-(* Per-procedure union of a per-statement set.  Procedures are
-   independent, so they fill in chunks over the pool (inline without
-   one); only single-bit sets are involved (nothing counted), and the
-   batch join publishes every vector before the caller reads them. *)
-let flat_union ?pool info per_stmt =
+let flat_of_proc info per_stmt pid =
   let p = Ir.Info.prog info in
-  let procs = p.Prog.procs in
-  let result = Array.map (fun _ -> Ir.Info.fresh info) procs in
-  Par.Pool.chunked pool (Array.length procs) (fun ~slot:_ ~lo ~hi ->
-      for i = lo to hi - 1 do
-        Stmt.iter
-          (fun s -> List.iter (fun v -> Bitvec.set result.(i) v) (per_stmt p s))
-          procs.(i).Prog.body
+  let acc = Ir.Info.fresh info in
+  Stmt.iter
+    (fun s -> List.iter (fun v -> Bitvec.set acc v) (per_stmt p s))
+    (Prog.proc p pid).Prog.body;
+  acc
+
+(* Procedures are independent, so they fill in chunks over the pool
+   (inline without one); only single-bit sets are involved (nothing
+   counted), and the batch join publishes every vector before the
+   caller reads them. *)
+let flat_union ?pool info per_stmt =
+  let n = Prog.n_procs (Ir.Info.prog info) in
+  let result = Array.make n (Bitvec.create 0) in
+  Par.Pool.chunked pool n (fun ~slot:_ ~lo ~hi ->
+      for pid = lo to hi - 1 do
+        result.(pid) <- flat_of_proc info per_stmt pid
       done);
   result
 

@@ -47,6 +47,13 @@ val luse_stmt : ?deref:(int -> int -> int list) -> Ir.Prog.t -> Ir.Stmt.t -> int
 (** Variables directly used by this one statement (not its
     sub-statements), ascending. *)
 
+val flat_of_proc :
+  Ir.Info.t -> (Ir.Prog.t -> Ir.Stmt.t -> int list) -> int -> Bitvec.t
+(** [flat_of_proc info per_stmt pid] is [⋃ per_stmt(s)] over the
+    statements of procedure [pid], without the nesting extension: its
+    entry of {!imod_flat} (with {!lmod_stmt}) or {!iuse_flat} (with
+    {!luse_stmt}).  A fresh vector. *)
+
 val imod_flat :
   ?pool:Par.Pool.t -> ?deref:(int -> int -> int list) -> Ir.Info.t -> Bitvec.t array
 (** Per-procedure [⋃ LMOD(s)] without the nesting extension.

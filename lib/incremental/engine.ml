@@ -15,7 +15,7 @@ let edit_hist = Obs.Metric.histogram "incremental.edit_s"
    what turns "this RMOD bit flipped" into "these callers' IMOD+ may
    move" without a scan of the whole site table. *)
 type site_index = {
-  by_caller : int list array;
+  by_caller : Prog.site list array;
   by_formal : int list array;
 }
 
@@ -30,7 +30,6 @@ type caches = {
 }
 
 type t = {
-  threshold : float;
   pool : Par.Pool.t option;
   provenance : bool;
   mutable analysis : Analyze.t;
@@ -51,13 +50,11 @@ type outcome = {
   procs_resolved : int;
 }
 
-exception Fallback of string
-
 let site_index prog =
   let by_caller = Array.make (Prog.n_procs prog) [] in
   let by_formal = Array.make (Prog.n_vars prog) [] in
   Prog.iter_sites prog (fun s ->
-      by_caller.(s.Prog.caller) <- s.Prog.sid :: by_caller.(s.Prog.caller);
+      by_caller.(s.Prog.caller) <- s :: by_caller.(s.Prog.caller);
       let callee = Prog.proc prog s.Prog.callee in
       Array.iteri
         (fun i arg ->
@@ -68,49 +65,6 @@ let site_index prog =
           | Prog.Arg_value _ -> ())
         s.Prog.args);
   { by_caller; by_formal }
-
-(* One procedure's flat LMOD/LUSE union — Frontend.Local.flat_union,
-   restricted. *)
-let flat_of_proc info prog pid per_stmt =
-  let acc = Info.fresh info in
-  Ir.Stmt.iter
-    (fun s -> List.iter (fun v -> Bitvec.set acc v) (per_stmt prog s))
-    (Prog.proc prog pid).Prog.body;
-  acc
-
-(* The first phase of Imod_plus.compute: folded IMOD plus the RMOD
-   projection of every site, per caller, before the second nesting
-   fold. *)
-let aug_full prog ~imod ~(rmod : Rmod.result) =
-  let result = Array.map Bitvec.copy imod in
-  Prog.iter_sites prog (fun s ->
-      let callee = Prog.proc prog s.Prog.callee in
-      Array.iteri
-        (fun i arg ->
-          match arg with
-          | Prog.Arg_value _ -> ()
-          | Prog.Arg_ref lv ->
-            if Rmod.modified rmod callee.Prog.formals.(i) then
-              Bitvec.set result.(s.Prog.caller) (Ir.Expr.lvalue_base lv))
-        s.Prog.args);
-  result
-
-let aug_of_proc prog ~imod ~(rmod : Rmod.result) ~sites q =
-  let v = Bitvec.copy imod.(q) in
-  List.iter
-    (fun sid ->
-      let s = Prog.site prog sid in
-      let callee = Prog.proc prog s.Prog.callee in
-      Array.iteri
-        (fun i arg ->
-          match arg with
-          | Prog.Arg_value _ -> ()
-          | Prog.Arg_ref lv ->
-            if Rmod.modified rmod callee.Prog.formals.(i) then
-              Bitvec.set v (Ir.Expr.lvalue_base lv))
-        s.Prog.args)
-    sites.by_caller.(q);
-  v
 
 (* Region form of Info.fold_up_nesting: [folded] is the fold of a
    previous [flat] family that differed, at most, at [seeds].  Only the
@@ -165,19 +119,20 @@ let refold_region info prog ~flat ~folded ~seeds =
 let rebind (r : Rmod.result) binding = { r with Rmod.binding }
 
 let build_caches ?pool (a : Analyze.t) =
-  let prog = a.Analyze.prog in
+  let info = a.Analyze.info and deref = a.Analyze.deref in
   {
-    imod_flat = Frontend.Local.imod_flat ?pool a.Analyze.info;
-    iuse_flat = Frontend.Local.iuse_flat ?pool a.Analyze.info;
-    imod_aug = aug_full prog ~imod:a.Analyze.imod ~rmod:a.Analyze.rmod;
-    iuse_aug = aug_full prog ~imod:a.Analyze.iuse ~rmod:a.Analyze.ruse;
-    sites = site_index prog;
+    imod_flat = Frontend.Local.imod_flat ?pool ~deref info;
+    iuse_flat = Frontend.Local.iuse_flat ?pool ~deref info;
+    imod_aug =
+      Core.Imod_plus.augment ~deref info ~rmod:a.Analyze.rmod ~imod:a.Analyze.imod;
+    iuse_aug =
+      Core.Imod_plus.augment ~deref info ~rmod:a.Analyze.ruse ~imod:a.Analyze.iuse;
+    sites = site_index a.Analyze.prog;
   }
 
-let create ?(threshold = 0.5) ?pool ?(provenance = false) prog =
+let create ?pool ?(provenance = false) prog =
   let analysis = Analyze.run ?pool ~provenance prog in
   {
-    threshold;
     pool;
     provenance;
     analysis;
@@ -194,9 +149,8 @@ let create ?(threshold = 0.5) ?pool ?(provenance = false) prog =
    they write; every edit replaces [t.analysis] wholesale), which keeps a
    still-unedited session's queries reading the same vectors as the
    registry base. *)
-let of_analysis ?(threshold = 0.5) ?pool (analysis : Analyze.t) =
+let of_analysis ?pool (analysis : Analyze.t) =
   {
-    threshold;
     pool;
     provenance = analysis.Analyze.provenance <> None;
     analysis;
@@ -272,7 +226,7 @@ let solve_side ~info ~prog ~binding ~graph_changed ~flat ~old_flat ~old_folded
   in
   (folded, folded_changed, r, changed_nodes)
 
-let aug_and_plus ~info ~prog ~sites ~folded ~folded_changed ~(rmod : Rmod.result)
+let aug_and_plus ~info ~deref ~prog ~sites ~folded ~folded_changed ~(rmod : Rmod.result)
     ~changed_nodes ~old_aug ~old_plus ~extra_seeds =
   let binding = rmod.Rmod.binding in
   let aug_seeds =
@@ -293,7 +247,10 @@ let aug_and_plus ~info ~prog ~sites ~folded ~folded_changed ~(rmod : Rmod.result
       let changed = ref [] in
       List.iter
         (fun q ->
-          let v = aug_of_proc prog ~imod:folded ~rmod ~sites q in
+          let v =
+            Core.Imod_plus.augment_proc ~deref info ~rmod ~imod:folded
+              ~sites:sites.by_caller.(q) q
+          in
           if not (Bitvec.equal v old_aug.(q)) then begin
             aug.(q) <- v;
             changed := q :: !changed
@@ -313,6 +270,7 @@ let incremental t prog kind =
   let c = t.caches in
   let np = Prog.n_procs prog in
   let info = Info.with_prog old.Analyze.info prog in
+  let deref = old.Analyze.deref in
   let graph_changed, call, binding, sites, flat_seeds, shape_seeds =
     match kind with
     | `Body proc ->
@@ -338,8 +296,8 @@ let incremental t prog kind =
       let im = Array.copy c.imod_flat and iu = Array.copy c.iuse_flat in
       List.iter
         (fun q ->
-          im.(q) <- flat_of_proc info prog q Frontend.Local.lmod_stmt;
-          iu.(q) <- flat_of_proc info prog q Frontend.Local.luse_stmt)
+          im.(q) <- Frontend.Local.flat_of_proc info (Frontend.Local.lmod_stmt ~deref) q;
+          iu.(q) <- Frontend.Local.flat_of_proc info (Frontend.Local.luse_stmt ~deref) q)
         seeds;
       (im, iu)
   in
@@ -354,20 +312,18 @@ let incremental t prog kind =
       ~old:old.Analyze.ruse ~rmod_label:"ruse"
   in
   let imod_aug, imod_plus, imod_plus_changed =
-    aug_and_plus ~info ~prog ~sites ~folded:imod ~folded_changed:imod_changed
+    aug_and_plus ~info ~deref ~prog ~sites ~folded:imod ~folded_changed:imod_changed
       ~rmod ~changed_nodes:rmod_changed ~old_aug:c.imod_aug
       ~old_plus:old.Analyze.imod_plus ~extra_seeds:shape_seeds
   in
   let iuse_aug, iuse_plus, iuse_plus_changed =
-    aug_and_plus ~info ~prog ~sites ~folded:iuse ~folded_changed:iuse_changed
+    aug_and_plus ~info ~deref ~prog ~sites ~folded:iuse ~folded_changed:iuse_changed
       ~rmod:ruse ~changed_nodes:ruse_changed ~old_aug:c.iuse_aug
       ~old_plus:old.Analyze.iuse_plus ~extra_seeds:shape_seeds
   in
   (* GMOD/GUSE: re-solve the condensation-ancestor cone of everything
-     whose seed (or out-edge set) changed.  Beyond the threshold a flat
-     program reruns in full (its batch findgmod uses the compact
-     universe); a nested one's batch findgmod is the region walk over
-     every component, so the cone widens to all of them. *)
+     whose seed (or out-edge set) changed, whatever its size — the
+     cone's findgmod does a subset of the batch walk's work. *)
   let side seeds plus cached =
     match List.sort_uniq compare (seeds @ shape_seeds) with
     | [] -> (cached, 0)
@@ -386,16 +342,9 @@ let incremental t prog kind =
             Array.iter (fun cp -> dirty.(cp) <- true) preds
           end)
         scc.Graphs.Scc.preds;
-      let card =
-        if float_of_int !card <= t.threshold *. float_of_int np then !card
-        else if Prog.max_level prog <= 1 then
-          raise
-            (Fallback
-               (Printf.sprintf "dirty fraction %d/%d over threshold" !card np))
-        else (Array.fill dirty 0 scc.Graphs.Scc.n_comps true; np)
-      in
-      let pool = t.pool in
-      (Core.Gmod_nested.solve_region ?pool info call ~seed:plus ~dirty ~cached, card)
+      ( Core.Gmod_nested.solve_region ?pool:t.pool info call ~seed:plus ~dirty
+          ~cached,
+        !card )
   in
   let gmod, n_mod = side imod_plus_changed imod_plus old.Analyze.gmod in
   let guse, n_use = side iuse_plus_changed iuse_plus old.Analyze.guse in
@@ -512,11 +461,9 @@ let apply t edit =
          so pointer programs always take the full path. *)
       full t prog "pointer program: points-to solution may shift"
     | Edit.Structural -> full t prog "structural edit"
-    | Edit.Body { proc } -> (
-      try incremental t prog (`Body proc) with Fallback r -> full t prog r)
-    | Edit.Call_shape { caller; local_sets_touched } -> (
-      try incremental t prog (`Shape (caller, local_sets_touched))
-      with Fallback r -> full t prog r)
+    | Edit.Body { proc } -> incremental t prog (`Body proc)
+    | Edit.Call_shape { caller; local_sets_touched } ->
+      incremental t prog (`Shape (caller, local_sets_touched))
   in
   Obs.Metric.observe edit_hist (Obs.Clock.now () -. t0);
   outcome

@@ -20,9 +20,12 @@
       still confines the bit-vector [GMOD]/[GUSE] work to the ancestor
       cone of the edited caller;
     - a {b structural} edit (procedure added/removed — every id
-      renumbered) or, on a flat program, a dirty cone larger than
-      [threshold × n_procs] falls back to a full [Core.Analyze.run]; on
-      a nested program such a cone widens to every procedure.
+      renumbered), or any edit of a program with pointers (before or
+      after it), falls back to a full [Core.Analyze.run].
+
+    There is no size cut-off: however large the dirty cone, [findgmod]
+    over it does a subset of the batch walk's work, and the batch run
+    would redo every other phase besides.
 
     The engine never validates the edited program (that would cost the
     [O(N)] it just avoided); callers that accept untrusted edit scripts
@@ -44,21 +47,19 @@ type outcome = {
           side counted; [2 × n_procs] for a full run). *)
 }
 
-val create :
-  ?threshold:float -> ?pool:Par.Pool.t -> ?provenance:bool -> Ir.Prog.t -> t
-(** Analyze from scratch and prime the caches.  [threshold] (default
-    [0.5]) is the dirty-cone fraction above which {!apply} abandons the
-    region path.  [?pool], when given, is retained for the engine's
-    lifetime and reused by the initial analysis, every full-fallback
-    re-analysis, and the region [GMOD]/[GUSE] cone re-solves; the pool
-    remains owned by the caller (the engine never shuts it down).
+val create : ?pool:Par.Pool.t -> ?provenance:bool -> Ir.Prog.t -> t
+(** Analyze from scratch and prime the caches.  [?pool], when given,
+    is retained for the engine's lifetime and reused by the initial
+    analysis, every full-fallback re-analysis, and the region
+    [GMOD]/[GUSE] cone re-solves; the pool remains owned by the caller
+    (the engine never shuts it down).
     [?provenance] (default [false]) keeps a {!Core.Provenance}
     derivation forest alive across edits: after every {!apply} the
     forest is rebuilt against the updated solutions (a post-pass
     linear in the fact count — the cone re-solve itself is unchanged),
     so witnesses never go stale. *)
 
-val of_analysis : ?threshold:float -> ?pool:Par.Pool.t -> Core.Analyze.t -> t
+val of_analysis : ?pool:Par.Pool.t -> Core.Analyze.t -> t
 (** Adopt an already-solved batch result instead of re-running it:
     only the caches are built (local set re-derivation and the
     [RMOD]-site projections — no solver runs; the [RMOD]/[RUSE]/

@@ -40,14 +40,20 @@ let check_equiv msg (inc : A.t) (batch : A.t) =
 
 (* Run a generated script through the engine, checking equivalence (and
    that the engine's program is the one the script built) after every
-   single edit. *)
+   single edit.  A body or call-shape edit of a pointer-free program
+   must take the region path, however large its cone. *)
 let run_script prog script =
   let engine = Engine.create prog in
   List.iteri
     (fun i (edit, expected) ->
       let before = Engine.prog engine in
       let label = Printf.sprintf "edit %d (%s)" i (Edit.to_string before edit) in
-      let (_ : Engine.outcome) = Engine.apply engine edit in
+      let out = Engine.apply engine edit in
+      (match (Edit.kind before edit, out.Engine.fallback) with
+      | (Edit.Body _ | Edit.Call_shape _), Some reason
+        when not (Ptsto.has_pointers before || Ptsto.has_pointers expected) ->
+        Alcotest.failf "%s: fell back (%s)" label reason
+      | _ -> ());
       if Engine.prog engine <> expected then
         Alcotest.failf "%s: engine program diverges from script program" label;
       check_equiv label (Engine.analysis engine) (A.run expected))
@@ -75,11 +81,23 @@ let apply_checked engine edit =
   check_equiv (Edit.to_string before edit) (Engine.analysis engine) (A.run prog);
   out
 
+(* Procedures that reach [pid] in the call graph, [pid] included: the
+   condensation-ancestor cone of its component. *)
+let cone_size prog pid =
+  let seen = Array.make (Ir.Prog.n_procs prog) false in
+  let rec visit q =
+    if not seen.(q) then begin
+      seen.(q) <- true;
+      Ir.Prog.iter_sites prog (fun s ->
+          if s.Ir.Prog.callee = q then visit s.Ir.Prog.caller)
+    end
+  in
+  visit pid;
+  Array.fold_left (fun n b -> if b then n + 1 else n) 0 seen
+
 let test_add_assign_mutual () =
   let prog = Workload.Families.mutual_pair () in
-  (* Three procedures total, so any cone trips the default threshold;
-     raise it to exercise the region path on the mutual SCC. *)
-  let engine = Engine.create ~threshold:1.0 prog in
+  let engine = Engine.create prog in
   let out =
     apply_checked engine
       (Edit.Add_assign
@@ -182,8 +200,6 @@ let test_nested_body_edit () =
            value = Ir.Expr.Int 0;
          })
   in
-  (* helper's cone is over the threshold; a nested program widens it to
-     the whole condensation instead of re-analyzing from scratch. *)
   check_bool "no fallback" true (out.Engine.fallback = None);
   let a = Engine.analysis engine in
   check_bool "RMOD(helper.h)" true
@@ -197,10 +213,8 @@ let test_nested_script rand =
 
 (* Nested programs take the same region re-solve as flat ones: a body
    edit in a deep procedure of pascal_style re-solves its condensation
-   ancestors only, not both sides in full.  Its cone holds the
-   program's large recursive component (over the default threshold), so
-   at the default the cone widens to every procedure, still without a
-   fallback; at threshold 1.0 the cone alone is re-solved. *)
+   ancestors only, not both sides in full, even though the cone holds
+   the program's large recursive component. *)
 let test_nested_region () =
   let prog = Workload.Families.pascal_style ~seed:1 ~n:64 ~depth:4 in
   let np = Ir.Prog.n_procs prog in
@@ -213,17 +227,13 @@ let test_nested_region () =
     Edit.Add_assign
       { proc = last.Ir.Prog.pid; target = !global; value = Ir.Expr.Int 1 }
   in
-  let resolved threshold =
-    let out = apply_checked (Engine.create ~threshold prog) edit in
-    check_bool "no fallback" true (out.Engine.fallback = None);
-    out.Engine.procs_resolved
-  in
-  let cone = resolved 1.0 in
-  if cone = 0 || cone >= 2 * np then
-    Alcotest.failf "nested body edit re-solved %d procedures (want 0 < r < 2n = %d)"
-      cone (2 * np);
-  (* Assigning a constant moves GMOD only: one side, every procedure. *)
-  Alcotest.(check int) "over the threshold: every procedure" np (resolved 0.5)
+  let out = apply_checked (Engine.create prog) edit in
+  check_bool "no fallback" true (out.Engine.fallback = None);
+  (* Assigning a constant moves GMOD only: one side, and on it the
+     cone, not every procedure. *)
+  let cone = cone_size prog last.Ir.Prog.pid in
+  check_bool "cone is not the whole program" true (cone < np);
+  check_int "resolves exactly the cone" cone out.Engine.procs_resolved
 
 (* Satellite 3: a shape-preserving edit on [ref_chain 64] must re-solve
    O(SCC-cone) procedures, not O(N).  The cone of p1 is {main, p1} on
@@ -252,7 +262,7 @@ let test_opcount_ref_chain () =
     Alcotest.failf "edit on p1 re-solved %d procedures (O(N)=64, want O(SCC))"
       delta;
   (* A mid-chain edit's ancestor cone is the upper half of the chain —
-     bigger, but still region-local and under the fallback threshold. *)
+     bigger, but still region-local. *)
   let snap = Obs.Metric.snapshot () in
   let (_ : Engine.outcome) =
     apply_checked engine
@@ -268,21 +278,24 @@ let test_opcount_ref_chain () =
   let delta = Obs.Metric.value_since ~since:snap resolved in
   if delta >= 64 then
     Alcotest.failf "edit on p31 re-solved %d procedures (>= N)" delta;
-  (* Deep in the chain the cone is nearly everything: the threshold
-     policy must notice and take the full run instead. *)
+  (* Deep in the chain the cone is nearly everything, and it still
+     re-solves that cone alone: p63 and its ancestors p62..p1 and main
+     on the MOD side, nothing on the USE side. *)
+  let p63 = proc_id prog "p63" in
   let snap = Obs.Metric.snapshot () in
   let out =
     apply_checked engine
       (Edit.Add_assign
          {
-           proc = proc_id prog "p63";
+           proc = p63;
            target = var_id prog "g0";
            value = Ir.Expr.Int 1;
          })
   in
-  check_bool "oversized cone falls back" true (out.Engine.fallback <> None);
-  check_int "fallback counted" 1
-    (Obs.Metric.value_since ~since:snap fallbacks)
+  check_bool "deep cone stays incremental" true (out.Engine.fallback = None);
+  check_int "no fallback counted" 0 (Obs.Metric.value_since ~since:snap fallbacks);
+  check_int "cone of p63" 64 (cone_size prog p63);
+  check_int "resolves exactly the cone" 64 out.Engine.procs_resolved
 
 (* [Script.render] must be a left inverse of [Script.parse_line]
    against the pre-edit program — the contract the analysis server's
@@ -381,7 +394,7 @@ let test_adopted_read_only () =
         ]
       in
       let before = image () in
-      let engine = Engine.of_analysis ~threshold:1.0 a in
+      let engine = Engine.of_analysis a in
       let rand = Random.State.make [| seed; 0x5e55 |] in
       let script = Workload.Edits.gen ~rand ~steps:12 prog in
       let resolved = ref 0 in
@@ -400,8 +413,8 @@ let test_adopted_read_only () =
 (* --- region golden ---
 
    Digests of what the GMOD/GUSE cone re-solve computes over a fixed
-   edit corpus, at threshold 1.0 so that every non-structural edit
-   takes the region path: per edit, its outcome, the word and vector
+   edit corpus (every non-structural edit takes the region path): per
+   edit, its outcome, the word and vector
    op counts of each [gmod.region] span, and the resulting GMOD/GUSE
    sets.  The corpus has cones that contain main and cones that do not
    (edits inside procedures an earlier edit added or cut off from
@@ -416,7 +429,7 @@ let region_digest_text prog ~seed =
   let b = Buffer.create 4096 in
   let add fmt = Printf.bprintf b fmt in
   let ints v = String.concat "," (List.map string_of_int (Bitvec.to_list v)) in
-  let engine = Engine.create ~threshold:1.0 prog in
+  let engine = Engine.create prog in
   let rand = Random.State.make [| seed; 0x6e61 |] in
   let main_clean = ref 0 and main_dirty = ref 0 in
   List.iteri

@@ -366,17 +366,17 @@ let test_structured_errors () =
   expect_err "empty name" (Protocol.Load { program = ""; source = "" }) "empty";
   expect_err "unload unknown" (Protocol.Unload { program = "nope" }) "unknown program"
 
-(* A deep by-ref chain: an edit at the bottom re-solves (nearly) every
-   procedure, so the engine falls back to a full solve mid-session —
-   and the session keeps answering, identically to from-scratch. *)
+(* A structural edit renumbers every id, so the engine falls back to a
+   full solve mid-session — and the session keeps answering,
+   identically to from-scratch. *)
 let test_edit_fallback () =
   let srv = Server.create () in
   let base = normalize (Workload.Families.ref_chain 6) in
   load srv ~client:1 "p" base;
+  let script = "add-proc zz writes=g0" in
   let r =
     send_ok srv ~client:1
-      (Protocol.Edit
-         { program = "p"; session = ""; script = "add-assign p6 g0 = 7"; lint = true })
+      (Protocol.Edit { program = "p"; session = ""; script; lint = true })
   in
   (match member "fallbacks" r with
   | Json.Int n when n >= 1 -> ()
@@ -390,7 +390,7 @@ let test_edit_fallback () =
   (* The session must now agree with a fresh analysis of the edited
      program. *)
   let mirror =
-    match Incremental.Script.parse base "add-assign p6 g0 = 7" with
+    match Incremental.Script.parse base script with
     | Ok [ (_, p') ] -> p'
     | _ -> Alcotest.fail "script did not parse"
   in
