@@ -190,23 +190,16 @@ let analysis_json (t : Core.Analyze.t) =
 (* --- analyze --- *)
 
 let analyze_cmd =
-  let run file flat trace json jobs ptsto =
+  let run file trace json jobs ptsto =
     with_trace trace @@ fun () ->
     let prog = load file in
-    let t =
-      Par.Pool.with_pool ~jobs (fun pool ->
-          Core.Analyze.run ~force_flat:flat ?pool ~ptsto prog)
-    in
+    let t = Par.Pool.with_pool ~jobs (fun pool -> Core.Analyze.run ?pool ~ptsto prog) in
     if json then print_endline (Obs.Json.to_string (analysis_json t))
     else Format.printf "%a@." Core.Analyze.pp_report t
   in
-  let flat =
-    Arg.(value & flag & info [ "force-flat" ]
-           ~doc:"Use plain Figure-2 findgmod even on nested programs (ablation).")
-  in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Interprocedural MOD/USE analysis of a MiniProc file.")
-    Term.(const run $ file_arg $ flat $ trace_arg $ json_arg $ jobs_arg $ ptsto_arg)
+    Term.(const run $ file_arg $ trace_arg $ json_arg $ jobs_arg $ ptsto_arg)
 
 (* --- must --- *)
 

@@ -46,6 +46,12 @@ begin
 end.
 |}
 
+(* Plain Figure 2 on the same call graph and IMOD+ seeds, ignoring the
+   nesting levels. *)
+let plain_figure2 (t : Core.Analyze.t) =
+  Core.Gmod.solve t.Core.Analyze.info t.Core.Analyze.call
+    ~imod_plus:t.Core.Analyze.imod_plus
+
 let () =
   let prog = Frontend.Sema.compile_exn ~file:"report.mp" source in
   Format.printf "nesting depth dP = %d@.@." (Ir.Prog.max_level prog);
@@ -62,10 +68,10 @@ let () =
   Format.printf "%a@." Core.Rmod.pp t.Core.Analyze.rmod;
 
   Format.printf "@.-- GMOD: multi-level findgmod vs plain Figure 2 --@.";
-  let flat = Core.Analyze.run ~force_flat:true prog in
+  let flat = plain_figure2 t in
   Ir.Prog.iter_procs prog (fun pr ->
       let pid = pr.Ir.Prog.pid in
-      let multi = t.Core.Analyze.gmod.(pid) and plain = flat.Core.Analyze.gmod.(pid) in
+      let multi = t.Core.Analyze.gmod.(pid) and plain = flat.(pid) in
       Format.printf "GMOD(%s) = %a%s@." pr.Ir.Prog.pname (Ir.Pp.pp_var_set prog) multi
         (if Bitvec.equal multi plain then ""
          else
@@ -111,12 +117,12 @@ end.
   in
   let prog2 = Frontend.Sema.compile_exn ~file:"demo.mp" counter in
   let multi = Core.Analyze.run prog2 in
-  let plain = Core.Analyze.run ~force_flat:true prog2 in
+  let plain = plain_figure2 multi in
   Format.printf
     "@.-- why the multi-level algorithm exists: a 4-procedure counterexample --@.";
   Ir.Prog.iter_procs prog2 (fun pr ->
       let pid = pr.Ir.Prog.pid in
-      let m = multi.Core.Analyze.gmod.(pid) and p = plain.Core.Analyze.gmod.(pid) in
+      let m = multi.Core.Analyze.gmod.(pid) and p = plain.(pid) in
       Format.printf "GMOD(%s): multi-level = %a%s@." pr.Ir.Prog.pname
         (Ir.Pp.pp_var_set prog2) m
         (if Bitvec.equal m p then ""

@@ -13,8 +13,9 @@
      word, unused high bits zero — plus an exact [top]: the number of
      words up to and including the highest nonzero one.  Dense
      operations only walk the occupied prefix, so a promoted set whose
-     members cluster at low indices (see the per-SCC renumbering pass
-     in lib/core/renumber.ml) still pays live-size costs.
+     members cluster at low indices (see lib/core/renumber.ml, which
+     renumbers a flat program's seeded globals into one compact
+     escape universe) still pays live-size costs.
 
    Representation transitions are pure functions of the per-vector
    operation sequence, so parallel schedules that replay the sequential

@@ -56,7 +56,7 @@ let heap_seeds prog pt =
         s.Prog.args);
   List.rev !acc
 
-let run_with ?(force_flat = false) ?pool ?(provenance = false)
+let run_with ?pool ?(provenance = false)
     ?(ptsto = Ptsto.Steensgaard) prog =
   Obs.Span.with_ "analyze" @@ fun () ->
   let info = Obs.Span.with_ "info" (fun () -> Ir.Info.make prog) in
@@ -87,10 +87,9 @@ let run_with ?(force_flat = false) ?pool ?(provenance = false)
   let iuse_plus =
     Imod_plus.compute ~label:"iuse_plus" ~deref info ~rmod:ruse ~imod:iuse
   in
-  let solve = if force_flat then Gmod.solve else Gmod_nested.solve in
   let gmod, guse =
-    ( solve ?pool info call ~imod_plus,
-      solve ~label:"guse" ?pool info call ~imod_plus:iuse_plus )
+    ( Gmod_nested.solve ?pool info call ~imod_plus,
+      Gmod_nested.solve ~label:"guse" ?pool info call ~imod_plus:iuse_plus )
   in
   let alias_table =
     if provenance then Some (Provenance.create_alias_table ()) else None
@@ -133,12 +132,11 @@ let run_with ?(force_flat = false) ?pool ?(provenance = false)
     provenance = prov;
   }
 
-let run ?force_flat ?(jobs = 1) ?pool ?provenance ?ptsto prog =
+let run ?(jobs = 1) ?pool ?provenance ?ptsto prog =
   match pool with
-  | Some _ -> run_with ?force_flat ?pool ?provenance ?ptsto prog
+  | Some _ -> run_with ?pool ?provenance ?ptsto prog
   | None ->
-    Par.Pool.with_pool ~jobs (fun pool ->
-        run_with ?force_flat ?pool ?provenance ?ptsto prog)
+    Par.Pool.with_pool ~jobs (fun pool -> run_with ?pool ?provenance ?ptsto prog)
 
 let union_over t family family' =
   let acc = Ir.Info.fresh t.info in

@@ -44,7 +44,6 @@ type t = {
 }
 
 val run :
-  ?force_flat:bool ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->
   ?provenance:bool ->
@@ -52,9 +51,9 @@ val run :
   Ir.Prog.t ->
   t
 (** Analyze a program.  When the program declares procedures below
-    nesting level 1 the multi-level [findgmod] is used automatically;
-    [force_flat] forces plain Figure 2 regardless (used by tests and
-    ablations).
+    nesting level 1 the multi-level [findgmod] is used automatically
+    ({!Gmod_nested.solve}); plain Figure 2 on such a program is
+    {!Gmod.solve}.
 
     Parallelism: [?pool], when given, is used for the local, [RMOD],
     [GMOD]/[GUSE] (flat or multi-level) and [MUSTMOD] phases;

@@ -8,8 +8,8 @@ type ops = {
 
 (* Figure 2, scheduled as a condensation wavefront (docs/parallel.md),
    over [dp] nesting problems at once (end of §4).  The recursion of
-   [search] becomes an explicit frame stack; line 17 is [fold], lines
-   19-25 are [close].
+   [search] becomes an explicit frame stack; line 8 is [enter], line 17
+   is [fold], lines 19-25 are [close].
 
    Each component of [call.scc] (Tarjan in the paper's visit order:
    main first, then index order) is one task: a traversal of its
@@ -39,7 +39,7 @@ type ops = {
    checks [comp.(q) <> c] {e first} and never reads the state of a node
    owned by another same-level component; lower-level state is frozen
    by the batch join. *)
-let findgmod pool (call : Callgraph.Call.t) levels ~dp ~lim ~cost ops =
+let findgmod pool (call : Callgraph.Call.t) ~seeds ~dp ~lim ~cost ~enter ops =
   let g = call.Callgraph.Call.graph in
   let n = Digraph.n_nodes g in
   let scc = call.Callgraph.Call.scc in
@@ -75,6 +75,7 @@ let findgmod pool (call : Callgraph.Call.t) levels ~dp ~lim ~cost ops =
     let next_dfn = ref 1 in
     let sp = ref 0 in
     let push v =
+      enter v;
       dfn.(v) <- !next_dfn;
       Array.fill lowlink (v * dp) dp !next_dfn;
       incr next_dfn;
@@ -129,29 +130,27 @@ let findgmod pool (call : Callgraph.Call.t) levels ~dp ~lim ~cost ops =
           fold ~src:v ~dst:parent ~lim:lv
         end
       end
-    done
+    done;
+    true
   in
-  let plan = Par.Wavefront.plan levels ~jobs ~cost in
-  Par.Wavefront.run_plan pool plan ~f:run_comp
+  Par.Wavefront.resolve pool scc ~seeds ~cost ~f:run_comp
 
+(* Every component of the cone runs, so the cone is what comes back.
+   Entries start from a copy of their seed when the traversal enters
+   them (line 8 of Figure 2); entries outside the cone share their
+   [cached] vector, which an edge into them folds in.  The cone is
+   closed under condensation predecessors, so a value outside it cannot
+   have changed, and outside nodes reach only outside ones: the
+   whole-graph DFS enters each cone component where a DFS of the cone
+   would, and the region run performs exactly that run's operations. *)
 let solve_vectors pool (call : Callgraph.Call.t) ~seed ~region ~dp ~lim ops =
   let scc = call.Callgraph.Call.scc in
-  let comp = scc.Graphs.Scc.comp in
-  (* Dirty entries start from a copy of their seed (line 8 of Figure
-     2); clean ones share their cached vector, which an edge into them
-     folds in.  The dirty set is closed under condensation
-     predecessors, so a clean value cannot have changed, and clean
-     nodes reach only clean ones: the whole-graph DFS enters each dirty
-     component where a DFS of the dirty subgraph would, and the region
-     run performs exactly that run's operations. *)
-  let gmod, levels =
+  let gmod, seeds =
     match region with
-    | None -> (Array.map Bitvec.copy seed, scc.Graphs.Scc.levels)
-    | Some (dirty, cached) ->
-      ( Array.mapi
-          (fun v s -> if dirty.(comp.(v)) then Bitvec.copy s else cached.(v))
-          seed,
-        Graphs.Scc.restrict_levels scc.Graphs.Scc.levels ~keep:(Array.get dirty) )
+    | None -> (Array.copy seed, Par.Wavefront.All)
+    | Some (procs, cached) ->
+      ( Array.copy cached,
+        Par.Wavefront.Comps (List.map (fun v -> scc.Graphs.Scc.comp.(v)) procs) )
   in
   (* Batch cost: member count plus live seed words — an uncounted O(1)
      probe per node that weighs components by estimated summary size. *)
@@ -160,8 +159,12 @@ let solve_vectors pool (call : Callgraph.Call.t) ~seed ~region ~dp ~lim ops =
       (fun acc v -> acc + 1 + (Bitvec.live_estimate seed.(v) / Sys.int_size))
       0 scc.Graphs.Scc.members.(c)
   in
-  findgmod pool call levels ~dp ~lim ~cost (ops gmod);
-  gmod
+  let cone =
+    findgmod pool call ~seeds ~dp ~lim ~cost
+      ~enter:(fun v -> gmod.(v) <- Bitvec.copy seed.(v))
+      (ops gmod)
+  in
+  (gmod, List.concat_map (fun c -> scc.Graphs.Scc.members.(c)) cone)
 
 (* Equation (4) over bit vectors, one problem.  [`Nonlocal] performs
    its [∖ LOCAL(src)] strip explicitly (blit + intersect + union, for
@@ -205,13 +208,13 @@ let solve ?(label = "gmod") ?pool info (call : Callgraph.Call.t) ~imod_plus:seed
   Obs.Span.with_ label @@ fun () ->
   if Prog.max_level call.Callgraph.Call.prog <= 1 then begin
     let rn = Renumber.build info ~seed in
-    let compact =
+    let compact, _ =
       solve_seeded ?pool ~prune:`None info call ~seed:(Renumber.compact_seeds rn)
     in
     Renumber.expand rn ~base:seed ~compact
   end
-  else solve_seeded ?pool info call ~seed
+  else fst (solve_seeded ?pool info call ~seed)
 
-let solve_region ?pool info call ~seed ~dirty ~cached =
+let solve_region ?pool info call ~seed ~seeds ~cached =
   Obs.Span.with_ "gmod.region" (fun () ->
-      solve_seeded ~region:(dirty, cached) ?pool info call ~seed)
+      solve_seeded ~region:(seeds, cached) ?pool info call ~seed)

@@ -23,10 +23,11 @@
     §4; [dP = 1] on flat programs).  Its instances: {!solve} and
     {!solve_region} below, the multi-level {!Gmod_nested.solve} and
     the sectioned [Sections.Gmod_sections.solve] (§6).  It runs as a
-    condensation wavefront: the components of [call.scc] level by
-    level ({!Par.Wavefront.plan}), each traversed from where the
-    whole-graph DFS first enters it; with a pool, wide levels run
-    concurrently.  Results {e and} the [bitvec.vector_ops]/[word_ops]
+    condensation wavefront ({!Par.Wavefront.resolve}, the tree's one
+    propagation driver): the components of [call.scc] level by level,
+    each traversed from where the whole-graph DFS first enters it;
+    with a pool, wide levels run concurrently.  A region re-solve is
+    the same run over a cone.  Results {e and} the [bitvec.vector_ops]/[word_ops]
     step counts do not depend on the pool (see docs/parallel.md).
 
     On flat programs (no procedure nesting) {!solve} runs the
@@ -52,32 +53,37 @@ type ops = {
 val findgmod :
   Par.Pool.t option ->
   Callgraph.Call.t ->
-  Graphs.Scc.levels ->
+  seeds:Par.Wavefront.seeds ->
   dp:int ->
   lim:(int -> int) ->
   cost:(int -> int) ->
+  enter:(int -> unit) ->
   (slot:int -> ops) ->
-  unit
-(** Runs the components of [call.scc] listed in [levels] (all of
-    [call.scc.levels], or a {!Graphs.Scc.restrict_levels} region) for
-    [dp] problems: problem [i] keeps the edges into callees [q] with
-    [lim q >= i] ([1 <= lim q <= dp]).  An edge into a component
+  int list
+(** Runs, through {!Par.Wavefront.resolve}, the components of
+    [call.scc] that [seeds] names and all their condensation ancestors
+    (every component with [All]), for [dp] problems: problem [i] keeps
+    the edges into callees [q] with [lim q >= i] ([1 <= lim q <= dp]).
+    [enter v] is called when the traversal first reaches [v] (line 8 of
+    Figure 2), before any fold into it.  An edge into a component
     outside the run folds as final; a self-edge is folded, as Figure 2
     folds it.  [cost c] weighs component [c] for batching; [ops] is
-    called once per pool slot. *)
+    called once per pool slot.  Returns the components run. *)
 
 val solve_vectors :
   Par.Pool.t option ->
   Callgraph.Call.t ->
   seed:Bitvec.t array ->
-  region:(bool array * Bitvec.t array) option ->
+  region:(int list * Bitvec.t array) option ->
   dp:int ->
   lim:(int -> int) ->
   (Bitvec.t array -> slot:int -> ops) ->
-  Bitvec.t array
+  Bitvec.t array * int list
 (** {!findgmod} over copies of the seeds, components weighed by live
-    seed size.  With [Some (dirty, cached)] only the [dirty] components
-    run (see {!solve_region}); clean entries share [cached]. *)
+    seed size; returns the vectors and the procedures re-solved.  With
+    [Some (procs, cached)] only the condensation-ancestor cone of
+    [procs] runs (see {!solve_region}); entries outside it share
+    [cached]. *)
 
 val solve :
   ?label:string ->
@@ -94,20 +100,18 @@ val solve_region :
   Ir.Info.t ->
   Callgraph.Call.t ->
   seed:Bitvec.t array ->
-  dirty:bool array ->
+  seeds:int list ->
   cached:Bitvec.t array ->
-  Bitvec.t array
-(** [findgmod] confined to a dirty region.  [dirty] is a set of
-    components of [call.scc] (indexed by component id) and must be
-    closed under condensation predecessors — the ancestors of every
-    component holding a procedure whose seed changed — so a clean
-    procedure's fixpoint value is provably [cached].  Runs the
-    per-component Figure-2 traversals of the dirty components only,
-    level by level, treating each clean successor as an already-closed
-    component whose [cached] vector is folded in, and returns a full
-    per-procedure array in which clean entries {e share} (not copy)
-    their [cached] vectors.  Bit-identical to {!solve} on the new
-    seeds, with the operations of a Figure-2 run over the dirty
-    subgraph alone.  Cost: the dirty procedures' nodes and out-edges,
-    plus one pass over the condensation's levels.  Runs under the span
+  Bitvec.t array * int list
+(** [findgmod] confined to the procedures [seeds] whose seed (or
+    out-edge set) changed and their condensation ancestors in
+    [call.scc] — so every procedure outside that cone provably keeps
+    its [cached] value.  Runs the per-component Figure-2 traversals of
+    the cone only, level by level, treating each successor outside it
+    as an already-closed component whose [cached] vector is folded in,
+    and returns a full per-procedure array in which entries outside
+    the cone {e share} (not copy) their [cached] vectors, plus the
+    cone's procedures.  Bit-identical to {!solve} on the new seeds,
+    with the operations of a Figure-2 run over the cone alone.  Cost:
+    the cone's nodes and out-edges.  Runs under the span
     ["gmod.region"]. *)

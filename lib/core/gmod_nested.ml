@@ -69,10 +69,20 @@ let flat (call : Callgraph.Call.t) = Prog.max_level call.Callgraph.Call.prog <= 
 
 let solve ?(label = "gmod") ?pool info call ~imod_plus =
   if flat call then Gmod.solve ~label ?pool info call ~imod_plus
-  else Obs.Span.with_ label (fun () -> solve_seeded ?pool info call ~seed:imod_plus)
+  else Obs.Span.with_ label (fun () -> fst (solve_seeded ?pool info call ~seed:imod_plus))
 
-let solve_region ?pool info call ~seed ~dirty ~cached =
-  if flat call then Gmod.solve_region ?pool info call ~seed ~dirty ~cached
-  else
-    Obs.Span.with_ "gmod.region" (fun () ->
-        solve_seeded ~region:(dirty, cached) ?pool info call ~seed)
+(* The comparison runs outside the span, over the cone only: entries
+   outside it share [cached]. *)
+let solve_region ?pool info call ~seed ~seeds ~cached =
+  if seeds = [] then (cached, 0, [])
+  else begin
+    let gmod, cone =
+      if flat call then Gmod.solve_region ?pool info call ~seed ~seeds ~cached
+      else
+        Obs.Span.with_ "gmod.region" (fun () ->
+            solve_seeded ~region:(seeds, cached) ?pool info call ~seed)
+    in
+    ( gmod,
+      List.length cone,
+      List.filter (fun v -> not (Bitvec.equal gmod.(v) cached.(v))) cone )
+  end

@@ -54,14 +54,18 @@ val solve_region :
   Ir.Info.t ->
   Callgraph.Call.t ->
   seed:Bitvec.t array ->
-  dirty:bool array ->
+  seeds:int list ->
   cached:Bitvec.t array ->
-  Bitvec.t array
-(** {!solve} confined to a dirty region, with the contract of
-    {!Gmod.solve_region}: [dirty] (components of [call.scc]) is closed
-    under condensation predecessors, clean entries share their
-    [cached] vector, and the result is bit-identical to {!solve} on
-    the new seeds.  Runs under the span ["gmod.region"]. *)
+  Bitvec.t array * int * int list
+(** {!solve} confined to the condensation-ancestor cone of [seeds],
+    with the contract of {!Gmod.solve_region}: entries outside the
+    cone share their [cached] vector, and the vectors are bit-identical
+    to {!solve} on the new seeds.  Returns the vectors, the number of
+    procedures in the cone and the procedures whose vector changed
+    (ascending within each component, components leaves first).  With
+    no [seeds] it returns [cached] itself and runs nothing.  The
+    re-solve runs under the span ["gmod.region"]; the comparison with
+    [cached] (one [Bitvec.equal] per cone member) runs outside it. *)
 
 val solve_by_levels :
   ?label:string ->

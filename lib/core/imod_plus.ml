@@ -28,4 +28,4 @@ let augment_proc ?(deref = Frontend.Local.no_deref) info ~rmod ~imod ~sites pid 
 
 let compute ?(label = "imod_plus") ?deref info ~rmod ~imod =
   Obs.Span.with_ label @@ fun () ->
-  Ir.Info.fold_up_nesting info (augment ?deref info ~rmod ~imod)
+  fst (Ir.Info.fold_up_nesting info (augment ?deref info ~rmod ~imod))

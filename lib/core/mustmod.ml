@@ -264,6 +264,40 @@ let solve_comp prog st c =
     done;
     !rounds
 
+(* [solve_comp] for the components [seeds] names and the ancestors a
+   moved value reaches, as a condensation wavefront: a component runs
+   only after every callee component's level completed, so it reads
+   final successor values.  Per-component work is the same with or
+   without a pool, hence results and counted op totals are too.  With
+   [prev] (the values before an edit) a component moved iff one of its
+   members' sets differs from it, and [note] sees each member that did;
+   without it (batch: every component runs anyway) nothing is
+   compared.  Returns the rounds. *)
+let propagate ?prev pool prog st ~seeds =
+  let scc = st.call.Call.scc in
+  let slot_rounds = Array.make (Par.Pool.slots pool) 0 in
+  ignore
+    (Par.Wavefront.resolve pool scc ~seeds
+       ~cost:(fun c ->
+         List.fold_left
+           (fun acc pid -> acc + Stmt.count (Prog.proc prog pid).Prog.body)
+           1 scc.Scc.members.(c))
+       ~f:(fun ~slot ~comp ->
+         slot_rounds.(slot) <- slot_rounds.(slot) + solve_comp prog st comp;
+         match prev with
+         | None -> true
+         | Some (prev, note) ->
+           let moved =
+             List.filter
+               (fun pid -> not (Bitvec.equal st.must_c.(pid) prev.(pid)))
+               scc.Scc.members.(comp)
+           in
+           List.iter note moved;
+           moved <> []));
+  let rounds = Array.fold_left ( + ) 0 slot_rounds in
+  Obs.Metric.add rounds_metric rounds;
+  rounds
+
 let solve ?(label = "mustmod") ?pool info call ~alias ~gmod =
   Obs.Span.with_ label @@ fun () ->
   let prog = Ir.Info.prog info in
@@ -303,39 +337,21 @@ let solve ?(label = "mustmod") ?pool info call ~alias ~gmod =
       must_c = Array.init np (fun pid -> Bitvec.create (frame_len frame pid));
     }
   in
-  (* Condensation wavefront: a component runs only after every callee
-     component's level completed, so each [solve_comp] reads final
-     successor values.  Per-component work is the same with or without
-     a pool, hence results and counted op totals are too. *)
-  let jobs = Par.Pool.slots pool in
-  let slot_rounds = Array.make jobs 0 in
-  let plan =
-    Par.Wavefront.plan scc.Scc.levels ~jobs ~cost:(fun c ->
-        List.fold_left
-          (fun acc pid -> acc + Stmt.count (Prog.proc prog pid).Prog.body)
-          1 scc.Scc.members.(c))
-  in
-  Par.Wavefront.run_plan pool plan ~f:(fun ~slot ~comp ->
-      slot_rounds.(slot) <- slot_rounds.(slot) + solve_comp prog st comp);
-  let rounds = Array.fold_left ( + ) 0 slot_rounds in
-  Obs.Metric.add rounds_metric rounds;
+  let rounds = propagate pool prog st ~seeds:Par.Wavefront.All in
   let mustmod = Array.mapi (expand frame nv) st.must_c in
   { prog; mustmod; intra; demoted; rounds; state = st }
 
 (* Copies before it writes: a server session re-solves from the
    registry's shared record, which must not change. *)
-let resolve ?(label = "mustmod.region") r info ~alias ~gmod ~changed_procs =
+let resolve ?(label = "mustmod.region") ?pool r info ~alias ~gmod ~changed_procs =
   Obs.Span.with_ label @@ fun () ->
   let prog = Ir.Info.prog info in
   let nv = Ir.Info.n_vars info in
   let fr = r.state.frame in
   (* Re-derive the per-procedure ingredients of the edited procedures
      (body gen, alias demotion and the GMOD cap can all shift under a
-     body edit), then push change leaves-to-roots over the
-     condensation — the same pruned ancestor cone as [Rmod.resolve]:
-     the smallest queued component always has final callee values, and
-     a component whose recomputed sets come out unchanged stops the
-     walk. *)
+     body edit), then re-solve their components and the ancestors a
+     moved value reaches. *)
   let intra = Array.copy r.intra in
   let demoted = Array.copy r.demoted in
   let mustmod = Array.copy r.mustmod in
@@ -355,31 +371,13 @@ let resolve ?(label = "mustmod.region") r info ~alias ~gmod ~changed_procs =
       st.gmod_c.(pid) <- of_full fr pid gmod.(pid))
     changed_procs;
   let scc = st.call.Call.scc in
-  let queue =
-    ref (Int_set.of_list (List.map (fun pid -> scc.Scc.comp.(pid)) changed_procs))
+  let rounds =
+    propagate pool prog st
+      ~seeds:(Par.Wavefront.Comps (List.map (fun pid -> scc.Scc.comp.(pid)) changed_procs))
+      ~prev:
+        (r.state.must_c, fun pid -> mustmod.(pid) <- expand fr nv pid st.must_c.(pid))
   in
-  let rounds = ref 0 in
-  let changed = ref Int_set.empty in
-  while not (Int_set.is_empty !queue) do
-    let c = Int_set.min_elt !queue in
-    queue := Int_set.remove c !queue;
-    rounds := !rounds + solve_comp prog st c;
-    let moved =
-      List.filter
-        (fun pid -> not (Bitvec.equal st.must_c.(pid) r.state.must_c.(pid)))
-        scc.Scc.members.(c)
-    in
-    List.iter
-      (fun pid ->
-        mustmod.(pid) <- expand fr nv pid st.must_c.(pid);
-        changed := Int_set.add pid !changed)
-      moved;
-    if moved <> [] then
-      Array.iter (fun cp -> queue := Int_set.add cp !queue) scc.Scc.preds.(c)
-  done;
-  Obs.Metric.add rounds_metric !rounds;
-  ( { prog; mustmod; intra; demoted; rounds = !rounds; state = st },
-    Int_set.elements !changed )
+  { prog; mustmod; intra; demoted; rounds; state = st }
 
 (* --- provenance grounding --------------------------------------------- *)
 

@@ -62,33 +62,35 @@ val solve :
   result
 (** Solve the whole program.  The program must pass {!Ir.Validate}: the
     per-procedure frames rely on every call naming a procedure in scope
-    at the call site.  Components are scheduled as a wavefront over the
-    condensation levels, inline without [?pool]; per-component work does
-    not depend on the pool, so results and counted bit-vector op totals
-    are bit-identical at every jobs setting.  Runs under an
-    {!Obs.Span} named [label] (default ["mustmod"]) and adds its round
-    count to the [mustmod.rounds] registry counter. *)
+    at the call site.  The component solver runs through
+    {!Par.Wavefront.resolve} with every component dirty, inline without
+    [?pool]; per-component work does not depend on the pool, so results
+    and counted bit-vector op totals are bit-identical at every jobs
+    setting.  Runs under an {!Obs.Span} named [label] (default
+    ["mustmod"]) and adds its round count to the [mustmod.rounds]
+    registry counter. *)
 
 val resolve :
   ?label:string ->
+  ?pool:Par.Pool.t ->
   result ->
   Ir.Info.t ->
   alias:Alias.t ->
   gmod:Bitvec.t array ->
   changed_procs:int list ->
-  result * int list
+  result
 (** [resolve r info ~alias ~gmod ~changed_procs] updates a solved
     instance after a body edit that left the call graph's shape intact.
     [changed_procs] must list the edited procedures and every procedure
     whose [GMOD] changed.  Re-derives their gen, demotion and cap sets,
-    then runs change propagation leaves-to-roots over [r]'s
-    condensation with the batch component
-    solver (cyclic components re-solve from ∅ — must facts can shrink
-    under an edit); the walk stops where recomputed sets come out
-    unchanged.  Returns the new result and the pids whose [MUSTMOD]
-    changed, ascending.  [r] itself is left untouched.  Equal, bit for
-    bit, to {!solve} on the edited program (default span label
-    ["mustmod.region"]). *)
+    then runs {!solve}'s component solver through
+    {!Par.Wavefront.resolve} from their components (cyclic components
+    re-solve from ∅ — must facts can shrink under an edit): an ancestor
+    runs only if a callee component's sets came out changed.  With no
+    [changed_procs] it runs no component.  [r] itself is left
+    untouched.  Equal, bit for bit, to {!solve} on the edited program,
+    and the same with or without [?pool], [rounds] included (default
+    span label ["mustmod.region"]). *)
 
 val ground_reasons : result -> Provenance.must_table -> unit
 (** Fill a pre-created {!Provenance.must_table} with a first-reason

@@ -15,8 +15,6 @@ type result = {
   state : state;
 }
 
-module Int_set = Set.Make (Int)
-
 (* The paper's O(Nβ + Eβ) bound counts simple boolean steps; mirror the
    per-result [steps] field into the registry so spans see it. *)
 let steps_metric = Obs.Metric.counter "rmod.steps"
@@ -30,88 +28,65 @@ let owner_of (binding : Binding.t) node =
 let seed_bit (binding : Binding.t) imod node =
   Bitvec.get imod.(owner_of binding node) (Binding.var binding node)
 
+(* Steps 2-4 for the components [seeds] names and their condensation
+   ancestors, over β's own condensation (step 1, computed with the
+   graph).  One transfer per component applies equation (6): the
+   members' seed bits or'ed with the successor components' values;
+   when the value moves it is copied back to the members.  The driver
+   runs a component only if it is a seed or a successor's value moved,
+   and every successor sits at a lower level, so it reads final values.
+   [state] and [rmod] are written in place; steps are counted per
+   worker slot and summed after the last join.  Returns the result and
+   the β nodes whose bit changed. *)
+let propagate pool (binding : Binding.t) state rmod ~steps ~seeds =
+  let scc = binding.Binding.scc in
+  let slot_steps = Array.make (Par.Pool.slots pool) 0 in
+  let changed =
+    Par.Wavefront.resolve pool scc ~seeds
+      ~cost:(fun c -> 1 + Array.length scc.Scc.succs.(c))
+      ~f:(fun ~slot ~comp:c ->
+        let st = ref 0 in
+        let step b = incr st; b in
+        let v =
+          List.exists (fun node -> step state.seed.(node)) scc.Scc.members.(c)
+          || Array.exists (fun cd -> step state.comp_val.(cd)) scc.Scc.succs.(c)
+        in
+        let moved = v <> state.comp_val.(c) in
+        if moved then begin
+          state.comp_val.(c) <- v;
+          List.iter (fun node -> rmod.(node) <- step v) scc.Scc.members.(c)
+        end;
+        slot_steps.(slot) <- slot_steps.(slot) + !st;
+        moved)
+  in
+  let steps = Array.fold_left ( + ) steps slot_steps in
+  Obs.Metric.add steps_metric steps;
+  ( { binding; rmod; steps; state },
+    List.concat_map (fun c -> scc.Scc.members.(c)) changed )
+
+(* Batch is the edit from all-false with every seed read and every
+   component dirty. *)
 let solve ?(label = "rmod") ?pool (binding : Binding.t) ~imod =
   Obs.Span.with_ label @@ fun () ->
-  let g = binding.Binding.graph in
-  let n = Digraph.n_nodes g in
-  (* Step 1: the strongly-connected components of β came with the graph
-     ({!Binding.build}) — graph work, outside the paper's boolean step
-     count. *)
-  let scc = binding.Binding.scc in
-  let n_comps = scc.Scc.n_comps in
-  let comp_val = Array.make n_comps false in
-  let seed = Array.make n false in
-  let rmod = Array.make n false in
-  (* Steps 2 and 4 are independent per component / per node and run
-     chunked over the pool; step 3 runs as a wavefront over the
-     condensation levels, so a component only reads successor values
-     made final before it.  Without a pool all three run inline on the
-     caller.  Step counts accumulate per worker slot (each slot is
-     owned by one domain) and are summed after the last join. *)
-  let jobs = Par.Pool.slots pool in
-  let slot_steps = Array.make jobs 0 in
-  (* Step 2: each component's IMOD is the or of its members', by
-     component so the node writes and the comp_val write are disjoint
-     across tasks.  Sum of member counts = Nβ. *)
-  Par.Pool.chunked pool n_comps (fun ~slot ~lo ~hi ->
-      let st = ref 0 in
-      for c = lo to hi - 1 do
-        List.iter
-          (fun node ->
-            incr st;
-            let b = seed_bit binding imod node in
-            seed.(node) <- b;
-            if b then comp_val.(c) <- true)
-          scc.Scc.members.(c)
-      done;
-      slot_steps.(slot) <- slot_steps.(slot) + !st);
-  (* Step 3: leaves-to-roots pass over the condensation; one relaxation
-     per edge applies equation (6).  Components are numbered in reverse
-     topological order, and the plan runs every successor's level
-     first.  Scheduled coarsely: singleton-level runs fuse into inline
-     sequential stages, wide levels batch by condensation out-degree,
-     so a chain-shaped condensation never pays a barrier. *)
-  let plan =
-    Par.Wavefront.plan scc.Scc.levels ~jobs ~cost:(fun c ->
-        1 + Array.length scc.Scc.succs.(c))
+  let n = Digraph.n_nodes binding.Binding.graph in
+  let state =
+    {
+      comp_val = Array.make binding.Binding.scc.Scc.n_comps false;
+      seed = Array.init n (seed_bit binding imod);
+    }
   in
-  Par.Wavefront.run_plan pool plan ~f:(fun ~slot ~comp:c ->
-      let st = ref 0 in
-      List.iter
-        (fun node ->
-          Digraph.iter_succ g node (fun w ->
-              let cd = scc.Scc.comp.(w) in
-              if cd <> c then begin
-                incr st;
-                if comp_val.(cd) then comp_val.(c) <- true
-              end))
-        scc.Scc.members.(c);
-      slot_steps.(slot) <- slot_steps.(slot) + !st);
-  (* Step 4: copy the representer's value back to every member. *)
-  Par.Pool.chunked pool n (fun ~slot ~lo ~hi ->
-      let st = ref 0 in
-      for node = lo to hi - 1 do
-        incr st;
-        rmod.(node) <- comp_val.(scc.Scc.comp.(node))
-      done;
-      slot_steps.(slot) <- slot_steps.(slot) + !st);
-  let steps = Array.fold_left ( + ) 0 slot_steps in
-  Obs.Metric.add steps_metric steps;
-  { binding; rmod; steps; state = { comp_val; seed } }
+  fst (propagate pool binding state (Array.make n false) ~steps:n ~seeds:Par.Wavefront.All)
 
 (* Copies before it writes: a server session re-solves from the
    registry's shared record, which must not change. *)
-let resolve ?(label = "rmod.region") r ~imod ~changed_procs =
+let resolve ?(label = "rmod.region") ?pool r ~imod ~changed_procs =
   Obs.Span.with_ label @@ fun () ->
-  let binding = r.binding and st = r.state in
-  let prog = binding.Binding.prog in
-  let scc = binding.Binding.scc in
-  let steps = ref 0 in
+  let binding = r.binding in
+  let state = { comp_val = Array.copy r.state.comp_val; seed = Array.copy r.state.seed } in
   (* Re-read the seed bit of the β nodes (by-reference formals) of the
-     procedures whose IMOD may have changed; a flipped bit queues the
+     procedures whose IMOD may have changed; a flipped bit seeds the
      node's component. *)
-  let seed = Array.copy st.seed in
-  let queue = ref Int_set.empty in
+  let steps = ref 0 and seeds = ref [] in
   List.iter
     (fun pid ->
       Array.iter
@@ -121,60 +96,14 @@ let resolve ?(label = "rmod.region") r ~imod ~changed_procs =
           | Some node ->
             incr steps;
             let b = seed_bit binding imod node in
-            if b <> seed.(node) then begin
-              seed.(node) <- b;
-              queue := Int_set.add scc.Scc.comp.(node) !queue
+            if b <> state.seed.(node) then begin
+              state.seed.(node) <- b;
+              seeds := binding.Binding.scc.Scc.comp.(node) :: !seeds
             end)
-        (Prog.proc prog pid).Prog.formals)
+        (Prog.proc binding.Binding.prog pid).Prog.formals)
     changed_procs;
-  (* Change propagation leaves-to-roots over the condensation.
-     Components are numbered in reverse topological order, so taking
-     the smallest queued component always sees final successor values;
-     when a value actually changes, the component's condensation
-     predecessors (all larger-numbered) join the queue.  The walk stops
-     as soon as recomputed values come out unchanged — the
-     condensation-ancestor cone, pruned. *)
-  let comp_val = Array.copy st.comp_val in
-  let changed_comps = ref [] in
-  while not (Int_set.is_empty !queue) do
-    let c = Int_set.min_elt !queue in
-    queue := Int_set.remove c !queue;
-    let v =
-      List.exists
-        (fun node ->
-          incr steps;
-          seed.(node))
-        scc.Scc.members.(c)
-      || Array.exists
-           (fun cd ->
-             incr steps;
-             comp_val.(cd))
-           scc.Scc.succs.(c)
-    in
-    if v <> comp_val.(c) then begin
-      comp_val.(c) <- v;
-      changed_comps := c :: !changed_comps;
-      Array.iter
-        (fun cp ->
-          incr steps;
-          queue := Int_set.add cp !queue)
-        scc.Scc.preds.(c)
-    end
-  done;
-  let rmod = Array.copy r.rmod in
-  let changed_nodes = ref [] in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun node ->
-          incr steps;
-          rmod.(node) <- comp_val.(c);
-          changed_nodes := node :: !changed_nodes)
-        scc.Scc.members.(c))
-    !changed_comps;
-  Obs.Metric.add steps_metric !steps;
-  ( { binding; rmod; steps = !steps; state = { comp_val; seed } },
-    !changed_nodes )
+  propagate pool binding state (Array.copy r.rmod) ~steps:!steps
+    ~seeds:(Par.Wavefront.Comps !seeds)
 
 let modified r vid =
   match Binding.node_opt r.binding vid with

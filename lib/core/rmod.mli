@@ -24,8 +24,8 @@ type result = {
   binding : Callgraph.Binding.t;
   rmod : bool array;  (** Per β node. *)
   steps : int;
-      (** Simple boolean steps executed (node initialisations plus edge
-          relaxations, over both the condensation and the copy-back) —
+      (** Simple boolean steps executed (seed reads, member and
+          successor reads of each transfer, and copy-back writes) —
           the quantity the paper's [O(Nβ + Eβ)] bound counts.  Used by
           the empirical-linearity experiment. *)
   state : state;
@@ -37,10 +37,13 @@ val solve :
     included) from {!Frontend.Local.imod}; only its formal-parameter
     bits are consulted.
 
-    Step 1 is [binding.scc], computed when β was built.  Steps 2 and 4
-    are chunked over [?pool] and step 3 runs as a condensation
-    wavefront; without a pool the same code runs inline, so results
-    and the [steps] total do not depend on the pool.
+    Step 1 is [binding.scc], computed when β was built.  Steps 2-4 are
+    one transfer per component, run by {!Par.Wavefront.resolve} with
+    every component dirty: the members' seed bits or'ed with the
+    successors' values (each scan stops at the first [true]), copied
+    back to the members when the value moves from [false].  The same
+    code runs with or without [?pool], so results and the [steps]
+    total do not depend on it.
 
     Runs under an {!Obs.Span} named [label] (default ["rmod"]; the
     [USE]-side solve passes ["ruse"]) and adds its boolean step count
@@ -48,6 +51,7 @@ val solve :
 
 val resolve :
   ?label:string ->
+  ?pool:Par.Pool.t ->
   result ->
   imod:Bitvec.t array ->
   changed_procs:int list ->
@@ -55,14 +59,16 @@ val resolve :
 (** [resolve r ~imod ~changed_procs] updates a solved instance after
     an edit that left the binding multi-graph intact but may have
     changed the [IMOD] bits of the listed procedures.  Re-reads seeds
-    only for those procedures' by-reference formals, then runs change
-    propagation leaves-to-roots over β's condensation: a component is
-    re-evaluated only if its own seed flipped or a successor
-    component's value actually changed (the condensation-ancestor
-    cone, pruned at unchanged values).
+    only for those procedures' by-reference formals (one step each),
+    then runs {!solve}'s transfer through {!Par.Wavefront.resolve}
+    from the components whose seed flipped: a component runs only if
+    its own seed flipped or a successor component's value actually
+    changed (the condensation-ancestor cone, pruned at unchanged
+    values), so an edit that flips no seed bit runs no component.
     Returns the new result and the β nodes whose [RMOD] bit changed.
     [r] itself is left untouched.  Equal, bit for bit, to [solve] on
-    the new seeds (default span label ["rmod.region"]). *)
+    the new seeds, and the same with or without [?pool] (default span
+    label ["rmod.region"]). *)
 
 val modified : result -> int -> bool
 (** [modified r vid]: is this by-reference formal modified?  [false]

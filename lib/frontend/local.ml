@@ -108,5 +108,5 @@ let iuse_flat ?pool ?(deref = no_deref) info =
 (* The nesting fold is a short bottom-up pass over the declaration
    tree; it stays sequential (its unions are ordered along tree
    paths). *)
-let imod ?pool ?deref info = Ir.Info.fold_up_nesting info (imod_flat ?pool ?deref info)
-let iuse ?pool ?deref info = Ir.Info.fold_up_nesting info (iuse_flat ?pool ?deref info)
+let imod ?pool ?deref info = fst (Ir.Info.fold_up_nesting info (imod_flat ?pool ?deref info))
+let iuse ?pool ?deref info = fst (Ir.Info.fold_up_nesting info (iuse_flat ?pool ?deref info))

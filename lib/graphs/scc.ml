@@ -44,22 +44,6 @@ let of_comp_succs succs =
     level;
   { level; n_levels; by_level; max_width = Array.fold_left max 0 width }
 
-let restrict_levels l ~keep =
-  let by_level =
-    Array.to_list l.by_level
-    |> List.filter_map (fun cs ->
-           match List.filter keep (Array.to_list cs) with
-           | [] -> None
-           | cs -> Some (Array.of_list cs))
-    |> Array.of_list
-  in
-  {
-    l with
-    n_levels = Array.length by_level;
-    by_level;
-    max_width = Array.fold_left (fun m cs -> max m (Array.length cs)) 0 by_level;
-  }
-
 let tarjan ?first_root g =
   let n = Digraph.n_nodes g in
   let dfn = Array.make n 0 in

@@ -63,10 +63,3 @@ val of_comp_succs : int array array -> levels
     Component ids must be reverse-topological (every inter-component
     edge points to a smaller id); duplicate edges and self-loops are
     ignored.  O(N + E). *)
-
-val restrict_levels : levels -> keep:(int -> bool) -> levels
-(** The levels of the components satisfying [keep], in the same order,
-    with emptied levels dropped ([level] is left as is).  Every kept
-    component still runs after its kept successors, so the result is a
-    wavefront for the kept subset — the dirty region of an incremental
-    re-solve. *)

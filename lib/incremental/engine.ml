@@ -66,56 +66,6 @@ let site_index prog =
         s.Prog.args);
   { by_caller; by_formal }
 
-(* Region form of Info.fold_up_nesting: [folded] is the fold of a
-   previous [flat] family that differed, at most, at [seeds].  Only the
-   seeds and their lexical ancestors can move; walk that cone deepest
-   level first, skip an ancestor whose children all came out unchanged,
-   and share every untouched vector.  Returns the procedures whose
-   folded value actually changed. *)
-let refold_region info prog ~flat ~folded ~seeds =
-  let np = Prog.n_procs prog in
-  let is_seed = Array.make np false in
-  let in_cone = Array.make np false in
-  List.iter (fun q -> is_seed.(q) <- true) seeds;
-  let rec mark q =
-    if not in_cone.(q) then begin
-      in_cone.(q) <- true;
-      match (Prog.proc prog q).Prog.parent with
-      | Some parent -> mark parent
-      | None -> ()
-    end
-  in
-  List.iter mark seeds;
-  let cone =
-    List.init np Fun.id
-    |> List.filter (fun q -> in_cone.(q))
-    |> List.sort (fun a b ->
-           compare (Prog.proc prog b).Prog.level (Prog.proc prog a).Prog.level)
-  in
-  let result = Array.copy folded in
-  let changed = Array.make np false in
-  List.iter
-    (fun q ->
-      let pr = Prog.proc prog q in
-      let must =
-        is_seed.(q) || List.exists (fun ch -> changed.(ch)) pr.Prog.nested
-      in
-      if must then begin
-        let v = Bitvec.copy flat.(q) in
-        List.iter
-          (fun ch ->
-            let esc = Bitvec.copy result.(ch) in
-            ignore (Bitvec.inter_into ~src:(Info.non_local info ch) ~dst:esc);
-            ignore (Bitvec.union_into ~src:esc ~dst:v))
-          pr.Prog.nested;
-        if not (Bitvec.equal v folded.(q)) then begin
-          result.(q) <- v;
-          changed.(q) <- true
-        end
-      end)
-    cone;
-  (result, List.filter (fun q -> changed.(q)) cone)
-
 let rebind (r : Rmod.result) binding = { r with Rmod.binding }
 
 let build_caches ?pool (a : Analyze.t) =
@@ -201,14 +151,13 @@ let full t prog reason =
 (* One side (MOD or USE) of the seed pipeline: flat → nesting fold →
    β re-solve → IMOD+ recompute.  Returns everything the GMOD stage
    needs, changed-sets included. *)
-let solve_side ~info ~prog ~binding ~graph_changed ~flat ~old_flat ~old_folded
+let solve_side ~pool ~info ~binding ~graph_changed ~flat ~old_flat ~old_folded
     ~flat_seeds ~(old : Rmod.result) ~rmod_label =
   let changed_flat =
     List.filter (fun q -> not (Bitvec.equal flat.(q) old_flat.(q))) flat_seeds
   in
   let folded, folded_changed =
-    if changed_flat = [] then (old_folded, [])
-    else refold_region info prog ~flat ~folded:old_folded ~seeds:changed_flat
+    Info.fold_up_nesting ~prev:(old_folded, changed_flat) info flat
   in
   let r, changed_nodes =
     if graph_changed then begin
@@ -221,7 +170,7 @@ let solve_side ~info ~prog ~binding ~graph_changed ~flat ~old_flat ~old_folded
     end
     else if folded_changed = [] then (rebind old binding, [])
     else
-      Rmod.resolve ~label:(rmod_label ^ ".region") (rebind old binding)
+      Rmod.resolve ~label:(rmod_label ^ ".region") ?pool (rebind old binding)
         ~imod:folded ~changed_procs:folded_changed
   in
   (folded, folded_changed, r, changed_nodes)
@@ -260,15 +209,13 @@ let aug_and_plus ~info ~deref ~prog ~sites ~folded ~folded_changed ~(rmod : Rmod
     end
   in
   let plus, plus_changed =
-    if aug_changed = [] then (old_plus, [])
-    else refold_region info prog ~flat:aug ~folded:old_plus ~seeds:aug_changed
+    Info.fold_up_nesting ~prev:(old_plus, aug_changed) info aug
   in
   (aug, plus, plus_changed)
 
 let incremental t prog kind =
   let old = t.analysis in
   let c = t.caches in
-  let np = Prog.n_procs prog in
   let info = Info.with_prog old.Analyze.info prog in
   let deref = old.Analyze.deref in
   let graph_changed, call, binding, sites, flat_seeds, shape_seeds =
@@ -302,12 +249,12 @@ let incremental t prog kind =
       (im, iu)
   in
   let imod, imod_changed, rmod, rmod_changed =
-    solve_side ~info ~prog ~binding ~graph_changed ~flat:imod_flat
+    solve_side ~pool:t.pool ~info ~binding ~graph_changed ~flat:imod_flat
       ~old_flat:c.imod_flat ~old_folded:old.Analyze.imod ~flat_seeds
       ~old:old.Analyze.rmod ~rmod_label:"rmod"
   in
   let iuse, iuse_changed, ruse, ruse_changed =
-    solve_side ~info ~prog ~binding ~graph_changed ~flat:iuse_flat
+    solve_side ~pool:t.pool ~info ~binding ~graph_changed ~flat:iuse_flat
       ~old_flat:c.iuse_flat ~old_folded:old.Analyze.iuse ~flat_seeds
       ~old:old.Analyze.ruse ~rmod_label:"ruse"
   in
@@ -325,29 +272,12 @@ let incremental t prog kind =
      whose seed (or out-edge set) changed, whatever its size — the
      cone's findgmod does a subset of the batch walk's work. *)
   let side seeds plus cached =
-    match List.sort_uniq compare (seeds @ shape_seeds) with
-    | [] -> (cached, 0)
-    | seeds ->
-      (* The dirty region: the seeds' components and their
-         condensation ancestors.  Predecessors have larger ids, so
-         one pass in increasing id closes the set. *)
-      let scc = call.Call.scc in
-      let dirty = Array.make scc.Graphs.Scc.n_comps false in
-      List.iter (fun q -> dirty.(scc.Graphs.Scc.comp.(q)) <- true) seeds;
-      let card = ref 0 in
-      Array.iteri
-        (fun c preds ->
-          if dirty.(c) then begin
-            card := !card + List.length scc.Graphs.Scc.members.(c);
-            Array.iter (fun cp -> dirty.(cp) <- true) preds
-          end)
-        scc.Graphs.Scc.preds;
-      ( Core.Gmod_nested.solve_region ?pool:t.pool info call ~seed:plus ~dirty
-          ~cached,
-        !card )
+    Core.Gmod_nested.solve_region ?pool:t.pool info call ~seed:plus
+      ~seeds:(List.sort_uniq compare (seeds @ shape_seeds))
+      ~cached
   in
-  let gmod, n_mod = side imod_plus_changed imod_plus old.Analyze.gmod in
-  let guse, n_use = side iuse_plus_changed iuse_plus old.Analyze.guse in
+  let gmod, n_mod, gmod_changed = side imod_plus_changed imod_plus old.Analyze.gmod in
+  let guse, n_use, _ = side iuse_plus_changed iuse_plus old.Analyze.guse in
   let resolved = n_mod + n_use in
   (* A body edit leaves the site table — and therefore the alias pairs
      and their recorded reasons — untouched; a shape edit recomputes
@@ -373,19 +303,9 @@ let incremental t prog kind =
      (and its condensation), so the solve reruns. *)
   let mustmod =
     if graph_changed then Core.Mustmod.solve ?pool:t.pool info call ~alias ~gmod
-    else begin
-      let gmod_changed =
-        if gmod == old.Analyze.gmod then []
-        else
-          List.filter
-            (fun q -> not (Bitvec.equal gmod.(q) old.Analyze.gmod.(q)))
-            (List.init np Fun.id)
-      in
-      let seeds = List.sort_uniq compare (flat_seeds @ gmod_changed) in
-      fst
-        (Core.Mustmod.resolve old.Analyze.mustmod info ~alias ~gmod
-           ~changed_procs:seeds)
-    end
+    else
+      Core.Mustmod.resolve ?pool:t.pool old.Analyze.mustmod info ~alias ~gmod
+        ~changed_procs:(List.sort_uniq compare (flat_seeds @ gmod_changed))
   in
   let summary = Core.Summary.make info ~gmod ~guse ~alias in
   (* Provenance is a post-pass over the final solutions, so a cone

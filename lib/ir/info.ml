@@ -72,23 +72,52 @@ let level_at_most t l =
 
 let fresh t = Bitvec.create (n_vars t)
 
-let fold_up_nesting t sets =
+(* Batch folds every procedure, deepest first, so children are final
+   before parents fold them in.  With [prev = (folded, seeds)], the fold
+   of a previous family that differed from [sets] at most at [seeds],
+   only the seeds and their lexical ancestors can move: the walk covers
+   that cone, skips an ancestor whose children all came out unchanged,
+   and shares every vector that did not move. *)
+let fold_up_nesting ?prev t sets =
   let p = t.prog in
-  let result = Array.map Bitvec.copy sets in
-  (* Deepest procedures first, so children are final before parents
-     fold them in. *)
-  let order =
-    List.sort
-      (fun a b -> compare (Prog.proc p b).Prog.level (Prog.proc p a).Prog.level)
-      (List.init (Prog.n_procs p) (fun i -> i))
+  let np = Prog.n_procs p in
+  let is_seed = Array.make np (prev = None) in
+  let result, cone =
+    match prev with
+    | None -> (Array.copy sets, List.init np Fun.id)
+    | Some (folded, seeds) ->
+      let in_cone = Array.make np false in
+      let cone = ref [] in
+      let rec mark q =
+        if not in_cone.(q) then begin
+          in_cone.(q) <- true;
+          cone := q :: !cone;
+          Option.iter mark (Prog.proc p q).Prog.parent
+        end
+      in
+      List.iter (fun q -> is_seed.(q) <- true; mark q) seeds;
+      (Array.copy folded, !cone)
   in
+  let changed = Array.make np false in
+  let level q = (Prog.proc p q).Prog.level in
   List.iter
-    (fun pid ->
-      List.iter
-        (fun q ->
-          let escaped = Bitvec.copy result.(q) in
-          ignore (Bitvec.inter_into ~src:t.non_local.(q) ~dst:escaped);
-          ignore (Bitvec.union_into ~src:escaped ~dst:result.(pid)))
-        (Prog.proc p pid).Prog.nested)
-    order;
-  result
+    (fun q ->
+      let nested = (Prog.proc p q).Prog.nested in
+      if is_seed.(q) || List.exists (Array.get changed) nested then begin
+        let v = Bitvec.copy sets.(q) in
+        List.iter
+          (fun ch ->
+            let escaped = Bitvec.copy result.(ch) in
+            ignore (Bitvec.inter_into ~src:t.non_local.(ch) ~dst:escaped);
+            ignore (Bitvec.union_into ~src:escaped ~dst:v))
+          nested;
+        match prev with
+        | Some (folded, _) when Bitvec.equal v folded.(q) -> ()
+        | _ ->
+          result.(q) <- v;
+          changed.(q) <- true
+      end)
+    (List.sort (fun a b -> compare (level b) (level a)) cone);
+  match (prev, List.filter (Array.get changed) cone) with
+  | Some (folded, _), [] -> (folded, [])
+  | _, changed -> (result, changed)

@@ -47,9 +47,19 @@ val level_at_most : t -> int -> Bitvec.t
 val fresh : t -> Bitvec.t
 (** A new empty vector over the variable universe. *)
 
-val fold_up_nesting : t -> Bitvec.t array -> Bitvec.t array
+val fold_up_nesting :
+  ?prev:Bitvec.t array * int list -> t -> Bitvec.t array -> Bitvec.t array * int list
 (** [fold_up_nesting info sets] applies the §3.3 nesting extension to a
     per-procedure family of variable sets: bottom-up over the nesting
     tree, [result(p) = sets(p) ∪ ⋃_{q ∈ Nest(p)} (result(q) ∖
     LOCAL(q))].  Fresh vectors; the input is not mutated.  Both [IMOD]
-    and [IMOD+] (and their [USE] analogues) are closed with this. *)
+    and [IMOD+] (and their [USE] analogues) are closed with this.
+
+    With [~prev:(folded, seeds)], where [folded] is the fold of a
+    previous family that differed from [sets] at most at [seeds], only
+    the seeds and their lexical ancestors are refolded (an ancestor
+    only when a child moved) and every other vector is shared with
+    [folded]; [folded] itself comes back when nothing moved.  The
+    second component lists the procedures whose folded vector changed
+    (one [Bitvec.equal] each against [folded]); without [prev] nothing
+    is compared and it lists every procedure. *)

@@ -123,3 +123,59 @@ let run_plan pool plan ~f =
                  Array.iter (fun c -> f ~slot ~comp:c) b.comps)
                batches))
       plan.stages
+
+type seeds = All | Comps of int list
+
+(* The seeds' condensation-ancestor cone, walked along [preds] with an
+   explicit stack ([ref_chain] condensations run 16k components deep)
+   and grouped by level, ascending component id within a level.
+   [mark]: 2 for a seed, 1 for an ancestor. *)
+let cone (scc : Graphs.Scc.t) seeds mark =
+  let stack = ref [] and cone = ref [] in
+  let visit c =
+    if mark.(c) = 0 then begin
+      mark.(c) <- 1;
+      cone := c :: !cone;
+      stack := c :: !stack
+    end
+  in
+  List.iter (fun c -> visit c; mark.(c) <- 2) seeds;
+  while !stack <> [] do
+    let c = List.hd !stack in
+    stack := List.tl !stack;
+    Array.iter visit scc.Graphs.Scc.preds.(c)
+  done;
+  let level = scc.Graphs.Scc.levels.Graphs.Scc.level in
+  let by_level_then_id a b = if level.(a) <> level.(b) then level.(a) - level.(b) else a - b in
+  let groups =
+    List.fold_left
+      (fun acc c ->
+        match acc with
+        | (c' :: _ as g) :: rest when level.(c') = level.(c) -> (c :: g) :: rest
+        | _ -> [ c ] :: acc)
+      [] (List.sort by_level_then_id !cone)
+  in
+  let by_level = Array.of_list (List.rev_map (fun g -> Array.of_list (List.rev g)) groups) in
+  {
+    Graphs.Scc.level;
+    n_levels = Array.length by_level;
+    by_level;
+    max_width = Array.fold_left (fun m cs -> max m (Array.length cs)) 0 by_level;
+  }
+
+let resolve pool (scc : Graphs.Scc.t) ~seeds ~cost ~f =
+  let moved = Array.make scc.Graphs.Scc.n_comps false in
+  let levels, run =
+    match seeds with
+    | All -> (scc.Graphs.Scc.levels, fun ~slot ~comp -> moved.(comp) <- f ~slot ~comp)
+    | Comps seeds ->
+      let mark = Array.make scc.Graphs.Scc.n_comps 0 in
+      ( cone scc seeds mark,
+        fun ~slot ~comp ->
+          if mark.(comp) = 2 || Array.exists (Array.get moved) scc.Graphs.Scc.succs.(comp)
+          then moved.(comp) <- f ~slot ~comp )
+  in
+  run_plan pool (plan levels ~jobs:(Pool.slots pool) ~cost) ~f:run;
+  Array.fold_right
+    (fun cs acc -> Array.fold_right (fun c acc -> if moved.(c) then c :: acc else acc) cs acc)
+    levels.Graphs.Scc.by_level []

@@ -67,3 +67,35 @@ val run_plan :
     [None], every stage runs inline on the caller in stage order —
     the same calls, so a solver written once over [run_plan] is its
     own sequential version. *)
+
+(** {1 Propagation}
+
+    Every leaves-to-roots solver over a condensation — Figure 1's step
+    3 (RMOD, RUSE), MUSTMOD, [findgmod] — is one transfer per
+    component run by {!resolve}.  A batch solve is the edit with every
+    component dirty. *)
+
+type seeds =
+  | All  (** Every component: a batch solve. *)
+  | Comps of int list
+      (** The components whose own input changed (duplicates allowed). *)
+
+val resolve :
+  Pool.t option ->
+  Graphs.Scc.t ->
+  seeds:seeds ->
+  cost:(int -> int) ->
+  f:(slot:int -> comp:int -> bool) ->
+  int list
+(** [resolve pool scc ~seeds ~cost ~f] walks the seeds'
+    condensation-ancestor cone along [scc.preds] (iteratively; the walk
+    and the grouping cost the cone and its edges, beside two mark
+    arrays over the components), groups it by [scc.levels.level] and
+    runs it as a {!plan} ([cost] as there).
+    [f ~slot ~comp] is called only for a seed or for a component one of
+    whose successors changed, and answers whether the component's value
+    moved; so a cone component whose inputs all came out unchanged is
+    skipped.  [f] has {!run_plan}'s ownership rules.  Returns the
+    components for which [f] answered [true], lowest level first,
+    ascending within a level.  With [All] every component runs (cost
+    [O(N + E)] of the condensation plus [f]). *)

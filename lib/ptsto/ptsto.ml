@@ -430,7 +430,7 @@ let raw_cells prog solver classes p d =
    are [v] itself plus, for a by-ref formal, every cell a binding may
    hand it, transitively: the nodes [v] reaches in the bound-to graph
    ([v -> s] for each binding source [s]).  So condense that graph and
-   take one union pass in Tarjan's component order, sinks first
+   take one union pass through the propagation driver, sinks first
    (Figure 1's shape); every member of a component shares its sets.
    [heap_src.(v)] are the heap cells bound to [v] directly. *)
 type storage = {
@@ -444,19 +444,20 @@ let storage_closure g ~heap_src =
   let comp = scc.Graphs.Scc.comp in
   let comp_v = Array.make scc.Graphs.Scc.n_comps Int_set.empty in
   let comp_h = Array.make scc.Graphs.Scc.n_comps Int_set.empty in
-  Array.iteri
-    (fun c vs ->
-      List.iter
-        (fun v ->
-          comp_v.(c) <- Int_set.add v comp_v.(c);
-          comp_h.(c) <- Int_set.union heap_src.(v) comp_h.(c))
-        vs;
-      Array.iter
-        (fun cu ->
-          comp_v.(c) <- Int_set.union comp_v.(cu) comp_v.(c);
-          comp_h.(c) <- Int_set.union comp_h.(cu) comp_h.(c))
-        scc.Graphs.Scc.succs.(c))
-    scc.Graphs.Scc.members;
+  ignore
+  @@ Par.Wavefront.resolve None scc ~seeds:Par.Wavefront.All ~cost:(fun _ -> 1)
+       ~f:(fun ~slot:_ ~comp:c ->
+         List.iter
+           (fun v ->
+             comp_v.(c) <- Int_set.add v comp_v.(c);
+             comp_h.(c) <- Int_set.union heap_src.(v) comp_h.(c))
+           scc.Graphs.Scc.members.(c);
+         Array.iter
+           (fun cu ->
+             comp_v.(c) <- Int_set.union comp_v.(cu) comp_v.(c);
+             comp_h.(c) <- Int_set.union comp_h.(cu) comp_h.(c))
+           scc.Graphs.Scc.succs.(c);
+         true);
   { comp; comp_v; comp_h }
 
 let analyze ?(tier = Steensgaard) prog =

@@ -33,13 +33,15 @@ let solve_iterative info (call : Callgraph.Call.t) ~immutable ~seed =
    inline (no pool), so the joins stay one counter.  A close widens the
    root's entries into every other member. *)
 let solve info (call : Callgraph.Call.t) ~immutable ~seed =
-  let gmod = Array.map Secmap.copy seed in
+  let gmod = Array.copy seed in
   let joins = ref 0 in
   let add_escaped = add_escaped info ~immutable ~joins gmod in
-  Core.Gmod.findgmod None call call.Callgraph.Call.scc.Graphs.Scc.levels ~dp:1
-    ~lim:(fun _ -> 1)
-    ~cost:(fun _ -> 1)
-    (fun ~slot:_ ->
+  ignore
+  @@ Core.Gmod.findgmod None call ~seeds:Par.Wavefront.All ~dp:1
+       ~lim:(fun _ -> 1)
+       ~cost:(fun _ -> 1)
+       ~enter:(fun v -> gmod.(v) <- Secmap.copy seed.(v))
+       (fun ~slot:_ ->
       {
         Core.Gmod.fold = (fun ~src ~dst ~lim:_ -> ignore (add_escaped ~src ~dst));
         close =

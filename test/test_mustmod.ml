@@ -342,6 +342,30 @@ let test_incremental_resolve () =
     (Helpers.gmod_arrays_equal inc.A.mustmod.M.mustmod
        batch.A.mustmod.M.mustmod)
 
+(* The re-solve runs the batch component solver through the one
+   propagation driver, which prunes: no seed runs no component, and a
+   seed whose sets come out unchanged runs its own component alone,
+   although its ancestor cone is the whole chain. *)
+let test_resolve_prunes () =
+  let prog = Workload.Families.ref_chain 64 in
+  let a = A.run prog in
+  let rounds = Option.get (Obs.Metric.find "mustmod.rounds") in
+  let resolve procs =
+    let snap = Obs.Metric.snapshot () in
+    let r =
+      M.resolve a.A.mustmod a.A.info ~alias:a.A.alias ~gmod:a.A.gmod
+        ~changed_procs:procs
+    in
+    Helpers.check_int "registry delta = result.rounds" r.M.rounds
+      (Obs.Metric.value_since ~since:snap rounds);
+    Helpers.check_bool "MUSTMOD unchanged" true
+      (Helpers.gmod_arrays_equal r.M.mustmod a.A.mustmod.M.mustmod);
+    r.M.rounds
+  in
+  Helpers.check_int "no seed: no component" 0 (resolve []);
+  Helpers.check_int "unmoved seed: its component only" 1
+    (resolve [ Helpers.proc_id prog "p64" ])
+
 (* --- digest golden ---
 
    Digests of everything MUSTMOD hands downstream: per procedure its
@@ -619,6 +643,8 @@ let () =
             test_deep_kill;
           Alcotest.test_case "incremental resolve agrees with batch" `Quick
             test_incremental_resolve;
+          Alcotest.test_case "resolve prunes at unchanged sets" `Quick
+            test_resolve_prunes;
         ] );
       ( "properties",
         [

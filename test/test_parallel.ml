@@ -190,6 +190,38 @@ let test_schedule_cycle_entry () =
   let s3 = Scc.compute ~first_root:3 g in
   check_int "entered at 2 from 3" 2 s3.Scc.entry.(s3.Scc.comp.(1))
 
+(* The propagation driver on main(0) -> 1 -> 2 -> 3 plus main -> 4:
+   a seed at the sink walks its cone {3, 2, 1, main}, never 4; a
+   component runs only if it is the seed or a successor moved, so once
+   1 answers "unchanged", main is skipped. *)
+let test_resolve_prunes () =
+  let g =
+    Graphs.Digraph.of_edges ~nodes:5 [ (0, 1); (1, 2); (2, 3); (0, 4) ]
+  in
+  let s = Scc.compute ~first_root:0 g in
+  let node_of c = List.hd s.Scc.members.(c) in
+  let ran = ref [] in
+  let changed =
+    Wavefront.resolve None s
+      ~seeds:(Wavefront.Comps [ s.Scc.comp.(3) ])
+      ~cost:(fun _ -> 1)
+      ~f:(fun ~slot:_ ~comp ->
+        ran := node_of comp :: !ran;
+        node_of comp <> 1)
+  in
+  Alcotest.(check (list int)) "ran 3, 2, 1" [ 3; 2; 1 ] (List.rev !ran);
+  Alcotest.(check (list int)) "changed 3, 2" [ 3; 2 ] (List.map node_of changed);
+  (* A 20000-deep chain: the cone walk does not recurse. *)
+  let n = 20000 in
+  let s = Scc.compute (Graphs.Digraph.of_edges ~nodes:n (List.init (n - 1) (fun i -> (i, i + 1)))) in
+  let changed =
+    Wavefront.resolve None s
+      ~seeds:(Wavefront.Comps [ s.Scc.comp.(n - 1) ])
+      ~cost:(fun _ -> 1)
+      ~f:(fun ~slot:_ ~comp:_ -> true)
+  in
+  check_int "whole chain re-solved" n (List.length changed)
+
 (* --- determinism: jobs=4 vs jobs=1, values and step counts --- *)
 
 let bool_arrays_equal = Array.for_all2 Bool.equal
@@ -266,6 +298,47 @@ let test_nested_256_deterministic () =
   check_bool "plan has parallel stages" false plan.Par.Wavefront.chain;
   check_directed "pascal_style n=256 d4" prog
 
+(* The re-solves ride the same driver: with [?pool] they match the
+   inline run bit for bit, step and round counts and op counts included,
+   and equal a batch solve on the perturbed inputs.  Every third
+   procedure loses its IMOD seed and its GMOD cap. *)
+let test_resolve_pool_identical () =
+  let prog = Workload.Families.dag_style ~seed:7 ~n:256 in
+  let a = A.run prog in
+  let victims = List.filter (fun q -> q mod 3 = 0) (List.init (Ir.Prog.n_procs prog) Fun.id) in
+  let cleared family =
+    Array.mapi
+      (fun q s -> if q mod 3 = 0 then Bitvec.create (Bitvec.length s) else s)
+      family
+  in
+  let imod = cleared a.A.imod and gmod = cleared a.A.gmod in
+  let run pool =
+    counted (fun () ->
+        let r, nodes = Core.Rmod.resolve ?pool a.A.rmod ~imod ~changed_procs:victims in
+        let m =
+          Core.Mustmod.resolve ?pool a.A.mustmod a.A.info ~alias:a.A.alias ~gmod
+            ~changed_procs:victims
+        in
+        (r, nodes, m))
+  in
+  let (r1, n1, m1), v1, w1 = run None in
+  let (r4, n4, m4), v4, w4 = run (Some (Lazy.force pool4)) in
+  check_bool "RMOD" true (bool_arrays_equal r1.Core.Rmod.rmod r4.Core.Rmod.rmod);
+  check_int "RMOD steps" r1.Core.Rmod.steps r4.Core.Rmod.steps;
+  Alcotest.(check (list int)) "changed nodes" (List.sort compare n1) (List.sort compare n4);
+  check_bool "MUSTMOD" true
+    (gmod_arrays_equal m1.Core.Mustmod.mustmod m4.Core.Mustmod.mustmod);
+  check_int "MUSTMOD rounds" m1.Core.Mustmod.rounds m4.Core.Mustmod.rounds;
+  check_int "vector_ops identical" v1 v4;
+  check_int "word_ops identical" w1 w4;
+  check_bool "some seed flipped" true (n1 <> []);
+  check_bool "RMOD = batch" true
+    (bool_arrays_equal r1.Core.Rmod.rmod
+       (Core.Rmod.solve a.A.binding ~imod).Core.Rmod.rmod);
+  check_bool "MUSTMOD = batch" true
+    (gmod_arrays_equal m1.Core.Mustmod.mustmod
+       (Core.Mustmod.solve a.A.info a.A.call ~alias:a.A.alias ~gmod).Core.Mustmod.mustmod)
+
 let prop_incremental_deterministic seed =
   let prog = flat_of_seed ~n:24 seed in
   let mk_script () =
@@ -310,6 +383,7 @@ let () =
           Alcotest.test_case "plan: cost batching" `Quick test_plan_batching;
           Alcotest.test_case "schedule: cycle entry" `Quick
             test_schedule_cycle_entry;
+          Alcotest.test_case "resolve: pruned cone" `Quick test_resolve_prunes;
         ] );
       ( "determinism",
         [
@@ -326,5 +400,7 @@ let () =
             `Quick test_dag_1024_deterministic;
           Alcotest.test_case "nested n=256 jobs=4 = jobs=1"
             `Quick test_nested_256_deterministic;
+          Alcotest.test_case "resolves jobs=4 = jobs=1" `Quick
+            test_resolve_pool_identical;
         ] );
     ]

@@ -46,12 +46,6 @@ let prop_unreachable_isolated seed =
   done;
   !ok
 
-let prop_force_flat_agrees_on_flat seed =
-  let prog = Helpers.flat_of_seed seed in
-  let a = Core.Analyze.run prog in
-  let b = Core.Analyze.run ~force_flat:true prog in
-  Helpers.gmod_arrays_equal a.Core.Analyze.gmod b.Core.Analyze.gmod
-
 let big_trio seed =
   (* The central equivalence at a size where bugs in the linear-time
      bookkeeping would surface. *)
@@ -107,8 +101,6 @@ let () =
             prop_gmod_upper_bound;
           Helpers.qtest "global effects come from reachable procs"
             Helpers.arb_flat_prog prop_unreachable_isolated;
-          Helpers.qtest "force_flat identical on flat programs" Helpers.arb_flat_prog
-            prop_force_flat_agrees_on_flat;
         ] );
       ( "stress",
         [

@@ -128,6 +128,51 @@ let test_steps_metric_linear () =
     true
     (counted <= 4 * size)
 
+(* Re-solves run Figure 1's transfer through the one propagation
+   driver.  A reseed that flips no bit runs no component: the steps are
+   the reseed reads alone, one per β node of the listed procedures. *)
+let test_resolve_no_flip () =
+  let prog = Workload.Families.ref_chain 64 in
+  let p = Helpers.pipeline prog in
+  let steps = Option.get (Obs.Metric.find "rmod.steps") in
+  let snap = Obs.Metric.snapshot () in
+  let r, changed =
+    Core.Rmod.resolve p.Helpers.rmod ~imod:p.Helpers.imod
+      ~changed_procs:(List.init (Ir.Prog.n_procs prog) Fun.id)
+  in
+  let counted = Obs.Metric.value_since ~since:snap steps in
+  Helpers.check_int "reseed reads only"
+    (Callgraph.Binding.n_nodes p.Helpers.binding)
+    counted;
+  Helpers.check_int "registry delta = result.steps" r.Core.Rmod.steps counted;
+  Alcotest.(check (list int)) "no node changed" [] changed;
+  Alcotest.(check bool) "RMOD unchanged" true (r.Core.Rmod.rmod = p.Helpers.rmod.Core.Rmod.rmod)
+
+(* Clearing the chain's one seed flips every node: the cone re-solve
+   equals a batch solve on the new seeds, its registry delta equals its
+   [steps], and both stay within the batch bound. *)
+let test_resolve_steps_metric () =
+  let prog = Workload.Families.ref_chain 64 in
+  let p = Helpers.pipeline prog in
+  let b = p.Helpers.binding in
+  let last = Helpers.proc_id prog "p64" in
+  let imod = Array.copy p.Helpers.imod in
+  imod.(last) <- Bitvec.create (Bitvec.length imod.(last));
+  let steps = Option.get (Obs.Metric.find "rmod.steps") in
+  let snap = Obs.Metric.snapshot () in
+  let r, changed = Core.Rmod.resolve p.Helpers.rmod ~imod ~changed_procs:[ last ] in
+  let counted = Obs.Metric.value_since ~since:snap steps in
+  Helpers.check_int "registry delta = result.steps" r.Core.Rmod.steps counted;
+  Helpers.check_int "every node flipped" (Callgraph.Binding.n_nodes b)
+    (List.length changed);
+  Alcotest.(check bool) "equals batch" true
+    (r.Core.Rmod.rmod = (Core.Rmod.solve b ~imod).Core.Rmod.rmod);
+  let size = Callgraph.Binding.n_nodes b + Callgraph.Binding.n_edges b in
+  Alcotest.(check bool)
+    (Printf.sprintf "counted steps %d <= 4*(Nb+Eb) = %d" counted (4 * size))
+    true
+    (counted <= 4 * size)
+
 (* --- properties --- *)
 
 let prop_equals_iterative seed =
@@ -197,6 +242,10 @@ let () =
           Alcotest.test_case "linear step count" `Quick test_steps_linear;
           Alcotest.test_case "linear step count via registry" `Quick
             test_steps_metric_linear;
+          Alcotest.test_case "resolve: no flip runs no component" `Quick
+            test_resolve_no_flip;
+          Alcotest.test_case "resolve: registry delta = result.steps" `Quick
+            test_resolve_steps_metric;
         ] );
       ( "equivalence",
         [
