@@ -147,4 +147,77 @@ let self_recursive prog =
 
 let gmod_arrays_equal a b = Array.for_all2 Bitvec.equal a b
 
+(* A pair that enters a procedure clean and turns tainted only rounds
+   later: main's direct call introduces <x, y> in [a] clean, the
+   pointer-carried pair reaches [a] through [d] a round after the site
+   in [a] has already passed <x, y> on to [b].  The taint must still
+   reach [b]. *)
+let late_taint_src =
+  {|program late;
+var g : int;
+var p : ptr of int;
+procedure b(var u : int; var v : int);
+begin
+  u := 1;
+end;
+procedure a(var x : int; var y : int);
+begin
+  call b(x, y);
+end;
+procedure d(var s : int; var t : int);
+begin
+  call a(s, t);
+end;
+begin
+  p := &g;
+  call a(g, g);
+  call d( *p, g);
+end.|}
+
+(* The §5 identity corpus: pointer families, the flat, DAG and nested
+   families at two seeds, every sample program, [late_taint_src] and
+   50 generated programs of nesting depth 1-3.  The alias identity
+   golden and the per-site summary golden digest every output on it. *)
+let alias_corpus =
+  let fam name f = (name, f) in
+  let file name =
+    ( name,
+      fun () ->
+        let path = Filename.concat "../programs" name in
+        Frontend.Sema.compile_exn ~file:path
+          (In_channel.with_open_bin path In_channel.input_all) )
+  in
+  let module F = Workload.Families in
+  List.concat_map
+    (fun n ->
+      [
+        fam (Printf.sprintf "ptr_chain %d" n) (fun () -> F.ptr_chain n);
+        fam (Printf.sprintf "ptr_funnel %d" n) (fun () -> F.ptr_funnel n);
+        fam (Printf.sprintf "ptr_heap %d" n) (fun () -> F.ptr_heap n);
+      ])
+    [ 2; 16; 64 ]
+  @ List.concat_map
+      (fun seed ->
+        [
+          fam (Printf.sprintf "fortran_style s%d" seed) (fun () ->
+              F.fortran_style ~seed ~n:64);
+          fam (Printf.sprintf "fortran_fixed s%d" seed) (fun () ->
+              F.fortran_fixed ~seed ~n:64);
+          fam (Printf.sprintf "dag_style s%d" seed) (fun () -> F.dag_style ~seed ~n:64);
+          fam (Printf.sprintf "pascal_style s%d" seed) (fun () ->
+              F.pascal_style ~seed ~n:64 ~depth:4);
+        ])
+      [ 1; 2 ]
+  @ List.map file
+      [
+        "bank.mp"; "dataflow_demo.mp"; "lint_demo.mp"; "mustmod_demo.mp";
+        "pipeline.mp"; "pointers.mp"; "ptr_lint.mp"; "report.mp"; "stencil.mp";
+      ]
+  @ [ fam "late taint" (fun () -> compile late_taint_src) ]
+  @ List.init 50 (fun seed ->
+        fam (Printf.sprintf "gen %d" seed) (fun () ->
+            Workload.Gen.generate
+              (Random.State.make [| seed; 0xa11a5 |])
+              { Workload.Gen.default with n_procs = 24; max_depth = 1 + (seed mod 3) }))
+
 let run name suites = Alcotest.run ~verbose:false name suites
