@@ -120,15 +120,16 @@ let small_of_dense top words card =
   done;
   Small { card; elts }
 
-(* Binary search in a sorted prefix: Ok index if present, Error
-   insertion point otherwise. *)
-let search elts card x =
+(* Binary search in a sorted prefix: the index of [x] if present,
+   [-(insertion point + 1)] otherwise.  Monomorphic and allocation-free:
+   every small-form point operation goes through it. *)
+let search (elts : int array) card (x : int) =
   let lo = ref 0 and hi = ref card in
   while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
+    let mid = (!lo + !hi) lsr 1 in
     if elts.(mid) < x then lo := mid + 1 else hi := mid
   done;
-  if !lo < card && elts.(!lo) = x then Ok !lo else Error !lo
+  if !lo < card && elts.(!lo) = x then !lo else -(!lo) - 1
 
 (* Branch-free SWAR popcount.  The masks are built programmatically
    because the usual 0x5555... literals overflow OCaml's 63-bit [int];
@@ -181,16 +182,16 @@ let check_same_length a b op =
 let get v i =
   check_index v i "get";
   match v.repr with
-  | Small { card; elts } -> (match search elts card i with Ok _ -> true | Error _ -> false)
+  | Small { card; elts } -> search elts card i >= 0
   | Dense { words; _ } -> words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
 let rec set v i =
   check_index v i "set";
   match v.repr with
-  | Small r -> (
-    match search r.elts r.card i with
-    | Ok _ -> ()
-    | Error at ->
+  | Small r ->
+    let found = search r.elts r.card i in
+    if found < 0 then begin
+      let at = -found - 1 in
       if r.card > small_threshold v.length - 1 then begin
         (* Promotion boundary crossed via [set]: materialise dense,
            then set the bit there.  Point operations stay uncounted. *)
@@ -207,7 +208,8 @@ let rec set v i =
         Array.blit r.elts at r.elts (at + 1) (r.card - at);
         r.elts.(at) <- i;
         r.card <- r.card + 1
-      end)
+      end
+    end
   | Dense d ->
     let w = i / bits_per_word in
     d.words.(w) <- d.words.(w) lor (1 lsl (i mod bits_per_word));
@@ -216,12 +218,12 @@ let rec set v i =
 let unset v i =
   check_index v i "unset";
   match v.repr with
-  | Small r -> (
-    match search r.elts r.card i with
-    | Error _ -> ()
-    | Ok at ->
+  | Small r ->
+    let at = search r.elts r.card i in
+    if at >= 0 then begin
       Array.blit r.elts (at + 1) r.elts at (r.card - at - 1);
-      r.card <- r.card - 1)
+      r.card <- r.card - 1
+    end
   | Dense d ->
     let w = i / bits_per_word in
     d.words.(w) <- d.words.(w) land lnot (1 lsl (i mod bits_per_word));

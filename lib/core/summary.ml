@@ -6,25 +6,43 @@ type t = {
   info : Ir.Info.t;
   gmod : Bitvec.t array;
   guse : Bitvec.t array;
+  shared_mod : Bitvec.t array;
+  shared_use : Bitvec.t array;
   alias : Alias.t;
   deref : int -> int -> int list;
 }
 
-let make ?(deref = Frontend.Local.no_deref) info ~gmod ~guse ~alias =
-  { info; gmod; guse; alias; deref }
+(* The callee's part of every projection (eq. 8): [GMOD(q) ∖ LOCAL(q)]. *)
+let shared info q summary =
+  let v = Bitvec.copy summary in
+  ignore (Bitvec.inter_into ~src:(Ir.Info.non_local info q) ~dst:v);
+  v
+
+let make ?(deref = Frontend.Local.no_deref) ?prev info ~gmod ~guse ~alias =
+  let rebuild vecs old moved =
+    let a = Array.copy old in
+    List.iter (fun q -> a.(q) <- shared info q vecs.(q)) moved;
+    a
+  in
+  let shared_mod, shared_use =
+    match prev with
+    | None -> (Array.mapi (shared info) gmod, Array.mapi (shared info) guse)
+    | Some (old, mod_moved, use_moved) ->
+      (rebuild gmod old.shared_mod mod_moved, rebuild guse old.shared_use use_moved)
+  in
+  { info; gmod; guse; shared_mod; shared_use; alias; deref }
 
 let projection t ~mode sid =
   let prog = Ir.Info.prog t.info in
   let s = Prog.site prog sid in
   let callee = Prog.proc prog s.Prog.callee in
-  let summary =
+  let summary, shared =
     match mode with
-    | `Mod -> t.gmod.(s.Prog.callee)
-    | `Use -> t.guse.(s.Prog.callee)
+    | `Mod -> (t.gmod.(s.Prog.callee), t.shared_mod.(s.Prog.callee))
+    | `Use -> (t.guse.(s.Prog.callee), t.shared_use.(s.Prog.callee))
   in
-  (* Non-local survivors. *)
-  let result = Bitvec.copy summary in
-  ignore (Bitvec.inter_into ~src:(Ir.Info.non_local t.info s.Prog.callee) ~dst:result);
+  (* Non-local survivors, shared by every site that calls the callee. *)
+  let result = Bitvec.copy shared in
   (* Formal-to-actual projection. *)
   Array.iteri
     (fun i arg ->

@@ -12,26 +12,44 @@
       variable of the corresponding actual.
 
     [MOD(s)] then extends [DMOD(s)] by one step of alias pairs:
-    [∀x ∈ DMOD(s), <x,y> ∈ ALIAS(p) ⇒ y ∈ MOD(s)]. *)
+    [∀x ∈ DMOD(s), <x,y> ∈ ALIAS(p) ⇒ y ∈ MOD(s)].
+
+    The first part depends on the callee alone (eq. 8, Theorem 1), so
+    {!make} computes it once per procedure — [GMOD(q) ∖ LOCAL(q)], and
+    the same for [GUSE] — and every site that calls [q] shares it.  A
+    site's projection is a copy of that vector plus its formal-to-actual
+    bits; the alias step is {!Alias.close}, which costs the partner rows
+    the set hits plus its output. *)
 
 type t
 
 val make :
   ?deref:(int -> int -> int list) ->
+  ?prev:t * int list * int list ->
   Ir.Info.t ->
   gmod:Bitvec.t array ->
   guse:Bitvec.t array ->
   alias:Alias.t ->
   t
-(** [~deref] is the points-to projection ({!Ptsto.deref}): a
+(** Computes the shared callee vectors: one copy and one intersection
+    per procedure and side.
+
+    [~deref] is the points-to projection ({!Ptsto.deref}): a
     dereference actual [*...*p] at a by-reference position projects a
     modified formal onto the variables the dereference may name, not
-    onto [p]. *)
+    onto [p].
+
+    [~prev:(old, mod_moved, use_moved)] reuses [old]'s shared vectors
+    for every procedure whose [GMOD] (resp. [GUSE]) is not in
+    [mod_moved] (resp. [use_moved]), so an edit pays only for the
+    vectors that moved.  [LOCAL] must be unchanged since [old] (no
+    procedure or variable added or removed). *)
 
 val projection : t -> mode:[ `Mod | `Use ] -> int -> Bitvec.t
 (** [b_e(GMOD(q))] (resp. [GUSE]) for call site [e] — the
     interprocedural part of the site's effect, before local effects and
-    aliases.  Fresh vector. *)
+    aliases.  Fresh vector: a copy of the callee's shared vector with
+    the site's formal-to-actual bits set. *)
 
 val dmod_site : t -> int -> Bitvec.t
 (** [DMOD] of the call statement at a site: since a call statement has

@@ -277,7 +277,7 @@ let incremental t prog kind =
       ~cached
   in
   let gmod, n_mod, gmod_changed = side imod_plus_changed imod_plus old.Analyze.gmod in
-  let guse, n_use, _ = side iuse_plus_changed iuse_plus old.Analyze.guse in
+  let guse, n_use, guse_changed = side iuse_plus_changed iuse_plus old.Analyze.guse in
   let resolved = n_mod + n_use in
   (* A body edit leaves the site table — and therefore the alias pairs
      and their recorded reasons — untouched; a shape edit recomputes
@@ -307,7 +307,14 @@ let incremental t prog kind =
       Core.Mustmod.resolve ?pool:t.pool old.Analyze.mustmod info ~alias ~gmod
         ~changed_procs:(List.sort_uniq compare (flat_seeds @ gmod_changed))
   in
-  let summary = Core.Summary.make info ~gmod ~guse ~alias in
+  (* The shared callee projections depend on GMOD/GUSE and LOCAL only;
+     an edit that reaches this path changes no LOCAL. *)
+  let summary =
+    Obs.Span.with_ "summary" (fun () ->
+        Core.Summary.make
+          ~prev:(old.Analyze.summary, gmod_changed, guse_changed)
+          info ~gmod ~guse ~alias)
+  in
   (* Provenance is a post-pass over the final solutions, so a cone
      re-solve just rebuilds the forest against whatever the caches now
      hold — reasons can never go stale. *)

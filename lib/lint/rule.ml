@@ -291,7 +291,7 @@ let inflated_sites t =
   let out = ref [] in
   P.iter_sites t.A.prog (fun s ->
       let dmod = A.dmod_of_site t s.P.sid in
-      let m = A.mod_of_site t s.P.sid in
+      let m = Core.Alias.close t.A.alias ~proc:s.P.caller dmod in
       if not (Bitvec.subset m dmod) then out := s.P.sid :: !out);
   List.rev !out
 
@@ -302,7 +302,7 @@ let alias_inflation ctx =
     (fun sid ->
       let s = P.site t.A.prog sid in
       let dmod = A.dmod_of_site t sid in
-      let added = Bitvec.diff (A.mod_of_site t sid) dmod in
+      let added = Bitvec.diff (Core.Alias.close t.A.alias ~proc:s.P.caller dmod) dmod in
       Bitvec.fold
         (fun y acc ->
           let witness =
