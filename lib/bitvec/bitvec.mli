@@ -99,6 +99,12 @@ val popcount_word : int -> int
     kernel under {!cardinal}.  Exposed so tests can pin it against a
     reference implementation; counts nothing. *)
 
+val search : int array -> int -> int -> int
+(** [search a n x] binary-searches the ascending prefix [a.(0 .. n - 1)]:
+    the index of [x] if present (its first occurrence), else
+    [-(i + 1)] for the insertion point [i].  Monomorphic and
+    allocation-free; the small form's point operations use it. *)
+
 val iter : (int -> unit) -> t -> unit
 (** [iter f v] applies [f] to the index of every set bit, ascending. *)
 

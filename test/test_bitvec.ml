@@ -108,6 +108,31 @@ let test_popcount_word st =
       Alcotest.failf "popcount_word %#x: want %d, got %d" x want got
   done
 
+(* Pin [search] against a linear scan on random ascending prefixes
+   with repeats: first occurrence when present, [-(insertion + 1)]
+   otherwise, and nothing past the prefix read. *)
+let test_search st =
+  let reference a n x =
+    let i = ref 0 in
+    while !i < n && a.(!i) < x do
+      incr i
+    done;
+    if !i < n && a.(!i) = x then !i else -(!i) - 1
+  in
+  for _ = 1 to 2_000 do
+    let len = Random.State.int st 12 in
+    let a = Array.init len (fun _ -> Random.State.int st 10) in
+    Array.sort Int.compare a;
+    let n = if len = 0 then 0 else Random.State.int st (len + 1) in
+    for x = -1 to 10 do
+      let want = reference a n x and got = B.search a n x in
+      if want <> got then
+        Alcotest.failf "search [|%s|] %d %d: want %d, got %d"
+          (String.concat "; " (Array.to_list (Array.map string_of_int a)))
+          n x want got
+    done
+  done
+
 (* (vector_ops, word_ops) counted since [before]. *)
 let ops_since before =
   let since name = Obs.Metric.value_since ~since:before (Obs.Metric.counter name) in
@@ -398,6 +423,7 @@ let () =
           Alcotest.test_case "blit and clear" `Quick test_blit_clear;
           Helpers.seeded_case "popcount_word vs reference" `Quick
             test_popcount_word;
+          Helpers.seeded_case "search vs linear scan" `Quick test_search;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           Alcotest.test_case "hybrid promotion boundary" `Quick
             test_hybrid_promotion_boundary;
