@@ -90,7 +90,7 @@ let gmod_word_ops build n =
   let prog = build ~seed:7 ~n in
   let info = Ir.Info.make prog in
   let call = Callgraph.Call.build prog in
-  let binding = Callgraph.Binding.build prog in
+  let binding = Callgraph.Binding.build info in
   let imod = Frontend.Local.imod info in
   let rmod = Core.Rmod.solve binding ~imod in
   let imod_plus = Core.Imod_plus.compute info ~rmod ~imod in

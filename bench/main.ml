@@ -43,7 +43,7 @@ type prepared = {
 let prepare prog =
   let info = Ir.Info.make prog in
   let call = Callgraph.Call.build prog in
-  let binding = Callgraph.Binding.build prog in
+  let binding = Callgraph.Binding.build info in
   let imod = Frontend.Local.imod info in
   let rmod = Core.Rmod.solve binding ~imod in
   let imod_plus = Core.Imod_plus.compute info ~rmod ~imod in
@@ -174,7 +174,7 @@ let x1_tests =
 let c3_tests =
   List.map
     (fun p ->
-      t (Printf.sprintf "beta/build/n=%d" p.n) (fun () -> Callgraph.Binding.build p.prog))
+      t (Printf.sprintf "beta/build/n=%d" p.n) (fun () -> Callgraph.Binding.build p.info))
     flat
 
 let groups =

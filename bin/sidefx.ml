@@ -579,8 +579,8 @@ let ptsto_cmd =
       Format.eprintf "ptsto: '%s' has no pointer variables@." file;
       exit 1
     end;
-    let pt = Ptsto.analyze ~tier prog in
     let t = Core.Analyze.run ~ptsto:tier prog in
+    let pt = Option.get t.Core.Analyze.ptsto in
     if json then begin
       let loc_json = function
         | `Var vid -> Obs.Json.String (Ir.Pp.qualified_var_name prog vid)
@@ -860,7 +860,7 @@ let stats_cmd =
     end
     else begin
     let call = Callgraph.Call.build prog in
-    let binding = Callgraph.Binding.build prog in
+    let binding = Callgraph.Binding.build (Ir.Info.make prog) in
     Format.printf "%a@.%a@." Callgraph.Call.pp_stats call Callgraph.Binding.pp_stats
       binding;
     let beta_scc = binding.Callgraph.Binding.scc in
@@ -1151,7 +1151,8 @@ let dot_cmd =
       | `Binding, Some _ ->
         Format.eprintf "dot: --highlight applies to the call graph only@.";
         exit 1
-      | `Binding, None -> Callgraph.Dot.binding_graph (Callgraph.Binding.build prog)
+      | `Binding, None ->
+        Callgraph.Dot.binding_graph (Callgraph.Binding.build (Ir.Info.make prog))
     in
     match output with
     | None -> print_string dot
@@ -1186,7 +1187,7 @@ let constants_cmd =
   let run file =
     let prog = load file in
     let info = Ir.Info.make prog in
-    let binding = Callgraph.Binding.build prog in
+    let binding = Callgraph.Binding.build info in
     let imod = Frontend.Local.imod info in
     let rmod = Core.Rmod.solve binding ~imod in
     let imod_plus = Core.Imod_plus.compute info ~rmod ~imod in
@@ -1506,7 +1507,7 @@ let bench_table_cmd =
         let prog = Workload.Families.fortran_style ~seed:7 ~n in
         let info = Ir.Info.make prog in
         let call = Callgraph.Call.build prog in
-        let binding = Callgraph.Binding.build prog in
+        let binding = Callgraph.Binding.build info in
         let imod = Frontend.Local.imod info in
         let rmod = Core.Rmod.solve binding ~imod in
         let imod_plus = Core.Imod_plus.compute info ~rmod ~imod in

@@ -54,7 +54,7 @@ module Int_set = Set.Make (Int)
 (* Count register reloads in a straight-line walk of the statements:
    every scalar read that is not cached costs a load; writes update the
    cache; [kill] says what a call invalidates. *)
-let count_loads prog body ~kill =
+let count_loads info body ~kill =
   let loads = ref 0 in
   let cached = ref Int_set.empty in
   let read v =
@@ -65,8 +65,8 @@ let count_loads prog body ~kill =
   in
   let write v = cached := Int_set.add v !cached in
   let rec stmt (s : Ir.Stmt.t) =
-    List.iter read (Frontend.Local.luse_stmt prog s);
-    List.iter write (Frontend.Local.lmod_stmt prog s);
+    List.iter read (Frontend.Local.luse_stmt info s);
+    List.iter write (Frontend.Local.lmod_stmt info s);
     match s with
     | Ir.Stmt.Call sid -> cached := Int_set.diff !cached (kill sid)
     | Ir.Stmt.If (_, a, b) ->
@@ -98,8 +98,8 @@ let () =
   let mod_only sid =
     Bitvec.fold Int_set.add (Core.Analyze.mod_of_site t sid) Int_set.empty
   in
-  let naive = count_loads prog main.Ir.Prog.body ~kill:all_visible in
-  let precise = count_loads prog main.Ir.Prog.body ~kill:mod_only in
+  let naive = count_loads t.Core.Analyze.info main.Ir.Prog.body ~kill:all_visible in
+  let precise = count_loads t.Core.Analyze.info main.Ir.Prog.body ~kill:mod_only in
   Ir.Prog.iter_sites prog (fun s ->
       Format.printf "MOD(call %s at site %d) = %a@."
         (Ir.Prog.proc prog s.Ir.Prog.callee).Ir.Prog.pname s.Ir.Prog.sid

@@ -20,8 +20,9 @@ type t = {
 let nodes_metric = Obs.Metric.gauge "callgraph.beta.nodes"
 let edges_metric = Obs.Metric.gauge "callgraph.beta.edges"
 
-let build ?(deref = fun _ _ -> []) prog =
+let build info =
   Obs.Span.with_ "callgraph.binding" @@ fun () ->
+  let prog = Ir.Info.prog info in
   let nv = Prog.n_vars prog in
   let node_of_var = Array.make nv (-1) in
   let nodes = ref [] in
@@ -44,24 +45,18 @@ let build ?(deref = fun _ _ -> []) prog =
           | Prog.Arg_ref lv ->
             let dst = node_of_var.(callee.Prog.formals.(arg_pos)) in
             assert (dst >= 0);
-            let add_edge ~src ~via_element =
-              if src >= 0 then begin
-                ignore (Digraph.Builder.add_edge b ~src ~dst);
-                edges := { site = s.Prog.sid; arg_pos; via_element } :: !edges
-              end
-            in
-            (match lv with
-            | Expr.Lvar base -> add_edge ~src:node_of_var.(base) ~via_element:false
-            | Expr.Lindex (base, _) ->
-              add_edge ~src:node_of_var.(base) ~via_element:true
-            | Expr.Lderef (ptr, d) ->
-              (* The actual names whatever cell [*...*ptr] reaches: one
-                 binding event per by-ref formal the points-to
-                 projection says it may name. *)
-              List.iter
-                (fun target ->
-                  add_edge ~src:node_of_var.(target) ~via_element:true)
-                (deref ptr d)))
+            (* A dereference actual names whatever cell [*...*ptr]
+               reaches: one binding event per by-ref formal the
+               points-to projection says it may name. *)
+            let via_element = match lv with Expr.Lvar _ -> false | _ -> true in
+            List.iter
+              (fun base ->
+                let src = node_of_var.(base) in
+                if src >= 0 then begin
+                  ignore (Digraph.Builder.add_edge b ~src ~dst);
+                  edges := { site = s.Prog.sid; arg_pos; via_element } :: !edges
+                end)
+              (Ir.Info.lvalue_cells info lv))
         s.Prog.args);
   let graph = Digraph.Builder.freeze b in
   let t =

@@ -41,13 +41,12 @@ type t = private {
           both solve over it. *)
 }
 
-val build : ?deref:(int -> int -> int list) -> Ir.Prog.t -> t
-(** Build the β binding multigraph.  [deref p d] lists the variables a
-    [d]-fold dereference of [p] may name (from the points-to solution);
-    a dereference actual contributes one binding edge per by-ref-formal
-    target.  Defaults to the empty projection — exact when the program
-    has no pointers.  Linear in the size of the program's site table
-    (§3.1). *)
+val build : Ir.Info.t -> t
+(** Build the β binding multigraph of [Ir.Info.prog info].  A
+    dereference actual contributes one binding edge per by-ref formal
+    among the variables it may name ({!Ir.Info.lvalue_cells}).  The
+    result keeps only the program, not [info].  Linear in the size of
+    the program's site table (§3.1). *)
 
 val with_prog : t -> Ir.Prog.t -> t
 (** The same graph and condensation over an edited program whose

@@ -64,8 +64,6 @@ val norm : int -> int -> int * int
 
 val compute :
   ?provenance:Provenance.alias_table ->
-  ?deref:(int -> int -> int list) ->
-  ?seeds:(int * (int * int) * int * int) list ->
   Ir.Info.t ->
   t
 (** With [~provenance], the fixpoint records the §5 rule that first
@@ -74,13 +72,14 @@ val compute :
     the computed pairs — and the counted bit-vector operations — are
     identical either way.
 
-    [~deref] (the points-to projection, {!Ptsto.deref}) expands a
-    dereference actual [*...*p] into one by-reference binding per
-    variable the dereference may name, so the §5 introduction and
-    propagation rules fire for pointer-carried bindings too; such
-    pairs carry the {!Provenance.Apointsto} reason.  [~seeds] adds
-    pre-derived pairs [(proc, (x, y), site, pos)] — the heap-overlap
-    formal pairs computed in {!Analyze} — before the fixpoint. *)
+    The points-to projection of [info] expands a dereference actual
+    [*...*p] into one by-reference binding per variable the
+    dereference may name ({!Ir.Info.lvalue_cells}), so the §5
+    introduction and propagation rules fire for pointer-carried
+    bindings too; such pairs carry the {!Provenance.Apointsto} reason.
+    Two dereference actuals at one site whose heap targets
+    ({!Ir.Info.deref_heap}) meet seed their formal pair before the
+    fixpoint, since no shared variable target shows that overlap. *)
 
 val pairs : t -> int -> (int * int) list
 (** [ALIAS(p)] as normalised [(min vid, max vid)] pairs, sorted. *)

@@ -6,7 +6,6 @@ type t = {
   call : Callgraph.Call.t;
   binding : Callgraph.Binding.t;
   ptsto : Ptsto.t option;
-  deref : int -> int -> int list;
   imod : Bitvec.t array;
   iuse : Bitvec.t array;
   rmod : Rmod.result;
@@ -21,72 +20,31 @@ type t = {
   provenance : Provenance.t option;
 }
 
-(* Heap-overlap seeds for §5: two dereference actuals at one site that
-   can only collide through a heap summary location (no shared variable
-   target, so the binding expansion inside [Alias] cannot see the
-   overlap). *)
-let heap_seeds prog pt =
-  let acc = ref [] in
-  Prog.iter_sites prog (fun s ->
-      let callee = Prog.proc prog s.Prog.callee in
-      Array.iteri
-        (fun i arg ->
-          match arg with
-          | Prog.Arg_ref (Ir.Expr.Lderef (p, d)) ->
-            let heap_i = Ptsto.deref_heap pt p d in
-            if heap_i <> [] then
-              Array.iteri
-                (fun j arg' ->
-                  match arg' with
-                  | Prog.Arg_ref (Ir.Expr.Lderef (q, d')) when j > i ->
-                    if
-                      List.exists
-                        (fun k -> List.mem k (Ptsto.deref_heap pt q d'))
-                        heap_i
-                    then
-                      acc :=
-                        ( s.Prog.callee,
-                          (callee.Prog.formals.(i), callee.Prog.formals.(j)),
-                          s.Prog.sid,
-                          i )
-                        :: !acc
-                  | _ -> ())
-                s.Prog.args
-          | _ -> ())
-        s.Prog.args);
-  List.rev !acc
-
 let run_with ?pool ?(provenance = false)
     ?(ptsto = Ptsto.Steensgaard) prog =
   Obs.Span.with_ "analyze" @@ fun () ->
-  let info = Obs.Span.with_ "info" (fun () -> Ir.Info.make prog) in
-  (* Points-to runs first: every later phase consumes its dereference
-     projection.  Pointer-free programs skip it entirely — the default
-     empty projection leaves each phase on its original code path, so
-     results (and counted bit-vector ops) are bit-identical to a
-     pointer-less build. *)
+  (* Points-to runs first: its dereference projection enters [info],
+     where every later phase reads it.  Pointer-free programs skip it
+     entirely — the empty projection leaves each phase on its original
+     code path, so results (and counted bit-vector ops) are
+     bit-identical to a pointer-less build. *)
   let pt =
     if Ptsto.has_pointers prog then
       Some (Obs.Span.with_ "ptsto" (fun () -> Ptsto.analyze ~tier:ptsto prog))
     else None
   in
-  let deref =
-    match pt with Some t -> Ptsto.deref t | None -> Frontend.Local.no_deref
+  let info =
+    Obs.Span.with_ "info" (fun () ->
+        Ir.Info.make ?pointers:(Option.map Ptsto.pointers pt) prog)
   in
   let call = Callgraph.Call.build prog in
-  let binding = Callgraph.Binding.build ~deref prog in
-  let imod =
-    Obs.Span.with_ "local" (fun () -> Frontend.Local.imod ?pool ~deref info)
-  in
-  let iuse =
-    Obs.Span.with_ "local.use" (fun () -> Frontend.Local.iuse ?pool ~deref info)
-  in
+  let binding = Callgraph.Binding.build info in
+  let imod = Obs.Span.with_ "local" (fun () -> Frontend.Local.imod ?pool info) in
+  let iuse = Obs.Span.with_ "local.use" (fun () -> Frontend.Local.iuse ?pool info) in
   let rmod = Rmod.solve ?pool binding ~imod in
   let ruse = Rmod.solve ~label:"ruse" ?pool binding ~imod:iuse in
-  let imod_plus = Imod_plus.compute ~deref info ~rmod ~imod in
-  let iuse_plus =
-    Imod_plus.compute ~label:"iuse_plus" ~deref info ~rmod:ruse ~imod:iuse
-  in
+  let imod_plus = Imod_plus.compute info ~rmod ~imod in
+  let iuse_plus = Imod_plus.compute ~label:"iuse_plus" info ~rmod:ruse ~imod:iuse in
   let gmod, guse =
     ( Gmod_nested.solve ?pool info call ~imod_plus,
       Gmod_nested.solve ~label:"guse" ?pool info call ~imod_plus:iuse_plus )
@@ -94,11 +52,10 @@ let run_with ?pool ?(provenance = false)
   let alias_table =
     if provenance then Some (Provenance.create_alias_table ()) else None
   in
-  let seeds = match pt with None -> [] | Some t -> heap_seeds prog t in
-  let alias = Alias.compute ?provenance:alias_table ~deref ~seeds info in
+  let alias = Alias.compute ?provenance:alias_table info in
   let mustmod = Mustmod.solve ?pool info call ~alias ~gmod in
   let summary =
-    Obs.Span.with_ "summary" (fun () -> Summary.make ~deref info ~gmod ~guse ~alias)
+    Obs.Span.with_ "summary" (fun () -> Summary.make info ~gmod ~guse ~alias)
   in
   let prov =
     match alias_table with
@@ -108,7 +65,7 @@ let run_with ?pool ?(provenance = false)
         (Obs.Span.with_ "provenance" (fun () ->
              let must = Provenance.create_must_table () in
              Mustmod.ground_reasons mustmod must;
-             Provenance.compute ~deref ~must info ~binding ~imod ~iuse ~rmod
+             Provenance.compute ~must info ~binding ~imod ~iuse ~rmod
                ~ruse ~imod_plus ~iuse_plus ~gmod ~guse ~alias:table))
   in
   {
@@ -117,7 +74,6 @@ let run_with ?pool ?(provenance = false)
     call;
     binding;
     ptsto = pt;
-    deref;
     imod;
     iuse;
     rmod;

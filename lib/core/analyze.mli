@@ -19,11 +19,8 @@ type t = {
   ptsto : Ptsto.t option;
       (** The points-to solution; [None] iff the program is
           pointer-free (then every phase ran its original, pointer-less
-          code path). *)
-  deref : int -> int -> int list;
-      (** The dereference projection every phase consumed:
-          [Ptsto.deref] of the solution above, or the empty projection
-          for pointer-free programs. *)
+          code path).  Its projection ({!Ptsto.pointers}) is the one
+          [info] was made with, and every phase read it from there. *)
   imod : Bitvec.t array;  (** Nesting-extended [IMOD], per procedure. *)
   iuse : Bitvec.t array;
   rmod : Rmod.result;
@@ -70,8 +67,8 @@ val run :
     through uncounted single-bit operations.
 
     [~ptsto] picks the points-to tier (default
-    {!Ptsto.Steensgaard}) used to build the dereference projection on
-    programs with pointers; pointer-free programs never run the solver
+    {!Ptsto.Steensgaard}) whose dereference projection enters [info]
+    on programs with pointers; pointer-free programs never run the solver
     and analyze identically under either tier. *)
 
 val mod_of_site : t -> int -> Bitvec.t

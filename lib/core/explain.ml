@@ -129,7 +129,7 @@ let find_def (a : Analyze.t) ~side ~proc ~var =
     Ir.Stmt.iter
       (fun s ->
         incr ord;
-        if !found = None && List.mem var (per_stmt prog s) then
+        if !found = None && List.mem var (per_stmt a.Analyze.info s) then
           found := Some !ord)
       (Prog.proc prog pid).Prog.body;
     !found

@@ -16,17 +16,16 @@
     by that fold. *)
 
 val augment :
-  ?deref:(int -> int -> int list) ->
   Ir.Info.t ->
   rmod:Rmod.result ->
   imod:Bitvec.t array ->
   Bitvec.t array
 (** The step before the nesting fold: a fresh copy of [imod] with, for
     every call site, [b_e(RMOD(callee))] added to the caller's entry.
-    A dereference actual [*p] contributes its [deref] targets. *)
+    A dereference actual [*p] contributes every variable it may name
+    ({!Ir.Info.lvalue_cells}). *)
 
 val augment_proc :
-  ?deref:(int -> int -> int list) ->
   Ir.Info.t ->
   rmod:Rmod.result ->
   imod:Bitvec.t array ->
@@ -39,7 +38,6 @@ val augment_proc :
 
 val compute :
   ?label:string ->
-  ?deref:(int -> int -> int list) ->
   Ir.Info.t ->
   rmod:Rmod.result ->
   imod:Bitvec.t array ->

@@ -6,7 +6,6 @@
    exactly as the solvers left them. *)
 
 module Prog = Ir.Prog
-module Expr = Ir.Expr
 module Binding = Callgraph.Binding
 module Digraph = Graphs.Digraph
 
@@ -89,7 +88,7 @@ let rmod_forest (binding : Binding.t) ~imod =
 (* Seeds are the IMOD+ bits, classified by the three exhaustive cases
    of eq. 5 under the §3.3 nesting fold; propagation is eq. 4 walked
    callee-to-caller over the call sites. *)
-let gmod_forest info ~deref ~flat ~rmod ~plus ~gsets ~sites_by_callee =
+let gmod_forest info ~flat ~rmod ~plus ~gsets ~sites_by_callee =
   let prog = Ir.Info.prog info in
   let table : (int * int, gmod_reason) Hashtbl.t = Hashtbl.create 256 in
   let queue = Queue.create () in
@@ -115,13 +114,9 @@ let gmod_forest info ~deref ~flat ~rmod ~plus ~gsets ~sites_by_callee =
                 match arg with
                 | Prog.Arg_value _ -> ()
                 | Prog.Arg_ref lv ->
-                  let binds_vid =
-                    match lv with
-                    | Expr.Lvar b | Expr.Lindex (b, _) -> b = vid
-                    | Expr.Lderef (p, d) -> List.mem vid (deref p d)
-                  in
                   if
-                    !found = None && binds_vid
+                    !found = None
+                    && List.mem vid (Ir.Info.lvalue_cells info lv)
                     && Rmod.modified rmod callee.Prog.formals.(i)
                   then found := Some (Gbind { site = s.Prog.sid; arg_pos = i }))
               s.Prog.args
@@ -166,7 +161,7 @@ let gmod_forest info ~deref ~flat ~rmod ~plus ~gsets ~sites_by_callee =
   done;
   table
 
-let compute ?(deref = Frontend.Local.no_deref) ?(must = create_must_table ())
+let compute ?(must = create_must_table ())
     info ~binding ~imod ~iuse ~rmod ~ruse ~imod_plus ~iuse_plus ~gmod ~guse
     ~alias =
   let prog = Ir.Info.prog info in
@@ -184,20 +179,20 @@ let compute ?(deref = Frontend.Local.no_deref) ?(must = create_must_table ())
           (fun s ->
             List.iter
               (fun v -> Hashtbl.replace tbl (pr.Prog.pid, v) ())
-              (per_stmt prog s))
+              (per_stmt info s))
           pr.Prog.body);
     tbl
   in
-  let flat_mod = flat_table (fun prog s -> Frontend.Local.lmod_stmt ~deref prog s) in
-  let flat_use = flat_table (fun prog s -> Frontend.Local.luse_stmt ~deref prog s) in
+  let flat_mod = flat_table Frontend.Local.lmod_stmt in
+  let flat_use = flat_table Frontend.Local.luse_stmt in
   {
     rmod = rmod_forest binding ~imod;
     ruse = rmod_forest binding ~imod:iuse;
     gmod =
-      gmod_forest info ~deref ~flat:flat_mod ~rmod ~plus:imod_plus ~gsets:gmod
+      gmod_forest info ~flat:flat_mod ~rmod ~plus:imod_plus ~gsets:gmod
         ~sites_by_callee;
     guse =
-      gmod_forest info ~deref ~flat:flat_use ~rmod:ruse ~plus:iuse_plus
+      gmod_forest info ~flat:flat_use ~rmod:ruse ~plus:iuse_plus
         ~gsets:guse ~sites_by_callee;
     alias;
     must;

@@ -94,7 +94,6 @@ val create_must_table : unit -> must_table
     mirroring the {!alias_table} flow through {!Alias.compute}. *)
 
 val compute :
-  ?deref:(int -> int -> int list) ->
   ?must:must_table ->
   Ir.Info.t ->
   binding:Callgraph.Binding.t ->

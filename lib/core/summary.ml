@@ -1,5 +1,4 @@
 module Prog = Ir.Prog
-module Expr = Ir.Expr
 module Stmt = Ir.Stmt
 
 type t = {
@@ -9,7 +8,6 @@ type t = {
   shared_mod : Bitvec.t array;
   shared_use : Bitvec.t array;
   alias : Alias.t;
-  deref : int -> int -> int list;
 }
 
 (* The callee's part of every projection (eq. 8): [GMOD(q) ∖ LOCAL(q)]. *)
@@ -18,7 +16,7 @@ let shared info q summary =
   ignore (Bitvec.inter_into ~src:(Ir.Info.non_local info q) ~dst:v);
   v
 
-let make ?(deref = Frontend.Local.no_deref) ?prev info ~gmod ~guse ~alias =
+let make ?prev info ~gmod ~guse ~alias =
   let rebuild vecs old moved =
     let a = Array.copy old in
     List.iter (fun q -> a.(q) <- shared info q vecs.(q)) moved;
@@ -30,7 +28,7 @@ let make ?(deref = Frontend.Local.no_deref) ?prev info ~gmod ~guse ~alias =
     | Some (old, mod_moved, use_moved) ->
       (rebuild gmod old.shared_mod mod_moved, rebuild guse old.shared_use use_moved)
   in
-  { info; gmod; guse; shared_mod; shared_use; alias; deref }
+  { info; gmod; guse; shared_mod; shared_use; alias }
 
 let projection t ~mode sid =
   let prog = Ir.Info.prog t.info in
@@ -49,24 +47,19 @@ let projection t ~mode sid =
       match arg with
       | Prog.Arg_value _ -> ()
       | Prog.Arg_ref lv ->
-        if Bitvec.get summary callee.Prog.formals.(i) then (
-          match lv with
-          | Expr.Lvar b | Expr.Lindex (b, _) -> Bitvec.set result b
-          (* A dereference actual binds the cell [*...*p] may name —
-             the effect lands on the pointed-to variables, never on
-             the pointer itself. *)
-          | Expr.Lderef (base, d) ->
-            List.iter (fun v -> Bitvec.set result v) (t.deref base d)))
+        (* A dereference actual binds the cell [*...*p] may name —
+           the effect lands on the pointed-to variables, never on the
+           pointer itself. *)
+        if Bitvec.get summary callee.Prog.formals.(i) then
+          List.iter (Bitvec.set result) (Ir.Info.lvalue_cells t.info lv))
     s.Prog.args;
   result
 
 let dmod_site t sid = projection t ~mode:`Mod sid
 
 let duse_site t sid =
-  let prog = Ir.Info.prog t.info in
   let result = projection t ~mode:`Use sid in
-  List.iter (fun v -> Bitvec.set result v)
-    (Frontend.Local.luse_stmt ~deref:t.deref prog (Stmt.Call sid));
+  List.iter (Bitvec.set result) (Frontend.Local.luse_stmt t.info (Stmt.Call sid));
   result
 
 let close_in_proc t ~proc set = Alias.close t.alias ~proc set
@@ -85,11 +78,10 @@ let use_site t sid =
    and all sub-statements, plus the projection of every contained call
    site. *)
 let stmt_effect t ~mode ~local_of stmt =
-  let prog = Ir.Info.prog t.info in
   let result = Ir.Info.fresh t.info in
   Stmt.iter
     (fun s ->
-      List.iter (fun v -> Bitvec.set result v) (local_of prog s);
+      List.iter (Bitvec.set result) (local_of t.info s);
       match s with
       | Stmt.Call sid ->
         let proj = projection t ~mode sid in
@@ -102,13 +94,11 @@ let stmt_effect t ~mode ~local_of stmt =
 
 let dmod_stmt t ~proc:_ stmt =
   stmt_effect t ~mode:`Mod
-    ~local_of:(fun prog s -> Frontend.Local.lmod_stmt ~deref:t.deref prog s)
-    stmt
+    ~local_of:Frontend.Local.lmod_stmt stmt
 
 let duse_stmt t ~proc:_ stmt =
   stmt_effect t ~mode:`Use
-    ~local_of:(fun prog s -> Frontend.Local.luse_stmt ~deref:t.deref prog s)
-    stmt
+    ~local_of:Frontend.Local.luse_stmt stmt
 
 let mod_stmt t ~proc stmt = close_in_proc t ~proc (dmod_stmt t ~proc stmt)
 let use_stmt t ~proc stmt = close_in_proc t ~proc (duse_stmt t ~proc stmt)

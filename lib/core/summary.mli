@@ -24,7 +24,6 @@
 type t
 
 val make :
-  ?deref:(int -> int -> int list) ->
   ?prev:t * int list * int list ->
   Ir.Info.t ->
   gmod:Bitvec.t array ->
@@ -34,10 +33,9 @@ val make :
 (** Computes the shared callee vectors: one copy and one intersection
     per procedure and side.
 
-    [~deref] is the points-to projection ({!Ptsto.deref}): a
-    dereference actual [*...*p] at a by-reference position projects a
-    modified formal onto the variables the dereference may name, not
-    onto [p].
+    A dereference actual [*...*p] at a by-reference position projects
+    a modified formal onto the variables the dereference may name
+    ({!Ir.Info.lvalue_cells}), not onto [p].
 
     [~prev:(old, mod_moved, use_moved)] reuses [old]'s shared vectors
     for every procedure whose [GMOD] (resp. [GUSE]) is not in

@@ -4,7 +4,6 @@ module A = Core.Analyze
 
 type t = {
   analysis : A.t;
-  deref : int -> int -> int list;
   must_mod_ : Bitvec.t array;
   aliased_ : Bitvec.t array;
   use_site : Bitvec.t array;
@@ -75,7 +74,6 @@ let make (a : A.t) =
   in
   {
     analysis = a;
-    deref = a.A.deref;
     must_mod_;
     aliased_;
     use_site;
@@ -94,13 +92,13 @@ let exit_live t pid = t.exit_live_.(pid)
 
 let add_use t acc (i : Cfg.instr) =
   let set v = Bitvec.set acc v in
-  let deref = t.deref in
+  let info = t.analysis.A.info in
   match i with
   | Cfg.Assign (lv, e) ->
-    List.iter set (Frontend.Local.expr_reads ~deref e);
-    List.iter set (Frontend.Local.lvalue_addr_reads ~deref lv)
-  | Cfg.Read lv -> List.iter set (Frontend.Local.lvalue_addr_reads ~deref lv)
-  | Cfg.Write e | Cfg.Cond e -> List.iter set (Frontend.Local.expr_reads ~deref e)
+    List.iter set (Frontend.Local.expr_reads info e);
+    List.iter set (Frontend.Local.lvalue_addr_reads info lv)
+  | Cfg.Read lv -> List.iter set (Frontend.Local.lvalue_addr_reads info lv)
+  | Cfg.Write e | Cfg.Cond e -> List.iter set (Frontend.Local.expr_reads info e)
   | Cfg.For_init (_, lo, hi) ->
     List.iter set (E.vars lo);
     List.iter set (E.vars hi)
@@ -120,7 +118,7 @@ let iter_must_def t (i : Cfg.instr) f =
 let iter_may_def t (i : Cfg.instr) f =
   match i with
   | Cfg.Assign (lv, _) | Cfg.Read lv ->
-    List.iter f (Frontend.Local.lvalue_writes ~deref:t.deref lv)
+    List.iter f (Ir.Info.lvalue_cells t.analysis.A.info lv)
   | Cfg.For_init (v, _, _) | Cfg.For_step v -> f v
   | Cfg.Call sid -> Bitvec.iter f t.mod_site.(sid)
   | Cfg.Write _ | Cfg.Cond _ | Cfg.For_test _ -> ()

@@ -69,14 +69,12 @@ let site_index prog =
 let rebind (r : Rmod.result) binding = { r with Rmod.binding }
 
 let build_caches ?pool (a : Analyze.t) =
-  let info = a.Analyze.info and deref = a.Analyze.deref in
+  let info = a.Analyze.info in
   {
-    imod_flat = Frontend.Local.imod_flat ?pool ~deref info;
-    iuse_flat = Frontend.Local.iuse_flat ?pool ~deref info;
-    imod_aug =
-      Core.Imod_plus.augment ~deref info ~rmod:a.Analyze.rmod ~imod:a.Analyze.imod;
-    iuse_aug =
-      Core.Imod_plus.augment ~deref info ~rmod:a.Analyze.ruse ~imod:a.Analyze.iuse;
+    imod_flat = Frontend.Local.imod_flat ?pool info;
+    iuse_flat = Frontend.Local.iuse_flat ?pool info;
+    imod_aug = Core.Imod_plus.augment info ~rmod:a.Analyze.rmod ~imod:a.Analyze.imod;
+    iuse_aug = Core.Imod_plus.augment info ~rmod:a.Analyze.ruse ~imod:a.Analyze.iuse;
     sites = site_index a.Analyze.prog;
   }
 
@@ -175,7 +173,7 @@ let solve_side ~pool ~info ~binding ~graph_changed ~flat ~old_flat ~old_folded
   in
   (folded, folded_changed, r, changed_nodes)
 
-let aug_and_plus ~info ~deref ~prog ~sites ~folded ~folded_changed ~(rmod : Rmod.result)
+let aug_and_plus ~info ~prog ~sites ~folded ~folded_changed ~(rmod : Rmod.result)
     ~changed_nodes ~old_aug ~old_plus ~extra_seeds =
   let binding = rmod.Rmod.binding in
   let aug_seeds =
@@ -197,7 +195,7 @@ let aug_and_plus ~info ~deref ~prog ~sites ~folded ~folded_changed ~(rmod : Rmod
       List.iter
         (fun q ->
           let v =
-            Core.Imod_plus.augment_proc ~deref info ~rmod ~imod:folded
+            Core.Imod_plus.augment_proc info ~rmod ~imod:folded
               ~sites:sites.by_caller.(q) q
           in
           if not (Bitvec.equal v old_aug.(q)) then begin
@@ -217,7 +215,6 @@ let incremental t prog kind =
   let old = t.analysis in
   let c = t.caches in
   let info = Info.with_prog old.Analyze.info prog in
-  let deref = old.Analyze.deref in
   let graph_changed, call, binding, sites, flat_seeds, shape_seeds =
     match kind with
     | `Body proc ->
@@ -230,7 +227,7 @@ let incremental t prog kind =
     | `Shape (caller, local_sets_touched) ->
       ( true,
         Call.build prog,
-        Binding.build prog,
+        Binding.build info,
         site_index prog,
         (if local_sets_touched then [ caller ] else []),
         [ caller ] )
@@ -243,8 +240,8 @@ let incremental t prog kind =
       let im = Array.copy c.imod_flat and iu = Array.copy c.iuse_flat in
       List.iter
         (fun q ->
-          im.(q) <- Frontend.Local.flat_of_proc info (Frontend.Local.lmod_stmt ~deref) q;
-          iu.(q) <- Frontend.Local.flat_of_proc info (Frontend.Local.luse_stmt ~deref) q)
+          im.(q) <- Frontend.Local.flat_of_proc info Frontend.Local.lmod_stmt q;
+          iu.(q) <- Frontend.Local.flat_of_proc info Frontend.Local.luse_stmt q)
         seeds;
       (im, iu)
   in
@@ -259,12 +256,12 @@ let incremental t prog kind =
       ~old:old.Analyze.ruse ~rmod_label:"ruse"
   in
   let imod_aug, imod_plus, imod_plus_changed =
-    aug_and_plus ~info ~deref ~prog ~sites ~folded:imod ~folded_changed:imod_changed
+    aug_and_plus ~info ~prog ~sites ~folded:imod ~folded_changed:imod_changed
       ~rmod ~changed_nodes:rmod_changed ~old_aug:c.imod_aug
       ~old_plus:old.Analyze.imod_plus ~extra_seeds:shape_seeds
   in
   let iuse_aug, iuse_plus, iuse_plus_changed =
-    aug_and_plus ~info ~deref ~prog ~sites ~folded:iuse ~folded_changed:iuse_changed
+    aug_and_plus ~info ~prog ~sites ~folded:iuse ~folded_changed:iuse_changed
       ~rmod:ruse ~changed_nodes:ruse_changed ~old_aug:c.iuse_aug
       ~old_plus:old.Analyze.iuse_plus ~extra_seeds:shape_seeds
   in
@@ -341,9 +338,9 @@ let incremental t prog kind =
       binding;
       (* This path only runs for pointer-free programs ([apply] forces
          a full re-analysis whenever pointers are present), so the
-         projection caches carried over are the trivial ones. *)
+         solution carried over is [None] and [info]'s projection the
+         empty one. *)
       ptsto = old.Analyze.ptsto;
-      deref = old.Analyze.deref;
       imod;
       iuse;
       rmod;

@@ -94,7 +94,7 @@ let site_witness ctx ~side sid v =
         | None -> (
           match side with
           | `Use
-            when List.mem v (Frontend.Local.luse_stmt prog (Ir.Stmt.Call sid))
+            when List.mem v (Frontend.Local.luse_stmt t.A.info (Ir.Stmt.Call sid))
             ->
             Some
               [
@@ -674,7 +674,7 @@ let undereferenced_ptr ctx =
     let mark_deref p d =
       feeds.(p) <- true;
       for d' = 1 to d - 1 do
-        List.iter (fun v -> if is_ptr v then feeds.(v) <- true) (t.A.deref p d')
+        List.iter (fun v -> if is_ptr v then feeds.(v) <- true) (Ir.Info.deref t.A.info p d')
       done
     in
     let rec expr = function
@@ -798,7 +798,7 @@ let ptr_formal_store ctx =
             match st with
             | Ir.Stmt.Assign (Ir.Expr.Lderef (p, d), _)
             | Ir.Stmt.Read (Ir.Expr.Lderef (p, d)) ->
-              let targets = t.A.deref p d in
+              let targets = Ir.Info.deref t.A.info p d in
               let hit =
                 List.find_map
                   (fun f ->
@@ -961,7 +961,7 @@ let use_before_init ctx =
                     (fun i arg ->
                       match arg with
                       | P.Arg_value e ->
-                        flag_reads (Frontend.Local.expr_reads ~deref:t.A.deref e)
+                        flag_reads (Frontend.Local.expr_reads t.A.info e)
                       | P.Arg_ref (Ir.Expr.Lvar x) ->
                         if candidate x && unwritten reach_before x then begin
                           let f = callee.P.formals.(i) in
@@ -975,7 +975,7 @@ let use_before_init ctx =
                         end
                       | P.Arg_ref lv ->
                         flag_reads
-                          (Frontend.Local.lvalue_addr_reads ~deref:t.A.deref lv))
+                          (Frontend.Local.lvalue_addr_reads t.A.info lv))
                     s.P.args;
                   !acc
                 | _ ->

@@ -385,7 +385,8 @@ let projection t p d =
 
 let deref_targets t p d = fst (projection t p d)
 let deref_heap t p d = snd (projection t p d)
-let deref t = deref_targets t
+let pointers t =
+  { Ir.Info.deref = deref_targets t; deref_heap = deref_heap t }
 
 let may_overlap t (p, d1) (q, d2) =
   let v1, h1 = (deref_targets t p d1, deref_heap t p d1) in

@@ -91,15 +91,17 @@ val deref_targets : t -> int -> int -> int list
     Empty when [p] is not a pointer, when [d] is outside [1 ..] [p]'s
     pointer depth, or when the chain cannot reach variable storage.
     This is the projection {!Frontend.Local},
-    {!Callgraph.Binding} and the §5 seeding consume. *)
+    {!Callgraph.Binding} and the §5 seeding consume, through
+    {!pointers} and {!Ir.Info}. *)
 
 val deref_heap : t -> int -> int -> int list
 (** Heap locations (by [new]-site id) the [d]-fold dereference may
     name, sorted ascending. *)
 
-val deref : t -> int -> int -> int list
-(** [deref t] is [deref_targets t] — shaped for the [?deref] parameters
-    downstream. *)
+val pointers : t -> Ir.Info.pointers
+(** {!deref_targets} and {!deref_heap} as the projection
+    {!Ir.Info.make} takes: the one place the solution enters the
+    interprocedural phases. *)
 
 val may_overlap : t -> int * int -> int * int -> bool
 (** [may_overlap t (p, d1) (q, d2)]: may the cells named by the two

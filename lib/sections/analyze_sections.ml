@@ -46,9 +46,12 @@ let run ?info ?call prog =
   if not (applicable prog) then
     invalid_arg "Analyze_sections.run: nested programs are out of scope for §6";
   Obs.Span.with_ "sections" @@ fun () ->
-  let info = match info with Some i -> i | None -> Ir.Info.make prog in
+  let info =
+    Ir.Info.without_pointers
+      (match info with Some i -> i | None -> Ir.Info.make prog)
+  in
   let call = match call with Some c -> c | None -> Callgraph.Call.build prog in
-  let binding = Callgraph.Binding.build prog in
+  let binding = Callgraph.Binding.build info in
   (* The whole-program facts every later step consults, derived once. *)
   let imod_flat = Frontend.Local.imod_flat info in
   let immutable = Bitvec.copy (Ir.Info.global info) in

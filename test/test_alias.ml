@@ -359,7 +359,7 @@ let identity_text prog =
         for v = 0 to Ir.Prog.n_vars prog - 1 do
           for d = 1 to Ir.Types.ptr_depth (Ir.Prog.var prog v).Ir.Prog.vty do
             add "deref %d %d: [%s] heap [%s]\n" v d
-              (ints (Ptsto.deref pt v d))
+              (ints (Ptsto.deref_targets pt v d))
               (ints (Ptsto.deref_heap pt v d))
           done
         done

@@ -76,7 +76,7 @@ begin
 end.|}
 
 let test_binding_nodes () =
-  let b = Callgraph.Binding.build binding_prog in
+  let b = Callgraph.Binding.build (Ir.Info.make binding_prog) in
   (* by-ref formals: leaf.z, mid.x, mid.w (mid.y is by-value). *)
   Alcotest.(check int) "nodes" 3 (Callgraph.Binding.n_nodes b);
   Alcotest.(check bool) "by-value formal not a node" true
@@ -85,7 +85,7 @@ let test_binding_nodes () =
     (Callgraph.Binding.node_opt b (Helpers.var_id binding_prog "g") = None)
 
 let test_binding_edges () =
-  let b = Callgraph.Binding.build binding_prog in
+  let b = Callgraph.Binding.build (Ir.Info.make binding_prog) in
   Alcotest.(check int) "three binding events" 3 (Callgraph.Binding.n_edges b);
   let x = Callgraph.Binding.node b (Helpers.var_id binding_prog "mid.x") in
   let w = Callgraph.Binding.node b (Helpers.var_id binding_prog "mid.w") in
@@ -131,7 +131,7 @@ begin
   call outer(g);
 end.|}
   in
-  let b = Callgraph.Binding.build p in
+  let b = Callgraph.Binding.build (Ir.Info.make p) in
   Alcotest.(check int) "one edge" 1 (Callgraph.Binding.n_edges b);
   let f = Callgraph.Binding.node b (Helpers.var_id p "outer.f") in
   let t = Callgraph.Binding.node b (Helpers.var_id p "target.t") in
@@ -142,14 +142,14 @@ end.|}
 let prop_beta_size_relation seed =
   (* §3.1: E_β ≤ µ_a·E_C and every β node touches a by-ref formal. *)
   let p = Helpers.flat_of_seed seed in
-  let b = Callgraph.Binding.build p in
+  let b = Callgraph.Binding.build (Ir.Info.make p) in
   let mu_a = Callgraph.Binding.mu_a p in
   float_of_int (Callgraph.Binding.n_edges b)
   <= (mu_a *. float_of_int (Ir.Prog.n_sites p)) +. 1e-9
 
 let prop_beta_nodes_are_ref_formals seed =
   let p = Helpers.flat_of_seed seed in
-  let b = Callgraph.Binding.build p in
+  let b = Callgraph.Binding.build (Ir.Info.make p) in
   let ok = ref true in
   for node = 0 to Callgraph.Binding.n_nodes b - 1 do
     if not (Ir.Prog.is_ref_formal (Ir.Prog.var p (Callgraph.Binding.var b node))) then

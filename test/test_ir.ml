@@ -129,7 +129,7 @@ let test_info_views () =
 
 let test_dot_export () =
   let call = Callgraph.Call.build sample in
-  let binding = Callgraph.Binding.build sample in
+  let binding = Callgraph.Binding.build (Ir.Info.make sample) in
   let dot_c = Callgraph.Dot.call_graph call in
   let dot_b = Callgraph.Dot.binding_graph binding in
   let contains s sub =

@@ -35,8 +35,8 @@ begin
 end.|}
 
 let main_stmt i = List.nth (Ir.Prog.proc sample sample.Ir.Prog.main).Ir.Prog.body i
-let lmod i = Frontend.Local.lmod_stmt sample (main_stmt i)
-let luse i = Frontend.Local.luse_stmt sample (main_stmt i)
+let lmod i = Frontend.Local.lmod_stmt (Ir.Info.make sample) (main_stmt i)
+let luse i = Frontend.Local.luse_stmt (Ir.Info.make sample) (main_stmt i)
 
 let test_lmod () =
   check_ids sample "assign" [ "g" ] (lmod 0);

@@ -113,7 +113,7 @@ let prop_use_side_nested seed =
   let prog = Helpers.nested_of_seed seed in
   let info = Ir.Info.make prog in
   let call = Callgraph.Call.build prog in
-  let binding = Callgraph.Binding.build prog in
+  let binding = Callgraph.Binding.build info in
   let iuse = Frontend.Local.iuse info in
   let ruse = Core.Rmod.solve binding ~imod:iuse in
   let iuse_plus = Core.Imod_plus.compute info ~rmod:ruse ~imod:iuse in
@@ -162,7 +162,7 @@ let golden_programs =
 let golden_text prog =
   let info = Ir.Info.make prog in
   let call = Callgraph.Call.build prog in
-  let binding = Callgraph.Binding.build prog in
+  let binding = Callgraph.Binding.build info in
   let plus imod =
     Core.Imod_plus.compute info ~rmod:(Core.Rmod.solve binding ~imod) ~imod
   in

@@ -112,7 +112,7 @@ let test_steps_metric_linear () =
      see the paper's cost unit without touching solver internals. *)
   let prog = Workload.Families.fortran_style ~seed:3 ~n:300 in
   let info = Ir.Info.make prog in
-  let binding = Callgraph.Binding.build prog in
+  let binding = Callgraph.Binding.build info in
   let imod = Frontend.Local.imod info in
   let snap = Obs.Metric.snapshot () in
   let rmod = Core.Rmod.solve binding ~imod in
