@@ -10,9 +10,13 @@ module A = Core.Analyze
    a distinct global, so each later statement is valid whatever prefix
    the generator picked: pointer assignments only replace one valid
    pointer value with another ([&g], a copy, [new int]), so no
-   dereference ever sees an uninitialized cell.  Note the space after
-   the paren in deref call actuals — paren-star opens a MiniProc
-   comment (LANGUAGE.md). *)
+   dereference ever sees an uninitialized cell.  [own] takes the
+   addresses of its own locals and writes them through [lp], through
+   [gq] from inside [poke], through dereference actuals and from
+   deeper activations of itself; it aims [gq] back at a global before
+   it returns, so no pointer outlives the frame it names.  Note the
+   space after the paren in deref call actuals — paren-star opens a
+   MiniProc comment (LANGUAGE.md). *)
 let ptr_src_of_seed seed =
   let st = Random.State.make [| seed; 0x9e37 |] in
   let n_stmts = 6 + Random.State.int st 20 in
@@ -20,18 +24,33 @@ let ptr_src_of_seed seed =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "program gen%d;\n" seed;
   add "var g0, g1, g2, g3 : int;\n";
-  add "var p0, p1, p2, p3 : ptr of int;\n";
+  add "var p0, p1, p2, p3, gq : ptr of int;\n";
   add "var pp : ptr of ptr of int;\n";
   add "\nprocedure bump(var c : int);\nbegin\n  c := c + 1;\nend;\n";
   add "\nprocedure mix(var c : int; var d : int);\nbegin\n  c := c + d;\nend;\n";
+  add "\nprocedure poke();\nbegin\n  *gq := *gq + 1;\nend;\n";
+  add "\nprocedure own(var c : int; n : int);\nvar x, y : int;\nvar lp : ptr of int;\n";
+  add "begin\n  x := c;\n  lp := &x;\n";
+  for _ = 1 to 2 + Random.State.int st 5 do
+    match Random.State.int st 8 with
+    | 0 -> add "  lp := &x;\n"
+    | 1 -> add "  lp := &n;\n"
+    | 2 -> add "  gq := lp;\n"
+    | 3 -> add "  call poke();\n"
+    | 4 -> add "  call bump( *lp);\n"
+    | 5 -> add "  call mix( *lp, y);\n"
+    | 6 -> add "  *lp := n;\n"
+    | _ -> add "  if n > 0 then\n    call own(y, n - 1);\n  end;\n"
+  done;
+  add "  gq := &g0;\n  c := x + y + n;\nend;\n";
   add "\nbegin\n";
   for i = 0 to 3 do
     add "  p%d := &g%d;\n" i i
   done;
-  add "  pp := &p0;\n";
+  add "  pp := &p0;\n  gq := &g0;\n";
   for _ = 1 to n_stmts do
     let p = Random.State.int st 4 and g = Random.State.int st 4 in
-    match Random.State.int st 10 with
+    match Random.State.int st 11 with
     | 0 -> add "  p%d := &g%d;\n" p g
     | 1 -> add "  p%d := p%d;\n" p (Random.State.int st 4)
     | 2 -> add "  p%d := new int;\n" p
@@ -41,6 +60,7 @@ let ptr_src_of_seed seed =
     | 6 -> add "  call mix( *p%d, g%d);\n" p g
     | 7 -> add "  pp := &p%d;\n" p
     | 8 -> add "  **pp := %d;\n" (Random.State.int st 100)
+    | 9 -> add "  call own(g%d, %d);\n" g (Random.State.int st 4)
     | _ -> add "  g%d := g%d + %d;\n" g g (Random.State.int st 10)
   done;
   add "  write g0 + g1 + g2 + g3;\nend.\n";
@@ -109,6 +129,17 @@ let oracle_sound tier seed =
     && List.for_all
          (fun (pid, x, y) -> Core.Alias.may_alias t.A.alias ~proc:pid x y)
          o.Interp.alias_obs
+
+(* The site MOD/USE oracle on the same programs: what each executed
+   call observably wrote or read — locals reached through a pointer
+   from another activation included — is in its MOD/USE. *)
+let site_sound tier seed =
+  let prog = ptr_prog_of_seed seed in
+  match Helpers.unsound_sites (A.run ~ptsto:tier prog) prog with
+  | [] -> true
+  | (sid, what) :: _ ->
+    QCheck.Test.fail_reportf "%s: site %d observed %s not predicted"
+      (Ptsto.tier_name tier) sid what
 
 (* Pointer-free programs never run the solver and are bit-identical
    under either tier flag. *)
@@ -181,6 +212,10 @@ let () =
             (oracle_sound Ptsto.Steensgaard);
           Helpers.qtest "andersen sound vs interpreter" arb_ptr_prog
             (oracle_sound Ptsto.Andersen);
+          Helpers.qtest "steensgaard site MOD/USE sound" arb_ptr_prog
+            (site_sound Ptsto.Steensgaard);
+          Helpers.qtest "andersen site MOD/USE sound" arb_ptr_prog
+            (site_sound Ptsto.Andersen);
           Helpers.qtest "pointer-free programs identical" Helpers.arb_flat_prog
             prop_pointer_free_identical;
         ] );

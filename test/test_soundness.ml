@@ -9,22 +9,7 @@
    really happened.  This validates the entire pipeline against an
    implementation that shares nothing with it but the IR. *)
 
-let check_analysis ?(fuel = 10_000) t prog =
-  let o = Interp.run ~fuel ~max_depth:256 prog in
-  let bad = ref [] in
-  Ir.Prog.iter_sites prog (fun s ->
-      let sid = s.Ir.Prog.sid in
-      if o.Interp.calls_executed.(sid) > 0 then begin
-        let om = Interp.observed_mod o sid in
-        let ou = Interp.observed_use o sid in
-        if not (Bitvec.subset om (Core.Analyze.mod_of_site t sid)) then
-          bad := (sid, "MOD") :: !bad;
-        if not (Bitvec.subset ou (Core.Analyze.use_of_site t sid)) then
-          bad := (sid, "USE") :: !bad
-      end);
-  !bad
-
-let check_program ?fuel prog = check_analysis ?fuel (Core.Analyze.run prog) prog
+let check_program ?fuel prog = Helpers.unsound_sites ?fuel (Core.Analyze.run prog) prog
 
 let prop_sound prog =
   match check_program prog with
@@ -58,6 +43,23 @@ let test_kernels () =
         sid what
   done
 
+(* A pointer that carries a local out of its own activation: the
+   local is not in LOCAL(owner), so every site on the way reports it
+   ({!Ir.Info}).  Both tiers. *)
+let test_escapes () =
+  List.iter
+    (fun (name, src) ->
+      let prog = Helpers.compile src in
+      List.iter
+        (fun tier ->
+          match Helpers.unsound_sites (Core.Analyze.run ~ptsto:tier prog) prog with
+          | [] -> ()
+          | (sid, what) :: _ ->
+            Alcotest.failf "%s (%s): site %d observed %s exceeds prediction" name
+              (Ptsto.tier_name tier) sid what)
+        [ Ptsto.Steensgaard; Ptsto.Andersen ])
+    Helpers.escape_srcs
+
 let prop_sound_flat seed = prop_sound (Helpers.flat_of_seed seed)
 let prop_sound_nested seed = prop_sound (Helpers.nested_of_seed seed)
 
@@ -79,7 +81,7 @@ let prop_sound_edited seed =
         Incremental.Engine.apply engine edit
       in
       match
-        check_analysis
+        Helpers.unsound_sites
           (Incremental.Engine.analysis engine)
           (Incremental.Engine.prog engine)
       with
@@ -141,6 +143,7 @@ let () =
         [
           Alcotest.test_case "families" `Quick test_families;
           Alcotest.test_case "array kernels" `Quick test_kernels;
+          Alcotest.test_case "locals escaping through pointers" `Quick test_escapes;
           Alcotest.test_case "exact on straight-line code" `Quick
             test_exact_on_straight_line;
         ] );
