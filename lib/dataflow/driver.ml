@@ -75,9 +75,11 @@ let solve_all ?pool t =
        per procedure. *)
     let levels = Graphs.Scc.of_comp_succs (Array.map (fun _ -> [||]) todo) in
     let prog = t.analysis.A.prog in
+    let n_sites = Array.make (P.n_procs prog) 0 in
+    P.iter_sites prog (fun s -> n_sites.(s.P.caller) <- n_sites.(s.P.caller) + 1);
     let cost i =
       let pid = todo.(i) in
-      1 + List.length (P.proc prog pid).P.body + List.length (P.sites_of prog pid)
+      1 + List.length (P.proc prog pid).P.body + n_sites.(pid)
     in
     let plan = Par.Wavefront.plan levels ~jobs:(Par.Pool.slots pool) ~cost in
     Par.Wavefront.run_plan pool plan ~f:(fun ~slot:_ ~comp:i ->
