@@ -295,4 +295,62 @@ let alias_corpus =
               (Random.State.make [| seed; 0xa11a5 |])
               { Workload.Gen.default with n_procs = 24; max_depth = 1 + (seed mod 3) }))
 
+(* The MUSTMOD golden corpus: nested families across seeds and depths,
+   60 generated programs of nesting depth 1-5, the flat, DAG and nested
+   families at two seeds, the pointer families and every sample program.
+   The MUSTMOD digest golden and the explain reason golden digest every
+   output on it.  A function: listing the sample programs reads the
+   test directory. *)
+let must_corpus () =
+  let fam name f = (name, f) in
+  let module F = Workload.Families in
+  let file name =
+    ( name,
+      fun () ->
+        let path = Filename.concat "../programs" name in
+        Frontend.Sema.compile_exn ~file:path
+          (In_channel.with_open_bin path In_channel.input_all) )
+  in
+  List.concat_map
+    (fun seed ->
+      List.concat_map
+        (fun depth ->
+          List.map
+            (fun n ->
+              fam
+                (Printf.sprintf "pascal_style s%d d%d n%d" seed depth n)
+                (fun () -> F.pascal_style ~seed ~n ~depth))
+            [ 16; 64; 256 ])
+        [ 2; 3; 4; 6 ])
+    [ 1; 2; 3; 4; 5 ]
+  @ List.init 60 (fun seed ->
+        fam (Printf.sprintf "gen %d" seed) (fun () ->
+            Workload.Gen.generate
+              (Random.State.make [| seed; 0x3057 |])
+              { Workload.Gen.default with n_procs = 24; max_depth = 1 + (seed mod 5) }))
+  @ [ fam "nested_textbook" F.nested_textbook ]
+  @ List.concat_map
+      (fun seed ->
+        [
+          fam (Printf.sprintf "fortran_style s%d" seed) (fun () ->
+              F.fortran_style ~seed ~n:64);
+          fam (Printf.sprintf "fortran_fixed s%d" seed) (fun () ->
+              F.fortran_fixed ~seed ~n:64);
+          fam (Printf.sprintf "dag_style s%d" seed) (fun () -> F.dag_style ~seed ~n:64);
+          fam (Printf.sprintf "pascal_style s%d" seed) (fun () ->
+              F.pascal_style ~seed ~n:64 ~depth:4);
+        ])
+      [ 1; 2 ]
+  @ List.concat_map
+      (fun n ->
+        [
+          fam (Printf.sprintf "ptr_chain %d" n) (fun () -> F.ptr_chain n);
+          fam (Printf.sprintf "ptr_funnel %d" n) (fun () -> F.ptr_funnel n);
+        ])
+      [ 2; 16; 64 ]
+  @ List.map file
+      (Sys.readdir "../programs" |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".mp")
+      |> List.sort compare)
+
 let run name suites = Alcotest.run ~verbose:false name suites

@@ -418,58 +418,6 @@ let must_digest_text prog =
     tiers;
   Buffer.contents b
 
-let must_golden_programs =
-  let fam name f = (name, f) in
-  let module F = Workload.Families in
-  let file name =
-    ( name,
-      fun () ->
-        let path = Filename.concat "../programs" name in
-        Frontend.Sema.compile_exn ~file:path
-          (In_channel.with_open_bin path In_channel.input_all) )
-  in
-  List.concat_map
-    (fun seed ->
-      List.concat_map
-        (fun depth ->
-          List.map
-            (fun n ->
-              fam
-                (Printf.sprintf "pascal_style s%d d%d n%d" seed depth n)
-                (fun () -> F.pascal_style ~seed ~n ~depth))
-            [ 16; 64; 256 ])
-        [ 2; 3; 4; 6 ])
-    [ 1; 2; 3; 4; 5 ]
-  @ List.init 60 (fun seed ->
-        fam (Printf.sprintf "gen %d" seed) (fun () ->
-            Workload.Gen.generate
-              (Random.State.make [| seed; 0x3057 |])
-              { Workload.Gen.default with n_procs = 24; max_depth = 1 + (seed mod 5) }))
-  @ [ fam "nested_textbook" F.nested_textbook ]
-  @ List.concat_map
-      (fun seed ->
-        [
-          fam (Printf.sprintf "fortran_style s%d" seed) (fun () ->
-              F.fortran_style ~seed ~n:64);
-          fam (Printf.sprintf "fortran_fixed s%d" seed) (fun () ->
-              F.fortran_fixed ~seed ~n:64);
-          fam (Printf.sprintf "dag_style s%d" seed) (fun () -> F.dag_style ~seed ~n:64);
-          fam (Printf.sprintf "pascal_style s%d" seed) (fun () ->
-              F.pascal_style ~seed ~n:64 ~depth:4);
-        ])
-      [ 1; 2 ]
-  @ List.concat_map
-      (fun n ->
-        [
-          fam (Printf.sprintf "ptr_chain %d" n) (fun () -> F.ptr_chain n);
-          fam (Printf.sprintf "ptr_funnel %d" n) (fun () -> F.ptr_funnel n);
-        ])
-      [ 2; 16; 64 ]
-  @ List.map file
-      (Sys.readdir "../programs" |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".mp")
-      |> List.sort compare)
-
 let must_digests =
   [
     ("pascal_style s1 d2 n16", "84df0f18f032c60b7c41a60188f053ec");
@@ -623,7 +571,7 @@ let test_must_golden () =
     (fun (name, make) ->
       let got = Digest.to_hex (Digest.string (must_digest_text (make ()))) in
       Alcotest.(check string) name (List.assoc name must_digests) got)
-    must_golden_programs
+    (Helpers.must_corpus ())
 
 let () =
   Helpers.run "mustmod"
