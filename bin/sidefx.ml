@@ -362,101 +362,29 @@ let explain_cmd =
     let prog, locs = load_with_locs file in
     Par.Pool.with_pool ~jobs @@ fun pool ->
     let t = Core.Analyze.run ?pool ~provenance:true ~ptsto prog in
-    let resolve_proc name =
-      match Ir.Prog.find_proc prog name with
-      | Some pr -> pr.Ir.Prog.pid
-      | None ->
-        Format.eprintf "explain: unknown procedure '%s'@." name;
-        exit 2
-    in
-    let resolve_var ~proc name =
-      match Ir.Prog.find_var prog ~proc name with
-      | Some v -> v.Ir.Prog.vid
-      | None ->
-        Format.eprintf "explain: unknown variable '%s' in scope of '%s'@." name
-          (Ir.Prog.proc prog proc).Ir.Prog.pname;
-        exit 2
-    in
-    let witness_json fact lines =
-      Obs.Json.Obj
-        [
-          ("fact", Obs.Json.String fact);
-          ( "witness",
-            match lines with
-            | None -> Obs.Json.Null
-            | Some ls -> Obs.Json.List (List.map (fun l -> Obs.Json.String l) ls)
-          );
-        ]
+    let header =
+      [
+        ("file", Obs.Json.String file);
+        ("program", Obs.Json.String prog.Ir.Prog.name);
+      ]
     in
     if all then begin
       (* Enumerate every derivable fact and demand a witness for each:
          the executable form of the completeness contract. *)
-      let results = ref [] in
-      let push fact lines = results := (fact, lines) :: !results in
-      Ir.Prog.iter_procs prog (fun pr ->
-          let pid = pr.Ir.Prog.pid in
-          let pn = pr.Ir.Prog.pname in
-          List.iter
-            (fun (label, side, sets) ->
-              List.iter
-                (fun vid ->
-                  push
-                    (Printf.sprintf "%s:%s:%s" label pn (Ir.Pp.var_name prog vid))
-                    (Core.Explain.explain_gmod t ~locs ~side ~proc:pid ~var:vid))
-                (Bitvec.to_list sets.(pid)))
-            [
-              ("gmod", `Mod, t.Core.Analyze.gmod);
-              ("guse", `Use, t.Core.Analyze.guse);
-            ];
-          List.iter
-            (fun vid ->
-              push
-                (Printf.sprintf "must:%s:%s" pn (Ir.Pp.var_name prog vid))
-                (Core.Explain.explain_must t ~locs ~proc:pid ~var:vid))
-            (Bitvec.to_list
-               (Core.Mustmod.mustmod_of t.Core.Analyze.mustmod pid));
-          List.iter
-            (fun (x, y) ->
-              push
-                (Printf.sprintf "alias:%s:%s:%s" pn (Ir.Pp.var_name prog x)
-                   (Ir.Pp.var_name prog y))
-                (Core.Explain.explain_alias t ~locs ~proc:pid x y))
-            (Core.Alias.pairs t.Core.Analyze.alias pid));
-      Ir.Prog.iter_vars prog (fun v ->
-          match v.Ir.Prog.kind with
-          | Ir.Prog.Formal { proc; mode = Ir.Prog.By_ref; _ } ->
-            let pn = (Ir.Prog.proc prog proc).Ir.Prog.pname in
-            if Core.Rmod.modified t.Core.Analyze.rmod v.Ir.Prog.vid then
-              push
-                (Printf.sprintf "rmod:%s:%s" pn v.Ir.Prog.vname)
-                (Core.Explain.explain_rmod t ~locs ~side:`Mod ~var:v.Ir.Prog.vid);
-            if Core.Rmod.modified t.Core.Analyze.ruse v.Ir.Prog.vid then
-              push
-                (Printf.sprintf "ruse:%s:%s" pn v.Ir.Prog.vname)
-                (Core.Explain.explain_rmod t ~locs ~side:`Use ~var:v.Ir.Prog.vid)
-          | _ -> ());
-      List.iter
-        (fun d ->
-          push
-            (Printf.sprintf "diag:%s:%s" d.Lint.Diagnostic.code
-               d.Lint.Diagnostic.scope)
-            (match d.Lint.Diagnostic.witness with [] -> None | w -> Some w))
-        (Lint.Engine.run ?pool ~locs t);
-      let results = List.rev !results in
+      let facts = Core.Explain.all_facts t ~locs in
+      let diags = List.map Lint.Diagnostic.fact (Lint.Engine.run ?pool ~locs t) in
+      let results = facts @ diags in
       let missing = List.filter (fun (_, w) -> w = None) results in
       if json then
         print_endline
           (Obs.Json.to_string
              (Obs.Json.Obj
-                [
-                  ("file", Obs.Json.String file);
-                  ("program", Obs.Json.String prog.Ir.Prog.name);
-                  ( "facts",
-                    Obs.Json.List
-                      (List.map (fun (f, w) -> witness_json f w) results) );
-                  ("total", Obs.Json.Int (List.length results));
-                  ("missing", Obs.Json.Int (List.length missing));
-                ]))
+                (header
+                @ [
+                    ("facts", Obs.Json.List (List.map Core.Explain.fact_json results));
+                    ("total", Obs.Json.Int (List.length results));
+                    ("missing", Obs.Json.Int (List.length missing));
+                  ])))
       else begin
         Format.printf "explained %d/%d facts@."
           (List.length results - List.length missing)
@@ -469,74 +397,39 @@ let explain_cmd =
     end
     else begin
       let fact_str = Option.get fact in
+      let fail code fmt =
+        Format.kasprintf (fun msg -> Format.eprintf "explain: %s@." msg; exit code) fmt
+      in
+      let print_json fields =
+        print_endline
+          (Obs.Json.to_string
+             (Obs.Json.Obj (header @ (("fact", Obs.Json.String fact_str) :: fields))))
+      in
       match Core.Explain.parse_fact fact_str with
-      | Error msg ->
-        Format.eprintf "explain: %s@." msg;
-        exit 2
+      | Error msg -> fail 2 "%s" msg
       | Ok (Core.Explain.Fdiag (code, filter)) ->
         let found =
           List.filter
             (Lint.Diagnostic.matches ~code ~filter)
             (Lint.Engine.run ?pool ~locs t)
         in
-        if found = [] then begin
-          Format.eprintf "explain: no finding matches '%s'@." fact_str;
-          exit 1
-        end;
+        if found = [] then fail 1 "no finding matches '%s'" fact_str;
         if json then
-          print_endline
-            (Obs.Json.to_string
-               (Obs.Json.Obj
-                  [
-                    ("file", Obs.Json.String file);
-                    ("program", Obs.Json.String prog.Ir.Prog.name);
-                    ("fact", Obs.Json.String fact_str);
-                    ( "findings",
-                      Obs.Json.List (List.map Lint.Diagnostic.to_json found) );
-                  ]))
+          print_json
+            [ ("findings", Obs.Json.List (List.map Lint.Diagnostic.to_json found)) ]
         else
           List.iter
             (fun d -> Format.printf "@[<v>%a@]@." Lint.Diagnostic.pp d)
             found
-      | Ok fact ->
-        let lines =
-          match fact with
-          | Core.Explain.Fglobal (side, p, v) ->
-            let pid = resolve_proc p in
-            let vid = resolve_var ~proc:pid v in
-            Core.Explain.explain_gmod t ~locs ~side ~proc:pid ~var:vid
-          | Fmust (p, v) ->
-            let pid = resolve_proc p in
-            let vid = resolve_var ~proc:pid v in
-            Core.Explain.explain_must t ~locs ~proc:pid ~var:vid
-          | Fref (side, p, f) ->
-            let pid = resolve_proc p in
-            let vid = resolve_var ~proc:pid f in
-            Core.Explain.explain_rmod t ~locs ~side ~var:vid
-          | Falias (p, x, y) ->
-            let pid = resolve_proc p in
-            Core.Explain.explain_alias t ~locs ~proc:pid
-              (resolve_var ~proc:pid x) (resolve_var ~proc:pid y)
-          | Fdiag _ -> assert false
-        in
-        match lines with
-        | None ->
-          Format.eprintf "explain: fact '%s' does not hold@." fact_str;
-          exit 1
-        | Some ls ->
+      | Ok f -> (
+        match Core.Explain.fact_witness t ~locs f with
+        | Error msg -> fail 2 "%s" msg
+        | Ok None -> fail 1 "fact '%s' does not hold" fact_str
+        | Ok (Some ls) ->
           if json then
-            print_endline
-              (Obs.Json.to_string
-                 (Obs.Json.Obj
-                    [
-                      ("file", Obs.Json.String file);
-                      ("program", Obs.Json.String prog.Ir.Prog.name);
-                      ("fact", Obs.Json.String fact_str);
-                      ( "witness",
-                        Obs.Json.List (List.map (fun l -> Obs.Json.String l) ls)
-                      );
-                    ]))
-          else List.iter print_endline ls
+            print_json
+              [ ("witness", Obs.Json.List (List.map (fun l -> Obs.Json.String l) ls)) ]
+          else List.iter print_endline ls)
     end
   in
   let fact_arg =

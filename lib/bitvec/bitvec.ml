@@ -658,15 +658,14 @@ let live_estimate v =
 
 let repr_kind v = match v.repr with Small _ -> `Small | Dense _ -> `Dense
 
-let iter f v =
+(* The set-bit walk behind [iter] and [iter_uncounted], ascending. *)
+let walk f v =
   match v.repr with
   | Small { card; elts } ->
-    count_small (max 1 card);
     for i = 0 to card - 1 do
       f elts.(i)
     done
   | Dense d ->
-    count_words (dense_cost v.length d.top);
     for w = 0 to d.top - 1 do
       let word = d.words.(w) in
       if word <> 0 then begin
@@ -687,6 +686,14 @@ let iter f v =
         done
       end
     done
+
+let iter f v =
+  (match v.repr with
+  | Small { card; _ } -> count_small (max 1 card)
+  | Dense d -> count_words (dense_cost v.length d.top));
+  walk f v
+
+let iter_uncounted = walk
 
 let fold f v init =
   let acc = ref init in

@@ -108,6 +108,11 @@ val search : int array -> int -> int -> int
 val iter : (int -> unit) -> t -> unit
 (** [iter f v] applies [f] to the index of every set bit, ascending. *)
 
+val iter_uncounted : (int -> unit) -> t -> unit
+(** {!iter} without the charge: like {!get}, it counts nothing.  For
+    post-passes, such as the provenance forests, that must leave the
+    op-count metrics exactly as the solvers left them. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold f v init] folds over set-bit indices, ascending. *)
 

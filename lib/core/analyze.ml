@@ -20,6 +20,12 @@ type t = {
   provenance : Provenance.t option;
 }
 
+let provenance_forest t alias =
+  Provenance.compute t.info ~binding:t.binding ~imod:t.imod ~iuse:t.iuse
+    ~rmod:t.rmod ~ruse:t.ruse ~imod_plus:t.imod_plus ~iuse_plus:t.iuse_plus
+    ~gmod:t.gmod ~guse:t.guse ~mustmod:t.mustmod.Mustmod.mustmod
+    ~intra:t.mustmod.Mustmod.intra ~alias
+
 let run_with ?pool ?(provenance = false)
     ?(ptsto = Ptsto.Steensgaard) prog =
   Obs.Span.with_ "analyze" @@ fun () ->
@@ -57,36 +63,32 @@ let run_with ?pool ?(provenance = false)
   let summary =
     Obs.Span.with_ "summary" (fun () -> Summary.make info ~gmod ~guse ~alias)
   in
-  let prov =
-    match alias_table with
-    | None -> None
-    | Some table ->
-      Some
-        (Obs.Span.with_ "provenance" (fun () ->
-             let must = Provenance.create_must_table () in
-             Mustmod.ground_reasons mustmod must;
-             Provenance.compute ~must info ~binding ~imod ~iuse ~rmod
-               ~ruse ~imod_plus ~iuse_plus ~gmod ~guse ~alias:table))
+  let t =
+    {
+      prog;
+      info;
+      call;
+      binding;
+      ptsto = pt;
+      imod;
+      iuse;
+      rmod;
+      ruse;
+      imod_plus;
+      iuse_plus;
+      gmod;
+      guse;
+      alias;
+      mustmod;
+      summary;
+      provenance = None;
+    }
   in
-  {
-    prog;
-    info;
-    call;
-    binding;
-    ptsto = pt;
-    imod;
-    iuse;
-    rmod;
-    ruse;
-    imod_plus;
-    iuse_plus;
-    gmod;
-    guse;
-    alias;
-    mustmod;
-    summary;
-    provenance = prov;
-  }
+  match alias_table with
+  | None -> t
+  | Some table ->
+    let p = Obs.Span.with_ "provenance" (fun () -> provenance_forest t table) in
+    { t with provenance = Some p }
 
 let run ?(jobs = 1) ?pool ?provenance ?ptsto prog =
   match pool with

@@ -71,6 +71,12 @@ val run :
     on programs with pointers; pointer-free programs never run the solver
     and analyze identically under either tier. *)
 
+val provenance_forest : t -> Provenance.alias_table -> Provenance.t
+(** The derivation forest over [t]'s solutions ({!Provenance.compute});
+    [alias] holds the reasons {!Alias.compute} recorded.  [t]'s own
+    [provenance] field is not read.  {!run} and the incremental engine
+    both build their forests here. *)
+
 val mod_of_site : t -> int -> Bitvec.t
 (** [MOD(s)] — §5's final answer for a call site. *)
 

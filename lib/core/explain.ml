@@ -415,3 +415,100 @@ let parse_fact s =
          "unrecognised fact '%s' (expected gmod:P:V | guse:P:V | must:P:V | \
           rmod:P:F | ruse:P:F | alias:P:X:Y | diag:CODE[:FILTER])"
          s)
+
+(* --- resolution and enumeration --- *)
+
+let resolve_proc prog name =
+  match Prog.find_proc prog name with
+  | Some p -> Ok p.Prog.pid
+  | None -> Error (Printf.sprintf "unknown procedure '%s'" name)
+
+let resolve_var prog ~proc name =
+  match Prog.find_var prog ~proc name with
+  | Some v -> Ok v.Prog.vid
+  | None ->
+    Error
+      (Printf.sprintf "unknown variable '%s' in scope of '%s'" name
+         (Prog.proc prog proc).Prog.pname)
+
+let fact_witness (a : Analyze.t) ~locs fact =
+  let ( let* ) = Result.bind in
+  let prog = a.Analyze.prog in
+  (* Resolve the procedure, then hand [k] a resolver for names in its
+     scope; names resolve left to right, so the first unknown one is
+     the one reported. *)
+  let in_proc p k =
+    let* pid = resolve_proc prog p in
+    k pid (resolve_var prog ~proc:pid)
+  in
+  match fact with
+  | Fglobal (side, p, v) ->
+    in_proc p (fun proc var ->
+        Result.map (fun var -> explain_gmod a ~locs ~side ~proc ~var) (var v))
+  | Fmust (p, v) ->
+    in_proc p (fun proc var ->
+        Result.map (fun var -> explain_must a ~locs ~proc ~var) (var v))
+  | Fref (side, p, f) ->
+    in_proc p (fun _ var ->
+        Result.map (fun var -> explain_rmod a ~locs ~side ~var) (var f))
+  | Falias (p, x, y) ->
+    in_proc p (fun proc var ->
+        let* x = var x in
+        let* y = var y in
+        Ok (explain_alias a ~locs ~proc x y))
+  | Fdiag _ -> invalid_arg "Explain.fact_witness: diag facts name lint findings"
+
+(* The enumeration order is the output order of [explain --all]: per
+   procedure its GMOD, GUSE, MUSTMOD and alias facts, then the set
+   RMOD/RUSE by-reference formals in variable order. *)
+let all_facts (a : Analyze.t) ~locs =
+  let prog = a.Analyze.prog in
+  let facts = ref [] in
+  let push fact lines = facts := (fact, lines) :: !facts in
+  Prog.iter_procs prog (fun pr ->
+      let pid = pr.Prog.pid in
+      let pn = pr.Prog.pname in
+      List.iter
+        (fun (label, side) ->
+          List.iter
+            (fun vid ->
+              push
+                (Printf.sprintf "%s:%s:%s" label pn (vname prog vid))
+                (explain_gmod a ~locs ~side ~proc:pid ~var:vid))
+            (Bitvec.to_list (gset a side).(pid)))
+        [ ("gmod", `Mod); ("guse", `Use) ];
+      List.iter
+        (fun vid ->
+          push
+            (Printf.sprintf "must:%s:%s" pn (vname prog vid))
+            (explain_must a ~locs ~proc:pid ~var:vid))
+        (Bitvec.to_list (Mustmod.mustmod_of a.Analyze.mustmod pid));
+      List.iter
+        (fun (x, y) ->
+          push
+            (Printf.sprintf "alias:%s:%s:%s" pn (vname prog x) (vname prog y))
+            (explain_alias a ~locs ~proc:pid x y))
+        (Alias.pairs a.Analyze.alias pid));
+  Prog.iter_vars prog (fun v ->
+      match v.Prog.kind with
+      | Prog.Formal { proc; mode = Prog.By_ref; _ } ->
+        let pn = (Prog.proc prog proc).Prog.pname in
+        List.iter
+          (fun (label, side, r) ->
+            if Rmod.modified r v.Prog.vid then
+              push
+                (Printf.sprintf "%s:%s:%s" label pn v.Prog.vname)
+                (explain_rmod a ~locs ~side ~var:v.Prog.vid))
+          [ ("rmod", `Mod, a.Analyze.rmod); ("ruse", `Use, a.Analyze.ruse) ]
+      | Prog.Formal _ | Prog.Local _ | Prog.Global -> ());
+  List.rev !facts
+
+let fact_json (fact, lines) =
+  Obs.Json.Obj
+    [
+      ("fact", Obs.Json.String fact);
+      ( "witness",
+        match lines with
+        | None -> Obs.Json.Null
+        | Some ls -> Obs.Json.List (List.map (fun l -> Obs.Json.String l) ls) );
+    ]

@@ -115,3 +115,29 @@ type fact =
 
 val parse_fact : string -> (fact, string) result
 (** Names stay unresolved; the error message lists the grammar. *)
+
+val resolve_proc : Ir.Prog.t -> string -> (int, string) result
+(** A procedure's pid by name, or [unknown procedure 'P']. *)
+
+val resolve_var : Ir.Prog.t -> proc:int -> string -> (int, string) result
+(** A variable's vid by name in [proc]'s scope, or
+    [unknown variable 'V' in scope of 'P']. *)
+
+val fact_witness :
+  Analyze.t -> locs:Frontend.Locs.t -> fact -> (string list option, string) result
+(** Resolve a parsed fact's names (left to right, the first unknown
+    one is the error) and render its witness: [Ok None] when the fact
+    does not hold.  [Fdiag] facts name lint findings, which this layer
+    cannot compute; they raise [Invalid_argument]. *)
+
+val all_facts :
+  Analyze.t -> locs:Frontend.Locs.t -> (string * string list option) list
+(** Every derivable non-lint fact, in the fact grammar, with its
+    witness ([None] when provenance cannot supply one): per procedure
+    its [gmod], [guse], [must] and [alias] facts, then every
+    by-reference formal's [rmod]/[ruse] fact.  The order is the output
+    order of [sidefx explain --all] and of the server's [explain]
+    with [all]; both append the [diag] facts of the lint findings. *)
+
+val fact_json : string * string list option -> Obs.Json.t
+(** [{"fact": F, "witness": [lines] | null}]. *)

@@ -379,54 +379,6 @@ let resolve ?(label = "mustmod.region") ?pool r info ~alias ~gmod ~changed_procs
   in
   { prog; mustmod; intra; demoted; rounds; state = st }
 
-(* --- provenance grounding --------------------------------------------- *)
-
-(* Breadth-first grounding of every MUSTMOD fact, from the procedures'
-   own definite assignments outwards through the call-site projections.
-   Touches bits only through [Bitvec.get] — never counted operations —
-   so op-count metrics are identical whether or not provenance is on
-   (the same contract as [Provenance.compute]'s forests).  BFS order
-   guarantees the reason forest is acyclic even inside call cycles. *)
-let ground_reasons (r : result) (table : Provenance.must_table) =
-  let prog = r.prog in
-  let nv = Prog.n_vars prog in
-  let sites_by_callee = Array.make (Prog.n_procs prog) [] in
-  Prog.iter_sites prog (fun s ->
-      sites_by_callee.(s.Prog.callee) <- s :: sites_by_callee.(s.Prog.callee));
-  let sites_by_callee = Array.map List.rev sites_by_callee in
-  let queue = Queue.create () in
-  let assign pid vid reason =
-    if not (Hashtbl.mem table (pid, vid)) then begin
-      Hashtbl.add table (pid, vid) reason;
-      Queue.add (pid, vid) queue
-    end
-  in
-  Prog.iter_procs prog (fun pr ->
-      let pid = pr.Prog.pid in
-      for vid = 0 to nv - 1 do
-        if Bitvec.get r.mustmod.(pid) vid && Bitvec.get r.intra.(pid) vid then
-          assign pid vid Provenance.Mdef
-      done);
-  while not (Queue.is_empty queue) do
-    let q, u = Queue.take queue in
-    List.iter
-      (fun (s : Prog.site) ->
-        let caller = s.Prog.caller in
-        let reach w =
-          if Bitvec.get r.mustmod.(caller) w then
-            assign caller w (Provenance.Mcall { site = s.Prog.sid; pre = u })
-        in
-        match (Prog.var prog u).Prog.kind with
-        | Prog.Formal { proc; index; mode = Prog.By_ref } when proc = q -> (
-          match s.Prog.args.(index) with
-          | Prog.Arg_ref (E.Lvar b) -> reach b
-          | Prog.Arg_ref (E.Lindex _ | E.Lderef _) | Prog.Arg_value _ -> ())
-        | Prog.Formal { proc; _ } when proc = q -> ()
-        | Prog.Local owner when owner = q -> ()
-        | _ -> reach u)
-      sites_by_callee.(q)
-  done
-
 (* --- accessors and reporting ------------------------------------------ *)
 
 let mustmod_of r pid = r.mustmod.(pid)

@@ -92,14 +92,6 @@ val resolve :
     and the same with or without [?pool], [rounds] included (default
     span label ["mustmod.region"]). *)
 
-val ground_reasons : result -> Provenance.must_table -> unit
-(** Fill a pre-created {!Provenance.must_table} with a first-reason
-    derivation forest over the solved facts: a breadth-first search
-    from the [Mdef] seeds ([mustmod ∩ intra]) through the call-site
-    projections, so reasons are acyclic even inside call cycles.
-    Touches bits only through [Bitvec.get] — op-count metrics are
-    identical whether or not provenance is on. *)
-
 val mustmod_of : result -> int -> Bitvec.t
 (** [MUSTMOD(p)] by pid.  Do not mutate. *)
 

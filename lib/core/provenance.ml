@@ -1,9 +1,10 @@
 (* Derivation forests for the finished solutions.  See provenance.mli.
 
-   Everything here reads bits with [Bitvec.get] only — no counted
-   operations, not even [Bitvec.fold]/[iter] (those count one vector op
-   per call) — so building provenance leaves the op-count metrics
-   exactly as the solvers left them. *)
+   Everything here reads bits with [Bitvec.get] and
+   [Bitvec.iter_uncounted] only — no counted operations, not even
+   [Bitvec.fold]/[iter] (those count one vector op per call) — so
+   building provenance leaves the op-count metrics exactly as the
+   solvers left them. *)
 
 module Prog = Ir.Prog
 module Binding = Callgraph.Binding
@@ -42,7 +43,6 @@ type t = {
 }
 
 let create_alias_table () : alias_table = Hashtbl.create 64
-let create_must_table () : must_table = Hashtbl.create 64
 
 (* --- RMOD forest ------------------------------------------------------ *)
 
@@ -83,14 +83,18 @@ let rmod_forest (binding : Binding.t) ~imod =
   done;
   reason
 
-(* --- GMOD forest ------------------------------------------------------ *)
+(* --- call-graph forests ----------------------------------------------- *)
 
-(* Seeds are the IMOD+ bits, classified by the three exhaustive cases
-   of eq. 5 under the §3.3 nesting fold; propagation is eq. 4 walked
-   callee-to-caller over the call sites. *)
-let gmod_forest info ~flat ~rmod ~plus ~gsets ~sites_by_callee =
-  let prog = Ir.Info.prog info in
-  let table : (int * int, gmod_reason) Hashtbl.t = Hashtbl.create 256 in
+(* GMOD/GUSE (eq. 4) and MUSTMOD both grow callee-to-caller through the
+   call sites.  [seed assign] assigns the terminal reasons, in order;
+   then a fact [(q, u)] reaches, through each site [s] calling [q], the
+   caller-side fact [(caller, w)] with reason [r] when
+   [step q u s = Some (w, r)].  Each fact keeps the first reason
+   assigned, so the forest is acyclic even inside call cycles.
+   [by_callee] lists each procedure's incoming sites by ascending sid;
+   [descending] walks them the other way. *)
+let first_reasons by_callee ~descending ~seed ~step =
+  let table = Hashtbl.create 256 in
   let queue = Queue.create () in
   let assign pid vid reason =
     if not (Hashtbl.mem table (pid, vid)) then begin
@@ -98,76 +102,110 @@ let gmod_forest info ~flat ~rmod ~plus ~gsets ~sites_by_callee =
       Queue.add (pid, vid) queue
     end
   in
+  seed assign;
+  while not (Queue.is_empty queue) do
+    let q, u = Queue.take queue in
+    let visit (s : Prog.site) =
+      Option.iter (fun (w, r) -> assign s.Prog.caller w r) (step q u s)
+    in
+    let sites = by_callee.(q) in
+    if descending then
+      for i = Array.length sites - 1 downto 0 do
+        visit sites.(i)
+      done
+    else Array.iter visit sites
+  done;
+  table
+
+(* Seeds are the IMOD+ bits, classified by the three exhaustive cases
+   of eq. 5 under the §3.3 nesting fold; propagation is eq. 4: a caller
+   inherits every non-local bit of its callee, callees walked by
+   descending sid. *)
+let gmod_forest info ~by_callee ~by_caller ~flat ~rmod ~plus ~gsets =
+  let prog = Ir.Info.prog info in
+  (* Does [s] pass [vid] by reference into a formal whose RMOD holds —
+     the caller-side projection of eq. 5? *)
+  let binds vid (s : Prog.site) =
+    let formals = (Prog.proc prog s.Prog.callee).Prog.formals in
+    let rec from i =
+      if i = Array.length s.Prog.args then None
+      else
+        match s.Prog.args.(i) with
+        | Prog.Arg_ref lv
+          when List.mem vid (Ir.Info.lvalue_cells info lv)
+               && Rmod.modified rmod formals.(i) ->
+          Some (Gbind { site = s.Prog.sid; arg_pos = i })
+        | Prog.Arg_ref _ | Prog.Arg_value _ -> from (i + 1)
+    in
+    from 0
+  in
+  let escapes vid child =
+    Bitvec.get plus.(child) vid && not (Bitvec.get (Ir.Info.local info child) vid)
+  in
   (* Why is [vid ∈ IMOD+(p)]?  Either it is in the flat local set, or
-     a by-reference binding at one of p's sites projects an RMOD
+     a binding at one of p's own sites (ascending sid) projects an RMOD
      formal onto it, or it escaped from a nested child. *)
   let seed_reason (pr : Prog.proc) vid =
     let pid = pr.Prog.pid in
     if Hashtbl.mem flat (pid, vid) then Some Glocal
-    else begin
-      let found = ref None in
-      Prog.iter_sites prog (fun (s : Prog.site) ->
-          if !found = None && s.Prog.caller = pid then begin
-            let callee = Prog.proc prog s.Prog.callee in
-            Array.iteri
-              (fun i arg ->
-                match arg with
-                | Prog.Arg_value _ -> ()
-                | Prog.Arg_ref lv ->
-                  if
-                    !found = None
-                    && List.mem vid (Ir.Info.lvalue_cells info lv)
-                    && Rmod.modified rmod callee.Prog.formals.(i)
-                  then found := Some (Gbind { site = s.Prog.sid; arg_pos = i }))
-              s.Prog.args
-          end);
-      match !found with
+    else
+      match Array.find_map (binds vid) by_caller.(pid) with
       | Some _ as r -> r
       | None ->
-        List.fold_left
-          (fun acc child_pid ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if
-                Bitvec.get plus.(child_pid) vid
-                && not (Bitvec.get (Ir.Info.local info child_pid) vid)
-              then Some (Gnested child_pid)
-              else None)
-          None pr.Prog.nested
-    end
+        Option.map (fun c -> Gnested c) (List.find_opt (escapes vid) pr.Prog.nested)
   in
-  (* Scan with [Bitvec.get] rather than [Bitvec.fold]: [fold] counts a
-     vector op per call, and provenance must be invisible to the
-     op-count contracts. *)
-  let nv = Ir.Info.n_vars info in
-  Prog.iter_procs prog (fun pr ->
-      let pid = pr.Prog.pid in
-      for vid = 0 to nv - 1 do
-        if Bitvec.get plus.(pid) vid then
-          match seed_reason pr vid with
-          | Some r -> assign pid vid r
-          | None -> ()
-      done);
-  (* Eq. 4: a caller inherits every non-local bit of its callee. *)
-  while not (Queue.is_empty queue) do
-    let q, vid = Queue.take queue in
-    if not (Bitvec.get (Ir.Info.local info q) vid) then
-      List.iter
-        (fun (s : Prog.site) ->
-          if Bitvec.get gsets.(s.Prog.caller) vid then
-            assign s.Prog.caller vid (Gcall s.Prog.sid))
-        sites_by_callee.(q)
-  done;
-  table
+  first_reasons by_callee ~descending:true
+    ~seed:(fun assign ->
+      Prog.iter_procs prog (fun pr ->
+          Bitvec.iter_uncounted
+            (fun vid -> Option.iter (assign pr.Prog.pid vid) (seed_reason pr vid))
+            plus.(pr.Prog.pid)))
+    ~step:(fun q u s ->
+      if Bitvec.get (Ir.Info.local info q) u || not (Bitvec.get gsets.(s.Prog.caller) u)
+      then None
+      else Some (u, Gcall s.Prog.sid))
 
-let compute ?(must = create_must_table ())
-    info ~binding ~imod ~iuse ~rmod ~ruse ~imod_plus ~iuse_plus ~gmod ~guse
-    ~alias =
+(* Seeds are the facts the procedure's own statements already
+   guarantee ([MUSTMOD ∩ IMUSTDEF]); propagation follows [Mustmod]'s
+   call-site projection, callees walked by ascending sid: a bound
+   by-reference formal lands on its whole-variable actual, the callee's
+   other own variables stay behind, everything else passes through. *)
+let must_forest prog ~by_callee ~mustmod ~intra =
+  first_reasons by_callee ~descending:false
+    ~seed:(fun assign ->
+      Prog.iter_procs prog (fun pr ->
+          let pid = pr.Prog.pid in
+          Bitvec.iter_uncounted
+            (fun vid -> if Bitvec.get intra.(pid) vid then assign pid vid Mdef)
+            mustmod.(pid)))
+    ~step:(fun q u (s : Prog.site) ->
+      let lands =
+        match (Prog.var prog u).Prog.kind with
+        | Prog.Formal { proc; index; mode = Prog.By_ref } when proc = q -> (
+          match s.Prog.args.(index) with
+          | Prog.Arg_ref (Ir.Expr.Lvar b) -> Some b
+          | Prog.Arg_ref (Ir.Expr.Lindex _ | Ir.Expr.Lderef _) | Prog.Arg_value _ ->
+            None)
+        | Prog.Formal { proc; _ } when proc = q -> None
+        | Prog.Local owner when owner = q -> None
+        | Prog.Formal _ | Prog.Local _ | Prog.Global -> Some u
+      in
+      match lands with
+      | Some w when Bitvec.get mustmod.(s.Prog.caller) w ->
+        Some (w, Mcall { site = s.Prog.sid; pre = u })
+      | Some _ | None -> None)
+
+let compute info ~binding ~imod ~iuse ~rmod ~ruse ~imod_plus ~iuse_plus ~gmod
+    ~guse ~mustmod ~intra ~alias =
   let prog = Ir.Info.prog info in
-  let sites_by_callee = Array.make (Prog.n_procs prog) [] in
+  (* Both site indexes by ascending sid, built in one pass. *)
+  let by_callee = Array.make (Prog.n_procs prog) [] in
+  let by_caller = Array.make (Prog.n_procs prog) [] in
   Prog.iter_sites prog (fun s ->
-      sites_by_callee.(s.Prog.callee) <- s :: sites_by_callee.(s.Prog.callee));
+      by_callee.(s.Prog.callee) <- s :: by_callee.(s.Prog.callee);
+      by_caller.(s.Prog.caller) <- s :: by_caller.(s.Prog.caller));
+  let ascending = Array.map (fun l -> Array.of_list (List.rev l)) in
+  let by_callee = ascending by_callee and by_caller = ascending by_caller in
   (* The flat LMOD/LUSE families, as hash sets rather than through
      [Frontend.Local.imod_flat]: allocating bit vectors would count
      ops, and provenance must stay invisible to the op-count
@@ -183,19 +221,19 @@ let compute ?(must = create_must_table ())
           pr.Prog.body);
     tbl
   in
-  let flat_mod = flat_table Frontend.Local.lmod_stmt in
-  let flat_use = flat_table Frontend.Local.luse_stmt in
   {
     rmod = rmod_forest binding ~imod;
     ruse = rmod_forest binding ~imod:iuse;
     gmod =
-      gmod_forest info ~flat:flat_mod ~rmod ~plus:imod_plus ~gsets:gmod
-        ~sites_by_callee;
+      gmod_forest info ~by_callee ~by_caller
+        ~flat:(flat_table Frontend.Local.lmod_stmt) ~rmod ~plus:imod_plus
+        ~gsets:gmod;
     guse =
-      gmod_forest info ~flat:flat_use ~rmod:ruse ~plus:iuse_plus
-        ~gsets:guse ~sites_by_callee;
+      gmod_forest info ~by_callee ~by_caller
+        ~flat:(flat_table Frontend.Local.luse_stmt) ~rmod:ruse ~plus:iuse_plus
+        ~gsets:guse;
     alias;
-    must;
+    must = must_forest prog ~by_callee ~mustmod ~intra;
   }
 
 let rmod_reasons t ~side = match side with `Mod -> t.rmod | `Use -> t.ruse

@@ -11,11 +11,15 @@
 
     Construction is a post-pass over the finished solutions: breadth-
     first searches over β (for [RMOD]/[RUSE]) and over the call graph
-    (for [GMOD]/[GUSE]) that touch bits only through [Bitvec.get],
-    never through counted operations ([fold]/[iter] included) — so
-    op-count metrics are identical whether or not provenance is on.
-    Alias reasons are the exception: the §5 fixpoint discovers pairs in
-    an order no post-pass can reconstruct, so {!Alias.compute} records
+    (for [GMOD]/[GUSE] and [MUSTMOD], one search over one site index)
+    that touch bits only through [Bitvec.get] and
+    [Bitvec.iter_uncounted], never through counted operations
+    ([fold]/[iter] included) — so op-count metrics are identical
+    whether or not provenance is on.  Its cost is the set bits plus,
+    for each fact, the call sites of its procedure ([GMOD]/[MUSTMOD]
+    propagation) or its own sites' arguments ([IMOD+] seeds).  Alias
+    reasons are the exception: the §5 fixpoint discovers pairs in an
+    order no post-pass can reconstruct, so {!Alias.compute} records
     them inline into a pre-created {!alias_table}. *)
 
 (** Why a β node's [RMOD] (or [RUSE]) bit is set. *)
@@ -89,12 +93,7 @@ type t = {
 
 val create_alias_table : unit -> alias_table
 
-val create_must_table : unit -> must_table
-(** Pre-created and handed to {!Mustmod.solve}'s grounding post-pass,
-    mirroring the {!alias_table} flow through {!Alias.compute}. *)
-
 val compute :
-  ?must:must_table ->
   Ir.Info.t ->
   binding:Callgraph.Binding.t ->
   imod:Bitvec.t array ->
@@ -105,15 +104,17 @@ val compute :
   iuse_plus:Bitvec.t array ->
   gmod:Bitvec.t array ->
   guse:Bitvec.t array ->
+  mustmod:Bitvec.t array ->
+  intra:Bitvec.t array ->
   alias:alias_table ->
   t
 (** Build the derivation forest for a finished analysis.  [imod]/
     [iuse] are the {e folded} local sets the [RMOD] solver was seeded
-    with; [imod_plus]/[iuse_plus] the folded eq. 5 families.  Every
-    set [RMOD]/[RUSE] node and every [(p, v)] with [v ∈ GMOD(p)] (resp.
-    [GUSE]) receives a reason; the alias and must tables are stored as
-    given ([?must] defaults to an empty table for callers that did not
-    run {!Mustmod}). *)
+    with; [imod_plus]/[iuse_plus] the folded eq. 5 families;
+    [mustmod]/[intra] the per-procedure [MUSTMOD] and call-free
+    [IMUSTDEF] sets ({!Mustmod.result}).  Every set [RMOD]/[RUSE] node
+    and every [(p, v)] with [v ∈ GMOD(p)] (resp. [GUSE], [MUSTMOD])
+    receives a reason; the alias table is stored as given. *)
 
 val rmod_reasons : t -> side:[ `Mod | `Use ] -> rmod_reason option array
 val gmod_reasons : t -> side:[ `Mod | `Use ] -> (int * int, gmod_reason) Hashtbl.t

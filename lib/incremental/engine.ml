@@ -31,7 +31,6 @@ type caches = {
 
 type t = {
   pool : Par.Pool.t option;
-  provenance : bool;
   mutable analysis : Analyze.t;
   mutable caches : caches;
   mutable edits : int;
@@ -78,11 +77,10 @@ let build_caches ?pool (a : Analyze.t) =
     sites = site_index a.Analyze.prog;
   }
 
-let create ?pool ?(provenance = false) prog =
-  let analysis = Analyze.run ?pool ~provenance prog in
+let create ?pool prog =
+  let analysis = Analyze.run ?pool prog in
   {
     pool;
-    provenance;
     analysis;
     caches = build_caches ?pool analysis;
     edits = 0;
@@ -100,7 +98,6 @@ let create ?pool ?(provenance = false) prog =
 let of_analysis ?pool (analysis : Analyze.t) =
   {
     pool;
-    provenance = analysis.Analyze.provenance <> None;
     analysis;
     caches = build_caches ?pool analysis;
     edits = 0;
@@ -138,7 +135,9 @@ let lint ?(rules = Lint.Rule.all) t =
 
 let full t prog reason =
   Obs.Metric.incr fallbacks_c;
-  let analysis = Analyze.run ?pool:t.pool ~provenance:t.provenance prog in
+  let analysis =
+    Analyze.run ?pool:t.pool ~provenance:(t.analysis.Analyze.provenance <> None) prog
+  in
   t.analysis <- analysis;
   t.caches <- build_caches ?pool:t.pool analysis;
   t.dataflow <- None;
@@ -278,20 +277,20 @@ let incremental t prog kind =
   let resolved = n_mod + n_use in
   (* A body edit leaves the site table — and therefore the alias pairs
      and their recorded reasons — untouched; a shape edit recomputes
-     both, recording into a fresh table. *)
+     both, recording into a fresh table.  The table is present iff the
+     old analysis carries provenance. *)
   let alias, alias_table =
     if graph_changed then begin
       let table =
-        if t.provenance then Some (Core.Provenance.create_alias_table ())
-        else None
+        Option.map
+          (fun _ -> Core.Provenance.create_alias_table ())
+          old.Analyze.provenance
       in
       (Core.Alias.compute ?provenance:table info, table)
     end
     else
       ( old.Analyze.alias,
-        match old.Analyze.provenance with
-        | Some p -> Some p.Core.Provenance.alias
-        | None -> None )
+        Option.map (fun p -> p.Core.Provenance.alias) old.Analyze.provenance )
   in
   (* MUSTMOD rides the call graph's condensation: a body edit reseeds
      the edited procedure plus every procedure whose GMOD (the ∩-cap)
@@ -312,25 +311,7 @@ let incremental t prog kind =
           ~prev:(old.Analyze.summary, gmod_changed, guse_changed)
           info ~gmod ~guse ~alias)
   in
-  (* Provenance is a post-pass over the final solutions, so a cone
-     re-solve just rebuilds the forest against whatever the caches now
-     hold — reasons can never go stale. *)
-  let provenance =
-    if not t.provenance then None
-    else begin
-      let table =
-        match alias_table with
-        | Some tbl -> tbl
-        | None -> Core.Provenance.create_alias_table ()
-      in
-      let must = Core.Provenance.create_must_table () in
-      Core.Mustmod.ground_reasons mustmod must;
-      Some
-        (Core.Provenance.compute ~must info ~binding ~imod ~iuse ~rmod ~ruse
-           ~imod_plus ~iuse_plus ~gmod ~guse ~alias:table)
-    end
-  in
-  t.analysis <-
+  let analysis =
     {
       Analyze.prog;
       info;
@@ -352,7 +333,17 @@ let incremental t prog kind =
       alias;
       mustmod;
       summary;
-      provenance;
+      provenance = None;
+    }
+  in
+  (* Provenance is a post-pass over the final solutions, so a cone
+     re-solve just rebuilds the forest against whatever the caches now
+     hold — reasons can never go stale. *)
+  t.analysis <-
+    {
+      analysis with
+      Analyze.provenance =
+        Option.map (Analyze.provenance_forest analysis) alias_table;
     };
   t.caches <- { imod_flat; iuse_flat; imod_aug; iuse_aug; sites };
   (match t.dataflow with

@@ -47,17 +47,12 @@ type outcome = {
           side counted; [2 × n_procs] for a full run). *)
 }
 
-val create : ?pool:Par.Pool.t -> ?provenance:bool -> Ir.Prog.t -> t
-(** Analyze from scratch and prime the caches.  [?pool], when given,
-    is retained for the engine's lifetime and reused by the initial
-    analysis, every full-fallback re-analysis, and the region
-    [GMOD]/[GUSE] cone re-solves; the pool remains owned by the caller
-    (the engine never shuts it down).
-    [?provenance] (default [false]) keeps a {!Core.Provenance}
-    derivation forest alive across edits: after every {!apply} the
-    forest is rebuilt against the updated solutions (a post-pass
-    linear in the fact count — the cone re-solve itself is unchanged),
-    so witnesses never go stale. *)
+val create : ?pool:Par.Pool.t -> Ir.Prog.t -> t
+(** Analyze from scratch (without provenance) and prime the caches.
+    [?pool], when given, is retained for the engine's lifetime and
+    reused by the initial analysis, every full-fallback re-analysis,
+    and the region [GMOD]/[GUSE] cone re-solves; the pool remains owned
+    by the caller (the engine never shuts it down). *)
 
 val of_analysis : ?pool:Par.Pool.t -> Core.Analyze.t -> t
 (** Adopt an already-solved batch result instead of re-running it:
@@ -69,8 +64,13 @@ val of_analysis : ?pool:Par.Pool.t -> Core.Analyze.t -> t
     analysis wholesale, so several engines may adopt one shared record
     concurrently (the analysis server gives each client session its
     own engine over one registry entry this way).  Provenance upkeep
-    is inherited from the record: it stays live across edits iff
-    [analysis.provenance] is [Some _]. *)
+    is inherited from the record: iff [analysis.provenance] is
+    [Some _], every {!apply} rebuilds the {!Core.Provenance} derivation
+    forest against the updated solutions ({!Core.Analyze.provenance_forest},
+    the batch builder), so witnesses never go stale.  That post-pass
+    costs the set bits of the solutions plus, for each fact, the call
+    sites of its procedure — it is not confined to the cone the edit
+    re-solved. *)
 
 val apply : t -> Edit.t -> outcome
 (** Apply one edit and bring {!analysis} up to date.  Raises

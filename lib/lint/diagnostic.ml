@@ -59,6 +59,10 @@ let matches ~code ~filter d =
   | None -> true
   | Some sub -> has d.scope sub || has d.message sub
 
+let fact d =
+  ( Printf.sprintf "diag:%s:%s" d.code d.scope,
+    match d.witness with [] -> None | w -> Some w )
+
 let pp ppf d =
   if d.loc = Frontend.Loc.dummy then
     Format.fprintf ppf "%s[%s] %s: %s"

@@ -34,8 +34,9 @@ type t = {
   hint : string option;  (** A suggested fix, when the rule has one. *)
   witness : string list;
       (** Derivation evidence, one rendered line per step — filled by
-          the rules when the analysis carries {!Core.Provenance} (the
-          [sidefx explain]/[lint --explain] path), empty otherwise.
+          the rules when the analysis carries {!Core.Provenance}
+          ([sidefx explain] and the analysis server), empty otherwise
+          ([sidefx lint]).
           Not part of {!key} or {!compare}: a finding's identity does
           not depend on how it was derived. *)
 }
@@ -52,6 +53,11 @@ val matches : code:string -> filter:string option -> t -> bool
 (** Whether a finding answers the fact [diag:CODE[:FILTER]] of
     {!Core.Explain.parse_fact}: its code is [code] and, given a
     [filter], the filter is a substring of its scope or message. *)
+
+val fact : t -> string * string list option
+(** The finding as an entry of [explain --all]: [diag:CODE:SCOPE] with
+    its witness, [None] when it has none (the {!Core.Explain.all_facts}
+    shape). *)
 
 val pp : Format.formatter -> t -> unit
 (** One text-report entry: [file:line:col: severity[CODE] scope:

@@ -24,10 +24,11 @@ let proc_name ctx pid = (P.proc ctx.analysis.A.prog pid).P.pname
 
 (* --- witnesses --------------------------------------------------------
 
-   When the analysis carries a {!Core.Provenance} forest (the [sidefx
-   explain] / [lint --explain] path), every finding gets a rendered
-   derivation chain via {!Core.Explain}.  Without provenance all
-   witnesses are [[]] and the text report is unchanged. *)
+   When the analysis carries a {!Core.Provenance} forest ([sidefx
+   explain] and the analysis server), every finding gets a rendered
+   derivation chain via {!Core.Explain}.  Without provenance
+   ([sidefx lint]) all witnesses are [[]] and the text report is
+   unchanged. *)
 
 let explain_on ctx = ctx.analysis.A.provenance <> None
 

@@ -88,19 +88,6 @@ let find_entry t program =
   | Some e -> Ok e
   | None -> Error (Printf.sprintf "unknown program '%s'" program)
 
-let resolve_proc prog name =
-  match Ir.Prog.find_proc prog name with
-  | Some p -> Ok p.Ir.Prog.pid
-  | None -> Error (Printf.sprintf "unknown procedure '%s'" name)
-
-let resolve_var prog ~proc name =
-  match Ir.Prog.find_var prog ~proc name with
-  | Some v -> Ok v.Ir.Prog.vid
-  | None ->
-    Error
-      (Printf.sprintf "unknown variable '%s' in scope of '%s'" name
-         (Ir.Prog.proc prog proc).Ir.Prog.pname)
-
 let names_json prog set =
   Json.List
     (List.map (fun n -> Json.String n) (Delta.set_names prog set))
@@ -119,7 +106,7 @@ let exec_query t entry ~client ~session (q : Protocol.query) =
   let prog = a.Core.Analyze.prog in
   match q with
   | Protocol.Gmod { proc } ->
-    let* pid = resolve_proc prog proc in
+    let* pid = Core.Explain.resolve_proc prog proc in
     Ok
       (Json.Obj
          [
@@ -127,7 +114,7 @@ let exec_query t entry ~client ~session (q : Protocol.query) =
            ("vars", names_json prog a.Core.Analyze.gmod.(pid));
          ])
   | Protocol.Guse { proc } ->
-    let* pid = resolve_proc prog proc in
+    let* pid = Core.Explain.resolve_proc prog proc in
     Ok
       (Json.Obj
          [
@@ -135,8 +122,8 @@ let exec_query t entry ~client ~session (q : Protocol.query) =
            ("vars", names_json prog a.Core.Analyze.guse.(pid));
          ])
   | Protocol.Rmod { proc; var } ->
-    let* pid = resolve_proc prog proc in
-    let* vid = resolve_var prog ~proc:pid var in
+    let* pid = Core.Explain.resolve_proc prog proc in
+    let* vid = Core.Explain.resolve_var prog ~proc:pid var in
     Ok
       (Json.Obj
          [
@@ -145,8 +132,8 @@ let exec_query t entry ~client ~session (q : Protocol.query) =
            ("member", Json.Bool (Core.Rmod.modified a.Core.Analyze.rmod vid));
          ])
   | Protocol.Ruse { proc; var } ->
-    let* pid = resolve_proc prog proc in
-    let* vid = resolve_var prog ~proc:pid var in
+    let* pid = Core.Explain.resolve_proc prog proc in
+    let* vid = Core.Explain.resolve_var prog ~proc:pid var in
     Ok
       (Json.Obj
          [
@@ -155,7 +142,7 @@ let exec_query t entry ~client ~session (q : Protocol.query) =
            ("member", Json.Bool (Core.Rmod.modified a.Core.Analyze.ruse vid));
          ])
   | Protocol.Must { proc } ->
-    let* pid = resolve_proc prog proc in
+    let* pid = Core.Explain.resolve_proc prog proc in
     let m = a.Core.Analyze.mustmod in
     Ok
       (Json.Obj
@@ -166,7 +153,7 @@ let exec_query t entry ~client ~session (q : Protocol.query) =
            ("demoted", names_json prog (Core.Mustmod.demoted_of m pid));
          ])
   | Protocol.Alias { proc } ->
-    let* pid = resolve_proc prog proc in
+    let* pid = Core.Explain.resolve_proc prog proc in
     Ok
       (Json.Obj
          [
@@ -183,7 +170,7 @@ let exec_query t entry ~client ~session (q : Protocol.query) =
                   (Core.Alias.pairs a.Core.Analyze.alias pid)) );
          ])
   | Protocol.Purity { proc } ->
-    let* pid = resolve_proc prog proc in
+    let* pid = Core.Explain.resolve_proc prog proc in
     Ok
       (Json.Obj
          [
@@ -267,95 +254,40 @@ let lint_for t entry sess =
   | Some s -> Engine.lint s.Session.engine
   | None -> Lazy.force entry.Registry.base_lint
 
-let witness_json fact lines =
-  Json.Obj
-    [
-      ("fact", Json.String fact);
-      ( "witness",
-        match lines with
-        | None -> Json.Null
-        | Some ls -> Json.List (List.map (fun l -> Json.String l) ls) );
-    ]
-
 let exec_explain t entry ~client ~program ~session ~fact ~all =
   let a, sess = analysis_for t entry ~client ~session in
-  let prog = a.Core.Analyze.prog in
   let locs =
     (* Edited programs have no source spans; the base keeps its real
        location table. *)
     match sess with
-    | Some s when Session.edits s > 0 -> Frontend.Locs.dummy prog
+    | Some s when Session.edits s > 0 -> Frontend.Locs.dummy a.Core.Analyze.prog
     | _ -> entry.Registry.locs
   in
   if all then begin
-    let results = ref [] in
-    let push fact lines = results := (fact, lines) :: !results in
-    Ir.Prog.iter_procs prog (fun pr ->
-        let pid = pr.Ir.Prog.pid in
-        let pn = pr.Ir.Prog.pname in
-        List.iter
-          (fun (label, side, sets) ->
-            List.iter
-              (fun vid ->
-                push
-                  (Printf.sprintf "%s:%s:%s" label pn (Ir.Pp.var_name prog vid))
-                  (Core.Explain.explain_gmod a ~locs ~side ~proc:pid ~var:vid))
-              (Bitvec.to_list sets.(pid)))
-          [
-            ("gmod", `Mod, a.Core.Analyze.gmod);
-            ("guse", `Use, a.Core.Analyze.guse);
-          ];
-        List.iter
-          (fun vid ->
-            push
-              (Printf.sprintf "must:%s:%s" pn (Ir.Pp.var_name prog vid))
-              (Core.Explain.explain_must a ~locs ~proc:pid ~var:vid))
-          (Bitvec.to_list (Core.Mustmod.mustmod_of a.Core.Analyze.mustmod pid));
-        List.iter
-          (fun (x, y) ->
-            push
-              (Printf.sprintf "alias:%s:%s:%s" pn (Ir.Pp.var_name prog x)
-                 (Ir.Pp.var_name prog y))
-              (Core.Explain.explain_alias a ~locs ~proc:pid x y))
-          (Core.Alias.pairs a.Core.Analyze.alias pid));
-    Ir.Prog.iter_vars prog (fun v ->
-        match v.Ir.Prog.kind with
-        | Ir.Prog.Formal { proc; mode = Ir.Prog.By_ref; _ } ->
-          let pn = (Ir.Prog.proc prog proc).Ir.Prog.pname in
-          if Core.Rmod.modified a.Core.Analyze.rmod v.Ir.Prog.vid then
-            push
-              (Printf.sprintf "rmod:%s:%s" pn v.Ir.Prog.vname)
-              (Core.Explain.explain_rmod a ~locs ~side:`Mod ~var:v.Ir.Prog.vid);
-          if Core.Rmod.modified a.Core.Analyze.ruse v.Ir.Prog.vid then
-            push
-              (Printf.sprintf "ruse:%s:%s" pn v.Ir.Prog.vname)
-              (Core.Explain.explain_rmod a ~locs ~side:`Use ~var:v.Ir.Prog.vid)
-        | _ -> ());
-    List.iter
-      (fun d ->
-        push
-          (Printf.sprintf "diag:%s:%s" d.Lint.Diagnostic.code
-             d.Lint.Diagnostic.scope)
-          (match d.Lint.Diagnostic.witness with [] -> None | w -> Some w))
-      (lint_for t entry sess);
-    let results = List.rev !results in
+    let facts = Core.Explain.all_facts a ~locs in
+    let results = facts @ List.map Lint.Diagnostic.fact (lint_for t entry sess) in
     let missing = List.filter (fun (_, w) -> w = None) results in
     Ok
       (Json.Obj
          [
            ("program", Json.String program);
-           ( "facts",
-             Json.List (List.map (fun (f, w) -> witness_json f w) results) );
+           ("facts", Json.List (List.map Core.Explain.fact_json results));
            ("total", Json.Int (List.length results));
            ("missing", Json.Int (List.length missing));
            ( "missing_facts",
-             Json.List
-               (List.map (fun (f, _) -> Json.String f) missing) );
+             Json.List (List.map (fun (f, _) -> Json.String f) missing) );
          ])
   end
   else
     let fact_str = Option.get fact in
     let* f = Core.Explain.parse_fact fact_str in
+    let answer fields =
+      Ok
+        (Json.Obj
+           (("program", Json.String program)
+           :: ("fact", Json.String fact_str)
+           :: fields))
+    in
     match f with
     | Core.Explain.Fdiag (code, filter) ->
       let found =
@@ -363,47 +295,13 @@ let exec_explain t entry ~client ~program ~session ~fact ~all =
       in
       if found = [] then
         Error (Printf.sprintf "no finding matches '%s'" fact_str)
-      else
-        Ok
-          (Json.Obj
-             [
-               ("program", Json.String program);
-               ("fact", Json.String fact_str);
-               ( "findings",
-                 Json.List (List.map Lint.Diagnostic.to_json found) );
-             ])
-    | _ ->
-      let* lines =
-        match f with
-        | Fglobal (side, p, v) ->
-          let* pid = resolve_proc prog p in
-          let* vid = resolve_var prog ~proc:pid v in
-          Ok (Core.Explain.explain_gmod a ~locs ~side ~proc:pid ~var:vid)
-        | Fref (side, p, fm) ->
-          let* pid = resolve_proc prog p in
-          let* vid = resolve_var prog ~proc:pid fm in
-          Ok (Core.Explain.explain_rmod a ~locs ~side ~var:vid)
-        | Falias (p, x, y) ->
-          let* pid = resolve_proc prog p in
-          let* xv = resolve_var prog ~proc:pid x in
-          let* yv = resolve_var prog ~proc:pid y in
-          Ok (Core.Explain.explain_alias a ~locs ~proc:pid xv yv)
-        | Fmust (p, v) ->
-          let* pid = resolve_proc prog p in
-          let* vid = resolve_var prog ~proc:pid v in
-          Ok (Core.Explain.explain_must a ~locs ~proc:pid ~var:vid)
-        | Fdiag _ -> assert false
-      in
+      else answer [ ("findings", Json.List (List.map Lint.Diagnostic.to_json found)) ]
+    | _ -> (
+      let* lines = Core.Explain.fact_witness a ~locs f in
       match lines with
       | None -> Error (Printf.sprintf "fact '%s' does not hold" fact_str)
       | Some ls ->
-        Ok
-          (Json.Obj
-             [
-               ("program", Json.String program);
-               ("fact", Json.String fact_str);
-               ("witness", Json.List (List.map (fun l -> Json.String l) ls));
-             ])
+        answer [ ("witness", Json.List (List.map (fun l -> Json.String l) ls)) ])
 
 (* --- stats --- *)
 

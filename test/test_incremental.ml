@@ -394,6 +394,40 @@ let prop_of_analysis_equiv of_seed steps seed =
     script;
   true
 
+(* With provenance on, every edit rebuilds the derivation forests; they
+   must equal the forests of a batch run on the edited program, alias
+   reasons included. *)
+let check_forests msg (inc : A.t) (batch : A.t) =
+  let module P = Core.Provenance in
+  let sorted tbl =
+    List.sort compare (Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl [])
+  in
+  match (inc.A.provenance, batch.A.provenance) with
+  | Some p, Some q ->
+    let ok name b = if not b then Alcotest.failf "%s: %s reasons differ" msg name in
+    ok "RMOD" (p.P.rmod = q.P.rmod);
+    ok "RUSE" (p.P.ruse = q.P.ruse);
+    ok "GMOD" (sorted p.P.gmod = sorted q.P.gmod);
+    ok "GUSE" (sorted p.P.guse = sorted q.P.guse);
+    ok "MUSTMOD" (sorted p.P.must = sorted q.P.must);
+    ok "alias" (sorted p.P.alias = sorted q.P.alias)
+  | _ -> Alcotest.failf "%s: provenance missing" msg
+
+let prop_provenance_equiv of_seed steps seed =
+  let prog = of_seed seed in
+  let rand = Random.State.make [| seed; 0x9f0e |] in
+  let script = Workload.Edits.gen ~rand ~steps prog in
+  let engine = Engine.of_analysis (A.run ~provenance:true prog) in
+  List.iteri
+    (fun i (edit, expected) ->
+      let (_ : Engine.outcome) = Engine.apply engine edit in
+      check_forests
+        (Printf.sprintf "edit %d" i)
+        (Engine.analysis engine)
+        (A.run ~provenance:true expected))
+    script;
+  true
+
 (* Adoption costs no solver work: the engine reads RMOD, RUSE and
    MUSTMOD (and the condensations they were solved on) straight from
    the adopted record. *)
@@ -609,5 +643,10 @@ let () =
             (prop_of_analysis_equiv (flat_of_seed ~n:24) 6);
           qtest ~count:40 "of_analysis = create (nested scripts)" arb_nested_prog
             (prop_of_analysis_equiv (nested_of_seed ~n:20 ~depth:3) 6);
+          qtest ~count:60 "provenance forests = batch (flat scripts)" arb_flat_prog
+            (prop_provenance_equiv (flat_of_seed ~n:24) 6);
+          qtest ~count:40 "provenance forests = batch (nested scripts)"
+            arb_nested_prog
+            (prop_provenance_equiv (nested_of_seed ~n:20 ~depth:3) 6);
         ] );
     ]

@@ -446,6 +446,46 @@ let test_explain () =
     Alcotest.failf "explain all: total %s missing %s" (Json.to_string t)
       (Json.to_string m))
 
+(* A session's forest follows its edits: after an edit, [explain] with
+   [all] in that session still finds a witness for every fact, and the
+   facts the edit introduced are explained, through a call step too. *)
+let test_session_explain () =
+  let srv = Server.create () in
+  load srv ~client:1 "p" (Workload.Families.ref_chain 4);
+  let explain fact =
+    Protocol.Explain { program = "p"; session = "s"; fact = Some fact; all = false }
+  in
+  let introduced = [ "gmod:p2:g0"; "gmod:p1:g0" ] in
+  List.iter
+    (fun fact ->
+      let m = send_err srv ~client:1 (explain fact) in
+      Alcotest.(check bool) (fact ^ " not yet") true (has_substring m "does not hold"))
+    introduced;
+  ignore
+    (send_ok srv ~client:1
+       (Protocol.Edit
+          {
+            program = "p";
+            session = "s";
+            script = "add-assign p2 g0 = 7";
+            lint = false;
+          }));
+  List.iter
+    (fun fact ->
+      match member "witness" (send_ok srv ~client:1 (explain fact)) with
+      | Json.List (_ :: _) -> ()
+      | j -> Alcotest.failf "%s: expected a witness, got %s" fact (Json.to_string j))
+    introduced;
+  let r =
+    send_ok srv ~client:1
+      (Protocol.Explain { program = "p"; session = "s"; fact = None; all = true })
+  in
+  match (member "total" r, member "missing" r) with
+  | Json.Int total, Json.Int 0 when total > 0 -> ()
+  | t, m ->
+    Alcotest.failf "session explain all: total %s missing %s" (Json.to_string t)
+      (Json.to_string m)
+
 let test_stats_and_shutdown () =
   let srv = Server.create () in
   load srv ~client:1 "p" (Workload.Families.diamond ());
@@ -707,6 +747,8 @@ let () =
             test_edit_fallback;
           Alcotest.test_case "unload drops sessions" `Quick test_unload_drops_sessions;
           Alcotest.test_case "explain facts and --all" `Quick test_explain;
+          Alcotest.test_case "session explain follows edits" `Quick
+            test_session_explain;
           Alcotest.test_case "stats and shutdown" `Quick test_stats_and_shutdown;
           Helpers.seeded_case "pooled batch = serial batch" `Quick
             test_concurrent_sessions;
