@@ -12,9 +12,11 @@
    - [deep]: the same stream at ref_chain's tail procedure [pn], whose
      ancestor cone is the whole chain — the case a size cut-off would
      send to a from-scratch run.
-   - [script]: seeded [Workload.Edits.gen] scripts over dag_style and
-     fortran_fixed, every edit constructor mixed; structural edits are
-     the only full re-analyses ([full_fallbacks]).
+   - [script]: seeded [Workload.Edits.gen] scripts over dag_style,
+     fortran_fixed and the pointer families ptr_chain and ptr_funnel,
+     every edit constructor mixed.  Structural edits, and pointer edits
+     that move the points-to projection, re-solve every procedure; the
+     others re-solve a cone.
 
    Every edit is also an equality assertion: the engine's GMOD/GUSE and
    RMOD/RUSE are compared bit for bit against the fresh run it is being
@@ -65,7 +67,6 @@ let assert_equal ~family ~n ~i (inc : A.t) (batch : A.t) =
    from-scratch analysis of each resulting program, timing each side. *)
 let measure ~family ~workload ~n prog steps =
   let resolved = Obs.Metric.counter "incremental.procs_resolved" in
-  let fallbacks = Obs.Metric.counter "incremental.full_fallbacks" in
   let snap = Obs.Metric.snapshot () in
   let gc0 = Gc.quick_stat () in
   let engine = Engine.create ?pool prog in
@@ -81,10 +82,9 @@ let measure ~family ~workload ~n prog steps =
       assert_equal ~family ~n ~i (Engine.analysis engine) batch)
     steps;
   let speedup = !batch_time /. Float.max !inc_time 1e-9 in
-  Printf.printf "   %-12s %-8s %6d | %10.6f %10.6f | %8.1fx | %6d %4d\n" family
+  Printf.printf "   %-12s %-8s %6d | %10.6f %10.6f | %8.1fx | %6d\n" family
     workload n !inc_time !batch_time speedup
-    (Obs.Metric.value_since ~since:snap resolved)
-    (Obs.Metric.value_since ~since:snap fallbacks);
+    (Obs.Metric.value_since ~since:snap resolved);
   Obs.Json.Obj
     [
       ("family", Obs.Json.String family);
@@ -96,8 +96,6 @@ let measure ~family ~workload ~n prog steps =
       ("speedup", Obs.Json.Float speedup);
       ( "procs_resolved",
         Obs.Json.Int (Obs.Metric.value_since ~since:snap resolved) );
-      ( "full_fallbacks",
-        Obs.Json.Int (Obs.Metric.value_since ~since:snap fallbacks) );
       ( "major_collections",
         Obs.Json.Int
           ((Gc.quick_stat ()).Gc.major_collections - gc0.Gc.major_collections)
@@ -123,8 +121,7 @@ let chain ~family ~workload build n =
   let proc = if workload = "head" then "p1" else Printf.sprintf "p%d" n in
   measure ~family ~workload ~n prog (chain_steps prog proc)
 
-let script family build =
-  let prog = build ~seed:script_seed ~n:script_n in
+let script family prog =
   let rand = Random.State.make [| script_seed; 0xed17 |] in
   measure ~family ~workload:"script" ~n:script_n prog
     (Workload.Edits.gen ~rand ~steps:script_steps prog)
@@ -134,8 +131,8 @@ let () =
     "== incremental re-analysis vs from-scratch (%d edits/chain row, \
      %d-step scripts, jobs=%d) ==\n"
     edits_per_chain script_steps jobs;
-  Printf.printf "   %-12s %-8s %6s | %10s %10s | %9s | %6s %4s\n" "family"
-    "workload" "N" "inc (s)" "batch (s)" "speedup" "rslv" "fb";
+  Printf.printf "   %-12s %-8s %6s | %10s %10s | %9s | %6s\n" "family"
+    "workload" "N" "inc (s)" "batch (s)" "speedup" "rslv";
   let chains =
     List.concat_map
       (fun n ->
@@ -148,9 +145,18 @@ let () =
         [ r; g; d ])
       [ 64; 256; 1024; 4096 ]
   in
-  let dag = script "dag_style" Workload.Families.dag_style in
-  let fixed = script "fortran_fixed" Workload.Families.fortran_fixed in
-  let rows = chains @ [ dag; fixed ] in
+  let scripts =
+    let module F = Workload.Families in
+    List.map
+      (fun (family, build) -> script family (build ()))
+      [
+        ("dag_style", fun () -> F.dag_style ~seed:script_seed ~n:script_n);
+        ("fortran_fixed", fun () -> F.fortran_fixed ~seed:script_seed ~n:script_n);
+        ("ptr_chain", fun () -> F.ptr_chain script_n);
+        ("ptr_funnel", fun () -> F.ptr_funnel script_n);
+      ]
+  in
+  let rows = chains @ scripts in
   let json =
     Obs.Json.Obj
       [
@@ -159,14 +165,18 @@ let () =
           Obs.Json.String
             "single-procedure edits re-solve the condensation-ancestor cone, \
              beating from-scratch analysis at every size even when the cone \
-             is the whole chain; only structural edits re-analyze from \
-             scratch; results asserted bit-identical per edit" );
+             is the whole chain; every edit goes through the engine's own \
+             stages, pointer programs included (points-to is re-solved per \
+             edit; structural edits and edits that move the points-to \
+             projection run them with every procedure dirty); results \
+             asserted bit-identical per edit" );
         ( "workload",
           Obs.Json.String
             "ref_chain/global_chain, alternating add/remove of g0 := 1 in p1 \
              (head), and in pn of ref_chain (deep); Workload.Edits.gen \
-             scripts (seed 1, 40 steps) on dag_style and fortran_fixed \
-             n=256" );
+             scripts (seed 1, 40 steps) on dag_style, fortran_fixed, \
+             ptr_chain and ptr_funnel n=256; n_procs is the family size \
+             n, and ptr_funnel 256 has 3 procedures and 256 call sites" );
         ("rows", Obs.Json.List rows);
       ]
   in

@@ -1166,20 +1166,11 @@ let edit_cmd =
     in
     let before = Core.Analyze.run ?pool prog in
     let lint_before = if lint then Some (Lint.Engine.run ?pool before) else None in
-    (* First full-re-analysis reason across the script, when the
-       incremental path gave up (e.g. "pointer program: points-to
-       solution may shift") — surfaced so callers can tell a real
-       incremental run from a silent fallback. *)
-    let fallback_reason = ref None in
     let after, lint_after =
       if incremental then begin
-        let engine = Incremental.Engine.create ?pool prog in
+        let engine = Incremental.Engine.of_analysis ?pool before in
         List.iter
-          (fun (edit, _) ->
-            let o = Incremental.Engine.apply engine edit in
-            match o.Incremental.Engine.fallback with
-            | Some r when !fallback_reason = None -> fallback_reason := Some r
-            | _ -> ())
+          (fun (edit, _) -> ignore (Incremental.Engine.apply engine edit))
           steps;
         let lint_after =
           if lint then Some (Incremental.Engine.lint engine) else None
@@ -1222,10 +1213,6 @@ let edit_cmd =
                   Obs.Json.List
                     (List.map (fun e -> Obs.Json.String e) edits_rendered) );
                 ("incremental", Obs.Json.Bool incremental);
-                ( "fallback_reason",
-                  match !fallback_reason with
-                  | None -> Obs.Json.Null
-                  | Some r -> Obs.Json.String r );
                 ("gmod_delta", Serve.Delta.rows_json gmod_rows);
                 ("guse_delta", Serve.Delta.rows_json guse_rows);
                 ( "sites",
@@ -1259,11 +1246,6 @@ let edit_cmd =
     else begin
       Format.printf "== edits (%d) ==@." (List.length edits_rendered);
       List.iteri (fun i e -> Format.printf "  %d. %s@." (i + 1) e) edits_rendered;
-      (* Notice, not payload: stderr, so the human report stays
-         byte-identical to a batch run (the cram contract). *)
-      (match !fallback_reason with
-      | Some r -> Format.eprintf "incremental fallback: %s@." r
-      | None -> ());
       Format.printf "%a" (Serve.Delta.pp_rows ~title:"GMOD") gmod_rows;
       Format.printf "%a" (Serve.Delta.pp_rows ~title:"GUSE") guse_rows;
       Format.printf "== sites after ==@.";

@@ -17,10 +17,6 @@ val rmod : Callgraph.Binding.t -> imod:Bitvec.t array -> bool array
 (** Least solution of equation (6) on β, by iterating over the edges
     until fixpoint.  Indexed by β node. *)
 
-val rmod_passes : Callgraph.Binding.t -> imod:Bitvec.t array -> bool array * int
-(** Same, also returning the number of full edge sweeps executed
-    (including the final no-change sweep). *)
-
 val gmod :
   Ir.Info.t -> Callgraph.Call.t -> imod_plus:Bitvec.t array -> Bitvec.t array
 (** Least solution of equation (4) on the call multi-graph. *)

@@ -29,8 +29,6 @@ let build prog =
 let with_prog t prog = { t with prog }
 let restrict t ~keep = of_sites t.prog ~keep
 
-let site_of_edge t e = Prog.site t.prog e
-
 let reachable_from_main t = Graphs.Reach.from t.graph t.prog.Prog.main
 
 let pp_stats ppf t =

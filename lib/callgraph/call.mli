@@ -27,10 +27,7 @@ val with_prog : t -> Ir.Prog.t -> t
 val restrict : t -> keep:(Ir.Prog.site -> bool) -> t
 (** The sub-multi-graph of the call sites satisfying [keep], with its
     own condensation — e.g. the [C_i] of the nesting extension.  Its
-    edge ids are no longer site ids, so {!site_of_edge} does not apply
-    to it. *)
-
-val site_of_edge : t -> Graphs.Digraph.edge_id -> Ir.Prog.site
+    edge ids are no longer site ids. *)
 
 val reachable_from_main : t -> Bitvec.t
 (** Procedures reachable from the main block by call chains (main

@@ -19,9 +19,6 @@ type highlight = {
     supplied by [Lint.Engine.highlight]; this module only knows how to
     colour, not why. *)
 
-val no_highlight : highlight
-(** Both lists empty — the undecorated graph. *)
-
 val call_graph : ?highlight:highlight -> Call.t -> string
 
 val binding_graph : Binding.t -> string

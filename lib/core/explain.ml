@@ -17,6 +17,9 @@ type alias_link = {
   reason : Provenance.alias_reason;
 }
 
+(* One link of a MUSTMOD chain: why [mvar ∈ MUSTMOD(mproc)].  An
+   [Mcall {site; pre}] reason continues at [site]'s callee with the
+   callee-side variable [pre]; [Mdef] is terminal. *)
 type must_step = { mproc : int; mvar : int; reason : Provenance.must_reason }
 
 let gset (a : Analyze.t) side =
@@ -254,6 +257,9 @@ let explain_gmod (a : Analyze.t) ~locs ~side ~proc ~var =
     in
     Some (chain_line :: step_lines)
 
+(* Each [Mcall] step is single-step evidence — one contributing call
+   site, not a proof that every path goes through it (the set
+   membership itself certifies the every-path property). *)
 let must_chain (a : Analyze.t) ~proc ~var =
   match a.Analyze.provenance with
   | None -> None
@@ -423,10 +429,26 @@ let resolve_proc prog name =
   | Some p -> Ok p.Prog.pid
   | None -> Error (Printf.sprintf "unknown procedure '%s'" name)
 
+(* A bare name resolves in [proc]'s scope; [owner.var] names a variable
+   its owner declares, in scope or not — a dereference can reach
+   another procedure's local. *)
 let resolve_var prog ~proc name =
-  match Prog.find_var prog ~proc name with
-  | Some v -> Ok v.Prog.vid
-  | None ->
+  let owned =
+    match String.index_opt name '.' with
+    | None -> None
+    | Some i -> (
+      let owner = String.sub name 0 i in
+      let var = String.sub name (i + 1) (String.length name - i - 1) in
+      match Prog.find_proc prog owner with
+      | None -> None
+      | Some o -> (
+        match Prog.find_var prog ~proc:o.Prog.pid var with
+        | Some v when Prog.var_owner v = Some o.Prog.pid -> Some v
+        | Some _ | None -> None))
+  in
+  match (Prog.find_var prog ~proc name, owned) with
+  | Some v, _ | None, Some v -> Ok v.Prog.vid
+  | None, None ->
     Error
       (Printf.sprintf "unknown variable '%s' in scope of '%s'" name
          (Prog.proc prog proc).Prog.pname)
@@ -463,6 +485,13 @@ let fact_witness (a : Analyze.t) ~locs fact =
    RMOD/RUSE by-reference formals in variable order. *)
 let all_facts (a : Analyze.t) ~locs =
   let prog = a.Analyze.prog in
+  (* A variable goes by its bare name where that name resolves to it,
+     and as [owner.var] elsewhere. *)
+  let name ~proc vid =
+    match Prog.find_var prog ~proc (vname prog vid) with
+    | Some v when v.Prog.vid = vid -> vname prog vid
+    | Some _ | None -> qvname prog vid
+  in
   let facts = ref [] in
   let push fact lines = facts := (fact, lines) :: !facts in
   Prog.iter_procs prog (fun pr ->
@@ -473,20 +502,21 @@ let all_facts (a : Analyze.t) ~locs =
           List.iter
             (fun vid ->
               push
-                (Printf.sprintf "%s:%s:%s" label pn (vname prog vid))
+                (Printf.sprintf "%s:%s:%s" label pn (name ~proc:pid vid))
                 (explain_gmod a ~locs ~side ~proc:pid ~var:vid))
             (Bitvec.to_list (gset a side).(pid)))
         [ ("gmod", `Mod); ("guse", `Use) ];
       List.iter
         (fun vid ->
           push
-            (Printf.sprintf "must:%s:%s" pn (vname prog vid))
+            (Printf.sprintf "must:%s:%s" pn (name ~proc:pid vid))
             (explain_must a ~locs ~proc:pid ~var:vid))
         (Bitvec.to_list (Mustmod.mustmod_of a.Analyze.mustmod pid));
       List.iter
         (fun (x, y) ->
           push
-            (Printf.sprintf "alias:%s:%s:%s" pn (vname prog x) (vname prog y))
+            (Printf.sprintf "alias:%s:%s:%s" pn (name ~proc:pid x)
+               (name ~proc:pid y))
             (explain_alias a ~locs ~proc:pid x y))
         (Alias.pairs a.Analyze.alias pid));
   Prog.iter_vars prog (fun v ->

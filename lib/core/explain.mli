@@ -37,12 +37,6 @@ type alias_link = {
 (** One recorded derivation step of the §5 closure, in the procedure
     [aproc] the pair holds in. *)
 
-type must_step = { mproc : int; mvar : int; reason : Provenance.must_reason }
-(** One link of a [MUSTMOD] chain: why [mvar ∈ MUSTMOD(mproc)].  An
-    [Mcall {site; pre}] reason continues at [site]'s callee with the
-    callee-side variable [pre]; [Mdef] (a definite write in the
-    procedure's own body) is terminal. *)
-
 val gmod_chain :
   Analyze.t -> side:side -> proc:int -> var:int -> gmod_step list option
 (** The derivation path from [var ∈ GMOD(proc)] (resp. [GUSE]) down to
@@ -53,13 +47,6 @@ val gmod_chain :
 val rmod_chain : Analyze.t -> side:side -> var:int -> rmod_step list option
 (** The β path from the by-reference formal [var]'s node to a seed
     node (a formal in its owner's folded [IMOD]/[IUSE]). *)
-
-val must_chain : Analyze.t -> proc:int -> var:int -> must_step list option
-(** The derivation path from [var ∈ MUSTMOD(proc)] down to a definite
-    write in some (transitive) callee's own body.  Each [Mcall] step is
-    single-step evidence — one contributing call site on the witness
-    path, not a proof that every path goes through it (the set
-    membership itself certifies the every-path property). *)
 
 val alias_links :
   Analyze.t -> proc:int -> int -> int -> alias_link list option
@@ -91,13 +78,6 @@ val explain_must :
 val explain_alias :
   Analyze.t -> locs:Frontend.Locs.t -> proc:int -> int -> int -> string list option
 
-val find_def :
-  Analyze.t -> side:side -> proc:int -> var:int -> (int * int) option
-(** [(procedure, statement ordinal)] of the first statement (pre-order,
-    the {!Frontend.Locs.stmt} ordinal) in [proc]'s own body — or,
-    failing that, a lexical descendant's — whose direct
-    [LMOD]/[LUSE] contains [var]. *)
-
 (** {1 The fact grammar}
 
     What [sidefx explain --fact] and the server's [explain] request
@@ -120,7 +100,8 @@ val resolve_proc : Ir.Prog.t -> string -> (int, string) result
 (** A procedure's pid by name, or [unknown procedure 'P']. *)
 
 val resolve_var : Ir.Prog.t -> proc:int -> string -> (int, string) result
-(** A variable's vid by name in [proc]'s scope, or
+(** A variable's vid by name in [proc]'s scope, or by [owner.var] (the
+    variable [owner] declares, in scope or not), or
     [unknown variable 'V' in scope of 'P']. *)
 
 val fact_witness :
@@ -135,7 +116,11 @@ val all_facts :
 (** Every derivable non-lint fact, in the fact grammar, with its
     witness ([None] when provenance cannot supply one): per procedure
     its [gmod], [guse], [must] and [alias] facts, then every
-    by-reference formal's [rmod]/[ruse] fact.  The order is the output
+    by-reference formal's [rmod]/[ruse] fact.  A variable is named by
+    its bare name where that resolves to it in the fact's procedure,
+    and as [owner.var] ({!Ir.Pp.qualified_var_name}) elsewhere, so
+    every listed fact goes back through {!parse_fact} and
+    {!fact_witness}.  The order is the output
     order of [sidefx explain --all] and of the server's [explain]
     with [all]; both append the [diag] facts of the lint findings. *)
 

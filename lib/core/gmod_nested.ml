@@ -72,12 +72,18 @@ let solve ?(label = "gmod") ?pool info call ~imod_plus =
   else Obs.Span.with_ label (fun () -> fst (solve_seeded ?pool info call ~seed:imod_plus))
 
 (* The comparison runs outside the span, over the cone only: entries
-   outside it share [cached]. *)
+   outside it share [cached].  Figure 2's [∖ LOCAL] strip leaves only
+   globals when every variable a seed holds is visible in its
+   procedure; a dereference can name another procedure's local, which
+   only the level masks strip (as the batch solve's compact universe
+   leaves it out), so a flat program with pointers takes the
+   multi-level form. *)
 let solve_region ?pool info call ~seed ~seeds ~cached =
   if seeds = [] then (cached, 0, [])
   else begin
     let gmod, cone =
-      if flat call then Gmod.solve_region ?pool info call ~seed ~seeds ~cached
+      if flat call && not (Ir.Info.has_pointers info) then
+        Gmod.solve_region ?pool info call ~seed ~seeds ~cached
       else
         Obs.Span.with_ "gmod.region" (fun () ->
             solve_seeded ~region:(seeds, cached) ?pool info call ~seed)

@@ -92,12 +92,22 @@ let rmod_forest (binding : Binding.t) ~imod =
    [step q u s = Some (w, r)].  Each fact keeps the first reason
    assigned, so the forest is acyclic even inside call cycles.
    [by_callee] lists each procedure's incoming sites by ascending sid;
-   [descending] walks them the other way. *)
-let first_reasons by_callee ~descending ~seed ~step =
+   [descending] walks them the other way.  Which facts hold so far is
+   one bit per [(pid, vid)], in a row of [n_vars] bits a procedure gets
+   with its first fact, so a visit costs a byte probe, not a hash of
+   the pair; the table holds only the reasons. *)
+let first_reasons ~n_vars by_callee ~descending ~seed ~step =
   let table = Hashtbl.create 256 in
+  let held = Array.make (Array.length by_callee) Bytes.empty in
   let queue = Queue.create () in
   let assign pid vid reason =
-    if not (Hashtbl.mem table (pid, vid)) then begin
+    if Bytes.length held.(pid) = 0 then
+      held.(pid) <- Bytes.make ((n_vars + 7) / 8) '\000';
+    let row = held.(pid) in
+    let byte = Char.code (Bytes.get row (vid lsr 3)) in
+    let bit = 1 lsl (vid land 7) in
+    if byte land bit = 0 then begin
+      Bytes.set row (vid lsr 3) (Char.chr (byte lor bit));
       Hashtbl.add table (pid, vid) reason;
       Queue.add (pid, vid) queue
     end
@@ -154,7 +164,7 @@ let gmod_forest info ~by_callee ~by_caller ~flat ~rmod ~plus ~gsets =
       | None ->
         Option.map (fun c -> Gnested c) (List.find_opt (escapes vid) pr.Prog.nested)
   in
-  first_reasons by_callee ~descending:true
+  first_reasons ~n_vars:(Prog.n_vars prog) by_callee ~descending:true
     ~seed:(fun assign ->
       Prog.iter_procs prog (fun pr ->
           Bitvec.iter_uncounted
@@ -171,7 +181,7 @@ let gmod_forest info ~by_callee ~by_caller ~flat ~rmod ~plus ~gsets =
    by-reference formal lands on its whole-variable actual, the callee's
    other own variables stay behind, everything else passes through. *)
 let must_forest prog ~by_callee ~mustmod ~intra =
-  first_reasons by_callee ~descending:false
+  first_reasons ~n_vars:(Prog.n_vars prog) by_callee ~descending:false
     ~seed:(fun assign ->
       Prog.iter_procs prog (fun pr ->
           let pid = pr.Prog.pid in

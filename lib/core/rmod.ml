@@ -110,11 +110,6 @@ let modified r vid =
   | None -> false
   | Some node -> r.rmod.(node)
 
-let to_var_set r =
-  let set = Bitvec.create (Prog.n_vars r.binding.Binding.prog) in
-  Array.iteri (fun node b -> if b then Bitvec.set set (Binding.var r.binding node)) r.rmod;
-  set
-
 let rmod_of_proc r pid =
   let prog = r.binding.Binding.prog in
   let formals = (Prog.proc prog pid).Prog.formals in

@@ -74,9 +74,6 @@ val modified : result -> int -> bool
 (** [modified r vid]: is this by-reference formal modified?  [false]
     for variables that are not by-reference formals. *)
 
-val to_var_set : result -> Bitvec.t
-(** All modified by-reference formals, as a variable-id set. *)
-
 val rmod_of_proc : result -> int -> int list
 (** The modified by-reference formals of one procedure, as variable
     ids, ascending — the paper's [RMOD(p)]. *)

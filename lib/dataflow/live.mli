@@ -14,9 +14,6 @@ val passes : t -> int
 val live_in : t -> int -> Bitvec.t
 (** Live at block entry.  Do not mutate. *)
 
-val live_out : t -> int -> Bitvec.t
-(** Live at block exit.  Do not mutate. *)
-
 val fold_instrs : t -> Transfer.t -> block:int -> init:'a ->
   f:('a -> live_after:Bitvec.t -> ord:int -> Cfg.instr -> 'a) -> 'a
 (** Walk one block's instructions backward, exposing the live-after set

@@ -5,7 +5,7 @@
     line of source.  This side table carries one {!Loc.t} per
     procedure, variable, and call site of a program, plus the [for]
     loops of each procedure in statement pre-order (loops have no ids
-    of their own).  {!Sema.resolve_with_locs} fills it during
+    of their own).  {!Sema.compile_with_locs} fills it during
     resolution, where the surface locations are still at hand.
 
     A table is only meaningful against the exact program it was built

@@ -402,11 +402,6 @@ let with_tokens ?file src k =
 
 let parse ?file src = with_tokens ?file src parse_program
 
-let parse_exn ?file src =
-  match parse ?file src with
-  | Ok p -> p
-  | Result.Error (l, msg) -> raise (Error (l, msg))
-
 let parse_expr ?file src =
   with_tokens ?file src (fun st ->
       let e = parse_expr_or st in

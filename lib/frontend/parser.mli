@@ -25,7 +25,5 @@ val parse : ?file:string -> string -> (Ast.program, Loc.t * string) result
 (** Parse a complete source string.  Lexical errors are reported
     through the same [Error] channel. *)
 
-val parse_exn : ?file:string -> string -> Ast.program
-
 val parse_expr : ?file:string -> string -> (Ast.expr, Loc.t * string) result
 (** Parse a standalone expression (used by tests). *)

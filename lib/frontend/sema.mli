@@ -38,19 +38,16 @@ val resolve : Ast.program -> (Ir.Prog.t, error list) result
 (** All diagnostics are collected; the program is returned only when
     there are none. *)
 
-val resolve_with_locs : Ast.program -> (Ir.Prog.t * Locs.t, error list) result
-(** As {!resolve}, also returning the {!Locs} side table (source
-    positions by procedure / variable / call-site id), which only the
-    front end can build.  Consumed by diagnostics clients
-    ({!Lint}, [sidefx lint]). *)
-
 val compile : ?file:string -> string -> (Ir.Prog.t, error list) result
 (** [parse] + [resolve]; parse errors are reported as a singleton
     list. *)
 
 val compile_with_locs :
   ?file:string -> string -> (Ir.Prog.t * Locs.t, error list) result
-(** [parse] + [resolve_with_locs]. *)
+(** [parse] + {!resolve}, also returning the {!Locs} side table
+    (source positions by procedure / variable / call-site id), which
+    only the front end can build.  Consumed by diagnostics clients
+    ({!Lint}, [sidefx lint]). *)
 
 val compile_exn : ?file:string -> string -> Ir.Prog.t
 (** Raises [Failure] with a formatted report on any diagnostic. *)

@@ -78,9 +78,3 @@ let run ?roots g =
 
 let is_ancestor t ~anc ~desc =
   t.pre.(anc) <= t.pre.(desc) && t.post.(anc) >= t.post.(desc)
-
-let pp_kind ppf = function
-  | Tree -> Format.pp_print_string ppf "tree"
-  | Forward -> Format.pp_print_string ppf "forward"
-  | Back -> Format.pp_print_string ppf "back"
-  | Cross -> Format.pp_print_string ppf "cross"

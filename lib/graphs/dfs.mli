@@ -29,5 +29,3 @@ val run : ?roots:int list -> Digraph.t -> t
 val is_ancestor : t -> anc:int -> desc:int -> bool
 (** [true] iff [anc] is an ancestor of (or equal to) [desc] in the DFS
     forest, judged by pre/post intervals. *)
-
-val pp_kind : Format.formatter -> edge_kind -> unit

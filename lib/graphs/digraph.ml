@@ -31,8 +31,6 @@ module Builder = struct
     b.nodes <- v + 1;
     v
 
-  let ensure_nodes b n = if n > b.nodes then b.nodes <- n
-
   let add_edge b ~src ~dst =
     if src < 0 || src >= b.nodes || dst < 0 || dst >= b.nodes then
       invalid_arg

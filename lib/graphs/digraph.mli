@@ -32,9 +32,6 @@ module Builder : sig
   val add_node : t -> node
   (** Allocate and return a fresh node. *)
 
-  val ensure_nodes : t -> int -> unit
-  (** Grow the node count to at least the given number. *)
-
   val add_edge : t -> src:node -> dst:node -> edge_id
   (** Append an edge; both endpoints must already exist.  Returns the
       id the edge will carry in the frozen graph. *)

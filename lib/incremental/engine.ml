@@ -7,7 +7,6 @@ module Rmod = Core.Rmod
 
 let edits_c = Obs.Metric.counter "incremental.edits"
 let procs_resolved_c = Obs.Metric.counter "incremental.procs_resolved"
-let fallbacks_c = Obs.Metric.counter "incremental.full_fallbacks"
 let edit_hist = Obs.Metric.histogram "incremental.edit_s"
 
 (* Per-program site indexes: which sites a procedure contains, and
@@ -44,10 +43,7 @@ type t = {
           renumber sites and drop it wholesale. *)
 }
 
-type outcome = {
-  fallback : string option;
-  procs_resolved : int;
-}
+type outcome = { procs_resolved : int }
 
 let site_index prog =
   let by_caller = Array.make (Prog.n_procs prog) [] in
@@ -77,17 +73,6 @@ let build_caches ?pool (a : Analyze.t) =
     sites = site_index a.Analyze.prog;
   }
 
-let create ?pool prog =
-  let analysis = Analyze.run ?pool prog in
-  {
-    pool;
-    analysis;
-    caches = build_caches ?pool analysis;
-    edits = 0;
-    lint_cache = None;
-    dataflow = None;
-  }
-
 (* Adopt an existing batch result instead of re-running it.  The
    analysis server creates one engine per client session over a shared
    registry entry, so re-entry must cost only the caches: the adopted
@@ -104,6 +89,8 @@ let of_analysis ?pool (analysis : Analyze.t) =
     lint_cache = None;
     dataflow = None;
   }
+
+let create ?pool prog = of_analysis ?pool (Analyze.run ?pool prog)
 
 let analysis t = t.analysis
 let prog t = t.analysis.Analyze.prog
@@ -133,150 +120,192 @@ let lint ?(rules = Lint.Rule.all) t =
     t.lint_cache <- Some (t.edits, names, ds);
     ds
 
-let full t prog reason =
-  Obs.Metric.incr fallbacks_c;
-  let analysis =
-    Analyze.run ?pool:t.pool ~provenance:(t.analysis.Analyze.provenance <> None) prog
-  in
-  t.analysis <- analysis;
-  t.caches <- build_caches ?pool:t.pool analysis;
-  t.dataflow <- None;
-  let resolved = 2 * Prog.n_procs prog in
-  Obs.Metric.add procs_resolved_c resolved;
-  { fallback = Some reason; procs_resolved = resolved }
+(* What an edit leaves of the previous analysis.  A body or call-shape
+   edit that moves neither the points-to projection nor the [&x] set
+   keeps every id and every phase's input outside the edited
+   procedure, so each stage diffs against the previous vectors and
+   re-solves a cone.  Any other edit leaves no previous vector in the
+   right coordinates, and the same stages run with every procedure
+   dirty, which is the batch run. *)
+type dirty =
+  | Body of int
+  | Shape of { caller : int; local_sets_touched : bool }
+  | All
 
 (* One side (MOD or USE) of the seed pipeline: flat → nesting fold →
-   β re-solve → IMOD+ recompute.  Returns everything the GMOD stage
-   needs, changed-sets included. *)
-let solve_side ~pool ~info ~binding ~graph_changed ~flat ~old_flat ~old_folded
-    ~flat_seeds ~(old : Rmod.result) ~rmod_label =
-  let changed_flat =
-    List.filter (fun q -> not (Bitvec.equal flat.(q) old_flat.(q))) flat_seeds
-  in
-  let folded, folded_changed =
-    Info.fold_up_nesting ~prev:(old_folded, changed_flat) info flat
-  in
-  let r, changed_nodes =
-    if graph_changed then begin
-      let r = Rmod.solve ~label:rmod_label binding ~imod:folded in
-      let changed = ref [] in
-      Array.iteri
-        (fun node b -> if b <> old.Rmod.rmod.(node) then changed := node :: !changed)
-        r.Rmod.rmod;
-      (r, !changed)
-    end
-    else if folded_changed = [] then (rebind old binding, [])
-    else
-      Rmod.resolve ~label:(rmod_label ^ ".region") ?pool (rebind old binding)
-        ~imod:folded ~changed_procs:folded_changed
-  in
-  (folded, folded_changed, r, changed_nodes)
+   β re-solve.  [prev] holds the side's previous flat, folded and β
+   values.  Returns everything the IMOD+ stage needs, changed-sets
+   included. *)
+let solve_side ~pool ~info ~binding ~graph_changed ~flat ~flat_seeds ~prev
+    ~rmod_label =
+  match prev with
+  | None ->
+    let folded, every = Info.fold_up_nesting info flat in
+    (folded, every, Rmod.solve ~label:rmod_label ?pool binding ~imod:folded, [])
+  | Some (old_flat, old_folded, (old : Rmod.result)) ->
+    let changed_flat =
+      List.filter (fun q -> not (Bitvec.equal flat.(q) old_flat.(q))) flat_seeds
+    in
+    let folded, folded_changed =
+      Info.fold_up_nesting ~prev:(old_folded, changed_flat) info flat
+    in
+    let r, changed_nodes =
+      if graph_changed then begin
+        let r = Rmod.solve ~label:rmod_label ?pool binding ~imod:folded in
+        let changed = ref [] in
+        Array.iteri
+          (fun node b -> if b <> old.Rmod.rmod.(node) then changed := node :: !changed)
+          r.Rmod.rmod;
+        (r, !changed)
+      end
+      else if folded_changed = [] then (rebind old binding, [])
+      else
+        Rmod.resolve ~label:(rmod_label ^ ".region") ?pool (rebind old binding)
+          ~imod:folded ~changed_procs:folded_changed
+    in
+    (folded, folded_changed, r, changed_nodes)
 
+(* IMOD+ of one side: the site projection of [rmod] added to the
+   folded sets, then the second nesting fold.  [prev] holds the side's
+   previous augmented and IMOD+ values. *)
 let aug_and_plus ~info ~prog ~sites ~folded ~folded_changed ~(rmod : Rmod.result)
-    ~changed_nodes ~old_aug ~old_plus ~extra_seeds =
-  let binding = rmod.Rmod.binding in
-  let aug_seeds =
-    folded_changed
-    @ List.concat_map
-        (fun node ->
-          let vid = Binding.var binding node in
-          List.map (fun sid -> (Prog.site prog sid).Prog.caller)
-            sites.by_formal.(vid))
-        changed_nodes
-    @ extra_seeds
-    |> List.sort_uniq compare
-  in
-  let aug, aug_changed =
-    if aug_seeds = [] then (old_aug, [])
-    else begin
-      let aug = Array.copy old_aug in
-      let changed = ref [] in
-      List.iter
-        (fun q ->
-          let v =
-            Core.Imod_plus.augment_proc info ~rmod ~imod:folded
-              ~sites:sites.by_caller.(q) q
-          in
-          if not (Bitvec.equal v old_aug.(q)) then begin
-            aug.(q) <- v;
-            changed := q :: !changed
-          end)
-        aug_seeds;
-      (aug, !changed)
-    end
-  in
-  let plus, plus_changed =
-    Info.fold_up_nesting ~prev:(old_plus, aug_changed) info aug
-  in
-  (aug, plus, plus_changed)
+    ~changed_nodes ~prev ~extra_seeds =
+  match prev with
+  | None ->
+    let aug = Core.Imod_plus.augment info ~rmod ~imod:folded in
+    let plus, every = Info.fold_up_nesting info aug in
+    (aug, plus, every)
+  | Some (old_aug, old_plus) ->
+    let binding = rmod.Rmod.binding in
+    let aug_seeds =
+      folded_changed
+      @ List.concat_map
+          (fun node ->
+            let vid = Binding.var binding node in
+            List.map (fun sid -> (Prog.site prog sid).Prog.caller)
+              sites.by_formal.(vid))
+          changed_nodes
+      @ extra_seeds
+      |> List.sort_uniq compare
+    in
+    let aug, aug_changed =
+      if aug_seeds = [] then (old_aug, [])
+      else begin
+        let aug = Array.copy old_aug in
+        let changed = ref [] in
+        List.iter
+          (fun q ->
+            let v =
+              Core.Imod_plus.augment_proc info ~rmod ~imod:folded
+                ~sites:sites.by_caller.(q) q
+            in
+            if not (Bitvec.equal v old_aug.(q)) then begin
+              aug.(q) <- v;
+              changed := q :: !changed
+            end)
+          aug_seeds;
+        (aug, !changed)
+      end
+    in
+    let plus, plus_changed =
+      Info.fold_up_nesting ~prev:(old_plus, aug_changed) info aug
+    in
+    (aug, plus, plus_changed)
 
-let incremental t prog kind =
+let resolve t prog info ptsto dirty =
+  let pool = t.pool in
   let old = t.analysis in
   let c = t.caches in
-  let info = Info.with_prog old.Analyze.info prog in
-  let graph_changed, call, binding, sites, flat_seeds, shape_seeds =
-    match kind with
-    | `Body proc ->
-      ( false,
-        Call.with_prog old.Analyze.call prog,
+  let prev = match dirty with All -> None | Body _ | Shape _ -> Some (old, c) in
+  let graph_changed = match dirty with Body _ -> false | Shape _ | All -> true in
+  let call, binding, sites =
+    match dirty with
+    | Body _ ->
+      ( Call.with_prog old.Analyze.call prog,
         Binding.with_prog old.Analyze.binding prog,
-        c.sites,
-        [ proc ],
-        [] )
-    | `Shape (caller, local_sets_touched) ->
-      ( true,
-        Call.build prog,
-        Binding.build info,
-        site_index prog,
-        (if local_sets_touched then [ caller ] else []),
-        [ caller ] )
+        c.sites )
+    | Shape _ | All -> (Call.build prog, Binding.build info, site_index prog)
+  in
+  let flat_seeds, shape_seeds =
+    match dirty with
+    | Body proc -> ([ proc ], [])
+    | Shape { caller; local_sets_touched } ->
+      ((if local_sets_touched then [ caller ] else []), [ caller ])
+    | All -> ([], [])
   in
   (* Local re-analysis of the touched procedures only. *)
-  let imod_flat, iuse_flat =
-    match flat_seeds with
-    | [] -> (c.imod_flat, c.iuse_flat)
-    | seeds ->
-      let im = Array.copy c.imod_flat and iu = Array.copy c.iuse_flat in
+  let local whole per_stmt cached =
+    match prev with
+    | None -> whole ?pool info
+    | Some _ when flat_seeds = [] -> cached
+    | Some _ ->
+      let v = Array.copy cached in
       List.iter
-        (fun q ->
-          im.(q) <- Frontend.Local.flat_of_proc info Frontend.Local.lmod_stmt q;
-          iu.(q) <- Frontend.Local.flat_of_proc info Frontend.Local.luse_stmt q)
-        seeds;
-      (im, iu)
+        (fun q -> v.(q) <- Frontend.Local.flat_of_proc info per_stmt q)
+        flat_seeds;
+      v
+  in
+  let imod_flat =
+    local Frontend.Local.imod_flat Frontend.Local.lmod_stmt c.imod_flat
+  in
+  let iuse_flat =
+    local Frontend.Local.iuse_flat Frontend.Local.luse_stmt c.iuse_flat
   in
   let imod, imod_changed, rmod, rmod_changed =
-    solve_side ~pool:t.pool ~info ~binding ~graph_changed ~flat:imod_flat
-      ~old_flat:c.imod_flat ~old_folded:old.Analyze.imod ~flat_seeds
-      ~old:old.Analyze.rmod ~rmod_label:"rmod"
+    solve_side ~pool ~info ~binding ~graph_changed ~flat:imod_flat ~flat_seeds
+      ~prev:
+        (Option.map
+           (fun (o, c) -> (c.imod_flat, o.Analyze.imod, o.Analyze.rmod))
+           prev)
+      ~rmod_label:"rmod"
   in
   let iuse, iuse_changed, ruse, ruse_changed =
-    solve_side ~pool:t.pool ~info ~binding ~graph_changed ~flat:iuse_flat
-      ~old_flat:c.iuse_flat ~old_folded:old.Analyze.iuse ~flat_seeds
-      ~old:old.Analyze.ruse ~rmod_label:"ruse"
+    solve_side ~pool ~info ~binding ~graph_changed ~flat:iuse_flat ~flat_seeds
+      ~prev:
+        (Option.map
+           (fun (o, c) -> (c.iuse_flat, o.Analyze.iuse, o.Analyze.ruse))
+           prev)
+      ~rmod_label:"ruse"
   in
   let imod_aug, imod_plus, imod_plus_changed =
     aug_and_plus ~info ~prog ~sites ~folded:imod ~folded_changed:imod_changed
-      ~rmod ~changed_nodes:rmod_changed ~old_aug:c.imod_aug
-      ~old_plus:old.Analyze.imod_plus ~extra_seeds:shape_seeds
+      ~rmod ~changed_nodes:rmod_changed
+      ~prev:(Option.map (fun (o, c) -> (c.imod_aug, o.Analyze.imod_plus)) prev)
+      ~extra_seeds:shape_seeds
   in
   let iuse_aug, iuse_plus, iuse_plus_changed =
     aug_and_plus ~info ~prog ~sites ~folded:iuse ~folded_changed:iuse_changed
-      ~rmod:ruse ~changed_nodes:ruse_changed ~old_aug:c.iuse_aug
-      ~old_plus:old.Analyze.iuse_plus ~extra_seeds:shape_seeds
+      ~rmod:ruse ~changed_nodes:ruse_changed
+      ~prev:(Option.map (fun (o, c) -> (c.iuse_aug, o.Analyze.iuse_plus)) prev)
+      ~extra_seeds:shape_seeds
   in
   (* GMOD/GUSE: re-solve the condensation-ancestor cone of everything
      whose seed (or out-edge set) changed, whatever its size — the
-     cone's findgmod does a subset of the batch walk's work. *)
-  let side seeds plus cached =
-    Core.Gmod_nested.solve_region ?pool:t.pool info call ~seed:plus
-      ~seeds:(List.sort_uniq compare (seeds @ shape_seeds))
-      ~cached
+     cone's findgmod does a subset of the batch walk's work.  With
+     every procedure dirty the cone is the whole graph: the batch
+     solve. *)
+  let side ~label seeds plus cached =
+    match cached with
+    | None ->
+      ( Core.Gmod_nested.solve ~label ?pool info call ~imod_plus:plus,
+        Prog.n_procs prog,
+        [] )
+    | Some cached ->
+      Core.Gmod_nested.solve_region ?pool info call ~seed:plus
+        ~seeds:(List.sort_uniq compare (seeds @ shape_seeds))
+        ~cached
   in
-  let gmod, n_mod, gmod_changed = side imod_plus_changed imod_plus old.Analyze.gmod in
-  let guse, n_use, guse_changed = side iuse_plus_changed iuse_plus old.Analyze.guse in
+  let gmod, n_mod, gmod_changed =
+    side ~label:"gmod" imod_plus_changed imod_plus
+      (Option.map (fun (o, _) -> o.Analyze.gmod) prev)
+  in
+  let guse, n_use, guse_changed =
+    side ~label:"guse" iuse_plus_changed iuse_plus
+      (Option.map (fun (o, _) -> o.Analyze.guse) prev)
+  in
   let resolved = n_mod + n_use in
   (* A body edit leaves the site table — and therefore the alias pairs
-     and their recorded reasons — untouched; a shape edit recomputes
+     and their recorded reasons — untouched; any other edit recomputes
      both, recording into a fresh table.  The table is present iff the
      old analysis carries provenance. *)
   let alias, alias_table =
@@ -295,20 +324,23 @@ let incremental t prog kind =
   (* MUSTMOD rides the call graph's condensation: a body edit reseeds
      the edited procedure plus every procedure whose GMOD (the ∩-cap)
      actually moved, and change propagation walks the pruned
-     condensation-ancestor cone; a shape edit rebuilt the call graph
+     condensation-ancestor cone; any other edit rebuilt the call graph
      (and its condensation), so the solve reruns. *)
   let mustmod =
-    if graph_changed then Core.Mustmod.solve ?pool:t.pool info call ~alias ~gmod
+    if graph_changed then Core.Mustmod.solve ?pool info call ~alias ~gmod
     else
-      Core.Mustmod.resolve ?pool:t.pool old.Analyze.mustmod info ~alias ~gmod
+      Core.Mustmod.resolve ?pool old.Analyze.mustmod info ~alias ~gmod
         ~changed_procs:(List.sort_uniq compare (flat_seeds @ gmod_changed))
   in
   (* The shared callee projections depend on GMOD/GUSE and LOCAL only;
-     an edit that reaches this path changes no LOCAL. *)
+     a cone edit changes no LOCAL. *)
   let summary =
     Obs.Span.with_ "summary" (fun () ->
         Core.Summary.make
-          ~prev:(old.Analyze.summary, gmod_changed, guse_changed)
+          ?prev:
+            (Option.map
+               (fun (o, _) -> (o.Analyze.summary, gmod_changed, guse_changed))
+               prev)
           info ~gmod ~guse ~alias)
   in
   let analysis =
@@ -317,11 +349,7 @@ let incremental t prog kind =
       info;
       call;
       binding;
-      (* This path only runs for pointer-free programs ([apply] forces
-         a full re-analysis whenever pointers are present), so the
-         solution carried over is [None] and [info]'s projection the
-         empty one. *)
-      ptsto = old.Analyze.ptsto;
+      ptsto;
       imod;
       iuse;
       rmod;
@@ -346,39 +374,62 @@ let incremental t prog kind =
         Option.map (Analyze.provenance_forest analysis) alias_table;
     };
   t.caches <- { imod_flat; iuse_flat; imod_aug; iuse_aug; sites };
-  (match t.dataflow with
-  | None -> ()
-  | Some d -> (
-    match kind with
-    | `Body proc -> ignore (Dataflow.Driver.refresh d t.analysis ~edited:[ proc ])
-    | `Shape _ ->
-      (* Call-shape edits renumber the site table the cached CFGs
-         index into. *)
-      Dataflow.Driver.reset d t.analysis));
+  (match (t.dataflow, dirty) with
+  | None, _ -> ()
+  | Some d, Body proc -> ignore (Dataflow.Driver.refresh d t.analysis ~edited:[ proc ])
+  | Some d, (Shape _ | All) ->
+    (* Every other edit renumbers the site table the cached CFGs
+       index into, or moves what their transfer functions read. *)
+    Dataflow.Driver.reset d t.analysis);
   Obs.Metric.add procs_resolved_c resolved;
-  { fallback = None; procs_resolved = resolved }
+  { procs_resolved = resolved }
 
 let apply t edit =
   let t0 = Obs.Clock.now () in
   let outcome =
     Obs.Span.with_ "incremental.resolve" @@ fun () ->
-    let old_prog = t.analysis.Analyze.prog in
-    let kind = Edit.kind old_prog edit in
-    let prog = Edit.apply old_prog edit in
+    let old = t.analysis in
+    let kind = Edit.kind old.Analyze.prog edit in
+    let prog = Edit.apply old.Analyze.prog edit in
     Obs.Metric.incr edits_c;
     t.edits <- t.edits + 1;
+    (* Points-to is a whole-program, flow-insensitive solution: every
+       edit re-solves it, at the tier of the solution it replaces. *)
+    let ptsto =
+      if Ptsto.has_pointers prog then
+        let tier =
+          Option.fold ~none:Ptsto.Steensgaard ~some:Ptsto.tier old.Analyze.ptsto
+        in
+        Some (Obs.Span.with_ "ptsto" (fun () -> Ptsto.analyze ~tier prog))
+      else None
+    in
+    let pointers = Option.map Ptsto.pointers ptsto in
+    let all () =
+      resolve t prog
+        (Obs.Span.with_ "info" (fun () -> Info.make ?pointers prog))
+        ptsto All
+    in
+    (* Every cached phase read the projection and the [&x] set through
+       [info]; the cone path is exact only while neither moves. *)
+    let cone dirty =
+      let same_projection =
+        match (old.Analyze.ptsto, ptsto) with
+        | None, None -> true
+        | Some a, Some b -> Ptsto.same_projection a b
+        | Some _, None | None, Some _ -> false
+      in
+      match
+        if same_projection then Info.with_prog ?pointers old.Analyze.info prog
+        else None
+      with
+      | Some info -> resolve t prog info ptsto dirty
+      | None -> all ()
+    in
     match kind with
-    | _ when Ptsto.has_pointers old_prog || Ptsto.has_pointers prog ->
-      (* Points-to is a whole-program, flow-insensitive solution: any
-         edit can redirect a pointer and move the dereference
-         projection every cached phase was built with.  Re-deriving
-         which regions that invalidates costs as much as re-solving,
-         so pointer programs always take the full path. *)
-      full t prog "pointer program: points-to solution may shift"
-    | Edit.Structural -> full t prog "structural edit"
-    | Edit.Body { proc } -> incremental t prog (`Body proc)
+    | Edit.Body { proc } -> cone (Body proc)
     | Edit.Call_shape { caller; local_sets_touched } ->
-      incremental t prog (`Shape (caller, local_sets_touched))
+      cone (Shape { caller; local_sets_touched })
+    | Edit.Structural -> all ()
   in
   Obs.Metric.observe edit_hist (Obs.Clock.now () -. t0);
   outcome

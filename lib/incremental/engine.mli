@@ -20,12 +20,23 @@
       still confines the bit-vector [GMOD]/[GUSE] work to the ancestor
       cone of the edited caller;
     - a {b structural} edit (procedure added/removed — every id
-      renumbered), or any edit of a program with pointers (before or
-      after it), falls back to a full [Core.Analyze.run].
+      renumbered) keeps nothing: the same stages run with every
+      procedure dirty over a fresh {!Ir.Info.make} — the batch run,
+      [2 × n_procs] procedures re-solved.
 
     There is no size cut-off: however large the dirty cone, [findgmod]
     over it does a subset of the batch walk's work, and the batch run
     would redo every other phase besides.
+
+    Pointers: points-to is a whole-program, flow-insensitive solution,
+    so every edit of a program with pointers re-solves it
+    ({!Ptsto.analyze}) at the tier of the solution it replaces (an
+    adopted Andersen base stays Andersen) and stores the new solution
+    in {!analysis}.  When the dereference projection
+    ({!Ptsto.same_projection}) and the set of [&x] operands are
+    unchanged, the edit takes its body or call-shape path as above;
+    when either moved, every cached phase read a stale input, and the
+    edit runs with every procedure dirty, as a structural one does.
 
     The engine never validates the edited program (that would cost the
     [O(N)] it just avoided); callers that accept untrusted edit scripts
@@ -33,26 +44,24 @@
 
     Telemetry: counters [incremental.edits],
     [incremental.procs_resolved] (per-side [GMOD]/[GUSE] procedure
-    re-solves), [incremental.full_fallbacks]; every {!apply} runs under
+    re-solves); every {!apply} runs under
     an [incremental.resolve] span and records its wall-clock latency in
     the [incremental.edit_s] histogram ({!Obs.Metric.histogram}). *)
 
 type t
 
 type outcome = {
-  fallback : string option;
-      (** [Some reason] when the edit took the full-re-analysis path. *)
   procs_resolved : int;
       (** Procedures whose [GMOD] or [GUSE] vector was recomputed (each
-          side counted; [2 × n_procs] for a full run). *)
+          side counted; [2 × n_procs] when every procedure is dirty). *)
 }
 
 val create : ?pool:Par.Pool.t -> Ir.Prog.t -> t
-(** Analyze from scratch (without provenance) and prime the caches.
-    [?pool], when given, is retained for the engine's lifetime and
-    reused by the initial analysis, every full-fallback re-analysis,
-    and the region [GMOD]/[GUSE] cone re-solves; the pool remains owned
-    by the caller (the engine never shuts it down). *)
+(** {!of_analysis} of a fresh [Core.Analyze.run] (without provenance,
+    Steensgaard points-to).  [?pool], when given, is retained for the
+    engine's lifetime and reused by the initial analysis and by every
+    {!apply}'s solvers; the pool remains owned by the caller (the
+    engine never shuts it down). *)
 
 val of_analysis : ?pool:Par.Pool.t -> Core.Analyze.t -> t
 (** Adopt an already-solved batch result instead of re-running it:

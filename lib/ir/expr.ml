@@ -53,14 +53,6 @@ let rec equal a b =
     ->
     false
 
-let equal_lvalue a b =
-  match (a, b) with
-  | Lvar x, Lvar y -> x = y
-  | Lindex (x, xi), Lindex (y, yi) ->
-    x = y && List.length xi = List.length yi && List.for_all2 equal xi yi
-  | Lderef (x, dx), Lderef (y, dy) -> x = y && dx = dy
-  | (Lvar _ | Lindex _ | Lderef _), _ -> false
-
 let pp_binop ppf op =
   Format.pp_print_string ppf
     (match op with
@@ -77,12 +69,6 @@ let pp_binop ppf op =
     | Ne -> "!="
     | And -> "and"
     | Or -> "or")
-
-let pp_unop ppf op =
-  Format.pp_print_string ppf
-    (match op with
-    | Neg -> "-"
-    | Not -> "not")
 
 let binop_precedence = function
   | Or -> 1

@@ -57,10 +57,8 @@ val lvalue_index_vars : lvalue -> int list
     [Lderef]), each once, ascending. *)
 
 val equal : t -> t -> bool
-val equal_lvalue : lvalue -> lvalue -> bool
 
 val pp_binop : Format.formatter -> binop -> unit
-val pp_unop : Format.formatter -> unop -> unit
 
 val binop_precedence : binop -> int
 (** Higher binds tighter; used by the pretty-printer to place a

@@ -8,6 +8,7 @@ let no_pointers = { deref = (fun _ _ -> []); deref_heap = (fun _ _ -> []) }
 type t = {
   prog : Prog.t;
   pointers : pointers;
+  taken : bool array;
   local : Bitvec.t array;
   non_local : Bitvec.t array;
   global : Bitvec.t;
@@ -119,11 +120,15 @@ let make ?(pointers = no_pointers) prog =
         done;
         v)
   in
-  { prog; pointers; local; non_local; global; visible; var_level; by_level }
+  { prog; pointers; taken; local; non_local; global; visible; var_level; by_level }
 
 let prog t = t.prog
-let with_prog t prog = { t with prog }
+
+let with_prog ?(pointers = no_pointers) t prog =
+  if address_taken prog = t.taken then Some { t with prog; pointers } else None
+
 let without_pointers t = { t with pointers = no_pointers }
+let has_pointers t = t.pointers != no_pointers
 let n_vars t = Prog.n_vars t.prog
 let local t pid = t.local.(pid)
 let non_local t pid = t.non_local.(pid)

@@ -27,18 +27,24 @@ val make : ?pointers:pointers -> Prog.t -> t
 
 val prog : t -> Prog.t
 
-val with_prog : t -> Prog.t -> t
-(** O(1) re-association with a structurally identical program — same
+val with_prog : ?pointers:pointers -> t -> Prog.t -> t option
+(** Re-association with a program of the same declarations — same
     variable/procedure tables, possibly different statement bodies or
-    site table.  The incremental engine uses this to reuse the set
-    views across body- and call-shape-preserving edits; passing a
-    program whose declarations differ invalidates every set in [t].
-    The points-to projection carries over unchanged, so the new
-    program must not move it either. *)
+    site table — and the projection [pointers] (default: the empty
+    one), which must answer every query as [t]'s did.  The incremental
+    engine uses this to reuse the set views across body and call-shape
+    edits; passing a program whose declarations differ invalidates
+    every set in [t].  [None] when [prog]'s [&x] operands name another
+    set of variables: [LOCAL] and the levels move, and only {!make} is
+    right.  Costs a scan of the variable table, and on a program with
+    pointer variables one of its statements. *)
 
 val without_pointers : t -> t
 (** O(1): the same sets with the empty projection, for an analysis
     that does not model pointers (the §6 sections). *)
+
+val has_pointers : t -> bool
+(** Was [t] made with a points-to projection? *)
 
 val n_vars : t -> int
 

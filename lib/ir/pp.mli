@@ -11,13 +11,8 @@
 
 val pp_expr : Prog.t -> Format.formatter -> Expr.t -> unit
 val pp_lvalue : Prog.t -> Format.formatter -> Expr.lvalue -> unit
-val pp_stmt : Prog.t -> Format.formatter -> Stmt.t -> unit
-val pp_proc : Prog.t -> Format.formatter -> Prog.proc -> unit
-
-val pp_program : Format.formatter -> Prog.t -> unit
-(** The whole program, main block last. *)
-
 val to_string : Prog.t -> string
+(** The whole program as MiniProc source, main block last. *)
 
 val var_name : Prog.t -> int -> string
 (** Display name of a variable: its source name. *)

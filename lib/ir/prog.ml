@@ -136,12 +136,7 @@ let find_var p ~proc:pid name =
       match pr.parent with
       | Some parent -> walk parent
       | None ->
-        (* Program scope: globals. *)
-        Array.fold_left
-          (fun acc v ->
-            match acc with
-            | Some _ -> acc
-            | None -> if is_global v && String.equal v.vname name then Some v else None)
-          None p.vars)
+        (* Program scope: the first global of that name. *)
+        Array.find_opt (fun v -> is_global v && String.equal v.vname name) p.vars)
   in
   walk pid

@@ -388,10 +388,7 @@ let deref_heap t p d = snd (projection t p d)
 let pointers t =
   { Ir.Info.deref = deref_targets t; deref_heap = deref_heap t }
 
-let may_overlap t (p, d1) (q, d2) =
-  let v1, h1 = (deref_targets t p d1, deref_heap t p d1) in
-  let v2, h2 = (deref_targets t q d2, deref_heap t q d2) in
-  List.exists (fun x -> List.mem x v2) v1 || List.exists (fun k -> List.mem k h2) h1
+let same_projection a b = a.proj = b.proj
 
 let points_to t p =
   List.map (fun v -> `Var v) (deref_targets t p 1)

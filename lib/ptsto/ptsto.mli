@@ -103,11 +103,11 @@ val pointers : t -> Ir.Info.pointers
     {!Ir.Info.make} takes: the one place the solution enters the
     interprocedural phases. *)
 
-val may_overlap : t -> int * int -> int * int -> bool
-(** [may_overlap t (p, d1) (q, d2)]: may the cells named by the two
-    dereferences overlap?  True iff their variable targets or their
-    heap targets intersect — the formal/formal §5 seed test for two
-    dereference actuals at one call site. *)
+val same_projection : t -> t -> bool
+(** Do two solutions, over programs with the same variable table,
+    answer every {!deref_targets} and {!deref_heap} query alike?  The
+    incremental engine keeps its cached phases across an edit only
+    when they do. *)
 
 val points_to : t -> int -> [ `Var of int | `Heap of int ] list
 (** Depth-1 cells of pointer variable [p] (its points-to set proper),

@@ -27,11 +27,6 @@ type row = {
 val touched : counts -> int
 (** Contexts that touch the array: [partial + whole]. *)
 
-val partial_pct : counts -> int
-(** [100 * partial / touched], 0 when untouched — the precision win. *)
-
-val classify : Section.t -> [ `Bottom | `Partial | `Whole ]
-
 val report : Analyze_sections.t -> row list
 (** One row per array variable, ascending id. *)
 

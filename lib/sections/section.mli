@@ -46,7 +46,6 @@ val element : atom list -> t
 (** Single element pinned in every dimension. *)
 
 val equal : t -> t -> bool
-val equal_atom : atom -> atom -> bool
 
 val join : t -> t -> t
 (** May-union: [Bottom] is the identity; sections of equal rank combine

@@ -218,12 +218,10 @@ let exec_edit t entry ~client ~program ~session ~script ~lint =
               ([], Engine.prog engine)
               steps))
     in
-    let fallbacks = ref 0 and resolved = ref 0 in
+    let resolved = ref 0 in
     List.iter
       (fun (edit, _) ->
-        let o = Engine.apply engine edit in
-        if o.Engine.fallback <> None then incr fallbacks;
-        resolved := !resolved + o.Engine.procs_resolved)
+        resolved := !resolved + (Engine.apply engine edit).Engine.procs_resolved)
       steps;
     let after = Engine.analysis engine in
     let lint_delta =
@@ -241,7 +239,6 @@ let exec_edit t entry ~client ~program ~session ~script ~lint =
               Json.List (List.map (fun e -> Json.String e) rendered) );
             ("gmod_delta", Delta.rows_json (Delta.rows snap after ~side:`Mod));
             ("guse_delta", Delta.rows_json (Delta.rows snap after ~side:`Use));
-            ("fallbacks", Json.Int !fallbacks);
             ("procs_resolved", Json.Int !resolved);
           ]
          @ Delta.lint_fields lint_delta))

@@ -45,9 +45,6 @@ val handle_batch : t -> (int * string) list -> string list
     response lines in arrival order (see the concurrency model
     above). *)
 
-val drop_client : t -> int -> unit
-(** Forget a disconnected client's sessions. *)
-
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** The stdio transport: one request line in, one response line out
     (flushed), until EOF or [shutdown]. *)

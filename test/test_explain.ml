@@ -257,6 +257,59 @@ let test_families_exhaustive () =
   in
   Helpers.check_bool "corpus is not vacuous" true (total > 100)
 
+(* --- every listed fact resolves ---------------------------------------
+
+   [all_facts] names each fact in the grammar [--fact] and the server
+   accept; fed back through [parse_fact] and [fact_witness] it must
+   resolve and return the witness it was listed with.  Pointer
+   programs list facts about other procedures' locals a dereference
+   reaches, which go by their qualified name. *)
+
+let check_facts_resolve name (a : A.t) ~locs =
+  let facts = E.all_facts a ~locs in
+  if facts = [] then Alcotest.failf "%s: no facts listed" name;
+  List.iter
+    (fun (fact, witness) ->
+      match E.parse_fact fact with
+      | Error e -> Alcotest.failf "%s: %s does not parse: %s" name fact e
+      | Ok f -> (
+        match E.fact_witness a ~locs f with
+        | Error e -> Alcotest.failf "%s: %s does not resolve: %s" name fact e
+        | Ok w ->
+          if w <> witness then
+            Alcotest.failf "%s: %s resolves to another witness" name fact))
+    facts
+
+let test_all_facts_resolve () =
+  let tiers = [ Ptsto.Steensgaard; Ptsto.Andersen ] in
+  Array.iter
+    (fun file ->
+      if Filename.check_suffix file ".mp" then begin
+        let path = Filename.concat "../programs" file in
+        let src = In_channel.with_open_bin path In_channel.input_all in
+        match Frontend.Sema.compile_with_locs ~file:path src with
+        | Error _ -> Alcotest.failf "%s does not compile" file
+        | Ok (prog, locs) ->
+          List.iter
+            (fun ptsto ->
+              check_facts_resolve file (A.run ~provenance:true ~ptsto prog) ~locs)
+            tiers
+      end)
+    (Sys.readdir "../programs");
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun ptsto ->
+          check_facts_resolve name
+            (A.run ~provenance:true ~ptsto prog)
+            ~locs:(Frontend.Locs.dummy prog))
+        tiers)
+    [
+      ("ptr_chain", Workload.Families.ptr_chain 6);
+      ("ptr_funnel", Workload.Families.ptr_funnel 6);
+      ("ptr_heap", Workload.Families.ptr_heap 6);
+    ]
+
 (* --- provenance is invisible ----------------------------------------- *)
 
 let counters_only d =
@@ -504,6 +557,8 @@ let () =
         [
           Alcotest.test_case "fixed families, every fact" `Quick
             test_families_exhaustive;
+          Alcotest.test_case "every --all fact resolves through --fact" `Quick
+            test_all_facts_resolve;
           Helpers.qtest ~count:40 "flat programs replay" Helpers.arb_flat_prog
             prop_replay_flat;
           Helpers.qtest ~count:40 "nested programs replay" Helpers.arb_nested_prog

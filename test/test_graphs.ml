@@ -226,19 +226,13 @@ let prop_dfs_edge_kinds params =
     ;
   !ok
 
-(* --- topo / reach --- *)
+(* --- reach --- *)
 
-let test_topo () =
-  let g = mk 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  (match Graphs.Topo.sort g with
-  | None -> Alcotest.fail "DAG reported cyclic"
-  | Some order ->
-    let pos = Array.make 4 0 in
-    List.iteri (fun i v -> pos.(v) <- i) order;
-    D.iter_edges g (fun _ s d ->
-        Alcotest.(check bool) "order respects edges" true (pos.(s) < pos.(d))));
-  Alcotest.(check bool) "cycle detected" true
-    (Graphs.Topo.sort (mk 2 [ (0, 1); (1, 0) ]) = None)
+(* Acyclic: every component a singleton and no self-loop. *)
+let acyclic g =
+  let self = ref false in
+  D.iter_edges g (fun _ s d -> if s = d then self := true);
+  (not !self) && (Scc.compute g).Scc.n_comps = D.n_nodes g
 
 let test_reach () =
   let g = mk 5 [ (0, 1); (1, 2); (3, 4) ] in
@@ -265,14 +259,7 @@ let test_misc_api () =
   Alcotest.(check int) "one entry per comp" r.Scc.n_comps (Array.length r.Scc.entry);
   Array.iteri
     (fun c v -> Alcotest.(check int) "entry belongs to its comp" c r.Scc.comp.(v))
-    r.Scc.entry;
-  (* reverse postorder of a DAG is a topological order *)
-  let dag = mk 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  let order = Graphs.Topo.reverse_post_order dag in
-  let pos = Array.make 4 0 in
-  List.iteri (fun i v -> pos.(v) <- i) order;
-  D.iter_edges dag (fun _ s d ->
-      Alcotest.(check bool) "rpo respects edges" true (pos.(s) < pos.(d)))
+    r.Scc.entry
 
 let test_fixed_generators rng =
   let cyc = Graphs.Gen.cycle 5 in
@@ -283,7 +270,7 @@ let test_fixed_generators rng =
   Alcotest.(check int) "complete is one SCC" 1 (Scc.compute k).Scc.n_comps;
   let tr = Graphs.Gen.tree rng ~nodes:50 ~arity:3 in
   Alcotest.(check int) "tree edges" 49 (D.n_edges tr);
-  Alcotest.(check bool) "tree acyclic" true (Graphs.Topo.sort tr <> None);
+  Alcotest.(check bool) "tree acyclic" true (acyclic tr);
   Alcotest.(check int) "tree reaches all from root" 50
     (Bitvec.cardinal (Graphs.Reach.from tr 0));
   let cl = Graphs.Gen.clustered rng ~clusters:4 ~cluster_size:5 ~extra:6 in
@@ -295,7 +282,7 @@ let prop_generators_shape params =
   let n, m, seed = params in
   let rng = Random.State.make [| seed |] in
   let dag = if n >= 2 then Graphs.Gen.random_dag rng ~nodes:n ~edges:m else Graphs.Gen.chain 1 in
-  Graphs.Topo.sort dag <> None
+  acyclic dag
 
 let () =
   Helpers.run "graphs"
@@ -326,7 +313,6 @@ let () =
         ] );
       ( "topo-reach",
         [
-          Alcotest.test_case "topological sort" `Quick test_topo;
           Alcotest.test_case "reachability" `Quick test_reach;
           Alcotest.test_case "200k-node chain, iterative" `Slow
             test_deep_chain_no_overflow;

@@ -29,6 +29,11 @@ let check_equiv msg (inc : A.t) (batch : A.t) =
   ok "demoted"
     (gmod_arrays_equal inc.A.mustmod.Core.Mustmod.demoted
        batch.A.mustmod.Core.Mustmod.demoted);
+  ok "points-to"
+    (match (inc.A.ptsto, batch.A.ptsto) with
+    | None, None -> true
+    | Some p, Some q -> Ptsto.tier p = Ptsto.tier q && Ptsto.same_projection p q
+    | Some _, None | None, Some _ -> false);
   for sid = 0 to Ir.Prog.n_sites batch.A.prog - 1 do
     ok
       (Printf.sprintf "MOD(s%d)" sid)
@@ -38,41 +43,75 @@ let check_equiv msg (inc : A.t) (batch : A.t) =
       (Bitvec.equal (A.use_of_site inc sid) (A.use_of_site batch sid))
   done
 
+let rec spans_named name (s : Obs.Span.t) =
+  (if s.Obs.Span.name = name then [ s ] else [])
+  @ List.concat_map (spans_named name) s.Obs.Span.children
+
+(* Did an edit re-solve every procedure?  Only then does the engine run
+   the whole-graph GMOD solve (span [gmod]); a cone re-solve runs under
+   [gmod.region]. *)
+let all_dirty span = spans_named "gmod" span <> []
+
 (* Run a generated script through the engine, checking equivalence (and
    that the engine's program is the one the script built) after every
-   single edit.  A body or call-shape edit of a pointer-free program
-   must take the region path, however large its cone. *)
-let run_script prog script =
-  let engine = Engine.create prog in
-  List.iteri
+   single edit, batch and engine at the same points-to tier.  A body or
+   call-shape edit of a pointer-free program must take the region
+   path, however large its cone.  Returns, per edit, its kind and
+   whether it re-solved every procedure. *)
+let run_script ?ptsto prog script =
+  let engine = Engine.of_analysis (A.run ?ptsto prog) in
+  List.mapi
     (fun i (edit, expected) ->
       let before = Engine.prog engine in
       let label = Printf.sprintf "edit %d (%s)" i (Edit.to_string before edit) in
-      let out = Engine.apply engine edit in
-      (match (Edit.kind before edit, out.Engine.fallback) with
-      | (Edit.Body _ | Edit.Call_shape _), Some reason
-        when not (Ptsto.has_pointers before || Ptsto.has_pointers expected) ->
-        Alcotest.failf "%s: fell back (%s)" label reason
+      let kind = Edit.kind before edit in
+      let (_ : Engine.outcome), span =
+        Obs.Span.collect "edit" (fun () -> Engine.apply engine edit)
+      in
+      (match kind with
+      | (Edit.Body _ | Edit.Call_shape _)
+        when all_dirty span && not (Ptsto.has_pointers before) ->
+        Alcotest.failf "%s: re-solved every procedure" label
       | _ -> ());
       if Engine.prog engine <> expected then
         Alcotest.failf "%s: engine program diverges from script program" label;
-      check_equiv label (Engine.analysis engine) (A.run expected))
-    script;
-  List.length script
+      check_equiv label (Engine.analysis engine) (A.run ?ptsto expected);
+      (edit, kind, all_dirty span))
+    script
 
-let prop_script of_seed steps seed =
+let prop_script ?ptsto of_seed steps seed =
   let prog = of_seed seed in
   let rand = Random.State.make [| seed; 0xed17 |] in
   let script = Workload.Edits.gen ~rand ~steps prog in
-  let (_ : int) = run_script prog script in
+  let (_ : _ list) = run_script ?ptsto prog script in
   true
+
+(* Pointer programs for the equivalence checks: the three pointer
+   families, and random pointer programs whose procedures take the
+   addresses of their own locals. *)
+let ptr_of_seed seed =
+  let n = 4 + (seed / 4 mod 8) in
+  match seed mod 4 with
+  | 0 -> Workload.Families.ptr_chain n
+  | 1 -> Workload.Families.ptr_funnel n
+  | 2 -> Workload.Families.ptr_heap n
+  | _ -> ptr_prog_of_seed seed
+
+let arb_ptr_seed =
+  QCheck.make
+    ~print:(fun seed -> Printf.sprintf "pointer seed %d" seed)
+    QCheck.Gen.(0 -- 10_000)
+
+let tiers = [ Ptsto.Steensgaard; Ptsto.Andersen ]
 
 (* Directed cases: one per edit constructor, on the textbook families,
    with spot checks on the answers as well as full equivalence. *)
 
-let apply_checked engine edit =
+let apply_checked ?(cone = false) engine edit =
   let before = Engine.prog engine in
-  let out = Engine.apply engine edit in
+  let out, span = Obs.Span.collect "edit" (fun () -> Engine.apply engine edit) in
+  if cone && all_dirty span then
+    Alcotest.failf "edit %s re-solved every procedure" (Edit.to_string before edit);
   let prog = Engine.prog engine in
   (match Ir.Validate.run prog with
   | Ok () -> ()
@@ -98,8 +137,8 @@ let cone_size prog pid =
 let test_add_assign_mutual () =
   let prog = Workload.Families.mutual_pair () in
   let engine = Engine.create prog in
-  let out =
-    apply_checked engine
+  let (_ : Engine.outcome) =
+    apply_checked ~cone:true engine
       (Edit.Add_assign
          {
            proc = proc_id prog "a";
@@ -107,7 +146,6 @@ let test_add_assign_mutual () =
            value = Ir.Expr.Int 7;
          })
   in
-  check_bool "body edit stays incremental" true (out.Engine.fallback = None);
   let a = Engine.analysis engine in
   check_var_set (Engine.prog engine) "GMOD(main) after a writes g0" [ "g0" ]
     (A.gmod_of a (proc_id prog "main"))
@@ -172,13 +210,17 @@ let test_retarget_diamond () =
 let test_add_remove_proc_diamond () =
   let prog = Workload.Families.diamond () in
   let engine = Engine.create prog in
+  (* A structural edit renumbers every id and re-solves every procedure;
+     [apply_checked] holds GMOD/GUSE, MUSTMOD and per-site MOD/USE to
+     [Analyze.run] on the edited program. *)
   let out =
     apply_checked engine
       (Edit.Add_proc
          { name = "fresh"; writes = [ var_id prog "g0" ]; reads = [] })
   in
-  check_bool "structural edit falls back" true (out.Engine.fallback <> None);
   let prog' = Engine.prog engine in
+  check_int "every procedure re-solved" (2 * Ir.Prog.n_procs prog')
+    out.Engine.procs_resolved;
   let a = Engine.analysis engine in
   (* Uncalled, so its effect shows in GMOD(fresh) but not GMOD(main). *)
   check_var_set prog' "GMOD(fresh)" [ "g0" ] (A.gmod_of a (proc_id prog' "fresh"));
@@ -191,8 +233,8 @@ let test_add_remove_proc_diamond () =
 let test_nested_body_edit () =
   let prog = Workload.Families.nested_textbook () in
   let engine = Engine.create prog in
-  let out =
-    apply_checked engine
+  let (_ : Engine.outcome) =
+    apply_checked ~cone:true engine
       (Edit.Add_assign
          {
            proc = proc_id prog "helper";
@@ -200,7 +242,6 @@ let test_nested_body_edit () =
            value = Ir.Expr.Int 0;
          })
   in
-  check_bool "no fallback" true (out.Engine.fallback = None);
   let a = Engine.analysis engine in
   check_bool "RMOD(helper.h)" true
     (Core.Rmod.modified a.A.rmod (var_id prog "helper.h"))
@@ -208,8 +249,7 @@ let test_nested_body_edit () =
 let test_nested_script rand =
   let prog = Workload.Families.nested_textbook () in
   let script = Workload.Edits.gen ~rand ~steps:12 prog in
-  let n = run_script prog script in
-  check_bool "script not empty" true (n > 0)
+  check_bool "script not empty" true (run_script prog script <> [])
 
 (* Nested programs take the same region re-solve as flat ones: a body
    edit in a deep procedure of pascal_style re-solves its condensation
@@ -227,8 +267,7 @@ let test_nested_region () =
     Edit.Add_assign
       { proc = last.Ir.Prog.pid; target = !global; value = Ir.Expr.Int 1 }
   in
-  let out = apply_checked (Engine.create prog) edit in
-  check_bool "no fallback" true (out.Engine.fallback = None);
+  let out = apply_checked ~cone:true (Engine.create prog) edit in
   (* Assigning a constant moves GMOD only: one side, and on it the
      cone, not every procedure. *)
   let cone = cone_size prog last.Ir.Prog.pid in
@@ -244,10 +283,9 @@ let test_opcount_ref_chain () =
   let resolved =
     Option.get (Obs.Metric.find "incremental.procs_resolved")
   in
-  let fallbacks = Option.get (Obs.Metric.find "incremental.full_fallbacks") in
   let snap = Obs.Metric.snapshot () in
   let out =
-    apply_checked engine
+    apply_checked ~cone:true engine
       (Edit.Add_assign
          {
            proc = proc_id prog "p1";
@@ -255,7 +293,6 @@ let test_opcount_ref_chain () =
            value = Ir.Expr.Int 1;
          })
   in
-  check_int "no fallback" 0 (Obs.Metric.value_since ~since:snap fallbacks);
   let delta = Obs.Metric.value_since ~since:snap resolved in
   check_int "outcome agrees with registry" delta out.Engine.procs_resolved;
   if delta > 4 then
@@ -265,7 +302,7 @@ let test_opcount_ref_chain () =
      bigger, but still region-local. *)
   let snap = Obs.Metric.snapshot () in
   let (_ : Engine.outcome) =
-    apply_checked engine
+    apply_checked ~cone:true engine
       (Edit.Add_assign
          {
            proc = proc_id prog "p31";
@@ -273,8 +310,6 @@ let test_opcount_ref_chain () =
            value = Ir.Expr.Int 1;
          })
   in
-  check_int "no fallback mid-chain" 0
-    (Obs.Metric.value_since ~since:snap fallbacks);
   let delta = Obs.Metric.value_since ~since:snap resolved in
   if delta >= 64 then
     Alcotest.failf "edit on p31 re-solved %d procedures (>= N)" delta;
@@ -282,9 +317,8 @@ let test_opcount_ref_chain () =
      re-solves that cone alone: p63 and its ancestors p62..p1 and main
      on the MOD side, nothing on the USE side. *)
   let p63 = proc_id prog "p63" in
-  let snap = Obs.Metric.snapshot () in
   let out =
-    apply_checked engine
+    apply_checked ~cone:true engine
       (Edit.Add_assign
          {
            proc = p63;
@@ -292,10 +326,52 @@ let test_opcount_ref_chain () =
            value = Ir.Expr.Int 1;
          })
   in
-  check_bool "deep cone stays incremental" true (out.Engine.fallback = None);
-  check_int "no fallback counted" 0 (Obs.Metric.value_since ~since:snap fallbacks);
   check_int "cone of p63" 64 (cone_size prog p63);
   check_int "resolves exactly the cone" 64 out.Engine.procs_resolved
+
+(* Pointer scripts cover every edit kind under both tiers, and both
+   paths a non-structural edit of a pointer program can take: the cone,
+   while the points-to projection and the [&x] set hold still, and
+   every procedure dirty once either moves. *)
+let edit_name = function
+  | Edit.Add_assign _ -> "add-assign"
+  | Edit.Remove_assign _ -> "remove-assign"
+  | Edit.Add_call _ -> "add-call"
+  | Edit.Remove_call _ -> "remove-call"
+  | Edit.Retarget_call _ -> "retarget-call"
+  | Edit.Add_proc _ -> "add-proc"
+  | Edit.Remove_proc _ -> "remove-proc"
+
+let test_ptr_scripts () =
+  let seen = Hashtbl.create 8 in
+  let cone = ref 0 and moved = ref 0 in
+  List.iter
+    (fun ptsto ->
+      for seed = 0 to 11 do
+        let prog = ptr_of_seed seed in
+        let rand = Random.State.make [| seed; 0x9e1d |] in
+        List.iter
+          (fun (edit, kind, all) ->
+            Hashtbl.replace seen (edit_name edit) ();
+            match kind with
+            | Edit.Structural -> ()
+            | Edit.Body _ | Edit.Call_shape _ -> incr (if all then moved else cone))
+          (run_script ~ptsto prog (Workload.Edits.gen ~rand ~steps:20 prog))
+      done)
+    tiers;
+  List.iter
+    (fun name -> check_bool name true (Hashtbl.mem seen name))
+    [
+      "add-assign";
+      "remove-assign";
+      "add-call";
+      "remove-call";
+      "retarget-call";
+      "add-proc";
+      "remove-proc";
+    ];
+  check_bool "some pointer edits take the cone path" true (!cone > 0);
+  check_bool "some pointer edits move the projection" true (!moved > 0)
 
 (* [Script.render] must be a left inverse of [Script.parse_line]
    against the pre-edit program — the contract the analysis server's
@@ -335,10 +411,6 @@ let prop_render_roundtrip of_seed steps seed =
    only the procedures whose GMOD or GUSE moved — one copy and one
    intersection each — so the [summary] span spends two vector ops per
    moved vector, not two per procedure and side. *)
-let rec spans_named name (s : Obs.Span.t) =
-  (if s.Obs.Span.name = name then [ s ] else [])
-  @ List.concat_map (spans_named name) s.Obs.Span.children
-
 let test_summary_rebuild_head () =
   let prog = Workload.Families.global_chain 1024 in
   let engine = Engine.create prog in
@@ -352,8 +424,10 @@ let test_summary_rebuild_head () =
       }
   in
   let old = Engine.analysis engine in
-  let out, span = Obs.Span.collect "edit" (fun () -> Engine.apply engine edit) in
-  check_bool "no fallback" true (out.Engine.fallback = None);
+  let (_ : Engine.outcome), span =
+    Obs.Span.collect "edit" (fun () -> Engine.apply engine edit)
+  in
+  check_bool "cone path" false (all_dirty span);
   let a = Engine.analysis engine in
   let moved before after =
     let n = ref 0 in
@@ -413,18 +487,18 @@ let check_forests msg (inc : A.t) (batch : A.t) =
     ok "alias" (sorted p.P.alias = sorted q.P.alias)
   | _ -> Alcotest.failf "%s: provenance missing" msg
 
-let prop_provenance_equiv of_seed steps seed =
+let prop_provenance_equiv ?ptsto of_seed steps seed =
   let prog = of_seed seed in
   let rand = Random.State.make [| seed; 0x9f0e |] in
   let script = Workload.Edits.gen ~rand ~steps prog in
-  let engine = Engine.of_analysis (A.run ~provenance:true prog) in
+  let engine = Engine.of_analysis (A.run ~provenance:true ?ptsto prog) in
   List.iteri
     (fun i (edit, expected) ->
       let (_ : Engine.outcome) = Engine.apply engine edit in
       check_forests
         (Printf.sprintf "edit %d" i)
         (Engine.analysis engine)
-        (A.run ~provenance:true expected))
+        (A.run ~provenance:true ?ptsto expected))
     script;
   true
 
@@ -470,24 +544,29 @@ let test_adopted_read_only () =
       let engine = Engine.of_analysis a in
       let rand = Random.State.make [| seed; 0x5e55 |] in
       let script = Workload.Edits.gen ~rand ~steps:12 prog in
-      let resolved = ref 0 in
+      let cone = ref 0 in
       List.iter
         (fun (edit, _) ->
-          let out = Engine.apply engine edit in
-          if out.Engine.fallback = None then incr resolved)
+          let (_ : Engine.outcome), span =
+            Obs.Span.collect "edit" (fun () -> Engine.apply engine edit)
+          in
+          if not (all_dirty span) then incr cone)
         script;
-      check_bool "some edits took the region path" true (!resolved > 0);
+      check_bool "some edits took the region path" true (!cone > 0);
       Alcotest.(check (list string)) "adopted record unchanged" before (image ()))
     [
       (Workload.Families.fortran_style ~seed:3 ~n:32, 3);
       (Workload.Families.pascal_style ~seed:3 ~n:32 ~depth:3, 3);
+      (ptr_prog_of_seed 3, 3);
     ]
 
 (* --- region golden ---
 
    Digests of what the GMOD/GUSE cone re-solve computes over a fixed
    edit corpus (every non-structural edit takes the region path): per
-   edit, its outcome, the word and vector
+   edit, whether it was structural (the [fallback] column, named for
+   the full re-analysis structural edits once took), how many
+   procedures it re-solved, the word and vector
    op counts of each [gmod.region] span, and the resulting GMOD/GUSE
    sets.  The corpus has cones that contain main and cones that do not
    (edits inside procedures an earlier edit added or cut off from
@@ -504,11 +583,12 @@ let region_digest_text prog ~seed =
   List.iteri
     (fun i (edit, _) ->
       let old = Engine.analysis engine in
+      let structural = Edit.kind old.A.prog edit = Edit.Structural in
       let out, span =
         Obs.Span.collect "edit" (fun () -> Engine.apply engine edit)
       in
       let a = Engine.analysis engine in
-      add "edit %d fallback %b resolved %d\n" i (out.Engine.fallback <> None)
+      add "edit %d fallback %b resolved %d\n" i structural
         out.Engine.procs_resolved;
       List.iter
         (fun s ->
@@ -520,7 +600,7 @@ let region_digest_text prog ~seed =
          clean entries share the cached vector. *)
       let side now before =
         let main = a.A.prog.Ir.Prog.main in
-        if out.Engine.fallback = None && now != before then
+        if (not structural) && now != before then
           incr (if now.(main) == before.(main) then main_clean else main_dirty)
       in
       side a.A.gmod old.A.gmod;
@@ -615,6 +695,7 @@ let () =
           Alcotest.test_case "nested body edit takes the region path" `Quick
             test_nested_region;
           Helpers.seeded_case "nested script" `Quick test_nested_script;
+          Alcotest.test_case "pointer scripts, both tiers" `Quick test_ptr_scripts;
         ] );
       ( "opcount",
         [
@@ -637,6 +718,12 @@ let () =
             (prop_script (flat_of_seed ~n:24) 8);
           qtest ~count:60 "incremental = batch (nested scripts)" arb_nested_prog
             (prop_script (nested_of_seed ~n:20 ~depth:3) 8);
+          qtest ~count:40 "incremental = batch (pointer scripts, steensgaard)"
+            arb_ptr_seed
+            (prop_script ~ptsto:Ptsto.Steensgaard ptr_of_seed 8);
+          qtest ~count:40 "incremental = batch (pointer scripts, andersen)"
+            arb_ptr_seed
+            (prop_script ~ptsto:Ptsto.Andersen ptr_of_seed 8);
           qtest ~count:100 "render/parse_line round trip" arb_flat_prog
             (prop_render_roundtrip (flat_of_seed ~n:24) 8);
           qtest ~count:60 "of_analysis = create" arb_flat_prog
@@ -648,5 +735,11 @@ let () =
           qtest ~count:40 "provenance forests = batch (nested scripts)"
             arb_nested_prog
             (prop_provenance_equiv (nested_of_seed ~n:20 ~depth:3) 6);
+          qtest ~count:20 "provenance forests = batch (pointer scripts, steensgaard)"
+            arb_ptr_seed
+            (prop_provenance_equiv ~ptsto:Ptsto.Steensgaard ptr_of_seed 6);
+          qtest ~count:20 "provenance forests = batch (pointer scripts, andersen)"
+            arb_ptr_seed
+            (prop_provenance_equiv ~ptsto:Ptsto.Andersen ptr_of_seed 6);
         ] );
     ]

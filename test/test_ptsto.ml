@@ -6,73 +6,8 @@
 module P = Ir.Prog
 module A = Core.Analyze
 
-(* A seeded random pointer program.  The prologue aims every pointer at
-   a distinct global, so each later statement is valid whatever prefix
-   the generator picked: pointer assignments only replace one valid
-   pointer value with another ([&g], a copy, [new int]), so no
-   dereference ever sees an uninitialized cell.  [own] takes the
-   addresses of its own locals and writes them through [lp], through
-   [gq] from inside [poke], through dereference actuals and from
-   deeper activations of itself; it aims [gq] back at a global before
-   it returns, so no pointer outlives the frame it names.  Note the
-   space after the paren in deref call actuals — paren-star opens a
-   MiniProc comment (LANGUAGE.md). *)
-let ptr_src_of_seed seed =
-  let st = Random.State.make [| seed; 0x9e37 |] in
-  let n_stmts = 6 + Random.State.int st 20 in
-  let buf = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "program gen%d;\n" seed;
-  add "var g0, g1, g2, g3 : int;\n";
-  add "var p0, p1, p2, p3, gq : ptr of int;\n";
-  add "var pp : ptr of ptr of int;\n";
-  add "\nprocedure bump(var c : int);\nbegin\n  c := c + 1;\nend;\n";
-  add "\nprocedure mix(var c : int; var d : int);\nbegin\n  c := c + d;\nend;\n";
-  add "\nprocedure poke();\nbegin\n  *gq := *gq + 1;\nend;\n";
-  add "\nprocedure own(var c : int; n : int);\nvar x, y : int;\nvar lp : ptr of int;\n";
-  add "begin\n  x := c;\n  lp := &x;\n";
-  for _ = 1 to 2 + Random.State.int st 5 do
-    match Random.State.int st 8 with
-    | 0 -> add "  lp := &x;\n"
-    | 1 -> add "  lp := &n;\n"
-    | 2 -> add "  gq := lp;\n"
-    | 3 -> add "  call poke();\n"
-    | 4 -> add "  call bump( *lp);\n"
-    | 5 -> add "  call mix( *lp, y);\n"
-    | 6 -> add "  *lp := n;\n"
-    | _ -> add "  if n > 0 then\n    call own(y, n - 1);\n  end;\n"
-  done;
-  add "  gq := &g0;\n  c := x + y + n;\nend;\n";
-  add "\nbegin\n";
-  for i = 0 to 3 do
-    add "  p%d := &g%d;\n" i i
-  done;
-  add "  pp := &p0;\n  gq := &g0;\n";
-  for _ = 1 to n_stmts do
-    let p = Random.State.int st 4 and g = Random.State.int st 4 in
-    match Random.State.int st 11 with
-    | 0 -> add "  p%d := &g%d;\n" p g
-    | 1 -> add "  p%d := p%d;\n" p (Random.State.int st 4)
-    | 2 -> add "  p%d := new int;\n" p
-    | 3 -> add "  *p%d := %d;\n" p (Random.State.int st 100)
-    | 4 -> add "  g%d := *p%d;\n" g p
-    | 5 -> add "  call bump( *p%d);\n" p
-    | 6 -> add "  call mix( *p%d, g%d);\n" p g
-    | 7 -> add "  pp := &p%d;\n" p
-    | 8 -> add "  **pp := %d;\n" (Random.State.int st 100)
-    | 9 -> add "  call own(g%d, %d);\n" g (Random.State.int st 4)
-    | _ -> add "  g%d := g%d + %d;\n" g g (Random.State.int st 10)
-  done;
-  add "  write g0 + g1 + g2 + g3;\nend.\n";
-  Buffer.contents buf
-
-let ptr_prog_of_seed seed = Helpers.compile (ptr_src_of_seed seed)
-
-let arb_ptr_prog =
-  QCheck.make
-    ~print:(fun seed ->
-      Printf.sprintf "pointer seed %d:\n%s" seed (ptr_src_of_seed seed))
-    QCheck.Gen.(0 -- 10_000)
+let ptr_prog_of_seed = Helpers.ptr_prog_of_seed
+let arb_ptr_prog = Helpers.arb_ptr_prog
 
 let subset l1 l2 = List.for_all (fun x -> List.mem x l2) l1
 

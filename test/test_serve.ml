@@ -366,35 +366,34 @@ let test_structured_errors () =
   expect_err "empty name" (Protocol.Load { program = ""; source = "" }) "empty";
   expect_err "unload unknown" (Protocol.Unload { program = "nope" }) "unknown program"
 
-(* A structural edit renumbers every id, so the engine falls back to a
-   full solve mid-session — and the session keeps answering,
-   identically to from-scratch. *)
-let test_edit_fallback () =
+(* A structural edit renumbers every id, so the engine re-solves every
+   procedure mid-session; the edits before and after it take the cone
+   path over the renumbered program, and after each the session
+   answers exactly as a batch run on the edited program does. *)
+let test_edit_structural () =
   let srv = Server.create () in
   let base = normalize (Workload.Families.ref_chain 6) in
   load srv ~client:1 "p" base;
-  let script = "add-proc zz writes=g0" in
-  let r =
-    send_ok srv ~client:1
-      (Protocol.Edit { program = "p"; session = ""; script; lint = true })
-  in
-  (match member "fallbacks" r with
-  | Json.Int n when n >= 1 -> ()
-  | j -> Alcotest.failf "expected fallbacks >= 1, got %s" (Json.to_string j));
-  (match member "edits" r with
-  | Json.List [ Json.String _ ] -> ()
-  | j -> Alcotest.failf "expected one rendered edit, got %s" (Json.to_string j));
-  ignore (member "gmod_delta" r);
-  ignore (member "guse_delta" r);
-  ignore (member "lint_added" r);
-  (* The session must now agree with a fresh analysis of the edited
-     program. *)
-  let mirror =
-    match Incremental.Script.parse base script with
-    | Ok [ (_, p') ] -> p'
-    | _ -> Alcotest.fail "script did not parse"
-  in
-  check_state srv ~client:1 ~session:"" mirror
+  let mirror = ref base in
+  List.iter
+    (fun script ->
+      let r =
+        send_ok srv ~client:1
+          (Protocol.Edit { program = "p"; session = ""; script; lint = true })
+      in
+      (match member "edits" r with
+      | Json.List [ Json.String _ ] -> ()
+      | j -> Alcotest.failf "expected one rendered edit, got %s" (Json.to_string j));
+      ignore (member "gmod_delta" r);
+      ignore (member "guse_delta" r);
+      ignore (member "procs_resolved" r);
+      ignore (member "lint_added" r);
+      (mirror :=
+         match Incremental.Script.parse !mirror script with
+         | Ok [ (_, p') ] -> p'
+         | _ -> Alcotest.failf "script %S did not parse" script);
+      check_state srv ~client:1 ~session:"" !mirror)
+    [ "add-assign p1 g0 = 1"; "add-proc zz writes=g0"; "add-call p2 zz" ]
 
 let test_unload_drops_sessions () =
   let srv = Server.create () in
@@ -485,6 +484,46 @@ let test_session_explain () =
   | t, m ->
     Alcotest.failf "session explain all: total %s missing %s" (Json.to_string t)
       (Json.to_string m)
+
+(* Every fact a served [explain] with [all] lists resolves as a single
+   [fact] in the same session, after an edit, to the witness it was
+   listed with: on a pointer program that includes the facts about
+   other procedures' locals a dereference reaches, which go by their
+   qualified name. *)
+let test_session_all_facts_resolve () =
+  let srv = Server.create () in
+  let source =
+    In_channel.with_open_bin "../programs/pointers.mp" In_channel.input_all
+  in
+  ignore (send_ok srv ~client:1 (Protocol.Load { program = "p"; source }));
+  ignore
+    (send_ok srv ~client:1
+       (Protocol.Edit
+          {
+            program = "p";
+            session = "s";
+            script = "add-assign pointers x = 5";
+            lint = false;
+          }));
+  let explain fact all = Protocol.Explain { program = "p"; session = "s"; fact; all } in
+  let listed =
+    match member "facts" (send_ok srv ~client:1 (explain None true)) with
+    | Json.List l -> l
+    | j -> Alcotest.failf "facts not a list: %s" (Json.to_string j)
+  in
+  let resolved = ref 0 in
+  List.iter
+    (fun entry ->
+      match member "fact" entry with
+      | Json.String fact when not (String.starts_with ~prefix:"diag:" fact) ->
+        let r = send_ok srv ~client:1 (explain (Some fact) false) in
+        if member "witness" r <> member "witness" entry then
+          Alcotest.failf "%s: served witness differs from the listed one" fact;
+        incr resolved
+      | Json.String _ -> ()
+      | j -> Alcotest.failf "fact not a string: %s" (Json.to_string j))
+    listed;
+  Alcotest.(check bool) "some facts resolved" true (!resolved > 0)
 
 let test_stats_and_shutdown () =
   let srv = Server.create () in
@@ -743,12 +782,14 @@ let () =
         [
           Alcotest.test_case "queries match direct analysis" `Quick test_query_vs_batch;
           Alcotest.test_case "structured errors" `Quick test_structured_errors;
-          Alcotest.test_case "mid-session fallback to full solve" `Quick
-            test_edit_fallback;
+          Alcotest.test_case "mid-session structural edit = batch" `Quick
+            test_edit_structural;
           Alcotest.test_case "unload drops sessions" `Quick test_unload_drops_sessions;
           Alcotest.test_case "explain facts and --all" `Quick test_explain;
           Alcotest.test_case "session explain follows edits" `Quick
             test_session_explain;
+          Alcotest.test_case "session --all facts resolve after an edit" `Quick
+            test_session_all_facts_resolve;
           Alcotest.test_case "stats and shutdown" `Quick test_stats_and_shutdown;
           Helpers.seeded_case "pooled batch = serial batch" `Quick
             test_concurrent_sessions;
