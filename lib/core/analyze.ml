@@ -17,14 +17,33 @@ type t = {
   alias : Alias.t;
   mustmod : Mustmod.result;
   summary : Summary.t;
-  provenance : Provenance.t option;
+  provenance : provenance option;
 }
 
-let provenance_forest t alias =
-  Provenance.compute t.info ~binding:t.binding ~imod:t.imod ~iuse:t.iuse
-    ~rmod:t.rmod ~ruse:t.ruse ~imod_plus:t.imod_plus ~iuse_plus:t.iuse_plus
-    ~gmod:t.gmod ~guse:t.guse ~mustmod:t.mustmod.Mustmod.mustmod
-    ~intra:t.mustmod.Mustmod.intra ~alias
+and provenance = {
+  alias_reasons : Provenance.alias_table;
+  forest : Provenance.t Lazy.t;
+}
+
+(* The thunk captures [t], whose fields are never mutated, so a forest
+   forced after any number of edits describes the solutions it was
+   attached to; dropping [t]'s own provenance first keeps a chain of
+   edits from holding every earlier forest. *)
+let with_provenance t alias =
+  let t = { t with provenance = None } in
+  let forest =
+    lazy
+      (Obs.Span.with_ "provenance" (fun () ->
+           Provenance.compute t.info ~binding:t.binding ~imod:t.imod
+             ~iuse:t.iuse ~rmod:t.rmod ~ruse:t.ruse ~imod_plus:t.imod_plus
+             ~iuse_plus:t.iuse_plus ~gmod:t.gmod ~guse:t.guse
+             ~mustmod:t.mustmod.Mustmod.mustmod
+             ~intra:t.mustmod.Mustmod.intra ~alias))
+  in
+  { t with provenance = Some { alias_reasons = alias; forest } }
+
+let provenance_forest t =
+  Option.map (fun p -> Lazy.force p.forest) t.provenance
 
 let run_with ?pool ?(provenance = false)
     ?(ptsto = Ptsto.Steensgaard) prog =
@@ -86,9 +105,7 @@ let run_with ?pool ?(provenance = false)
   in
   match alias_table with
   | None -> t
-  | Some table ->
-    let p = Obs.Span.with_ "provenance" (fun () -> provenance_forest t table) in
-    { t with provenance = Some p }
+  | Some table -> with_provenance t table
 
 let run ?(jobs = 1) ?pool ?provenance ?ptsto prog =
   match pool with

@@ -35,9 +35,18 @@ type t = {
           intersection-over-paths dual of [gmod], with
           [MUSTMOD(p) ⊆ GMOD(p)] enforced ({!Mustmod}). *)
   summary : Summary.t;
-  provenance : Provenance.t option;
-      (** Derivation forest over the facts above; present iff the run
-          asked for it.  [sidefx explain] and lint witnesses read it. *)
+  provenance : provenance option;
+      (** Present iff the run asked for provenance.  [sidefx explain]
+          and lint witnesses read it through {!provenance_forest}. *)
+}
+
+and provenance = {
+  alias_reasons : Provenance.alias_table;
+      (** The §5 reasons {!Alias.compute} recorded inline while it
+          solved — eager, since no post-pass can reconstruct them. *)
+  forest : Provenance.t Lazy.t;
+      (** The derivation forest over the solutions above, built by
+          {!provenance_forest} the first time it is read. *)
 }
 
 val run :
@@ -61,21 +70,31 @@ val run :
     totals are bit-identical at every jobs setting (docs/parallel.md).
 
     [~provenance:true] (default [false]) additionally records the
-    first derivation reason of every fact ({!Provenance}); the
-    analysis results and the counted bit-vector operations are
-    identical either way — provenance construction reads bits only
-    through uncounted single-bit operations.
+    first derivation reason of every fact ({!Provenance}): the alias
+    reasons during {!Alias.compute}, the rest on demand
+    ({!provenance_forest}).  The analysis results and the counted
+    bit-vector operations are identical either way — provenance
+    construction reads bits only through uncounted single-bit
+    operations.
 
     [~ptsto] picks the points-to tier (default
     {!Ptsto.Steensgaard}) whose dereference projection enters [info]
     on programs with pointers; pointer-free programs never run the solver
     and analyze identically under either tier. *)
 
-val provenance_forest : t -> Provenance.alias_table -> Provenance.t
-(** The derivation forest over [t]'s solutions ({!Provenance.compute});
-    [alias] holds the reasons {!Alias.compute} recorded.  [t]'s own
-    [provenance] field is not read.  {!run} and the incremental engine
-    both build their forests here. *)
+val with_provenance : t -> Provenance.alias_table -> t
+(** [t] carrying provenance: [alias] holds the reasons {!Alias.compute}
+    recorded for [t]'s alias pairs, and the rest of the forest is a
+    lazy {!Provenance.compute} over [t]'s solutions.  {!run} and the
+    incremental engine both attach provenance here, so an edit costs
+    nothing for it until a witness is asked for. *)
+
+val provenance_forest : t -> Provenance.t option
+(** The derivation forest ([None] without provenance), built under a
+    [provenance] span the first time it is read.  The forest is an
+    OCaml lazy value: two domains must not force one at the same time,
+    so it is read on the domain that serves the analysis, never inside
+    a {!Par.Pool} task. *)
 
 val mod_of_site : t -> int -> Bitvec.t
 (** [MOD(s)] — §5's final answer for a call site. *)

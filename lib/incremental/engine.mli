@@ -74,12 +74,13 @@ val of_analysis : ?pool:Par.Pool.t -> Core.Analyze.t -> t
     concurrently (the analysis server gives each client session its
     own engine over one registry entry this way).  Provenance upkeep
     is inherited from the record: iff [analysis.provenance] is
-    [Some _], every {!apply} rebuilds the {!Core.Provenance} derivation
-    forest against the updated solutions ({!Core.Analyze.provenance_forest},
-    the batch builder), so witnesses never go stale.  That post-pass
-    costs the set bits of the solutions plus, for each fact, the call
-    sites of its procedure — it is not confined to the cone the edit
-    re-solved. *)
+    [Some _], every {!apply} keeps (body edit) or re-records (any
+    other edit) the alias reasons and attaches a lazy derivation
+    forest over the updated solutions ({!Core.Analyze.with_provenance},
+    as the batch run does), so witnesses never go stale.  The edit
+    itself builds no forest: the first {!Core.Analyze.provenance_forest}
+    read does, for the set bits of the solutions plus, for each fact,
+    the call sites of its procedure. *)
 
 val apply : t -> Edit.t -> outcome
 (** Apply one edit and bring {!analysis} up to date.  Raises

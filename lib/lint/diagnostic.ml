@@ -27,8 +27,10 @@ type t = {
   scope : string;
   message : string;
   hint : string option;
-  witness : string list;
+  witness : string list Lazy.t;
 }
+
+let no_witness = Lazy.from_val []
 
 let compare a b =
   Stdlib.compare
@@ -47,6 +49,12 @@ let compare a b =
 
 let key d = (d.code, d.scope, d.message)
 
+let equal a b =
+  a.code = b.code && a.rule = b.rule && a.severity = b.severity
+  && a.loc = b.loc && a.scope = b.scope && a.message = b.message
+  && a.hint = b.hint
+  && Lazy.force a.witness = Lazy.force b.witness
+
 let matches ~code ~filter d =
   let has hay sub =
     let n = String.length sub and m = String.length hay in
@@ -61,7 +69,7 @@ let matches ~code ~filter d =
 
 let fact d =
   ( Printf.sprintf "diag:%s:%s" d.code d.scope,
-    match d.witness with [] -> None | w -> Some w )
+    match Lazy.force d.witness with [] -> None | w -> Some w )
 
 let pp ppf d =
   if d.loc = Frontend.Loc.dummy then
@@ -75,7 +83,7 @@ let pp ppf d =
   (match d.hint with
   | None -> ()
   | Some h -> Format.fprintf ppf "@,    hint: %s" h);
-  match d.witness with
+  match Lazy.force d.witness with
   | [] -> ()
   | lines ->
     Format.fprintf ppf "@,    witness:";
@@ -96,5 +104,7 @@ let to_json d =
         match d.hint with
         | None -> Obs.Json.Null
         | Some h -> Obs.Json.String h );
-      ("witness", Obs.Json.List (List.map (fun l -> Obs.Json.String l) d.witness));
+      ( "witness",
+        Obs.Json.List
+          (List.map (fun l -> Obs.Json.String l) (Lazy.force d.witness)) );
     ]

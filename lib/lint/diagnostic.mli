@@ -32,17 +32,28 @@ type t = {
   scope : string;  (** Enclosing procedure (the program name for globals). *)
   message : string;
   hint : string option;  (** A suggested fix, when the rule has one. *)
-  witness : string list;
+  witness : string list Lazy.t;
       (** Derivation evidence, one rendered line per step — filled by
           the rules when the analysis carries {!Core.Provenance}
           ([sidefx explain] and the analysis server), empty otherwise
-          ([sidefx lint]).
+          ([sidefx lint]).  Rendered on demand: only {!to_json}, {!pp},
+          {!fact} and {!equal} force it, so a finding no report prints
+          costs no witness.  Force it on one domain, never inside a
+          {!Par.Pool} task (an OCaml lazy must not be forced by two
+          domains at once).
           Not part of {!key} or {!compare}: a finding's identity does
           not depend on how it was derived. *)
 }
 
+val no_witness : string list Lazy.t
+(** The empty witness, already forced. *)
+
 val compare : t -> t -> int
 (** Total order: [(loc.file, loc.line, loc.col, code, scope, message)]. *)
+
+val equal : t -> t -> bool
+(** Every field equal, witnesses included (forcing both).  Findings
+    hold lazy values, so compare them with this, not with [=]. *)
 
 val key : t -> string * string * string
 (** Location-free identity [(code, scope, message)] — what diagnostic

@@ -346,7 +346,7 @@ let identity_text prog =
           (Core.Alias.pairs alias pid);
         add "\n"
       done;
-      (match t.Core.Analyze.provenance with
+      (match Core.Analyze.provenance_forest t with
       | None -> ()
       | Some pv ->
         Hashtbl.fold (fun k r acc -> (k, r) :: acc) pv.Core.Provenance.alias []

@@ -677,7 +677,7 @@ let prop_incremental_matches_batch seed =
       let batch =
         Lint.Engine.run ~rules:df_rules (Incremental.Engine.analysis engine)
       in
-      inc = batch
+      List.equal Lint.Diagnostic.equal inc batch
       || QCheck.Test.fail_reportf "incremental lint diverged after %s"
            (Incremental.Edit.to_string before edit))
     script

@@ -333,6 +333,8 @@ let prop_provenance_invisible seed =
   let measure provenance =
     let snap = Obs.Metric.snapshot () in
     let t = A.run ~provenance prog in
+    (* The forest is built on first read; read it inside the window. *)
+    ignore (A.provenance_forest t);
     (t, counters_only (Obs.Metric.delta ~since:snap))
   in
   let off, d_off = measure false in
@@ -344,7 +346,7 @@ let prop_provenance_invisible seed =
       if name <> name' || a <> b then
         QCheck.Test.fail_reportf "provenance changed op counts: %s %d <> %d" name a b)
     d_off d_on;
-  on.A.provenance <> None && off.A.provenance = None
+  Option.is_some on.A.provenance && Option.is_none off.A.provenance
 
 (* --- reason golden ---
 
@@ -374,7 +376,7 @@ let reason_digest_text prog =
   in
   List.iter
     (fun tier ->
-      let pv = Option.get (A.run ~provenance:true ~ptsto:tier prog).A.provenance in
+      let pv = Option.get (A.provenance_forest (A.run ~provenance:true ~ptsto:tier prog)) in
       add "tier %s\n" (Ptsto.tier_name tier);
       List.iter
         (fun (label, side) ->

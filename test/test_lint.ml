@@ -265,7 +265,7 @@ let test_rule_order_irrelevant () =
   let t = Core.Analyze.run prog in
   let a = E.run t and b = E.run ~rules:(List.rev R.all) t in
   Helpers.check_bool "reversed rule order, same findings" true
-    (List.equal (fun x y -> D.compare x y = 0) a b)
+    (List.equal D.equal a b)
 
 let report t prog fs =
   ignore t;
@@ -354,7 +354,7 @@ end.|}
      finding for finding. *)
   let batch = E.run (Core.Analyze.run (Incremental.Engine.prog eng)) in
   Helpers.check_bool "incremental = batch" true
-    (List.equal (fun x y -> D.compare x y = 0) after batch)
+    (List.equal D.equal after batch)
 
 let prop_incremental_matches_batch seed =
   let prog = Helpers.flat_of_seed ~n:12 seed in
@@ -371,7 +371,7 @@ let prop_incremental_matches_batch seed =
     steps;
   let incr = Incremental.Engine.lint eng in
   let batch = E.run (Core.Analyze.run (Incremental.Engine.prog eng)) in
-  List.equal (fun x y -> D.compare x y = 0) incr batch
+  List.equal D.equal incr batch
 
 let () =
   Helpers.run "lint"

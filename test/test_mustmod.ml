@@ -402,7 +402,7 @@ let must_digest_text prog =
           (ints (M.intra_of m pid))
           (ints (M.demoted_of m pid))
       done;
-      (match a.A.provenance with
+      (match A.provenance_forest a with
       | None -> ()
       | Some pv ->
         Hashtbl.fold (fun k r acc -> (k, r) :: acc) pv.Core.Provenance.must []
@@ -413,7 +413,7 @@ let must_digest_text prog =
         (fun d ->
           add "%s | %s\n"
             (Fmt.str "%a" Lint.Diagnostic.pp d)
-            (String.concat "; " d.Lint.Diagnostic.witness))
+            (String.concat "; " (Lazy.force d.Lint.Diagnostic.witness)))
         (Lint.Engine.run ~rules a))
     tiers;
   Buffer.contents b
