@@ -295,7 +295,7 @@ let lint_cmd =
         print_endline
           (Obs.Json.to_string
              (Lint.Engine.report_json ~program:prog.Ir.Prog.name ~rules findings))
-      else if findings = [] then Format.printf "no findings@."
+      else if List.is_empty findings then Format.printf "no findings@."
       else begin
         List.iter
           (fun d -> Format.printf "@[<v>%a@]@." Lint.Diagnostic.pp d)
@@ -413,7 +413,7 @@ let explain_cmd =
             (Lint.Diagnostic.matches ~code ~filter)
             (Lint.Engine.run ?pool ~locs t)
         in
-        if found = [] then fail 1 "no finding matches '%s'" fact_str;
+        if List.is_empty found then fail 1 "no finding matches '%s'" fact_str;
         if json then
           print_json
             [ ("findings", Obs.Json.List (List.map Lint.Diagnostic.to_json found)) ]
@@ -1199,8 +1199,7 @@ let edit_cmd =
               ([], prog) steps))
     in
     let snap = Serve.Delta.snapshot before in
-    let gmod_rows = Serve.Delta.rows snap after ~side:`Mod in
-    let guse_rows = Serve.Delta.rows snap after ~side:`Use in
+    let gmod_rows, guse_rows = Serve.Delta.rows snap after in
     let aprog = after.Core.Analyze.prog in
     let lint_json_fields = Serve.Delta.lint_fields lint_delta in
     if json then

@@ -24,12 +24,15 @@ type snapshot
 (** Name-keyed GMOD/GUSE sets of one analysis, captured before edits. *)
 
 val snapshot : Core.Analyze.t -> snapshot
+(** Renders each variable's name once, then each procedure's sets. *)
 
-val rows : snapshot -> Core.Analyze.t -> side:[ `Mod | `Use ] -> row list
-(** Per-procedure delta rows between the snapshot and an analysis:
-    procedures present after with changed sets, plus one [(name, [],
-    old)] row per vanished procedure whose set was non-empty.  Sorted;
-    empty when nothing changed. *)
+val rows : snapshot -> Core.Analyze.t -> row list * row list
+(** The [GMOD] and the [GUSE] delta rows between the snapshot and an
+    analysis: procedures present after with changed sets, plus one
+    [(name, [], old)] row per vanished procedure whose set was
+    non-empty.  Each list sorted; empty when nothing changed.  Each
+    variable's name is rendered once per program, and each set's names
+    are merged against the snapshot's in one pass. *)
 
 val pp_rows : title:string -> Format.formatter -> row list -> unit
 (** The CLI table: [== TITLE delta ==] then one [  name +{..} -{..}]

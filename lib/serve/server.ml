@@ -189,11 +189,7 @@ let exec_query t entry ~client ~session (q : Protocol.query) =
       Ok (Json.Obj [ ("site", Json.Int site); ("vars", names_json prog set) ])
   | Protocol.Lint_delta ->
     let before = Lazy.force entry.Registry.base_lint in
-    let after =
-      match sess with
-      | Some s -> Engine.lint s.Session.engine
-      | None -> before
-    in
+    let after = match sess with Some s -> Session.lint s | None -> before in
     let added, removed = Lint.Engine.delta ~before ~after in
     Ok (Json.Obj (Delta.lint_fields (Some (added, removed))))
   | Protocol.Source -> Ok (Json.Obj [ ("source", Json.String (Ir.Pp.to_string prog)) ])
@@ -204,7 +200,7 @@ let exec_edit t entry ~client ~program ~session ~script ~lint =
   let s = session_get_or_create t entry ~client ~session in
   let engine = s.Session.engine in
   let snap = Delta.snapshot (Engine.analysis engine) in
-  let lint_before = if lint then Some (Engine.lint engine) else None in
+  let lint_before = if lint then Some (Session.lint s) else None in
   match Incremental.Script.parse (Engine.prog engine) script with
   | Error e ->
     Error ("bad edit script: " ^ Incremental.Script.error_to_string e)
@@ -224,10 +220,11 @@ let exec_edit t entry ~client ~program ~session ~script ~lint =
         resolved := !resolved + (Engine.apply engine edit).Engine.procs_resolved)
       steps;
     let after = Engine.analysis engine in
+    let gmod_rows, guse_rows = Delta.rows snap after in
     let lint_delta =
       match lint_before with
       | Some before ->
-        Some (Lint.Engine.delta ~before ~after:(Engine.lint engine))
+        Some (Lint.Engine.delta ~before ~after:(Session.lint s))
       | None -> None
     in
     Ok
@@ -237,18 +234,16 @@ let exec_edit t entry ~client ~program ~session ~script ~lint =
             ("session", Json.String session);
             ( "edits",
               Json.List (List.map (fun e -> Json.String e) rendered) );
-            ("gmod_delta", Delta.rows_json (Delta.rows snap after ~side:`Mod));
-            ("guse_delta", Delta.rows_json (Delta.rows snap after ~side:`Use));
+            ("gmod_delta", Delta.rows_json gmod_rows);
+            ("guse_delta", Delta.rows_json guse_rows);
             ("procs_resolved", Json.Int !resolved);
           ]
          @ Delta.lint_fields lint_delta))
 
 (* --- explain (the CLI fact grammar, served) --- *)
 
-let lint_for t entry sess =
-  ignore t;
-  match sess with
-  | Some s -> Engine.lint s.Session.engine
+let lint_for (entry : Registry.entry) = function
+  | Some s -> Session.lint s
   | None -> Lazy.force entry.Registry.base_lint
 
 let exec_explain t entry ~client ~program ~session ~fact ~all =
@@ -262,7 +257,7 @@ let exec_explain t entry ~client ~program ~session ~fact ~all =
   in
   if all then begin
     let facts = Core.Explain.all_facts a ~locs in
-    let results = facts @ List.map Lint.Diagnostic.fact (lint_for t entry sess) in
+    let results = facts @ List.map Lint.Diagnostic.fact (lint_for entry sess) in
     let missing = List.filter (fun (_, w) -> w = None) results in
     Ok
       (Json.Obj
@@ -288,9 +283,9 @@ let exec_explain t entry ~client ~program ~session ~fact ~all =
     match f with
     | Core.Explain.Fdiag (code, filter) ->
       let found =
-        List.filter (Lint.Diagnostic.matches ~code ~filter) (lint_for t entry sess)
+        List.filter (Lint.Diagnostic.matches ~code ~filter) (lint_for entry sess)
       in
-      if found = [] then
+      if List.is_empty found then
         Error (Printf.sprintf "no finding matches '%s'" fact_str)
       else answer [ ("findings", Json.List (List.map Lint.Diagnostic.to_json found)) ]
     | _ -> (

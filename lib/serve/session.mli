@@ -13,6 +13,8 @@ type t = {
   program : string;  (** Registry name this session edits. *)
   name : string;  (** Session name ([""] is the client default). *)
   engine : Incremental.Engine.t;
+  base_lint : Lint.Diagnostic.t list Lazy.t;
+      (** The registry entry's {!Registry.entry.base_lint}. *)
 }
 
 val create : Registry.entry -> name:string -> t
@@ -21,3 +23,12 @@ val create : Registry.entry -> name:string -> t
 
 val analysis : t -> Core.Analyze.t
 val edits : t -> int
+
+val lint : t -> Lint.Diagnostic.t list
+(** Every rule's findings on the session's program, at dummy
+    positions.  Before the first edit these are the registry's
+    {!Registry.entry.base_lint} (the engine still holds the base
+    analysis, and the registry linted it with the same rules at the
+    same positions), so a fresh session's first [lint] edit or
+    [lint-delta] costs no relint of the base; afterwards
+    {!Incremental.Engine.lint}. *)
