@@ -18,6 +18,12 @@
      that move the points-to projection, re-solve every procedure; the
      others re-solve a cone.
 
+   Rows carry [provenance]: [true] rows repeat head and script streams
+   on a provenance-carrying base, as the analysis server's sessions
+   edit one (both sides run with [~provenance:true]).  An edit
+   attaches a lazy derivation forest and builds none, so these rows
+   should cost what their provenance-off twins cost.
+
    Every edit is also an equality assertion: the engine's GMOD/GUSE and
    RMOD/RUSE are compared bit for bit against the fresh run it is being
    timed against.
@@ -65,11 +71,11 @@ let assert_equal ~family ~n ~i (inc : A.t) (batch : A.t) =
 
 (* One edit stream: drive it through the engine and through
    from-scratch analysis of each resulting program, timing each side. *)
-let measure ~family ~workload ~n prog steps =
+let measure ?(provenance = false) ~family ~workload ~n prog steps =
   let resolved = Obs.Metric.counter "incremental.procs_resolved" in
   let snap = Obs.Metric.snapshot () in
   let gc0 = Gc.quick_stat () in
-  let engine = Engine.create ?pool prog in
+  let engine = Engine.of_analysis ?pool (A.run ?pool ~provenance prog) in
   let inc_time = ref 0.0 and batch_time = ref 0.0 in
   List.iteri
     (fun i (edit, expected) ->
@@ -77,18 +83,21 @@ let measure ~family ~workload ~n prog steps =
       let (_ : Engine.outcome) = Engine.apply engine edit in
       inc_time := !inc_time +. (Obs.Clock.now () -. t0);
       let t0 = Obs.Clock.now () in
-      let batch = A.run ?pool expected in
+      let batch = A.run ?pool ~provenance expected in
       batch_time := !batch_time +. (Obs.Clock.now () -. t0);
       assert_equal ~family ~n ~i (Engine.analysis engine) batch)
     steps;
   let speedup = !batch_time /. Float.max !inc_time 1e-9 in
-  Printf.printf "   %-12s %-8s %6d | %10.6f %10.6f | %8.1fx | %6d\n" family
-    workload n !inc_time !batch_time speedup
+  Printf.printf "   %-12s %-8s %-4s %6d | %10.6f %10.6f | %8.1fx | %6d\n"
+    family workload
+    (if provenance then "on" else "off")
+    n !inc_time !batch_time speedup
     (Obs.Metric.value_since ~since:snap resolved);
   Obs.Json.Obj
     [
       ("family", Obs.Json.String family);
       ("workload", Obs.Json.String workload);
+      ("provenance", Obs.Json.Bool provenance);
       ("n_procs", Obs.Json.Int n);
       ("edits", Obs.Json.Int (List.length steps));
       ("incremental_s", Obs.Json.Float !inc_time);
@@ -116,14 +125,14 @@ let chain_steps prog proc =
       cur := Edit.apply !cur edit;
       (edit, !cur))
 
-let chain ~family ~workload build n =
+let chain ?provenance ~family ~workload build n =
   let prog = build n in
   let proc = if workload = "head" then "p1" else Printf.sprintf "p%d" n in
-  measure ~family ~workload ~n prog (chain_steps prog proc)
+  measure ?provenance ~family ~workload ~n prog (chain_steps prog proc)
 
-let script family prog =
+let script ?provenance family prog =
   let rand = Random.State.make [| script_seed; 0xed17 |] in
-  measure ~family ~workload:"script" ~n:script_n prog
+  measure ?provenance ~family ~workload:"script" ~n:script_n prog
     (Workload.Edits.gen ~rand ~steps:script_steps prog)
 
 let () =
@@ -131,8 +140,8 @@ let () =
     "== incremental re-analysis vs from-scratch (%d edits/chain row, \
      %d-step scripts, jobs=%d) ==\n"
     edits_per_chain script_steps jobs;
-  Printf.printf "   %-12s %-8s %6s | %10s %10s | %9s | %6s\n" "family"
-    "workload" "N" "inc (s)" "batch (s)" "speedup" "rslv";
+  Printf.printf "   %-12s %-8s %-4s %6s | %10s %10s | %9s | %6s\n" "family"
+    "workload" "prov" "N" "inc (s)" "batch (s)" "speedup" "rslv";
   let chains =
     List.concat_map
       (fun n ->
@@ -156,7 +165,33 @@ let () =
         ("ptr_funnel", fun () -> F.ptr_funnel script_n);
       ]
   in
-  let rows = chains @ scripts in
+  (* The same head and script streams on a provenance-carrying base. *)
+  let with_provenance =
+    let module F = Workload.Families in
+    let heads =
+      List.concat_map
+        (fun n ->
+          let r =
+            chain ~provenance:true ~family:"ref_chain" ~workload:"head"
+              F.ref_chain n
+          in
+          let g =
+            chain ~provenance:true ~family:"global_chain" ~workload:"head"
+              F.global_chain n
+          in
+          [ r; g ])
+        [ 256; 1024 ]
+    in
+    heads
+    @ List.map
+        (fun (family, build) -> script ~provenance:true family (build ()))
+        [
+          ("dag_style", fun () -> F.dag_style ~seed:script_seed ~n:script_n);
+          ( "fortran_fixed",
+            fun () -> F.fortran_fixed ~seed:script_seed ~n:script_n );
+        ]
+  in
+  let rows = chains @ scripts @ with_provenance in
   let json =
     Obs.Json.Obj
       [
@@ -169,14 +204,19 @@ let () =
              stages, pointer programs included (points-to is re-solved per \
              edit; structural edits and edits that move the points-to \
              projection run them with every procedure dirty); results \
-             asserted bit-identical per edit" );
+             asserted bit-identical per edit; on a provenance-carrying \
+             base an edit costs what it costs without provenance, since \
+             the derivation forest is built on first read, not per edit" );
         ( "workload",
           Obs.Json.String
             "ref_chain/global_chain, alternating add/remove of g0 := 1 in p1 \
              (head), and in pn of ref_chain (deep); Workload.Edits.gen \
              scripts (seed 1, 40 steps) on dag_style, fortran_fixed, \
              ptr_chain and ptr_funnel n=256; n_procs is the family size \
-             n, and ptr_funnel 256 has 3 procedures and 256 call sites" );
+             n, and ptr_funnel 256 has 3 procedures and 256 call sites; \
+             provenance:true rows repeat the head streams at n=256 and \
+             1024 and the dag_style and fortran_fixed scripts with \
+             ~provenance:true on both sides" );
         ("rows", Obs.Json.List rows);
       ]
   in
