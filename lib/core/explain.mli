@@ -65,7 +65,12 @@ val explain_gmod :
   string list option
 (** Rendered witness: a compact arrow chain ([p →site 3 q ⊃ r]) plus
     one evidence line per step, def-sites and call sites located
-    through [locs]. *)
+    through [locs].  A line names the variable as the fact grammar
+    does in the procedure the line is about: by its bare name where
+    that resolves to it there, as [owner.var] elsewhere (a dereference
+    can reach another procedure's local), so [gmod:P:bump.cell] and
+    [gmod:P:through.cell] read apart.  {!explain_must} and
+    {!explain_alias} name variables the same way. *)
 
 val explain_rmod :
   Analyze.t -> locs:Frontend.Locs.t -> side:side -> var:int -> string list option
