@@ -151,6 +151,29 @@ let arb_ptr_prog =
       Printf.sprintf "pointer seed %d:\n%s" seed (ptr_src_of_seed seed))
     QCheck.Gen.(0 -- 10_000)
 
+(* Token soup: structurally plausible fragments glued randomly — much
+   better at reaching deep parser states than raw bytes.  Every fragment
+   is a whole token, so the soup never holds a lexical error. *)
+let soup_fragments =
+  [|
+    "program"; "procedure"; "var"; "begin"; "end"; "if"; "then"; "else"; "while";
+    "do"; "for"; "to"; "call"; "read"; "write"; "skip"; "int"; "bool"; "array";
+    "of"; "and"; "or"; "not"; "true"; "false"; ";"; ":"; ","; "."; "("; ")"; "[";
+    "]"; ":="; "+"; "-"; "*"; "/"; "%"; "<"; "<="; ">"; ">="; "=="; "!="; "x";
+    "y"; "p"; "q"; "0"; "1"; "42"; "\n"; " ";
+  |]
+
+let token_soup_gen =
+  QCheck.Gen.(
+    map
+      (fun picks ->
+        String.concat " "
+          (List.map (fun i -> soup_fragments.(i mod Array.length soup_fragments)) picks))
+      (list_size (0 -- 120) (0 -- 1000)))
+
+let arb_token_soup =
+  QCheck.make ~print:(fun s -> Printf.sprintf "%S" s) token_soup_gen
+
 (* Replayable property tests: the generator seed comes from the
    QCHECK_SEED environment variable when set, and is printed on any
    failure so `QCHECK_SEED=n dune runtest` reproduces the exact run. *)

@@ -7,26 +7,6 @@ let arb_garbage =
     ~print:(fun s -> Printf.sprintf "%S" s)
     QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 1 126)) (0 -- 400))
 
-(* Token-soup: structurally plausible fragments glued randomly — much
-   better at reaching deep parser states than raw bytes. *)
-let fragments =
-  [|
-    "program"; "procedure"; "var"; "begin"; "end"; "if"; "then"; "else"; "while";
-    "do"; "for"; "to"; "call"; "read"; "write"; "skip"; "int"; "bool"; "array";
-    "of"; "and"; "or"; "not"; "true"; "false"; ";"; ":"; ","; "."; "("; ")"; "[";
-    "]"; ":="; "+"; "-"; "*"; "/"; "%"; "<"; "<="; ">"; ">="; "=="; "!="; "x";
-    "y"; "p"; "q"; "0"; "1"; "42"; "\n"; " ";
-  |]
-
-let arb_token_soup =
-  QCheck.make
-    ~print:(fun s -> Printf.sprintf "%S" s)
-    QCheck.Gen.(
-      map
-        (fun picks ->
-          String.concat " " (List.map (fun i -> fragments.(i mod Array.length fragments)) picks))
-        (list_size (0 -- 120) (0 -- 1000)))
-
 let no_crash src =
   match Frontend.Sema.compile ~file:"<fuzz>" src with
   | Ok prog -> Ir.Validate.run prog = Ok ()
@@ -53,9 +33,9 @@ let () =
       ( "frontend",
         [
           Helpers.qtest ~count:500 "raw bytes never crash" arb_garbage no_crash;
-          Helpers.qtest ~count:500 "token soup never crashes" arb_token_soup no_crash;
+          Helpers.qtest ~count:500 "token soup never crashes" Helpers.arb_token_soup no_crash;
           Helpers.qtest ~count:500 "expressions never crash" arb_garbage no_crash_expr;
-          Helpers.qtest ~count:500 "accepted soup round-trips" arb_token_soup
+          Helpers.qtest ~count:500 "accepted soup round-trips" Helpers.arb_token_soup
             prop_roundtrip_accepted_soup;
         ] );
     ]

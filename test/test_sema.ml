@@ -253,6 +253,85 @@ let test_multiple_errors_reported () =
   in
   Alcotest.(check int) "three diagnostics" 3 (List.length msgs)
 
+(* --- front-end digest golden ---
+
+   Digests of everything the front end hands downstream: the resolved
+   program with its Locs table, or the diagnostics' text.  The corpus
+   is every sample program, the workload families as rendered by
+   Ir.Pp, and 2000 token-soup strings drawn from a fixed seed (a golden
+   must not follow QCHECK_SEED).  Soup fragments are whole tokens, so
+   every soup diagnostic is a syntax or semantic one.  Any change to a
+   resolved id, a type, a statement, a source position or an error
+   message changes a digest. *)
+
+let compile_digest ~file src =
+  let payload =
+    match Frontend.Sema.compile_with_locs ~file src with
+    | Ok (prog, locs) -> Marshal.to_string (prog, locs) [ Marshal.No_sharing ]
+    | Error errs ->
+      String.concat "\n" (List.map (Fmt.to_to_string Frontend.Sema.pp_error) errs)
+  in
+  Digest.to_hex (Digest.string payload)
+
+let frontend_corpus () =
+  let file dir name =
+    let path = Filename.concat dir name in
+    (name, fun () -> compile_digest ~file:path (In_channel.with_open_bin path In_channel.input_all))
+  in
+  let fam name prog = (name, fun () -> compile_digest ~file:name (Ir.Pp.to_string (prog ()))) in
+  let module F = Workload.Families in
+  let sources dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mp")
+    |> List.sort compare |> List.map (file dir)
+  in
+  let soup () =
+    let srcs =
+      QCheck.Gen.generate ~rand:(Random.State.make [| 27 |]) ~n:2000 Helpers.token_soup_gen
+    in
+    Digest.to_hex
+      (Digest.string (String.concat "," (List.map (compile_digest ~file:"<soup>") srcs)))
+  in
+  sources "../programs" @ sources "../examples"
+  @ [
+      fam "fortran_fixed 64" (fun () -> F.fortran_fixed ~seed:1 ~n:64);
+      fam "fortran_style 64" (fun () -> F.fortran_style ~seed:1 ~n:64);
+      fam "dag_style 64" (fun () -> F.dag_style ~seed:1 ~n:64);
+      fam "pascal_style 64 d4" (fun () -> F.pascal_style ~seed:1 ~n:64 ~depth:4);
+      fam "ptr_chain 16" (fun () -> F.ptr_chain 16);
+      fam "ptr_funnel 16" (fun () -> F.ptr_funnel 16);
+      fam "ptr_heap 16" (fun () -> F.ptr_heap 16);
+      ("token soup 2000", soup);
+    ]
+
+let frontend_digests =
+  [
+    ("bank.mp", "f30ffc401286b07ec7dffac5182f0e8c");
+    ("dataflow_demo.mp", "4554615fca0c3ed696b1fb59c50db12f");
+    ("lint_demo.mp", "fdc86ad47eb31c08f22a7f2b684bff98");
+    ("mustmod_demo.mp", "34bcc06369f62edd826a3b5df75604e4");
+    ("pipeline.mp", "c712b4983db029b6433f6297472f47c1");
+    ("pointers.mp", "2964bf6618be7f26144be907cca3edf3");
+    ("ptr_lint.mp", "6532358a4be572307d0b4c3463890a7d");
+    ("report.mp", "f519c721008e880a521b90bc6b0caeb6");
+    ("stencil.mp", "d3f13ed857b8362da10922b56ecd0f1d");
+    ("profile_demo.mp", "80eb05bbb1d5cced7575863f06a68a44");
+    ("fortran_fixed 64", "cdaf8f050d6aa3979d146333fa672d93");
+    ("fortran_style 64", "6f6c1b444808bfeb315090c75578bec5");
+    ("dag_style 64", "831575fd53374c3a7f9a5b323379f83b");
+    ("pascal_style 64 d4", "9baf6b9279fe1b27df35d363b6295410");
+    ("ptr_chain 16", "1f2bc1b06100b21effec32ab34044077");
+    ("ptr_funnel 16", "bf725ed62419438e1baba4b846520162");
+    ("ptr_heap 16", "732767c13400c346528eff3bbb588d5e");
+    ("token soup 2000", "c29f61a11604e73d74e2693552e9a226");
+  ]
+
+let test_frontend_golden () =
+  List.iter
+    (fun (name, digest) ->
+      Alcotest.(check string) name (List.assoc name frontend_digests) (digest ()))
+    (frontend_corpus ())
+
 (* --- whole-program validation under qcheck --- *)
 
 let prop_sema_output_validates seed =
@@ -283,6 +362,8 @@ let () =
           Alcotest.test_case "multiple errors in one pass" `Quick
             test_multiple_errors_reported;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "compile_with_locs digests" `Quick test_frontend_golden ] );
       ( "validation",
         [
           Helpers.qtest ~count:50 "sema output validates" Helpers.arb_flat_prog
