@@ -156,6 +156,24 @@ let test_empty_if_branch_ok () =
   (* An if with only skips parses. *)
   ignore (parse_ok "program p; begin if true then skip; end; end.")
 
+(* The parser pulls tokens on demand, so the first error in source
+   order is reported, whether it is a syntax or a lexical one. *)
+let test_first_error_in_source_order () =
+  let check src (line, col) fragment =
+    match P.parse ~file:"t.mp" src with
+    | Ok _ -> Alcotest.failf "expected an error for %S" src
+    | Error (loc, msg) ->
+      Alcotest.(check (pair int int)) src (line, col) (loc.Frontend.Loc.line, loc.Frontend.Loc.col);
+      if not (contains msg fragment) then
+        Alcotest.failf "%S: error %S does not mention %S" src msg fragment
+  in
+  check "program p; begin x := ; end. @" (1, 23) "expected an expression";
+  check "program p; begin x := @; end." (1, 23) "unexpected character '@'";
+  check "program p; @ begin x := ; end." (1, 12) "unexpected character '@'";
+  check "program p; begin x := ; end. (* never closed" (1, 23) "expected an expression";
+  check "program p; begin end.\n(* never closed" (2, 1) "unterminated comment";
+  check "program p; begin x := 1 2; end. 99999999999999999999999" (1, 25) "expected ';'"
+
 let test_trailing_garbage () =
   check_err "program p; begin end. extra" "end of input"
 
@@ -248,6 +266,8 @@ let () =
         [
           Alcotest.test_case "diagnostics" `Quick test_errors;
           Alcotest.test_case "trailing garbage" `Quick test_trailing_garbage;
+          Alcotest.test_case "first error in source order" `Quick
+            test_first_error_in_source_order;
         ] );
       ( "round-trip",
         [
