@@ -22,8 +22,10 @@
 exception Error of Loc.t * string
 
 val parse : ?file:string -> string -> (Ast.program, Loc.t * string) result
-(** Parse a complete source string.  Lexical errors are reported
-    through the same [Error] channel. *)
+(** Parse a complete source string, pulling tokens from {!Lexer} one at
+    a time.  Lexical errors are reported through the same [Error]
+    channel; the parse stops at the first error in source order, syntax
+    or lexical. *)
 
 val parse_expr : ?file:string -> string -> (Ast.expr, Loc.t * string) result
 (** Parse a standalone expression (used by tests). *)
