@@ -388,6 +388,10 @@ let pairs t pid =
   let nv = t.n_vars in
   Array.fold_right (fun e acc -> (e / nv, e mod nv) :: acc) t.rows.(pid).keys []
 
+let iter_pairs t pid f =
+  let nv = t.n_vars and r = t.rows.(pid) in
+  Array.iteri (fun i e -> f (e / nv) (e mod nv) (Bytes.get r.tainted i <> '\000')) r.keys
+
 let pointer_tainted t ~proc (x, y) =
   let r = t.rows.(proc) in
   let i = find r.keys ((Int.min x y * t.n_vars) + Int.max x y) in

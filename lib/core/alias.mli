@@ -84,6 +84,12 @@ val compute :
 val pairs : t -> int -> (int * int) list
 (** [ALIAS(p)] as normalised [(min vid, max vid)] pairs, sorted. *)
 
+val iter_pairs : t -> int -> (int -> int -> bool -> unit) -> unit
+(** [iter_pairs t p f] calls [f x y tainted] on every pair of
+    [ALIAS(p)], in {!pairs} order, with [tainted] the pair's
+    {!pointer_tainted} answer.  Reads the frozen rows in place: no
+    list is built and no pair is searched for. *)
+
 val pointer_tainted : t -> proc:int -> int * int -> bool
 (** Did some derivation of the pair pass through pointer resolution —
     a dereference binding expanded by the points-to projection, or a

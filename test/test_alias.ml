@@ -239,7 +239,8 @@ let prop_close_superset seed =
 (* --- lookups against a pair scan ---
 
    [close], [aliases_of] and [may_alias] answer from per-procedure
-   partner rows; the reference answers scan every pair of [pairs].
+   partner rows, [iter_pairs] walks the frozen keys; the reference
+   answers scan every pair of [pairs].
    Query sets are random, biased towards pair members, sometimes
    dense. *)
 
@@ -286,6 +287,12 @@ let prop_lookups_match_scan make seed =
       done;
     if not (Bitvec.equal (Core.Alias.close t ~proc:pid set) (scan_close pairs set)) then
       ok := false;
+    let walked = ref [] in
+    Core.Alias.iter_pairs t pid (fun x y tainted -> walked := (x, y, tainted) :: !walked);
+    if
+      List.rev !walked
+      <> List.map (fun (x, y) -> (x, y, Core.Alias.pointer_tainted t ~proc:pid (x, y))) pairs
+    then ok := false;
     for _ = 1 to 4 do
       let x = pick () and y = pick () in
       if Core.Alias.aliases_of t ~proc:pid ~var:x <> scan_aliases pairs x then ok := false;
