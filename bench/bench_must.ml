@@ -1,22 +1,39 @@
-(* MUSTMOD solve cost: time and counted bit-vector word operations for
-   the interprocedural must-modify pass, after the may-side summaries
-   it consumes (GMOD, §5 aliases) are in hand.
+(* MUSTMOD solve cost: time, counted bit-vector word operations and
+   derived must facts for the interprocedural must-modify pass, after
+   the may-side summaries it consumes (GMOD, §5 aliases) are in hand.
 
-   The claim being measured: the pass is one structural sweep per
-   procedure per fixpoint round, and on the linear regime
-   ([fortran_fixed] holds the global population constant, so summary
-   sets are bounded) rounds stay flat and total word work grows
-   near-linearly in program size — the same leaves-to-roots budget as
-   Figure 1's RMOD, paid on the intersection side.
+   The claim being measured: the pass does work proportional to its
+   output.  Every procedure is solved once per solve ([rounds] =
+   procedures), the facts it derives ([mustmod.facts]) stay a flat
+   multiple of the MUSTMOD bits it outputs on every family, and on the
+   bounded-summary regime ([fortran_fixed] holds the global population
+   constant) word work grows near-linearly in program size.  The
+   [fortran_style] and [dag_style] ladders scale the globals with n, so
+   their outputs grow faster than n; [fortran_style]'s random recursion
+   makes large cyclic components, [dag_style] has none.  They stop at
+   2048 procedures, where the worklist solver took half a minute a row.
+
+   [before] in BENCH_must.json holds rows this harness measured on the
+   worklist solver (a member re-ran its whole transfer whenever an
+   in-component callee grew); reruns keep every key they do not write.
 
      dune exec bench/bench_must.exe        # writes BENCH_must.json *)
 
 module A = Core.Analyze
 module M = Core.Mustmod
+module F = Workload.Families
 
 let reps = 3
-let sizes = [ 50; 100; 200; 400; 800; 1600 ]
+
+let ladders =
+  [
+    ("fortran_fixed", [ 50; 100; 200; 400; 800; 1600 ], F.fortran_fixed);
+    ("fortran_style", [ 256; 512; 1024; 2048 ], F.fortran_style);
+    ("dag_style", [ 256; 512; 1024; 2048 ], F.dag_style);
+  ]
+
 let word_ops_metric = Obs.Metric.counter "bitvec.word_ops"
+let facts_metric = Obs.Metric.counter "mustmod.facts"
 
 let timed f =
   let best = ref infinity in
@@ -27,29 +44,34 @@ let timed f =
   done;
   !best
 
-let measure n =
-  let prog = Workload.Families.fortran_fixed ~seed:7 ~n in
+let measure family build n =
+  let prog = build ~seed:7 ~n in
   let gc0 = Gc.quick_stat () in
   let a = A.run prog in
   let solve () = M.solve a.A.info a.A.call ~alias:a.A.alias ~gmod:a.A.gmod in
   let snap = Obs.Metric.snapshot () in
   let m = solve () in
   let word_ops = Obs.Metric.value_since ~since:snap word_ops_metric in
+  let facts = Obs.Metric.value_since ~since:snap facts_metric in
   let elapsed = timed solve in
   let n_procs = Ir.Prog.n_procs prog in
-  let bits = ref 0 in
-  Array.iter (fun v -> bits := !bits + Bitvec.cardinal v) m.M.mustmod;
+  let bits = Array.fold_left (fun acc v -> acc + Bitvec.cardinal v) 0 m.M.mustmod in
   let us_per_proc = 1e6 *. elapsed /. float_of_int (max 1 n_procs) in
+  let facts_per_bit = float_of_int facts /. float_of_int (max 1 bits) in
   Printf.printf
-    "   n=%5d | %5d procs %6d must bits %2d rounds | %8d word ops  %8.4fs  \
-     %6.2f us/proc\n\
+    "   %-13s n=%5d | %5d procs %7d must bits %7d rounds %8d facts (%.2f/bit) | \
+     %9d word ops  %8.4fs  %7.2f us/proc\n\
      %!"
-    n n_procs !bits m.M.rounds word_ops elapsed us_per_proc;
+    family n n_procs bits m.M.rounds facts facts_per_bit word_ops elapsed us_per_proc;
   Obs.Json.Obj
     [
+      ("family", Obs.Json.String family);
+      ("n", Obs.Json.Int n);
       ("n_procs", Obs.Json.Int n_procs);
-      ("must_bits", Obs.Json.Int !bits);
+      ("must_bits", Obs.Json.Int bits);
       ("rounds", Obs.Json.Int m.M.rounds);
+      ("facts", Obs.Json.Int facts);
+      ("facts_per_bit", Obs.Json.Float facts_per_bit);
       ("word_ops", Obs.Json.Int word_ops);
       ("elapsed_s", Obs.Json.Float elapsed);
       ("us_per_proc", Obs.Json.Float us_per_proc);
@@ -64,21 +86,34 @@ let () =
     "== interprocedural MUSTMOD solve (best of %d, wall clock, after \
      Analyze.run) ==\n"
     reps;
-  let rows = List.map measure sizes in
+  let rows =
+    List.concat_map
+      (fun (family, sizes, build) -> List.map (measure family build) sizes)
+      ladders
+  in
+  let written = [ "experiment"; "claim"; "workload"; "rows" ] in
+  let kept =
+    match Obs.Json.parse (In_channel.with_open_bin "BENCH_must.json" In_channel.input_all) with
+    | Ok (Obs.Json.Obj kv) -> List.filter (fun (k, _) -> not (List.mem k written)) kv
+    | Ok _ | Error _ | (exception Sys_error _) -> []
+  in
   let json =
     Obs.Json.Obj
-      [
-        ("experiment", Obs.Json.String "mustmod");
-        ( "claim",
-          Obs.Json.String
-            "on the bounded-summary regime the must-modify pass does \
-             near-linear word work: one structural sweep per procedure per \
-             round, rounds flat on acyclic condensations, word ops ~2x per \
-             size doubling" );
-        ( "workload",
-          Obs.Json.String "fortran_fixed, seed 7, Mustmod.solve alone" );
-        ("rows", Obs.Json.List rows);
-      ]
+      ([
+         ("experiment", Obs.Json.String "mustmod");
+         ( "claim",
+           Obs.Json.String
+             "the must-modify pass does work proportional to its output: one \
+              member solve per procedure (rounds = procedures), derived facts \
+              a flat multiple of the MUSTMOD bits on every family, and word \
+              ops ~2x per size doubling on the bounded-summary regime" );
+         ( "workload",
+           Obs.Json.String
+             "fortran_fixed, fortran_style, dag_style, seed 7, Mustmod.solve \
+              alone after Analyze.run, best of 3" );
+         ("rows", Obs.Json.List rows);
+       ]
+      @ kept)
   in
   let oc = open_out "BENCH_must.json" in
   output_string oc (Obs.Json.to_string json);
