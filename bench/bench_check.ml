@@ -117,15 +117,40 @@ let mustmod_point build n =
 
 let mustmod_ladder = [ 256; 512; 1024; 2048 ]
 
-(* MUSTMOD rounds per procedure wobble with the random call graph's
-   SCC shapes (the chaotic iteration of a giant component converges
-   through more intermediate values as its diameter grows), so
-   individual doubling steps are noisy.  The gate is therefore the
-   growth exponent fitted across the whole ladder — 1.0 is linear,
-   2.0 is quadratic; measured ~1.3 with the compact frames — plus a
+(* MUSTMOD's counted word ops are its projections of callee sets at
+   call sites and its expansions onto the full universe, and how many
+   of those vectors the random call graph pushes into the dense form
+   varies from size to size, so individual doubling steps are noisy.
+   The gate is therefore the growth exponent fitted across the whole
+   ladder — 1.0 is linear, 2.0 is quadratic; measured ~0.9 — plus a
    loose per-step cap that catches a localized cliff. *)
 let mustmod_exponent_max = 1.6
 let mustmod_step_max = 4.0
+
+(* MUSTMOD work per output bit.  The solver derives each must fact at
+   most once per scope (body root or [if] branch), so the facts it
+   pushes ([mustmod.facts], point operations the word ops do not see)
+   stay a flat multiple of the MUSTMOD bits it outputs.  Gated on the
+   families whose outputs grow faster than n: [fortran_style], whose
+   random recursion makes large cyclic components, and [dag_style],
+   which has none.  Measured 1.03-1.24 per bit over both ladders. *)
+let must_facts_families =
+  [ ("fortran_style", Workload.Families.fortran_style);
+    ("dag_style", Workload.Families.dag_style) ]
+
+let must_facts_ladder = [ 256; 512; 1024; 2048 ]
+let must_facts_per_bit_max = 1.5
+let facts_metric = Obs.Metric.counter "mustmod.facts"
+
+let must_facts_per_bit build n =
+  let prog = build ~seed:7 ~n in
+  let snap = Obs.Metric.snapshot () in
+  let a = A.run prog in
+  let facts = Obs.Metric.value_since ~since:snap facts_metric in
+  let bits =
+    Array.fold_left (fun acc v -> acc + Bitvec.cardinal v) 0 a.A.mustmod.Core.Mustmod.mustmod
+  in
+  float_of_int facts /. float_of_int (max 1 bits)
 
 (* Reaching definitions build gen/kill with one walk of defs(v) per
    block that definitely writes [v], so on [fortran_fixed]'s bounded
@@ -216,6 +241,18 @@ let () =
   in
   must_steps counts;
   exponent_gate "mustmod word-ops" counts mustmod_exponent_max;
+  (* 1b'. MUSTMOD facts per output bit on the growing-output families *)
+  List.iter
+    (fun (family, build) ->
+      List.iter
+        (fun n ->
+          let r = must_facts_per_bit build n in
+          check
+            (Printf.sprintf "%s mustmod facts per bit n=%d" family n)
+            (r <= must_facts_per_bit_max)
+            (Printf.sprintf "%.2f (max %.2f)" r must_facts_per_bit_max))
+        must_facts_ladder)
+    must_facts_families;
   (* 1c. reaching-definitions gen/kill growth exponent, same programs *)
   let visits = List.map (fun (n, (_, k)) -> (n, k)) points in
   List.iter

@@ -16,10 +16,11 @@
       writes its index, and a call contributes the callee's bound
       [MUSTMOD] projected into the caller's frame.
     - {b Propagation}: bottom-up over the call condensation in reverse
-      topological component order (callees final before callers);
-      cyclic components iterate their members from ∅ to the least
-      fixpoint, so recursion only keeps what every unrolling agrees
-      on.
+      topological component order (callees final before callers).  A
+      component's members start at ∅ and grow one derived fact at a
+      time, each fact at most once per body root or [if] branch, up to
+      the least fixpoint, so recursion only keeps what every unrolling
+      agrees on.
     - {b Demotion}: a variable in any §5 alias pair of the procedure
       (pointer-carried and heap-seeded pairs included) is demoted from
       must to may, and the result is capped by [GMOD] — the enforced
@@ -31,11 +32,10 @@
 
 type state
 (** The call graph the solve ran on (its condensation, [call.scc], is
-    the one GMOD and GUSE share) plus in-component caller lists, the
-    per-procedure frames and, in frame
-    coordinates, the GMOD caps, demotion sets and MUSTMOD values —
-    everything {!resolve} needs to push an edit through without
-    re-walking the graph. *)
+    the one GMOD and GUSE share) plus the per-procedure frames and the
+    MUSTMOD values in frame coordinates — everything {!resolve} needs,
+    besides the new [gmod] and alias demotions, to push an edit through
+    without re-walking the graph. *)
 
 type result = {
   prog : Ir.Prog.t;
@@ -48,7 +48,9 @@ type result = {
   demoted : Bitvec.t array;
       (** Per-procedure alias-demoted variables (members of any §5
           pair). *)
-  rounds : int;  (** Component-iteration rounds executed. *)
+  rounds : int;
+      (** Members solved: one per member per component solve, so a
+          batch solve reads the number of procedures. *)
   state : state;
 }
 
@@ -67,8 +69,9 @@ val solve :
     [?pool]; per-component work does not depend on the pool, so results
     and counted bit-vector op totals are bit-identical at every jobs
     setting.  Runs under an {!Obs.Span} named [label] (default
-    ["mustmod"]) and adds its round count to the [mustmod.rounds]
-    registry counter. *)
+    ["mustmod"]), adds its round count to the [mustmod.rounds] registry
+    counter and the facts it derived to [mustmod.facts]: each derived
+    fact is a point operation, which [bitvec.word_ops] does not see. *)
 
 val resolve :
   ?label:string ->
@@ -82,10 +85,10 @@ val resolve :
 (** [resolve r info ~alias ~gmod ~changed_procs] updates a solved
     instance after a body edit that left the call graph's shape intact.
     [changed_procs] must list the edited procedures and every procedure
-    whose [GMOD] changed.  Re-derives their gen, demotion and cap sets,
-    then runs {!solve}'s component solver through
-    {!Par.Wavefront.resolve} from their components (cyclic components
-    re-solve from ∅ — must facts can shrink under an edit): an ancestor
+    whose [GMOD] changed.  Re-derives their gen and demotion sets, reads
+    the cap from [gmod], then runs {!solve}'s component solver through
+    {!Par.Wavefront.resolve} from their components (components re-solve
+    from ∅ — must facts can shrink under an edit): an ancestor
     runs only if a callee component's sets came out changed.  With no
     [changed_procs] it runs no component.  [r] itself is left
     untouched.  Equal, bit for bit, to {!solve} on the edited program,
