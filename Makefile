@@ -328,10 +328,13 @@ bench-frontend:
 bench-must:
 	dune exec bench/bench_must.exe
 
+bench-bitvec:
+	dune exec bench/bench_bitvec.exe
+
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/parallelize.exe
 	dune exec examples/optimizer.exe
 	dune exec examples/nested_pascal.exe
 
-.PHONY: all test test-force bench bench-quick bench-check pipebench-smoke bench-incremental bench-parallel bench-dataflow bench-serve bench-summary bench-frontend bench-must bench-ptsto profile-smoke incremental-smoke parallel-smoke lint-smoke dataflow-smoke obs-smoke serve-smoke ptsto-smoke must-smoke examples
+.PHONY: all test test-force bench bench-quick bench-check pipebench-smoke bench-incremental bench-parallel bench-dataflow bench-serve bench-summary bench-frontend bench-must bench-bitvec bench-ptsto profile-smoke incremental-smoke parallel-smoke lint-smoke dataflow-smoke obs-smoke serve-smoke ptsto-smoke must-smoke examples
