@@ -369,6 +369,111 @@ let test_blit_charges_source () =
   Alcotest.(check (pair int int)) "wide destination" (1, src_words) (cost wide);
   Alcotest.(check (pair int int)) "narrow destination" (1, src_words) (cost narrow)
 
+(* --- set-bit enumeration at every bit position ---
+
+   The walk finds each member's bit within its word from the isolated
+   low bit, so every position of a word is its own case: bit 0, the
+   middle bits and bit [int_size - 1], the sign bit.  Positions
+   [0 .. pos_span - 1] cover three whole words.  The universe is wide
+   enough that the small threshold is twice [pos_span]: every subset of
+   the span stays small when built in hybrid mode, and a dense
+   intersection that keeps the whole span still demotes. *)
+
+let pos_span = 3 * Sys.int_size
+let pos_len = 2 * pos_span * Sys.int_size
+
+type form = Small | Dense_hybrid | Dense_legacy
+
+let form_name = function
+  | Small -> "small"
+  | Dense_hybrid -> "dense/hybrid"
+  | Dense_legacy -> "dense/legacy"
+
+(* A dense vector holding [members], whatever its cardinality. *)
+let dense_of members = with_mode false (fun () -> B.of_list pos_len members)
+
+(* [members] in [form], and the mode its operations run under. *)
+let build form members =
+  match form with
+  | Small ->
+    let v = with_mode true (fun () -> B.of_list pos_len members) in
+    if B.repr_kind v <> `Small then Alcotest.fail "expected a small vector";
+    (v, true)
+  | Dense_hybrid -> (dense_of members, true)
+  | Dense_legacy -> (dense_of members, false)
+
+let get_scan v = List.filter (B.get v) (List.init (B.length v) Fun.id)
+
+let int_list = Alcotest.(list int)
+
+(* Every enumeration of [v] against a [get] scan of it. *)
+let check_enumerations what v =
+  let want = get_scan v in
+  let collect iter =
+    let acc = ref [] in
+    iter (fun i -> acc := i :: !acc) v;
+    List.rev !acc
+  in
+  Alcotest.check int_list (what ^ ": iter") want (collect B.iter);
+  Alcotest.check int_list (what ^ ": iter_uncounted") want (collect B.iter_uncounted);
+  Alcotest.check int_list (what ^ ": fold") want
+    (List.rev (B.fold (fun i acc -> i :: acc) v []));
+  Alcotest.check int_list (what ^ ": to_list") want (B.to_list v);
+  Alcotest.(check (option int)) (what ^ ": choose")
+    (match want with [] -> None | m :: _ -> Some m)
+    (B.choose v);
+  List.iter
+    (fun m ->
+      if not (B.exists (fun i -> i = m) v) then Alcotest.failf "%s: exists misses %d" what m)
+    want;
+  if B.exists (fun i -> not (List.mem i want)) v then
+    Alcotest.failf "%s: exists finds a non-member" what
+
+(* [members] in [form], read out directly, after a demoting (in hybrid
+   mode) [inter_into] with a dense source holding the whole span, and
+   after a [diff_into] that removes every other position of the span. *)
+let check_position_set what form members =
+  let v, hybrid = build form members in
+  with_mode hybrid @@ fun () ->
+  let what = Printf.sprintf "%s %s" (form_name form) what in
+  Alcotest.check int_list (what ^ ": get scan") members (get_scan v);
+  check_enumerations what v;
+  let all = dense_of (List.init pos_span Fun.id) in
+  let dst = B.copy v in
+  ignore (B.inter_into ~src:all ~dst);
+  if hybrid && B.repr_kind dst <> `Small then
+    Alcotest.failf "%s: the inter_into did not demote" what;
+  check_enumerations (what ^ " after inter_into") dst;
+  Alcotest.check int_list (what ^ ": inter_into") members (get_scan dst);
+  let others = List.filter (fun i -> not (List.mem i members)) (List.init pos_span Fun.id) in
+  let dst = dense_of (List.init pos_span Fun.id) in
+  ignore (B.diff_into ~src:(dense_of others) ~dst);
+  check_enumerations (what ^ " after diff_into") dst;
+  Alcotest.check int_list (what ^ ": diff_into") members (get_scan dst)
+
+let test_every_position () =
+  List.iter
+    (fun form ->
+      for i = 0 to pos_span - 1 do
+        check_position_set (Printf.sprintf "bit %d alone" i) form [ i ]
+      done;
+      check_position_set "every bit" form (List.init pos_span Fun.id))
+    [ Small; Dense_hybrid; Dense_legacy ]
+
+let arb_positions =
+  QCheck.make
+    QCheck.Gen.(
+      triple (oneofl [ Small; Dense_hybrid; Dense_legacy ]) (0 -- 100)
+        (list_repeat pos_span (0 -- 99)))
+    ~print:(fun (form, density, draws) ->
+      Printf.sprintf "%s density %d%% draws [%s]" (form_name form) density
+        (String.concat ";" (List.map string_of_int draws)))
+
+let prop_positions (form, density, draws) =
+  let members = List.concat (List.mapi (fun i d -> if d < density then [ i ] else []) draws) in
+  check_position_set "random" form members;
+  true
+
 (* --- property tests against a list model --- *)
 
 let arb_sets =
@@ -431,6 +536,8 @@ let () =
             test_hybrid_accounting;
           Alcotest.test_case "blit charges the source only" `Quick
             test_blit_charges_source;
+          Alcotest.test_case "enumeration at every bit position" `Quick
+            test_every_position;
         ] );
       ( "properties",
         [
@@ -444,5 +551,7 @@ let () =
             prop_hybrid_model;
           Helpers.qtest "queries agree across representations" arb_sets
             prop_hybrid_queries;
+          Helpers.qtest "enumerations = get scan on random position sets" arb_positions
+            prop_positions;
         ] );
     ]
