@@ -179,6 +179,49 @@ let frontend_words n =
   | Error _ -> failwith "bench-check: generated source does not compile");
   (String.length src, int_of_float (Gc.minor_words () -. w0))
 
+(* Set-bit enumeration must not depend on where a member sits in its
+   word: every read-out of a solved set ([iter], [to_list], the
+   gen/kill walks, the per-site answers) goes through it uncharged, so
+   a per-position cost shows in no word-op pin.  The gate times [iter]
+   over dense vectors of [enum_n] bits whose members are all bit 62 of
+   their word (the sign bit) and all bit 0, interleaved, best of
+   [enum_reps] batches each, and bounds the per-member ratio.  A kernel
+   that shifts the low bit down one place per step reads 8-13 here;
+   a constant-time bit index reads about 1. *)
+let enum_n = 65536
+let enum_reps = 7
+let enum_ratio_max = 2.0
+
+let enum_ratio () =
+  let dense offset =
+    let saved = Bitvec.hybrid_enabled () in
+    Bitvec.set_hybrid false;
+    let v = Bitvec.create enum_n in
+    let w = ref 0 in
+    while (!w * Sys.int_size) + offset < enum_n do
+      Bitvec.set v ((!w * Sys.int_size) + offset);
+      incr w
+    done;
+    Bitvec.set_hybrid saved;
+    (v, !w)
+  in
+  let time (v, members) =
+    let batch = 1_000_000 / members in
+    let sum = ref 0 in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to batch do
+      Bitvec.iter (fun i -> sum := !sum + i) v
+    done;
+    (Unix.gettimeofday () -. t0) /. float_of_int (batch * members)
+  in
+  let low = dense 0 and high = dense (Sys.int_size - 1) in
+  let low_s = ref infinity and high_s = ref infinity in
+  for _ = 1 to enum_reps do
+    low_s := Float.min !low_s (time low);
+    high_s := Float.min !high_s (time high)
+  done;
+  (1e9 *. !low_s, 1e9 *. !high_s)
+
 (* Every step of a size-doubling ladder grows by at most [ratio_max]. *)
 let rec doubling_steps what counts ratio_max =
   match counts with
@@ -275,6 +318,13 @@ let () =
   doubling_steps "frontend minor-words growth"
     (List.map (fun (n, (_, w)) -> (n, w)) points)
     frontend_ratio_max;
+  (* 1e. set-bit enumeration: the same cost per member at every bit *)
+  let low_ns, high_ns = enum_ratio () in
+  let r = high_ns /. low_ns in
+  Printf.printf "   bitvec iter n=%d: %.2f ns/member at bit 0, %.2f at bit %d\n%!" enum_n
+    low_ns high_ns (Sys.int_size - 1);
+  check "bitvec iter bit-62/bit-0 per member" (r <= enum_ratio_max)
+    (Printf.sprintf "%.2f (max %.2f)" r enum_ratio_max);
   (* 2. jobs-4 overhead + bit-identity on the 2048-proc families *)
   Printf.printf "   speedup floor %.2f (recommended_domain_count %d)\n%!"
     speedup_floor
