@@ -259,7 +259,14 @@ let compute ?provenance info =
     Array.stable_sort (fun a b -> Int.compare a.base b.base) by_base;
     { site = s; bindings; by_base; seen = 0 }
   in
-  let sites = Array.map site_state prog.Prog.sites in
+  (* A site with no by-reference binding introduces and propagates
+     nothing, so the rounds skip it and never read its caller's log. *)
+  let sites =
+    Array.of_list
+      (List.filter
+         (fun st -> Array.length st.bindings > 0)
+         (List.map site_state (Array.to_list prog.Prog.sites)))
+  in
   (* Introduction: same base (or same may-named cell) at two
      positions; visible base.  Bindings never change, so this runs on
      a site's first visit only. *)
