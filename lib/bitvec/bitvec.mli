@@ -29,7 +29,17 @@
     zero-fill, top rescans) are not counted.  Under
     [set_hybrid false] the accounting reverts to the legacy dense
     contract: every operation charges the full word count of the
-    universe. *)
+    universe.
+
+    {b Enumeration.}  Reading a set out — {!iter}, {!iter_uncounted},
+    {!fold}, {!exists}, {!choose}, {!to_list}, and the demotion that
+    collects a shrunk dense intersection into the small form — costs
+    O(occupied words + members) in time, whatever bit of its word a
+    member sits at.  One kernel serves all of them: it isolates a
+    word's lowest set bit [low] and takes its index as
+    [popcount_word (low - 1)], so every member costs the same constant
+    number of word operations.  The counted ones charge the live size
+    once per call; the per-member work is not counted. *)
 
 type t
 (** A fixed-length mutable bit vector.  Indices range over
@@ -96,8 +106,9 @@ val cardinal : t -> int
 
 val popcount_word : int -> int
 (** Population count of a raw machine word — the branch-free SWAR
-    kernel under {!cardinal}.  Exposed so tests can pin it against a
-    reference implementation; counts nothing. *)
+    kernel under {!cardinal} and under every enumeration's bit index.
+    Exposed so tests can pin it against a reference implementation;
+    counts nothing. *)
 
 val search : int array -> int -> int -> int
 (** [search a n x] binary-searches the ascending prefix [a.(0 .. n - 1)]:
