@@ -453,6 +453,80 @@ let identity_digests =
     ("gen 47", "124b36cee22390f50dca18493994e3bc");
     ("gen 48", "323739f2b852bb9ee3cff9a2730a0bb2");
     ("gen 49", "f02e216cd262b1206da51b92c6a7e927");
+    ("storage overlap", "b53320e19109781bd49ea83c30126b12");
+    ("same dereference twice", "4e8bfc573a950d9859d1d2924faf761e");
+    ("dereference and plain", "fbab30ffd9f8a6c046baaacd27eeb572");
+  ]
+
+(* Call sites whose dereference actuals bind overlapping cell sets.
+   In "storage overlap" [*p] and [*q] meet only through [g.c], which is
+   bound to both [x] and [y] (Andersen keeps [p] and [q] apart); in
+   "same dereference twice" one projection binds two formals; in
+   "dereference and plain" a dereference meets a plain actual, at a
+   site of [main] and, through [h]'s pairs, by propagation. *)
+let set_binding_corpus =
+  [
+    ( "storage overlap",
+      {|program m;
+var x, y, z : int;
+var p, q : ptr of int;
+procedure g(var c : int);
+begin
+  c := 1;
+end;
+procedure f(var a : int; var b : int);
+begin
+  a := 1;
+end;
+procedure k(var s : int; var t : int; var u : int);
+begin
+  call f(s, u);
+end;
+begin
+  p := &x;
+  q := &y;
+  call g(x);
+  call g(y);
+  call f( *p, *q);
+  call k( *q, z, *p);
+end.|} );
+    ( "same dereference twice",
+      {|program m;
+var x, y : int;
+var p : ptr of int;
+procedure f(var a : int; var b : int);
+begin
+  a := 1;
+end;
+procedure h(var c : int; var d : int);
+begin
+  call f(c, d);
+end;
+begin
+  p := &x;
+  call f( *p, *p);
+  call h( *p, *p);
+  call h(y, *p);
+end.|} );
+    ( "dereference and plain",
+      {|program m;
+var x, y : int;
+var p : ptr of int;
+procedure f(var a : int; var b : int);
+begin
+  a := 1;
+end;
+procedure h(var u : int; var v : int);
+begin
+  call f(u, *p);
+  call f( *p, v);
+end;
+begin
+  p := &x;
+  call f( *p, x);
+  call h(x, y);
+  call h(y, x);
+end.|} );
   ]
 
 let test_identity_golden () =
@@ -460,7 +534,8 @@ let test_identity_golden () =
     (fun (name, make) ->
       let got = Digest.to_hex (Digest.string (identity_text (make ()))) in
       Alcotest.(check string) name (List.assoc name identity_digests) got)
-    Helpers.alias_corpus
+    (Helpers.alias_corpus
+    @ List.map (fun (name, src) -> (name, fun () -> compile src)) set_binding_corpus)
 
 (* --- §5 cost ---
 
