@@ -1,9 +1,15 @@
+type cells = { id : int; vars : int array }
+
 type pointers = {
   deref : int -> int -> int list;
   deref_heap : int -> int -> int list;
+  deref_set : int -> int -> cells;
 }
 
-let no_pointers = { deref = (fun _ _ -> []); deref_heap = (fun _ _ -> []) }
+let no_cells = { id = 0; vars = [||] }
+
+let no_pointers =
+  { deref = (fun _ _ -> []); deref_heap = (fun _ _ -> []); deref_set = (fun _ _ -> no_cells) }
 
 type t = {
   prog : Prog.t;
@@ -143,6 +149,7 @@ let level_at_most t l =
 let fresh t = Bitvec.create (n_vars t)
 let deref t p d = t.pointers.deref p d
 let deref_heap t p d = t.pointers.deref_heap p d
+let deref_set t p d = t.pointers.deref_set p d
 
 let lvalue_cells t (lv : Expr.lvalue) =
   match lv with

@@ -7,6 +7,16 @@
 
 type t
 
+type cells = { id : int; vars : int array }
+(** One interned answer of the projection: the variables a dereference
+    may name, ascending in [vars], and a dense [id].  Under one
+    projection, two dereferences get the same [id] iff they may name
+    the same variables, and then the same [vars] array, which must not
+    be mutated.  Id 0 is the empty set. *)
+
+val no_cells : cells
+(** The empty set, id 0. *)
+
 type pointers = {
   deref : int -> int -> int list;
       (** [deref p d]: every variable the [d]-fold dereference
@@ -14,12 +24,15 @@ type pointers = {
   deref_heap : int -> int -> int list;
       (** [deref_heap p d]: the heap summary locations ([new] sites)
           that dereference may name. *)
+  deref_set : int -> int -> cells;
+      (** [deref_set p d]: the variables of [deref p d] as their
+          interned {!cells}. *)
 }
 (** The points-to projection, the one fact about pointers the
     interprocedural phases read.  [Core.Analyze.run] builds it from
     the points-to solution ([Ptsto.pointers]); every phase that
     expands a dereference reads it back through {!deref},
-    {!deref_heap} or {!lvalue_cells}. *)
+    {!deref_heap}, {!deref_set} or {!lvalue_cells}. *)
 
 val make : ?pointers:pointers -> Prog.t -> t
 (** Without [~pointers] every dereference names nothing — exact on
@@ -86,6 +99,13 @@ val deref : t -> int -> int -> int list
 (** The [deref] field of the projection [t] was made with. *)
 
 val deref_heap : t -> int -> int -> int list
+
+val deref_set : t -> int -> int -> cells
+(** The [deref_set] field: the variables of {!deref} as one interned
+    set, so a caller that binds a dereference as a whole can recognise
+    a set it has seen by its [id] instead of walking it.  A lookup; no
+    list is built.  The §5 alias closure reads dereference actuals
+    through it. *)
 
 val lvalue_cells : t -> Expr.lvalue -> int list
 (** The variables an lvalue may name, written to or bound to a

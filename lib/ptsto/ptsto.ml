@@ -372,6 +372,7 @@ type t = {
   proj : (int list * int list) array array;
       (* [proj.(v).(d - 1)]: the variables and the heap sites [*^d v] may
          name, for [1 <= d <= ptr_depth v]; empty rows elsewhere *)
+  sets : Ir.Info.cells array array;  (* the variables of [proj], interned *)
 }
 
 let tier t = t.tier
@@ -385,8 +386,13 @@ let projection t p d =
 
 let deref_targets t p d = fst (projection t p d)
 let deref_heap t p d = snd (projection t p d)
+
+let deref_set t p d =
+  let row = t.sets.(p) in
+  if d >= 1 && d <= Array.length row then row.(d - 1) else Ir.Info.no_cells
+
 let pointers t =
-  { Ir.Info.deref = deref_targets t; deref_heap = deref_heap t }
+  { Ir.Info.deref = deref_targets t; deref_heap = deref_heap t; deref_set = deref_set t }
 
 let same_projection a b = a.proj = b.proj
 
@@ -531,13 +537,25 @@ let analyze ?(tier = Steensgaard) prog =
     Int_set.iter (fun k -> heap_bound.(k) <- v :: heap_bound.(k)) heap_src.(v)
   done;
   let mark = Array.make nv (-1) and stamp = ref 0 in
+  (* Every distinct variable answer is interned once: a dense id in
+     first-seen order and one shared array. *)
+  let interned = Hashtbl.create 64 in
+  Hashtbl.replace interned [] Ir.Info.no_cells;
+  let intern vars =
+    match Hashtbl.find_opt interned vars with
+    | Some c -> c
+    | None ->
+      let c = { Ir.Info.id = Hashtbl.length interned; vars = Array.of_list vars } in
+      Hashtbl.replace interned vars c;
+      c
+  in
   (* The projection of a dereference depends only on its raw cells, so
      dereferences with the same raw cells (every pointer of one
      Steensgaard class) share one answer. *)
   let closed = Hashtbl.create 64 in
   let close ((vars, heap) as raw) =
     match Hashtbl.find_opt closed raw with
-    | Some r -> r
+    | Some answer -> answer
     | None ->
       (* Storage the dereference may actually strike: the raw cells'
          own possible storage (a raw formal cell carries its binding
@@ -571,17 +589,20 @@ let analyze ?(tier = Steensgaard) prog =
           drain ()
       in
       drain ();
-      let r = (List.sort Int.compare !out, Int_set.elements sh) in
-      Hashtbl.replace closed raw r;
-      r
+      let targets = List.sort Int.compare !out in
+      let answer = ((targets, Int_set.elements sh), intern targets) in
+      Hashtbl.replace closed raw answer;
+      answer
   in
-  let proj =
+  let answers =
     Array.init nv (fun v ->
         Array.init
           (Types.ptr_depth (Prog.var prog v).Prog.vty)
           (fun i -> close (raw_cells v (i + 1))))
   in
-  { prog; tier; n_heap; heap_names; proj }
+  let proj = Array.map (Array.map fst) answers in
+  let sets = Array.map (Array.map snd) answers in
+  { prog; tier; n_heap; heap_names; proj; sets }
 
 let pp ppf t =
   let prog = t.prog in

@@ -98,10 +98,17 @@ val deref_heap : t -> int -> int -> int list
 (** Heap locations (by [new]-site id) the [d]-fold dereference may
     name, sorted ascending. *)
 
+val deref_set : t -> int -> int -> Ir.Info.cells
+(** {!deref_targets} as an interned set: every distinct answer of this
+    solution is built once, with a dense id in the order [analyze]
+    first meets it (id 0 is the empty set) and one shared ascending
+    array.  Two dereferences have the same id iff they may name the
+    same variables; their heap parts may differ.  A lookup. *)
+
 val pointers : t -> Ir.Info.pointers
-(** {!deref_targets} and {!deref_heap} as the projection
-    {!Ir.Info.make} takes: the one place the solution enters the
-    interprocedural phases. *)
+(** {!deref_targets}, {!deref_heap} and {!deref_set} as the
+    projection {!Ir.Info.make} takes: the one place the solution
+    enters the interprocedural phases. *)
 
 val same_projection : t -> t -> bool
 (** Do two solutions, over programs with the same variable table,
