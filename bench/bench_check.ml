@@ -222,6 +222,24 @@ let enum_ratio () =
   done;
   (1e9 *. !low_s, 1e9 *. !high_s)
 
+(* §5 binds a dereference actual as one interned cell set, and walks
+   the visible cells of a set once per callee formal it binds, so the
+   projection cells its introduction rules read ([alias.binding_cells])
+   stay within the pairs it produces plus one probe per site.  On
+   [ptr_funnel] under Steensgaard every one of the n sites binds the
+   same n-cell set to one of two formals: expanding it at every site
+   reads n² cells for 2n pairs. *)
+let binding_cells_ladder = [ 200; 400; 800; 1600 ]
+let binding_cells_metric = Obs.Metric.counter "alias.binding_cells"
+
+let binding_cells n =
+  let prog = Workload.Families.ptr_funnel n in
+  let snap = Obs.Metric.snapshot () in
+  let a = A.run ~ptsto:Ptsto.Steensgaard prog in
+  ( Obs.Metric.value_since ~since:snap binding_cells_metric,
+    Core.Alias.total_pairs a.A.alias,
+    Ir.Prog.n_sites prog )
+
 (* Every step of a size-doubling ladder grows by at most [ratio_max]. *)
 let rec doubling_steps what counts ratio_max =
   match counts with
@@ -325,6 +343,15 @@ let () =
     low_ns high_ns (Sys.int_size - 1);
   check "bitvec iter bit-62/bit-0 per member" (r <= enum_ratio_max)
     (Printf.sprintf "%.2f (max %.2f)" r enum_ratio_max);
+  (* 1f. §5 projection cells read per pair on the pointer funnel *)
+  List.iter
+    (fun n ->
+      let cells, pairs, sites = binding_cells n in
+      check
+        (Printf.sprintf "ptr_funnel alias binding cells n=%d" n)
+        (cells <= pairs + sites)
+        (Printf.sprintf "%d cells (max pairs %d + sites %d)" cells pairs sites))
+    binding_cells_ladder;
   (* 2. jobs-4 overhead + bit-identity on the 2048-proc families *)
   Printf.printf "   speedup floor %.2f (recommended_domain_count %d)\n%!"
     speedup_floor
