@@ -95,6 +95,31 @@ let prop_pointer_free_identical seed =
   done;
   !same
 
+(* [deref_set] interns [deref_targets]: the same variables, one record
+   per distinct answer (the empty one is [Ir.Info.no_cells]), and ids
+   dense from 0. *)
+let prop_interned_sets seed =
+  let prog = ptr_prog_of_seed seed in
+  List.for_all
+    (fun tier ->
+      let pt = Ptsto.analyze ~tier prog in
+      let seen = Hashtbl.create 16 in
+      Hashtbl.replace seen [] Ir.Info.no_cells;
+      let ok = ref true in
+      for v = 0 to P.n_vars prog - 1 do
+        for d = 0 to Ir.Types.ptr_depth (P.var prog v).P.vty + 1 do
+          let targets = Ptsto.deref_targets pt v d in
+          let c = Ptsto.deref_set pt v d in
+          if Array.to_list c.Ir.Info.vars <> targets then ok := false;
+          match Hashtbl.find_opt seen targets with
+          | Some c' -> if c' != c then ok := false
+          | None -> Hashtbl.replace seen targets c
+        done
+      done;
+      let ids = Hashtbl.fold (fun _ c acc -> c.Ir.Info.id :: acc) seen [] in
+      !ok && List.sort compare ids = List.init (Hashtbl.length seen) Fun.id)
+    [ Ptsto.Steensgaard; Ptsto.Andersen ]
+
 (* The acceptance separation: on the funnel family Andersen keeps the
    per-pointer targets apart that Steensgaard's unification merges, so
    it proves strictly fewer §5 pairs. *)
@@ -153,6 +178,8 @@ let () =
             (site_sound Ptsto.Andersen);
           Helpers.qtest "pointer-free programs identical" Helpers.arb_flat_prog
             prop_pointer_free_identical;
+          Helpers.qtest "deref sets interned per distinct answer" arb_ptr_prog
+            prop_interned_sets;
         ] );
       ( "families",
         [
