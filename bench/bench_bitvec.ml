@@ -2,8 +2,8 @@
    read a solved set out of a [Bitvec] — [iter] (behind [fold],
    [exists], [choose] and every client walk), [to_list] (every query
    answer and listing) and demotion (a dense [inter_into] whose
-   survivors fall under half the small threshold and are collected
-   into the small form).
+   survivors are fewer than the words of their occupied prefix and are
+   collected into the small form).
 
    The claim being measured: enumeration costs O(1) per member plus
    O(1) per occupied word, whatever bit of its word a member sits at.
@@ -11,10 +11,11 @@
    members are bit 0 of every word, bit 62 of every word (the sign bit
    of a 63-bit OCaml int), a seeded random 1/8 or 1/2 of the bits, or
    all of them.  A demotion row restores the dense destination with a
-   [blit] and intersects it with a dense source holding
-   [small_threshold n / 2] members of the pattern, evenly spaced; its
-   time is per surviving member and includes the restore and the word
-   scan.  [bit62_over_bit0] divides the [iter] figures of the two
+   [blit] and intersects it with a dense source holding half as many
+   members of the pattern as the vector has words, evenly spaced,
+   so the survivors span the vector and the small form is the cheaper
+   one; its time is per surviving member and includes the restore and
+   the word scan.  [bit62_over_bit0] divides the [iter] figures of the two
    single-bit patterns at each n: a kernel whose cost depends on the
    bit position shows it there.
 
@@ -107,7 +108,7 @@ let measure n (pattern, make) =
   let members = make n in
   let card = List.length members in
   let v = dense_of n members in
-  let survivors = spread (B.small_threshold n / 2) members in
+  let survivors = spread ((n + word - 1) / word / 2) members in
   let iter = iter_ns v card in
   let iter_row = row "iter" n pattern card iter in
   let to_list_row = row "to_list" n pattern card (to_list_ns v card) in

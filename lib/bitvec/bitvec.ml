@@ -5,17 +5,21 @@
 
    - [Small]: a sorted array of set-bit indices (a [card]-long prefix
      of [elts]).  Operations cost O(live cardinalities), independent of
-     the universe size.  Auto-promotes to [Dense] when the cardinality
-     exceeds [small_threshold length] (~ the dense word count, so the
-     small form is never asymptotically worse than dense in either
-     memory or per-op cost).
+     the universe size.
    - [Dense]: the classic int-array bitset, little-endian bits within a
      word, unused high bits zero — plus an exact [top]: the number of
      words up to and including the highest nonzero one.  Dense
-     operations only walk the occupied prefix, so a promoted set whose
-     members cluster at low indices (see lib/core/renumber.ml, which
-     renumbers a flat program's seeded globals into one compact
-     escape universe) still pays live-size costs.
+     operations only walk that occupied prefix.
+
+   The form follows the cost: a small vector promotes when its
+   cardinality exceeds [small_threshold] of its occupied prefix (the
+   words up to its highest member, at least 16), checked by every
+   [set] and [union_into] into it, a union that changes nothing
+   included; a dense intersection demotes only when its survivors are
+   fewer than the words of its prefix.  So a set whose members cluster
+   at low indices (a program's globals) is a short dense prefix
+   whatever the universe size, and a few members spread over a wide
+   universe stay a short sorted array.
 
    Representation transitions are pure functions of the per-vector
    operation sequence, so parallel schedules that replay the sequential
@@ -60,7 +64,10 @@ let hybrid_mode = ref true
 
 let set_hybrid b = hybrid_mode := b
 let hybrid_enabled () = !hybrid_mode
-let small_threshold length = max 16 (words_for length)
+let small_threshold top = max 16 top
+
+(* Occupied words of a nonempty sorted prefix: up to its last element. *)
+let small_top card elts = if card = 0 then 0 else (elts.(card - 1) / bits_per_word) + 1
 
 (* Cost of a dense walk that actually touched [actual] words: the
    occupied prefix in hybrid mode, the full legacy universe in dense
@@ -125,8 +132,7 @@ let dense_of_small length card elts =
     let e = elts.(i) in
     words.(e / bits_per_word) <- words.(e / bits_per_word) lor (1 lsl (e mod bits_per_word))
   done;
-  let top = if card = 0 then 0 else (elts.(card - 1) / bits_per_word) + 1 in
-  Dense { top; words }
+  Dense { top = small_top card elts; words }
 
 (* Collect the [card] set bits of [words.(0..top-1)] into a sorted
    element array (the demotion direction). *)
@@ -192,7 +198,8 @@ let rec set v i =
     let found = search r.elts r.card i in
     if found < 0 then begin
       let at = -found - 1 in
-      if r.card > small_threshold v.length - 1 then begin
+      let top = max (small_top r.card r.elts) ((i / bits_per_word) + 1) in
+      if r.card >= small_threshold top then begin
         (* Promotion boundary crossed via [set]: materialise dense,
            then set the bit there.  Point operations stay uncounted. *)
         v.repr <- dense_of_small v.length r.card r.elts;
@@ -291,17 +298,20 @@ let union_into ~src ~dst =
     let out = Array.make (max 1 (s.card + d.card)) 0 in
     let merged = merge_union s.elts s.card d.elts d.card out in
     let changed = merged <> d.card in
-    if changed then
-      if !hybrid_mode && merged > small_threshold dst.length then begin
-        count_small (max 1 (s.card + d.card) + merged);
-        dst.repr <- dense_of_small dst.length merged out
-      end
-      else begin
-        count_small (max 1 (s.card + d.card));
+    (* Promotion is checked whether or not the union added anything: a
+       shrinking operation can leave a small vector denser than its
+       prefix, and the next union puts it back in the cheaper form. *)
+    if !hybrid_mode && merged > small_threshold (small_top merged out) then begin
+      count_small (max 1 (s.card + d.card) + merged);
+      dst.repr <- dense_of_small dst.length merged out
+    end
+    else begin
+      count_small (max 1 (s.card + d.card));
+      if changed then begin
         d.elts <- out;
         d.card <- merged
       end
-    else count_small (max 1 (s.card + d.card));
+    end;
     changed
   | Small s, Dense d ->
     count_small (max 1 s.card);
@@ -440,9 +450,9 @@ let inter_into ~src ~dst =
       end
     done;
     d.top <- (if !hybrid_mode then !last else rescan_top d.words (Array.length d.words));
-    if !hybrid_mode && !card <= small_threshold dst.length / 2 then begin
-      (* Demotion boundary: the intersection shrank below half the
-         threshold; collect the survivors into the small form. *)
+    if !hybrid_mode && !card < !last then begin
+      (* Demotion boundary: fewer survivors than prefix words, so the
+         small form is the cheaper one; collect them into it. *)
       count_small (max 1 span + !last);
       dst.repr <- small_of_dense !last d.words !card
     end
@@ -702,13 +712,34 @@ let exists p v =
     false
   with Found -> true
 
-(* The members of word [w], whose bit 0 is index [base], ascending and
-   consed onto [tail]; at most [bits_per_word] frames deep. *)
-let rec word_members base w tail =
+(* Offsets of the set bits of each byte value, ascending. *)
+let byte_members =
+  Array.init 256 (fun b ->
+      Array.of_list (List.filter (fun i -> b land (1 lsl i) <> 0) (List.init 8 Fun.id)))
+
+let rec low_bit_members base w tail =
   if w = 0 then tail
   else
     let low = w land -w in
-    (base + bit_index low) :: word_members base (w lxor low) tail
+    (base + bit_index low) :: low_bit_members base (w lxor low) tail
+
+(* The members of word [w], whose bit 0 is index [base], ascending and
+   consed onto [tail]: a sparse word by its isolated low bits (at most
+   7 frames deep), a denser one a byte at a time from the top, a table
+   read per member. *)
+let word_members base w tail =
+  if popcount_word w < 8 then low_bit_members base w tail
+  else begin
+    let acc = ref tail in
+    for byte = (bits_per_word - 1) / 8 downto 0 do
+      let offsets = byte_members.((w lsr (8 * byte)) land 255) in
+      let base = base + (8 * byte) in
+      for j = Array.length offsets - 1 downto 0 do
+        acc := (base + offsets.(j)) :: !acc
+      done
+    done;
+    !acc
+  end
 
 (* One pass from the top down, so the list comes out ascending with no
    reversal. *)

@@ -12,12 +12,18 @@
     {b Representation.}  Behind the abstract [t], a vector is either
     {i small} — a sorted array of set-bit indices — or {i dense} — the
     classic word array, annotated with the exact number of occupied
-    words (its "top").  Vectors start small and promote to dense when
-    their cardinality exceeds {!small_threshold}; shrinking operations
-    ([clear], intersections that leave few survivors) demote back.  All
-    transitions are deterministic functions of the per-vector operation
-    sequence, which is what keeps parallel schedules (lib/par) and
-    sequential runs op-count-identical.
+    words (its "top", the prefix up to the highest member).  The form
+    follows what an operation on the vector would cost.  Vectors start
+    small; a small vector promotes to dense when its cardinality
+    exceeds {!small_threshold} of its prefix, checked by {!set} and by
+    every {!union_into} into it, one that changes nothing included.  A
+    dense intersection demotes only when it keeps fewer members than
+    its prefix has words, and {!clear} empties into the small form.
+    So a set whose members cluster at low indices is a short dense
+    prefix whatever the universe size.  All transitions are
+    deterministic functions of the per-vector operation sequence,
+    which is what keeps parallel schedules (lib/par) and sequential
+    runs op-count-identical.
 
     {b Cost accounting.}  Every whole-vector operation bumps
     [bitvec.vector_ops] by one and [bitvec.word_ops] by the number of
@@ -38,8 +44,11 @@
     member sits at.  One kernel serves all of them: it isolates a
     word's lowest set bit [low] and takes its index as
     [popcount_word (low - 1)], so every member costs the same constant
-    number of word operations.  The counted ones charge the live size
-    once per call; the per-member work is not counted. *)
+    number of word operations.  {!to_list}, which must cons from the
+    highest member down, reads a word of eight or more members a byte
+    at a time from a table of each byte's bit offsets instead, one
+    table read per member.  The counted ones charge the live size once
+    per call; the per-member work is not counted. *)
 
 type t
 (** A fixed-length mutable bit vector.  Indices range over
@@ -160,12 +169,15 @@ val hybrid_enabled : unit -> bool
 (** Current mode (see {!set_hybrid}). *)
 
 val small_threshold : int -> int
-(** [small_threshold n] is the promotion boundary for vectors of
-    length [n]: a small vector whose cardinality would exceed this
-    promotes to dense.  It is [max 16 (words n)], so the small form is
-    never asymptotically worse than the dense one.  Demotion (from a
-    shrinking dense intersection) triggers at half this value.
-    Exposed so tests can exercise the boundaries exactly. *)
+(** [small_threshold top] is the promotion boundary of a small vector
+    whose members occupy [top] words (its highest member lies in word
+    [top - 1]): a cardinality past it promotes to dense.  It is
+    [max 16 top], so the small form is never asymptotically worse than
+    the dense one; a vector of length [n] stays small up to at most
+    [small_threshold] of its word count.  Demotion (from a shrinking
+    dense intersection) triggers when the survivors are fewer than the
+    words of their prefix.  Exposed so tests can exercise the
+    boundaries exactly. *)
 
 val live_estimate : t -> int
 (** Uncounted O(1) upper bound on the cardinality: the exact

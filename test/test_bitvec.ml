@@ -152,8 +152,9 @@ let test_stats_counters () =
 (* The hybrid small-set/dense split must be invisible: same sets, same
    change flags, same exceptions as the dense-only mode — only the
    word-op accounting differs.  These tests drive random op sequences
-   across the promotion/demotion boundary (universe 1000 → threshold
-   [small_threshold 1000]) against a sorted-list model, in both modes. *)
+   across the promotion/demotion boundary (universe 1000, 16 words, so
+   every prefix has threshold [small_threshold 16]) against a
+   sorted-list model, in both modes. *)
 
 let with_mode hybrid f =
   let saved = B.hybrid_enabled () in
@@ -161,6 +162,11 @@ let with_mode hybrid f =
   Fun.protect ~finally:(fun () -> B.set_hybrid saved) f
 
 let hybrid_len = 1000
+
+(* Words of a vector of [n] bits, and the words up to its highest
+   member: the prefix its form follows. *)
+let words n = (n + Sys.int_size - 1) / Sys.int_size
+let prefix v = match List.rev (B.to_list v) with [] -> 0 | top :: _ -> (top / Sys.int_size) + 1
 
 type hop =
   | Hset of int
@@ -244,7 +250,7 @@ let apply_hop (v0, v1) (m0, m1) (snd_target, op) =
 let run_hops ~hybrid ops =
   with_mode hybrid @@ fun () ->
   let v0 = B.create hybrid_len and v1 = B.create hybrid_len in
-  let threshold = B.small_threshold hybrid_len in
+  let threshold = B.small_threshold (words hybrid_len) in
   let trace = ref [] in
   let rec go models = function
     | [] -> ()
@@ -302,7 +308,8 @@ let prop_hybrid_queries (a, b) =
 let test_hybrid_promotion_boundary () =
   with_mode true @@ fun () ->
   let v = B.create hybrid_len in
-  let threshold = B.small_threshold hybrid_len in
+  (* Members up to 7 * 16 occupy two words. *)
+  let threshold = B.small_threshold 2 in
   for i = 1 to threshold do
     B.set v (i * 7);
     Alcotest.(check bool)
@@ -315,6 +322,41 @@ let test_hybrid_promotion_boundary () =
   Alcotest.(check int) "cardinal across promotion" (threshold + 1) (B.cardinal v);
   B.clear v;
   Alcotest.(check bool) "clear demotes" true (B.repr_kind v = `Small)
+
+(* The form follows the occupied prefix, not the universe: 55 members
+   in the first word of a 4162-bit vector (a program's globals) are one
+   dense word.  A small vector that got there by shrinking promotes on
+   the next union into it, one that changes nothing included, and a
+   union into it then charges its one prefix word, not the ~110
+   elements a sorted-array merge would touch.  A dense intersection
+   keeps the dense form while it is cheaper than the small one. *)
+let test_form_follows_prefix () =
+  with_mode true @@ fun () ->
+  let len = 4162 in
+  let low = List.init 55 Fun.id in
+  let v = B.of_list len ((len - 1) :: low) in
+  Alcotest.(check bool) "small while the prefix spans the universe" true
+    (B.repr_kind v = `Small);
+  B.unset v (len - 1);
+  Alcotest.(check bool) "point ops keep the form" true (B.repr_kind v = `Small);
+  Alcotest.(check bool) "no change" false (B.union_into ~src:(B.of_list len [ 0; 1; 2 ]) ~dst:v);
+  Alcotest.(check bool) "a no-change union promotes" true (B.repr_kind v = `Dense);
+  let src = B.copy v in
+  let before = Obs.Metric.snapshot () in
+  ignore (B.union_into ~src ~dst:v);
+  let _, word_ops = ops_since before in
+  Alcotest.(check bool)
+    (Printf.sprintf "union charges the prefix (%d words)" word_ops)
+    true (word_ops <= prefix v);
+  ignore (B.inter_into ~src:(B.of_list len (List.init 40 Fun.id)) ~dst:v);
+  Alcotest.(check bool) "cheaper dense intersection stays dense" true (B.repr_kind v = `Dense);
+  Alcotest.(check (list int)) "intersection" (List.init 40 Fun.id) (B.to_list v);
+  let wide = B.of_list len [ 5; len - 1 ] in
+  B.set wide 3000;
+  let spread = B.create len in
+  List.iter (fun i -> B.set spread (i * 64)) (List.init 60 Fun.id);
+  ignore (B.union_into ~src:spread ~dst:wide);
+  Alcotest.(check bool) "spread members stay small" true (B.repr_kind wide = `Small)
 
 (* The accounting contract: ops on small sets are charged by live size,
    not universe size — and bump [small_ops]; dense mode charges the
@@ -374,13 +416,17 @@ let test_blit_charges_source () =
    The walk finds each member's bit within its word from the isolated
    low bit, so every position of a word is its own case: bit 0, the
    middle bits and bit [int_size - 1], the sign bit.  Positions
-   [0 .. pos_span - 1] cover three whole words.  The universe is wide
-   enough that the small threshold is twice [pos_span]: every subset of
-   the span stays small when built in hybrid mode, and a dense
-   intersection that keeps the whole span still demotes. *)
+   [0 .. pos_span - 1] cover three whole words.  The form follows the
+   occupied prefix, so a set of the span alone is dense past 16
+   members and never demotes; a [sentinel] member in the last word of
+   a universe twice [pos_span] words wide makes the prefix long enough
+   that every subset of the span, sentinel included, is cheaper small.
+   A small vector is built with the sentinel and has it unset again,
+   and the demoting [inter_into] keeps it. *)
 
 let pos_span = 3 * Sys.int_size
 let pos_len = 2 * pos_span * Sys.int_size
+let sentinel = pos_len - 1
 
 type form = Small | Dense_hybrid | Dense_legacy
 
@@ -396,7 +442,8 @@ let dense_of members = with_mode false (fun () -> B.of_list pos_len members)
 let build form members =
   match form with
   | Small ->
-    let v = with_mode true (fun () -> B.of_list pos_len members) in
+    let v = with_mode true (fun () -> B.of_list pos_len (sentinel :: members)) in
+    B.unset v sentinel;
     if B.repr_kind v <> `Small then Alcotest.fail "expected a small vector";
     (v, true)
   | Dense_hybrid -> (dense_of members, true)
@@ -430,21 +477,23 @@ let check_enumerations what v =
     Alcotest.failf "%s: exists finds a non-member" what
 
 (* [members] in [form], read out directly, after a demoting (in hybrid
-   mode) [inter_into] with a dense source holding the whole span, and
-   after a [diff_into] that removes every other position of the span. *)
+   mode) [inter_into] of the members and the sentinel with a dense
+   source holding the whole span and the sentinel, and after a
+   [diff_into] that removes every other position of the span. *)
 let check_position_set what form members =
   let v, hybrid = build form members in
   with_mode hybrid @@ fun () ->
   let what = Printf.sprintf "%s %s" (form_name form) what in
   Alcotest.check int_list (what ^ ": get scan") members (get_scan v);
   check_enumerations what v;
-  let all = dense_of (List.init pos_span Fun.id) in
+  let all = dense_of (List.init pos_span Fun.id @ [ sentinel ]) in
   let dst = B.copy v in
+  B.set dst sentinel;
   ignore (B.inter_into ~src:all ~dst);
   if hybrid && B.repr_kind dst <> `Small then
     Alcotest.failf "%s: the inter_into did not demote" what;
   check_enumerations (what ^ " after inter_into") dst;
-  Alcotest.check int_list (what ^ ": inter_into") members (get_scan dst);
+  Alcotest.check int_list (what ^ ": inter_into") (members @ [ sentinel ]) (get_scan dst);
   let others = List.filter (fun i -> not (List.mem i members)) (List.init pos_span Fun.id) in
   let dst = dense_of (List.init pos_span Fun.id) in
   ignore (B.diff_into ~src:(dense_of others) ~dst);
@@ -532,6 +581,8 @@ let () =
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           Alcotest.test_case "hybrid promotion boundary" `Quick
             test_hybrid_promotion_boundary;
+          Alcotest.test_case "form follows the occupied prefix" `Quick
+            test_form_follows_prefix;
           Alcotest.test_case "hybrid cost accounting" `Quick
             test_hybrid_accounting;
           Alcotest.test_case "blit charges the source only" `Quick
