@@ -16,14 +16,18 @@
      sets are bounded and total word work should be genuinely linear
      in program size (~2x per doubling).  This is where the paper's
      O(N+E) bound is visible in word counts; a regression here means
-     the hybrid representation or the compact escape universe broke.
+     the hybrid representation or the escape-form solve broke.
 
    - [fortran_style] scales globals with n, so the summary sets
      themselves grow ~4x per doubling — total output size is
      inherently quadratic and no representation can beat
      Σ_edges |GMOD(src)| words.  The pin here asserts we stay near
      that information floor (dense vectors gave ~4x per doubling at
-     these sizes; hybrid + renumbering gives ~2.2x). *)
+     these sizes; the escape-form solve over prefix-sized vectors
+     gives 1.6-2.4x).
+
+   Both ladders measure [Gmod_nested.solve], the entry point the
+   analysis runs for every program. *)
 
 module A = Core.Analyze
 
@@ -95,7 +99,7 @@ let gmod_word_ops build n =
   let rmod = Core.Rmod.solve binding ~imod in
   let imod_plus = Core.Imod_plus.compute info ~rmod ~imod in
   let snap = Obs.Metric.snapshot () in
-  ignore (Core.Gmod.solve info call ~imod_plus);
+  ignore (Core.Gmod_nested.solve info call ~imod_plus);
   Obs.Metric.value_since ~since:snap word_ops_metric
 
 (* The must-side dual of the ladder above: MUSTMOD alone, after the

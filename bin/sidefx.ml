@@ -1386,7 +1386,7 @@ let bench_table_cmd =
         let rmod = Core.Rmod.solve binding ~imod in
         let imod_plus = Core.Imod_plus.compute info ~rmod ~imod in
         let before = Obs.Metric.snapshot () in
-        let _ = Core.Gmod.solve info call ~imod_plus in
+        let _ = Core.Gmod_nested.solve info call ~imod_plus in
         let vec_ops =
           Obs.Metric.value_since ~since:before
             (Obs.Metric.counter "bitvec.vector_ops")

@@ -56,10 +56,9 @@ val run :
   ?ptsto:Ptsto.tier ->
   Ir.Prog.t ->
   t
-(** Analyze a program.  When the program declares procedures below
-    nesting level 1 the multi-level [findgmod] is used automatically
-    ({!Gmod_nested.solve}); plain Figure 2 on such a program is
-    {!Gmod.solve}.
+(** Analyze a program.  GMOD and GUSE come from the multi-level
+    [findgmod] ({!Gmod_nested.solve}) on every program, at [dP = 1] on
+    a flat one; plain Figure 2 on a nested program is {!Gmod.solve}.
 
     Parallelism: [?pool], when given, is used for the local, [RMOD],
     [GMOD]/[GUSE] (flat or multi-level) and [MUSTMOD] phases;

@@ -135,16 +135,43 @@ let findgmod pool (call : Callgraph.Call.t) ~seeds ~dp ~lim ~cost ~enter ops =
   in
   Par.Wavefront.resolve pool scc ~seeds ~cost ~f:run_comp
 
-(* Every component of the cone runs, so the cone is what comes back.
-   Entries start from a copy of their seed when the traversal enters
-   them (line 8 of Figure 2); entries outside the cone share their
-   [cached] vector, which an edge into them folds in.  The cone is
-   closed under condensation predecessors, so a value outside it cannot
-   have changed, and outside nodes reach only outside ones: the
-   whole-graph DFS enters each cone component where a DFS of the cone
-   would, and the region run performs exactly that run's operations. *)
-let solve_vectors pool (call : Callgraph.Call.t) ~seed ~region ~dp ~lim ops =
+(* The one instance: equation (4) in escape form.  Only
+   [GMOD(q) ∖ LOCAL(q)] crosses a call edge, and the part of [IMOD+(q)]
+   in it is [IMOD+(q) ∩ non_local(q)].  So a vector holds [result(p)],
+   the part of [GMOD(p)] a fold can carry: [enter] seeds it with
+   [IMOD+(p) ∩ non_local(p)], folds and closes move stripped values,
+   and the end puts the base back in place, [GMOD(p) = IMOD+(p) ∪
+   result(p)].  A stripped [result(q)] equals the stripped [GMOD(q)],
+   so a region run folds the [cached] vectors outside its cone as they
+   are.
+
+   [~levels:false] is Figure 2 itself ([dP = 1]).  [~levels:true] is
+   the multi-level form (end of §4) at [dP = max 1 max_level]: problem
+   [i] keeps the edges into callees declared at level [>= i], an edge
+   into a level-[l] callee carries the variables of levels [< l], and
+   a level-[i] close distributes the level-[< i] variables of the
+   root's value.  No strip keeps a variable of level [>= dP], so the
+   seed drops those too.  At [dP = 1] the level-0 mask keeps only
+   variables no procedure holds in [LOCAL] (globals and escaping
+   locals), so it is the whole strip; it matters for a dereference
+   that names another procedure's local.  There every value the run
+   computes is level-0 already and crosses an edge as it is, as over
+   a universe of the escaping variables alone: only a [cached] vector
+   outside a region's cone, a whole GMOD, is stripped.  Neither form
+   folds a value into itself (a self-edge, or the root at its own
+   close): that changes no bit.
+
+   Every component of the cone runs, so the cone is what comes back.
+   Entries outside it share their [cached] vector.  The cone is closed
+   under condensation predecessors, so a value outside it cannot have
+   changed, and outside nodes reach only outside ones: the whole-graph
+   DFS enters each cone component where a DFS of the cone would, and
+   the region run performs exactly that run's operations. *)
+let solve_escape ?region ?pool ~levels info (call : Callgraph.Call.t) ~seed =
+  let prog = call.Callgraph.Call.prog in
   let scc = call.Callgraph.Call.scc in
+  let dp = if levels then max 1 (Prog.max_level prog) else 1 in
+  let lim q = if levels then max 1 (Prog.proc prog q).Prog.level else 1 in
   let gmod, seeds =
     match region with
     | None -> (Array.copy seed, Par.Wavefront.All)
@@ -159,62 +186,54 @@ let solve_vectors pool (call : Callgraph.Call.t) ~seed ~region ~dp ~lim ops =
       (fun acc v -> acc + 1 + (Bitvec.live_estimate seed.(v) / Sys.int_size))
       0 scc.Graphs.Scc.members.(c)
   in
-  let cone =
-    findgmod pool call ~seeds ~dp ~lim ~cost
-      ~enter:(fun v -> gmod.(v) <- Bitvec.copy seed.(v))
-      (ops gmod)
+  let level0 = levels && dp = 1 in
+  (* r <- r ∖ LOCAL(v), masked to levels < lim. *)
+  let strip_into r v ~lim =
+    if not level0 then
+      ignore (Bitvec.inter_into ~src:(Ir.Info.non_local info v) ~dst:r);
+    if levels then
+      ignore (Bitvec.inter_into ~src:(Ir.Info.level_at_most info (lim - 1)) ~dst:r)
   in
-  (gmod, List.concat_map (fun c -> scc.Graphs.Scc.members.(c)) cone)
-
-(* Equation (4) over bit vectors, one problem.  [`Nonlocal] performs
-   its [∖ LOCAL(src)] strip explicitly (blit + intersect + union, for
-   vectors over the full variable universe); [`None] skips it, because
-   the compact escape universe holds no procedure-locals (renumber.ml),
-   so the fold is a single union.  Per-slot scratch stays hot across
-   every level. *)
-let solve_seeded ?region ?pool ?(prune = `Nonlocal) info call ~seed =
-  let scratch_len = Bitvec.length seed.(0) in
-  solve_vectors pool call ~seed ~region ~dp:1 ~lim:(fun _ -> 1)
-  @@ fun gmod ~slot:_ ->
-  let scratch = Bitvec.create scratch_len in
-  let strip v =
-    Bitvec.blit ~src:gmod.(v) ~dst:scratch;
-    match prune with
-    | `Nonlocal -> ignore (Bitvec.inter_into ~src:(Ir.Info.non_local info v) ~dst:scratch)
-    | `None -> ()
+  let entered = Array.make (Array.length seed) (region = None) in
+  let enter v =
+    let r = Bitvec.copy seed.(v) in
+    strip_into r v ~lim:dp;
+    gmod.(v) <- r;
+    entered.(v) <- true
   in
-  {
-    (* GMOD[dst] ∪= GMOD[src] ∖ LOCAL[src]  (equation (4), one edge). *)
-    fold =
-      (fun ~src ~dst ~lim:_ ->
-        match prune with
-        | `Nonlocal ->
-          strip src;
-          ignore (Bitvec.union_into ~src:scratch ~dst:gmod.(dst))
-        | `None -> ignore (Bitvec.union_into ~src:gmod.(src) ~dst:gmod.(dst)));
-    close =
-      (fun ~root ~level:_ ->
-        strip root;
-        fun u -> ignore (Bitvec.union_into ~src:scratch ~dst:gmod.(u)));
-  }
-
-(* Flat programs take the compact escape-universe path: renumber the
-   seeded globals (renumber.ml), run the same traversal over compact
-   vectors with the local-strip implicit, and expand the results onto
-   the IMOD+ bases.  Nested programs (any procedure visible inside
-   another's scope) keep the explicit [`Nonlocal] strip over the full
-   universe. *)
-let solve ?(label = "gmod") ?pool info (call : Callgraph.Call.t) ~imod_plus:seed =
-  Obs.Span.with_ label @@ fun () ->
-  if Prog.max_level call.Callgraph.Call.prog <= 1 then begin
-    let rn = Renumber.build info ~seed in
-    let compact, _ =
-      solve_seeded ?pool ~prune:`None info call ~seed:(Renumber.compact_seeds rn)
+  let ops ~slot:_ =
+    let scratch = Bitvec.create (Ir.Info.n_vars info) in
+    (* What crosses an edge out of [v]: a level-0 value of this run as
+       it is, anything else stripped into [scratch]. *)
+    let carried v ~lim =
+      if level0 && entered.(v) then gmod.(v)
+      else begin
+        Bitvec.blit ~src:gmod.(v) ~dst:scratch;
+        strip_into scratch v ~lim;
+        scratch
+      end
     in
-    Renumber.expand rn ~base:seed ~compact
-  end
-  else fst (solve_seeded ?pool info call ~seed)
+    {
+      fold =
+        (fun ~src ~dst ~lim ->
+          if src <> dst then
+            ignore (Bitvec.union_into ~src:(carried src ~lim) ~dst:gmod.(dst)));
+      close =
+        (fun ~root ~level ->
+          (* Forced on the first other member: a component of one
+             distributes nothing. *)
+          let value = lazy (carried root ~lim:level) in
+          fun u ->
+            if u <> root then ignore (Bitvec.union_into ~src:(Lazy.force value) ~dst:gmod.(u)));
+    }
+  in
+  let cone =
+    List.concat_map
+      (fun c -> scc.Graphs.Scc.members.(c))
+      (findgmod pool call ~seeds ~dp ~lim ~cost ~enter ops)
+  in
+  List.iter (fun v -> ignore (Bitvec.union_into ~src:seed.(v) ~dst:gmod.(v))) cone;
+  (gmod, cone)
 
-let solve_region ?pool info call ~seed ~seeds ~cached =
-  Obs.Span.with_ "gmod.region" (fun () ->
-      solve_seeded ~region:(seeds, cached) ?pool info call ~seed)
+let solve ?(label = "gmod") ?pool info call ~imod_plus:seed =
+  Obs.Span.with_ label (fun () -> fst (solve_escape ?pool ~levels:false info call ~seed))

@@ -18,16 +18,15 @@
       [O(dP · (E + N))] bit-vector steps — and unions the masked
       results.  It is the reference implementation and the baseline of
       the C1 ablation.
-    - {!solve} is the paper's single-pass refinement: the shared
-      {!Gmod.findgmod} traversal with [dP] problems — a {e vector} of
-      lowlink values per node (one per level), per-level stacks,
-      per-edge unions masked to the variable levels the traversed edge
-      can carry, and a suffix-min correction of the lowlink vector at
-      node completion — [O(E + dP · N)] bit-vector steps.  Unlike
-      Figure 2 it skips the fold of a self-edge [v -> v].  Like the
-      flat solver it runs per component through the condensation
-      wavefront, so it takes [?pool] and has a region form
-      ({!solve_region}).
+    - {!solve} is the paper's single-pass refinement: the one
+      {!Gmod.findgmod} instance {!Gmod.solve_escape} with [dP]
+      problems — a {e vector} of lowlink values per node (one per
+      level), per-level stacks, per-edge unions masked to the variable
+      levels the traversed edge can carry, and a suffix-min correction
+      of the lowlink vector at node completion — [O(E + dP · N)]
+      bit-vector steps.  It runs for every program, flat ones at
+      [dP = 1], batch and region ({!solve_region}) alike, per component
+      through the condensation wavefront, so it takes [?pool].
 
     Both compute, for every procedure [p],
     [GMOD(p) = IMOD+(p) ∪ ⋃_i (problem-i solution at p, masked to
@@ -37,16 +36,18 @@
     [Ir.Prog] values that violate static scoping the masked problems
     are not meaningful).
 
-    For [dP = 1] both reduce to Figure 2, and {!solve} runs
-    {!Gmod.solve} itself. *)
+    For [dP = 1] both reduce to Figure 2 over the level-0 variables:
+    a procedure's own variables stay in its [GMOD] only, and so does a
+    local of another procedure that a dereference names.  Without
+    such dereferences that is {!Gmod.solve}'s answer. *)
 
 val solve :
   ?label:string ->
   ?pool:Par.Pool.t ->
   Ir.Info.t -> Callgraph.Call.t -> imod_plus:Bitvec.t array -> Bitvec.t array
 (** Single-pass algorithm, [O(E + dP·N)] bit-vector steps.  Runs under
-    an {!Obs.Span} named [label] (default ["gmod"], matching the flat
-    solver so profiles key on one phase name).  Results and op counts
+    an {!Obs.Span} named [label] (default ["gmod"], matching {!Gmod.solve}
+    so profiles key on one phase name).  Results and op counts
     do not depend on [?pool]. *)
 
 val solve_region :
@@ -58,7 +59,7 @@ val solve_region :
   cached:Bitvec.t array ->
   Bitvec.t array * int * int list
 (** {!solve} confined to the condensation-ancestor cone of [seeds],
-    with the contract of {!Gmod.solve_region}: entries outside the
+    with the region contract of {!Gmod.solve_escape}: entries outside the
     cone share their [cached] vector, and the vectors are bit-identical
     to {!solve} on the new seeds.  Returns the vectors, the number of
     procedures in the cone and the procedures whose vector changed

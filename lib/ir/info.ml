@@ -134,7 +134,6 @@ let with_prog ?(pointers = no_pointers) t prog =
   if address_taken prog = t.taken then Some { t with prog; pointers } else None
 
 let without_pointers t = { t with pointers = no_pointers }
-let has_pointers t = t.pointers != no_pointers
 let n_vars t = Prog.n_vars t.prog
 let local t pid = t.local.(pid)
 let non_local t pid = t.non_local.(pid)

@@ -56,9 +56,6 @@ val without_pointers : t -> t
 (** O(1): the same sets with the empty projection, for an analysis
     that does not model pointers (the §6 sections). *)
 
-val has_pointers : t -> bool
-(** Was [t] made with a points-to projection? *)
-
 val n_vars : t -> int
 
 val local : t -> int -> Bitvec.t

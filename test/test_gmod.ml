@@ -89,7 +89,7 @@ let test_vector_ops_linear () =
       let prog = Workload.Families.fortran_style ~seed:5 ~n in
       let p = Helpers.pipeline prog in
       let snap = Obs.Metric.snapshot () in
-      ignore (Core.Gmod.solve p.Helpers.info p.Helpers.call
+      ignore (Core.Gmod_nested.solve p.Helpers.info p.Helpers.call
                 ~imod_plus:p.Helpers.imod_plus);
       let vec_ops =
         match Obs.Metric.find "bitvec.vector_ops" with
@@ -104,8 +104,9 @@ let test_vector_ops_linear () =
     [ 50; 200; 800 ]
 
 let test_word_ops_subquadratic () =
-  (* With the hybrid representation and the compact escape universe,
-     *word* ops (not just vector ops) must stay sub-quadratic on the
+  (* With vectors whose form follows their occupied prefix and the
+     escape-form solve, *word* ops (not just vector ops) of the
+     analysis's GMOD entry point must stay sub-quadratic on the
      scaling family: growth per size doubling well under the ~4x a
      dense full-universe representation gives.  On fortran_fixed
      (constant global population) the expectation is genuine linearity;
@@ -117,7 +118,7 @@ let test_word_ops_subquadratic () =
     let p = Helpers.pipeline prog in
     let snap = Obs.Metric.snapshot () in
     ignore
-      (Core.Gmod.solve p.Helpers.info p.Helpers.call
+      (Core.Gmod_nested.solve p.Helpers.info p.Helpers.call
          ~imod_plus:p.Helpers.imod_plus);
     match Obs.Metric.find "bitvec.word_ops" with
     | Some h -> Obs.Metric.value_since ~since:snap h

@@ -121,6 +121,65 @@ let prop_use_side_nested seed =
   let one_pass = Core.Gmod_nested.solve info call ~imod_plus:iuse_plus in
   Helpers.gmod_arrays_equal one_pass oracle
 
+(* --- region = batch ---
+
+   [solve_region] is the batch solve confined to a cone over cached
+   values outside it.  One instance serves flat pointer-free programs,
+   flat pointer programs (whose dereferences can name another
+   procedure's local, which only the level masks strip) and nested
+   ones, so the property runs on all three, pointer programs under both
+   points-to tiers.  With every procedure seeded the cone is the whole
+   graph; with a random subset whose seeds changed (each swapped for
+   another procedure's) the cached solution of the old seeds stands
+   outside the cone.  Both must equal the batch solve, GMOD and GUSE
+   alike. *)
+
+let region_equals_batch ~salt ?(tiers = [ Ptsto.Steensgaard ]) prog =
+  let rand = Random.State.make [| salt; 0x7265 |] in
+  let n = Ir.Prog.n_procs prog in
+  List.for_all
+    (fun tier ->
+      let a = Core.Analyze.run ~ptsto:tier prog in
+      let info = a.Core.Analyze.info and call = a.Core.Analyze.call in
+      List.for_all
+        (fun seed ->
+          let batch = Core.Gmod_nested.solve info call ~imod_plus:seed in
+          let empty = Array.map (fun v -> Bitvec.create (Bitvec.length v)) seed in
+          let every, _, _ =
+            Core.Gmod_nested.solve_region info call ~seed ~seeds:(List.init n Fun.id)
+              ~cached:empty
+          in
+          let changed = List.filter (fun _ -> Random.State.bool rand) (List.init n Fun.id) in
+          let seed' =
+            Array.mapi
+              (fun p v -> if List.mem p changed then seed.(Random.State.int rand n) else v)
+              seed
+          in
+          let region, _, _ =
+            Core.Gmod_nested.solve_region info call ~seed:seed' ~seeds:changed ~cached:batch
+          in
+          Helpers.gmod_arrays_equal every batch
+          && Helpers.gmod_arrays_equal region
+               (Core.Gmod_nested.solve info call ~imod_plus:seed'))
+        [ a.Core.Analyze.imod_plus; a.Core.Analyze.iuse_plus ])
+    tiers
+
+let prop_region_flat seed =
+  let prog = Helpers.flat_of_seed seed in
+  Ir.Prog.max_level prog <= 1
+  && (not (Ptsto.has_pointers prog))
+  && region_equals_batch ~salt:seed prog
+
+let prop_region_pointer seed =
+  let prog = Helpers.ptr_prog_of_seed seed in
+  Ir.Prog.max_level prog <= 1
+  && Ptsto.has_pointers prog
+  && region_equals_batch ~salt:seed ~tiers:[ Ptsto.Steensgaard; Ptsto.Andersen ] prog
+
+let prop_region_nested seed =
+  let prog = Helpers.nested_of_seed seed in
+  Ir.Prog.max_level prog > 1 && region_equals_batch ~salt:seed prog
+
 (* --- bit-identity golden ---
 
    Digests of what the single-pass multi-level [findgmod] computes over
@@ -327,6 +386,15 @@ let () =
             prop_plain_is_subset_on_nested;
           Helpers.qtest ~count:60 "USE side matches oracle" Helpers.arb_nested_prog
             prop_use_side_nested;
+        ] );
+      ( "region",
+        [
+          Helpers.qtest ~count:60 "region = batch (flat)" Helpers.arb_flat_prog
+            prop_region_flat;
+          Helpers.qtest ~count:60 "region = batch (pointer, both tiers)"
+            Helpers.arb_ptr_prog prop_region_pointer;
+          Helpers.qtest ~count:60 "region = batch (nested)" Helpers.arb_nested_prog
+            prop_region_nested;
         ] );
       ( "golden",
         [ Alcotest.test_case "single-pass digests" `Quick test_golden ] );
