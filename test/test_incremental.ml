@@ -636,31 +636,31 @@ let region_golden_programs =
 
 let region_digests =
   [
-    ("fortran_style s1", "539f3d99ddbb2b01347037d9aa4b04f7");
-    ("fortran_fixed s1", "f1636cdaa81285ada2992c4e7fb4c410");
-    ("dag_style s1", "39b023b039e0bc55dcef7e5cfdc045df");
-    ("fortran_style s2", "5437be3985448321671c12d6fc1c1a61");
-    ("fortran_fixed s2", "0f48f1fe0565fce22ec67f28c176619c");
-    ("dag_style s2", "5fb9e4aa56174c95c299d6d649f391cb");
-    ("fortran_style s3", "d6410d3e8ce23c157d6cda0cf836766c");
-    ("fortran_fixed s3", "8ec179c2cd76a7f06e7df47f3d7728dc");
-    ("dag_style s3", "a18a816a935bf43bf7558586291ff9b7");
-    ("ref_chain 16", "c782076f0c7371507d2e06cbfe0ad0e4");
-    ("ref_cycle 8", "0d5db6bb973ff809d6ddd41be6b31a2c");
-    ("mutual_pair", "408ab77899f66d9230f456d9b51d6eca");
-    ("diamond", "f99a67759d8c1e2df8581ff9e6aba00b");
-    ("gen 0", "0b944a39134b30425335f4b72dbd9a56");
-    ("gen 1", "428399ba261f8334c63ce4cf24899ed8");
-    ("gen 2", "eb637990ba25dde32b396f6e5e8befd8");
-    ("gen 3", "12e59f12e726e093518eca2a919fb14b");
-    ("gen 4", "73913a654955762de92bd79f79f3a6cf");
-    ("gen 5", "1419b7472c599f30fb059e26cd4fa0f1");
-    ("gen 6", "11a10a8b91d15833a47286d7898664d7");
-    ("gen 7", "caf7f8ce654323616793e95bb22d10fa");
-    ("gen 8", "e90d457663d8abe0dfce6d54806e2321");
-    ("gen 9", "3f31124b4a4a4793c71bd7f18aeb505a");
-    ("gen 10", "6584dead30b0f2270ae76adbccb96116");
-    ("gen 11", "cc29e88e0dc7bf1e6c99a26db3ee776d");
+    ("fortran_style s1", "f669f5d0114426ef3ec2e94999e5edcc");
+    ("fortran_fixed s1", "735c1b5a1eb7eba0abc4fff6a01200d4");
+    ("dag_style s1", "f31b5e40f44770b2be6c5dd1a10ce531");
+    ("fortran_style s2", "e217e9bd962e0efed0261bc14c184db9");
+    ("fortran_fixed s2", "5f954dbf60ac700a64ad0dbac168bb93");
+    ("dag_style s2", "7a37866927d102c235983a582705af1a");
+    ("fortran_style s3", "c2805838f370490fc2ac36340efa5256");
+    ("fortran_fixed s3", "453f67f08087099d782a3726fbf8360c");
+    ("dag_style s3", "7dd9e2c68be2ba54b7ab47dab3fbb7c6");
+    ("ref_chain 16", "cc7fb7f6d82b8c706fa985c1099e9832");
+    ("ref_cycle 8", "11aa40b29222946581180f826759d9d7");
+    ("mutual_pair", "e4a1d8c021e3abd8de5ee97a5b8bccff");
+    ("diamond", "c3c345765edab2491ffbd6fca668ede8");
+    ("gen 0", "c813f8fe39e6a369fa4c07c36d764d55");
+    ("gen 1", "33ae87e0ab45c5e59d33a31c79c11771");
+    ("gen 2", "dcd181d8092bb21a3f3e6ae39fa498e3");
+    ("gen 3", "c2e759b7050f5ada8a27ee1068805d0d");
+    ("gen 4", "fb29a425c365ab3fc20a4341b6b1bb57");
+    ("gen 5", "2a68cfaf8c51ee30631c0d1c20600e3b");
+    ("gen 6", "bb19b734483568aaae0a9ba54ef9fbeb");
+    ("gen 7", "d17f9e53e3347cdae15097481a9c509e");
+    ("gen 8", "b7f43f23ff8e307b27b7d3d395a4daa3");
+    ("gen 9", "94f32563628504d1fcfd172508f26596");
+    ("gen 10", "1e7512279895a42fc67071c3c7eb8bc2");
+    ("gen 11", "98aa8b8e27daed5e3bcd78934b3f75b7");
   ]
 
 let test_region_golden () =

@@ -247,108 +247,108 @@ let golden_text prog =
 
 let golden_digests =
   [
-    ("pascal_style s1 d2 n16", "f822c5cec9b244547f916a3f4f2c9e87");
-    ("pascal_style s1 d2 n64", "f98712851c96345d3c7d775d539b087b");
-    ("pascal_style s1 d2 n256", "585e83e3d4de13c1e1208dab776f535d");
-    ("pascal_style s1 d3 n16", "dfe915761717746d9e8eb5dd0edb2cd6");
-    ("pascal_style s1 d3 n64", "0418982e7e5b0f51c7da31353d7411b2");
-    ("pascal_style s1 d3 n256", "e065a794c04a5e525853fd43233ed015");
-    ("pascal_style s1 d4 n16", "46c542ffb91eca5d971f85f5be6977f1");
-    ("pascal_style s1 d4 n64", "977a40e6a51cf443bea44230646ee0fb");
-    ("pascal_style s1 d4 n256", "3946f205b38da63428dcc6a11a03a228");
-    ("pascal_style s1 d6 n16", "4cd418a451cf355666182279ad92537f");
-    ("pascal_style s1 d6 n64", "7cb629644a43e608c81cf4d1e3b9ea25");
-    ("pascal_style s1 d6 n256", "5aaf3c749aeb991815a1cb5769d5022d");
-    ("pascal_style s2 d2 n16", "83b26fae14ebab56f53d656e7d1bb7fe");
-    ("pascal_style s2 d2 n64", "efe9c2f5f6c9c2b7a21b00380274e986");
-    ("pascal_style s2 d2 n256", "2c6029477cae05ea31b79b4a2542906e");
-    ("pascal_style s2 d3 n16", "ce155e91d883f90810e6876db402704b");
-    ("pascal_style s2 d3 n64", "8e503507c5d0ad27b53b98be3e3dc59d");
-    ("pascal_style s2 d3 n256", "af2cc88363268c510838576fdc337af6");
-    ("pascal_style s2 d4 n16", "66bc0c206f8a95e59a2764bf0eb0b7e1");
-    ("pascal_style s2 d4 n64", "f35a66c9747b6de620d893332271f560");
-    ("pascal_style s2 d4 n256", "ddb481b2dfd34e71a223a632107151df");
-    ("pascal_style s2 d6 n16", "98fd7b7952ddd1a7f9cd262ef048e55e");
-    ("pascal_style s2 d6 n64", "c143d7488c22c866aaba74e852a01f8e");
-    ("pascal_style s2 d6 n256", "72c53a23f2a61113db7170171fe0e6e2");
-    ("pascal_style s3 d2 n16", "585b652cfa8d1139c367245c906b5377");
-    ("pascal_style s3 d2 n64", "7e4245b4bdb967ea1ece743c9e7be4f8");
-    ("pascal_style s3 d2 n256", "a0858044a4c54cadf9c0ca617a2e3779");
-    ("pascal_style s3 d3 n16", "31073ae08f14db137427a99af53c802f");
-    ("pascal_style s3 d3 n64", "4364c3f37735164a1ad1cdda93f65774");
-    ("pascal_style s3 d3 n256", "1ffc189844894901b798e6ad27701f0d");
-    ("pascal_style s3 d4 n16", "696b139fc29108a8c14edd5f19d65cf6");
-    ("pascal_style s3 d4 n64", "82ba6ee19cd7012cc570043f8302a61a");
-    ("pascal_style s3 d4 n256", "299ca9770822df0521943a57fcb1b637");
-    ("pascal_style s3 d6 n16", "7a93fb2482a34ebebe57b36b3f07aee1");
-    ("pascal_style s3 d6 n64", "a70a8916be1ebb0ac01f517c0972d168");
-    ("pascal_style s3 d6 n256", "0824bd2235eee4eb28dc3e602882dd12");
-    ("pascal_style s4 d2 n16", "588d6941144fa9bf86a6d1829a72b1c8");
-    ("pascal_style s4 d2 n64", "3cc9d1bf3ae6d63ff79a4f21018a2ca9");
-    ("pascal_style s4 d2 n256", "7aee885cf4690d56e532e71f8f3d6e80");
-    ("pascal_style s4 d3 n16", "e61561ad4be944933ea92d45a70d1af4");
-    ("pascal_style s4 d3 n64", "8fb267b58264c50f64b00c4dd508ba14");
-    ("pascal_style s4 d3 n256", "d7633392228574ac3c69663ec9f82c09");
-    ("pascal_style s4 d4 n16", "24e409252f3ed213798ca94e33dafdc0");
-    ("pascal_style s4 d4 n64", "9fb79077cd1b7fd69062fe03ff7fd03f");
-    ("pascal_style s4 d4 n256", "fa9fb04cb623f64a0a6d0dce7df60fc0");
-    ("pascal_style s4 d6 n16", "f0ddcb5d7dbf0e8cd259f9aee31c483f");
-    ("pascal_style s4 d6 n64", "7dc8f97659fce3899631238e35ca9387");
-    ("pascal_style s4 d6 n256", "e46294542c12c5277f1c64bf32e37505");
-    ("pascal_style s5 d2 n16", "e8fd34ea5c620d1e3916a328c235afa2");
-    ("pascal_style s5 d2 n64", "766b1d85d3570287292960ecb6c2af14");
-    ("pascal_style s5 d2 n256", "cc746995782d90e3c01612bb0098ee93");
-    ("pascal_style s5 d3 n16", "ebcd1a9ee3d99d2d5214080432359ea0");
-    ("pascal_style s5 d3 n64", "3f92d2df06f6127add2f0df08ce10854");
-    ("pascal_style s5 d3 n256", "53f401b3b103160175b38099c0e40d4f");
-    ("pascal_style s5 d4 n16", "d7023f3df0a9054e215cef08985441e3");
-    ("pascal_style s5 d4 n64", "f8164af48bed3784c87a2eade974abad");
-    ("pascal_style s5 d4 n256", "77c54bae6708f8acfab3d99c034adfa2");
-    ("pascal_style s5 d6 n16", "7f34063f615ddbd70f593261833f0e55");
-    ("pascal_style s5 d6 n64", "32ecc148595d09b87acc40e240bde583");
-    ("pascal_style s5 d6 n256", "88d493f7aa6975070f788377b0bc7e58");
-    ("gen 0", "78ce03e407be255df3f9ce8985fda491");
-    ("gen 1", "5d3ba87c61815bb4b07210d0a2d2e585");
-    ("gen 2", "838ed2abc23213243410f34f6cb0737a");
-    ("gen 3", "e3d860d1d8aab19998ea011815ffea10");
-    ("gen 4", "4e6534b90c713f3f99e7b378ff46357d");
-    ("gen 5", "f917e2d1ad932dab5324b0c629d64b9e");
-    ("gen 6", "0725a35c2a83d5311c009f63a5f7fd65");
-    ("gen 7", "c4efb26ceaa1985c2453854091769dca");
-    ("gen 8", "67f01b273f79f9e4408cf084aa61b829");
-    ("gen 9", "2221b4224de1bb2139589769ade0b768");
-    ("gen 10", "b88bd8bff85066f5b56d32ab1ec26946");
-    ("gen 11", "c05504212cb247bda814aca0255ec788");
-    ("gen 12", "758489cf2a85104bfa297f70469f2fcd");
-    ("gen 13", "581242f94254316c4e615fe0334020d1");
-    ("gen 14", "5eb8544951fff225e58047bb66713d10");
-    ("gen 15", "ca69594082df6bed838ca13e403b1d5f");
-    ("gen 16", "5b0c92a1b35aa767f185d998599f8941");
-    ("gen 17", "28edf9479d8f39129a7014136bbb723e");
-    ("gen 18", "9d4d6f62b5b9c581f9431f9939404c09");
-    ("gen 19", "3d1dcc1f4705be9912443f66ef3d5c59");
-    ("gen 20", "a7f2aad3fba54ecc408ecc3b39e309a1");
-    ("gen 21", "d6fba96b1501e1d7d52a9aa1d38645c5");
-    ("gen 22", "30f31ace7540958c032f4f48774543de");
-    ("gen 23", "465654b842716a01adecfbb633bf48bd");
-    ("gen 24", "4ef519127bef64fa4d78cb616e8809a2");
-    ("gen 25", "e231d6780bb6128a39c0b0878eeca3cb");
-    ("gen 26", "c7689c75fcc57fd9e89bb0ca59fb568f");
-    ("gen 27", "8222d160b8df29a456603359fbb5f9cd");
-    ("gen 28", "e941aa0b9dd40a4533932e4dd2288be4");
-    ("gen 29", "e598ee3966c977b07ea93e402f2c2f66");
-    ("gen 30", "11465a8b0624b935ae361f04717e38dd");
-    ("gen 31", "dbab7ea32dab6ce32299e4e068230053");
-    ("gen 32", "c13fe7a14a7b37473ef938bbaa7f933b");
-    ("gen 33", "7f979a9558d29ce49a2b456f4f606339");
-    ("gen 34", "c7e835592e58e7e51e31fd1baa75cdbe");
-    ("gen 35", "3bc85ba0786131ecad38469796d5196d");
-    ("gen 36", "bb78db2527c2166ea8744e2baf7b697f");
-    ("gen 37", "f9706babec49b0b77d22b1234cb4ad3c");
-    ("gen 38", "fbc0487a8d89c6fbc36e6c46881dcb04");
-    ("gen 39", "d947908085f5710fc7ff713d84c8bea7");
-    ("nested_textbook", "b1a2b0d94b9e769b2cda68b5575dc236");
-    ("report.mp", "e932a031e6bdaddadf687bc07e13e56e");
+    ("pascal_style s1 d2 n16", "f2f8c0535a2b5fe0afc7333ec8c51690");
+    ("pascal_style s1 d2 n64", "b2003d66860c58c5412e935f2fdf0e0a");
+    ("pascal_style s1 d2 n256", "a0b1779f7599852bb236a4df0d230522");
+    ("pascal_style s1 d3 n16", "5ae70dace07d9a004e0adcca6cacfd61");
+    ("pascal_style s1 d3 n64", "f1733ec31da8860b2f2b4790dc8f75e7");
+    ("pascal_style s1 d3 n256", "2b9fd2090a278cea804b7c242d716497");
+    ("pascal_style s1 d4 n16", "eabe33f322d1a63afb7891427433859c");
+    ("pascal_style s1 d4 n64", "755151419142c9b1367d96dee7f14011");
+    ("pascal_style s1 d4 n256", "fb327d0cfc8a5e806331fd3ec8de5cef");
+    ("pascal_style s1 d6 n16", "f6730a0444bb97bede7102f7d90cc47a");
+    ("pascal_style s1 d6 n64", "a6f362ead38a71003fe58e9ab2947430");
+    ("pascal_style s1 d6 n256", "14745db2891490f08cf732b4abff8ca1");
+    ("pascal_style s2 d2 n16", "b9029a62b6329576cf27e3dd16a6804a");
+    ("pascal_style s2 d2 n64", "55cf12101a00bd1a364fed7344a8a459");
+    ("pascal_style s2 d2 n256", "e99f1c34e314d1066976a865abb710c5");
+    ("pascal_style s2 d3 n16", "9464d520ec7d38c01109a34063c6bdfa");
+    ("pascal_style s2 d3 n64", "131a7323465daf419919e2012f2247d9");
+    ("pascal_style s2 d3 n256", "c6705fb327f4b98e35e1e4fa85d5da17");
+    ("pascal_style s2 d4 n16", "6d8e59d107c877feec3a19b298682230");
+    ("pascal_style s2 d4 n64", "11a1e5867f02cb400a31775469e38f5d");
+    ("pascal_style s2 d4 n256", "d854632993085312197b1db63d43248f");
+    ("pascal_style s2 d6 n16", "7822bbd5a629690041dec0c8d9c61de7");
+    ("pascal_style s2 d6 n64", "5ebe8bf58911ba739052bb1e01779010");
+    ("pascal_style s2 d6 n256", "f611ad5488d5f92eb0e5b35f8f9219b4");
+    ("pascal_style s3 d2 n16", "f1b349eb96ae7a81131167781a563e48");
+    ("pascal_style s3 d2 n64", "5b9a302c9ced75c99e292be0a1d8b081");
+    ("pascal_style s3 d2 n256", "17d9e816a2f890e276725eb784a2b6e4");
+    ("pascal_style s3 d3 n16", "97f92a13fa5021d0f600aeaff13dfdb2");
+    ("pascal_style s3 d3 n64", "28696d79c7755bdb36ea9cce5be81985");
+    ("pascal_style s3 d3 n256", "e3bffa8ade2395dfb469fb4f0d3f16cd");
+    ("pascal_style s3 d4 n16", "ea96e7dece573b104f0234c8653e7914");
+    ("pascal_style s3 d4 n64", "e08fc240524f554e0ae8b41529c91c64");
+    ("pascal_style s3 d4 n256", "6fc695a6938dc1ed7256f87fe4c12043");
+    ("pascal_style s3 d6 n16", "0adfca4e7736c88526afb057d7f2c666");
+    ("pascal_style s3 d6 n64", "8c03b02984d838bfc5010ab7639b68f4");
+    ("pascal_style s3 d6 n256", "7a3cba0cd9f295a556c515945b77b25a");
+    ("pascal_style s4 d2 n16", "4cc569b5b381ba7216a1429cf2aeb4eb");
+    ("pascal_style s4 d2 n64", "58572eb72fbef6677e573b8312683b93");
+    ("pascal_style s4 d2 n256", "615b382b009871d59dbd430253e56dc4");
+    ("pascal_style s4 d3 n16", "e8b6d6144a6ab53761c6fc7e69517f27");
+    ("pascal_style s4 d3 n64", "de6b43c6a0f6bcb65fdd8f7be9937d7b");
+    ("pascal_style s4 d3 n256", "748bcd63197c60f6699610cf6d1f2efa");
+    ("pascal_style s4 d4 n16", "c850471c9cb43f1ff774c216667dd0aa");
+    ("pascal_style s4 d4 n64", "761b106a4deadb1ca3784543a888af3c");
+    ("pascal_style s4 d4 n256", "feb8102cddcfc681219c498348e19562");
+    ("pascal_style s4 d6 n16", "45fe6728f9169c48ed3b009a5d2687d2");
+    ("pascal_style s4 d6 n64", "9c6de647cea198c86fb8611b252f4a3e");
+    ("pascal_style s4 d6 n256", "71e975515ac0ee263cbf0c3b20b46fd0");
+    ("pascal_style s5 d2 n16", "16d70ea064c3b4ec702f2aa1cef21424");
+    ("pascal_style s5 d2 n64", "682adf76f86d116596b1de732e11a870");
+    ("pascal_style s5 d2 n256", "79e9c706979838d5b156324546256e0e");
+    ("pascal_style s5 d3 n16", "623f8ea7a00f20f68c4f6df34ac34697");
+    ("pascal_style s5 d3 n64", "93ee7b38c71f267c1381ad3a4a35dcf0");
+    ("pascal_style s5 d3 n256", "3b2ba611dc90f11e727eea65b6605038");
+    ("pascal_style s5 d4 n16", "fe39643aadf101533ffdd9395e59840e");
+    ("pascal_style s5 d4 n64", "e00a071a9cd9aa462ca2d02fe4432192");
+    ("pascal_style s5 d4 n256", "dddc1433baa62122e69f74d3c1c094d2");
+    ("pascal_style s5 d6 n16", "37d1906cb61ddd0c7b42005eb24a4157");
+    ("pascal_style s5 d6 n64", "6b0340e946bf141cc6ffe17b7b28ffe9");
+    ("pascal_style s5 d6 n256", "d4f51b1c03d1fc49aaa8d1ead758a47b");
+    ("gen 0", "d7a46176b02f488d42b1b9df8819af1d");
+    ("gen 1", "b31582b51a9508a6d2fdfceb9b08f30e");
+    ("gen 2", "9931e8b6e2e3351b80d5e7d91f4f73b3");
+    ("gen 3", "30d84833efd9436a380767704824c387");
+    ("gen 4", "b1db08007441c0c53d4068ba70ece873");
+    ("gen 5", "f525f3b7f071db144cfc9adeb3a03a6b");
+    ("gen 6", "06ce1259af5a6fb65c1c1fa10efca1c2");
+    ("gen 7", "75d0895fa033d51100cb0bfc287d0702");
+    ("gen 8", "87e214f300806f5336eceb62a341546e");
+    ("gen 9", "23813608e571a495d76f2bceb52d8c24");
+    ("gen 10", "08e5c73f50a875107d66230d85ff4529");
+    ("gen 11", "805ab6fdc6fb25276a7272e718a341d5");
+    ("gen 12", "e9cd7ef7891fc4f2148dda5e0ee977cf");
+    ("gen 13", "e831af8d48ecf81e22edc375e092c935");
+    ("gen 14", "e8a008c4e7dd8fe331dda3ef767496de");
+    ("gen 15", "3054a69906ffce89cfc324d0b4928b27");
+    ("gen 16", "75440cfd1eeb95f6d0a05b714cc90c61");
+    ("gen 17", "be68507a639d2ccd7b4d8e4d87088701");
+    ("gen 18", "9f66a39fc4614c916802076b44fa8aae");
+    ("gen 19", "198dc353237c20e5e4c17b1a36ca62da");
+    ("gen 20", "401a267e15876cf49d8a7174e80a1552");
+    ("gen 21", "632bf3e710a3266f1190d0aa5438b953");
+    ("gen 22", "0ed07a4886a91146fcda468b806b69a2");
+    ("gen 23", "997de86975bd5d73a1cfc0b9dd89196a");
+    ("gen 24", "3c33937d46bf8091af4a5fdd663bb47f");
+    ("gen 25", "cb22083c3024391258b0c36553ca159f");
+    ("gen 26", "41864e77275d8fce39501d6dcc963178");
+    ("gen 27", "3944b9f5a7f401fe1ea8eb1df31d600d");
+    ("gen 28", "7832098612a5fe9206120ab9ae6df8b5");
+    ("gen 29", "1360c1bd241543a0cdf90a587b1f1697");
+    ("gen 30", "f8f54d7d970b5890e15d29c1fa77d573");
+    ("gen 31", "c6e97cf5d66e8bcfdf367e24750d4ba1");
+    ("gen 32", "17e88c36d6f95933536d6e768e416658");
+    ("gen 33", "9ec2f4789dfebfdc7ac3d08072f795eb");
+    ("gen 34", "e470a4a9f5a55ed42073a1f9dec862a0");
+    ("gen 35", "27d079e5360f5ce547283fc4311728df");
+    ("gen 36", "738f236c2b4f17a7969eef851ea3b3b9");
+    ("gen 37", "4d80828a44a30ac62a3b6e66075eaf2d");
+    ("gen 38", "beb86c1d9787848eee723b296f551b60");
+    ("gen 39", "69c69985dfa1f20e3b0a64c87978e0da");
+    ("nested_textbook", "20ca59b29f7622af1ee10757b066f80e");
+    ("report.mp", "fce1c8fe57975efbccd5d7fc9a3d7ab2");
   ]
 
 let test_golden () =
