@@ -129,33 +129,19 @@ let () =
         (List.concat_map snd measured, (string_of_int n, Obs.Json.Float ratio)))
       sizes
   in
-  let written = [ "experiment"; "claim"; "workload"; "rows"; "bit62_over_bit0" ] in
-  let kept =
-    match Obs.Json.parse (In_channel.with_open_bin "BENCH_bitvec.json" In_channel.input_all) with
-    | Ok (Obs.Json.Obj kv) -> List.filter (fun (k, _) -> not (List.mem k written)) kv
-    | Ok _ | Error _ | (exception Sys_error _) -> []
-  in
-  let json =
-    Obs.Json.Obj
-      ([
-         ("experiment", Obs.Json.String "bitvec_enumeration");
-         ( "claim",
-           Obs.Json.String
-             "set-bit enumeration costs O(1) per member plus O(1) per occupied \
-              word: iter, to_list and demotion take about the same ns per member \
-              whatever bit of its word a member sits at" );
-         ( "workload",
-           Obs.Json.String
-             "dense vectors of n = 4096 and 65536 bits; members at bit 0 of each \
-              word, bit 62 of each word, seeded density 1/8 and 1/2, full; best of \
-              7 batches of about 2M members" );
-         ("rows", Obs.Json.List (List.concat_map fst per_size));
-         ("bit62_over_bit0", Obs.Json.Obj (List.map snd per_size));
-       ]
-      @ kept)
-  in
-  let oc = open_out "BENCH_bitvec.json" in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   (table written to BENCH_bitvec.json)\n"
+  Harness.write_json "BENCH_bitvec.json"
+    [
+      ("experiment", Obs.Json.String "bitvec_enumeration");
+      ( "claim",
+        Obs.Json.String
+          "set-bit enumeration costs O(1) per member plus O(1) per occupied \
+           word: iter, to_list and demotion take about the same ns per member \
+           whatever bit of its word a member sits at" );
+      ( "workload",
+        Obs.Json.String
+          "dense vectors of n = 4096 and 65536 bits; members at bit 0 of each \
+           word, bit 62 of each word, seeded density 1/8 and 1/2, full; best of \
+           7 batches of about 2M members" );
+      ("rows", Obs.Json.List (List.concat_map fst per_size));
+      ("bit62_over_bit0", Obs.Json.Obj (List.map snd per_size));
+    ]

@@ -21,15 +21,6 @@ module A = Core.Analyze
 let reps = 3
 let sizes = [ 50; 100; 200; 400; 800 ]
 
-let timed f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best
-
 let solve_fresh t () =
   let d = Dataflow.Driver.create t in
   Dataflow.Driver.solve_all d;
@@ -56,7 +47,7 @@ let measure n =
       live_passes := !live_passes + Dataflow.Live.passes s.Dataflow.Driver.live;
       reach_passes :=
         !reach_passes + Dataflow.Reach.passes s.Dataflow.Driver.reach);
-  let elapsed = timed (solve_fresh t) in
+  let elapsed = Harness.timed reps (solve_fresh t) in
   let n_procs = Ir.Prog.n_procs prog in
   let us_per_instr = 1e6 *. elapsed /. float_of_int (max 1 !instrs) in
   (* The reach state is one bit per (def, block) pair of each
@@ -97,39 +88,23 @@ let () =
      Analyze.run) ==\n"
     reps;
   let rows = List.map measure sizes in
-  let before =
-    match
-      Obs.Json.parse (In_channel.with_open_bin "BENCH_dataflow.json" In_channel.input_all)
-    with
-    | Ok (Obs.Json.Obj kv) ->
-      Option.to_list (Option.map (fun b -> ("before", b)) (List.assoc_opt "before" kv))
-    | Ok _ | Error _ | (exception Sys_error _) -> []
-  in
-  let json =
-    Obs.Json.Obj
-      ([
-        ("experiment", Obs.Json.String "dataflow");
-        ( "claim",
-          Obs.Json.String
-            "round-robin pass counts stay flat (~2) on structured CFGs, so \
-             liveness is linear in instructions; reaching definitions scale \
-             with their definition universe (one def per MOD variable per \
-             call), which grows with summary sizes, not the CFG.  The \
-             gen/kill build visits kill_visits definition ids, one walk of \
-             defs(v) per block that definitely writes v, about 1x defs on \
-             this ladder; the solve is bounded by passes x blocks x defs \
-             bits.  Time per (def x block) is not constant: 130-290 ns with \
-             the per-block build, while the earlier per-instruction build \
-             (before) rose from 236 to 4128 ns as its kill visits grew from \
-             3x to 127x defs" );
-        ( "workload",
-          Obs.Json.String "fortran_style, seed 7, Driver.create + solve_all" );
-        ("rows", Obs.Json.List rows);
-      ]
-      @ before)
-  in
-  let oc = open_out "BENCH_dataflow.json" in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   (table written to BENCH_dataflow.json)\n"
+  Harness.write_json "BENCH_dataflow.json"
+    [
+      ("experiment", Obs.Json.String "dataflow");
+      ( "claim",
+        Obs.Json.String
+          "round-robin pass counts stay flat (~2) on structured CFGs, so \
+           liveness is linear in instructions; reaching definitions scale \
+           with their definition universe (one def per MOD variable per \
+           call), which grows with summary sizes, not the CFG.  The \
+           gen/kill build visits kill_visits definition ids, one walk of \
+           defs(v) per block that definitely writes v, about 1x defs on \
+           this ladder; the solve is bounded by passes x blocks x defs \
+           bits.  Time per (def x block) is not constant: 130-290 ns with \
+           the per-block build, while the earlier per-instruction build \
+           (before) rose from 236 to 4128 ns as its kill visits grew from \
+           3x to 127x defs" );
+      ( "workload",
+        Obs.Json.String "fortran_style, seed 7, Driver.create + solve_all" );
+      ("rows", Obs.Json.List rows);
+    ]

@@ -107,35 +107,19 @@ let () =
             ]))
       sources bests
   in
-  let written = [ "experiment"; "claim"; "workload"; "rows" ] in
-  let kept =
-    match
-      Obs.Json.parse (In_channel.with_open_bin "BENCH_frontend.json" In_channel.input_all)
-    with
-    | Ok (Obs.Json.Obj kv) -> List.filter (fun (k, _) -> not (List.mem k written)) kv
-    | Ok _ | Error _ | (exception Sys_error _) -> []
-  in
-  let json =
-    Obs.Json.Obj
-      ([
-         ("experiment", Obs.Json.String "frontend");
-         ( "claim",
-           Obs.Json.String
-             "the front end lexes on demand without allocating per character \
-              and resolves each call's callee in O(1), so compile time grows \
-              near-linearly in program size and minor-heap words per source \
-              byte stay flat" );
-         ( "workload",
-           Obs.Json.String
-             "fortran_fixed, dag_style, pascal_style depth 4, seed 1, rendered \
-              by Ir.Pp; Sema.compile_with_locs spans, best of 5 interleaved \
-              runs; minor words of one compile" );
-         ("rows", Obs.Json.List rows);
-       ]
-      @ kept)
-  in
-  let oc = open_out "BENCH_frontend.json" in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   (table written to BENCH_frontend.json)\n"
+  Harness.write_json "BENCH_frontend.json"
+    [
+      ("experiment", Obs.Json.String "frontend");
+      ( "claim",
+        Obs.Json.String
+          "the front end lexes on demand without allocating per character \
+           and resolves each call's callee in O(1), so compile time grows \
+           near-linearly in program size and minor-heap words per source \
+           byte stay flat" );
+      ( "workload",
+        Obs.Json.String
+          "fortran_fixed, dag_style, pascal_style depth 4, seed 1, rendered \
+           by Ir.Pp; Sema.compile_with_locs spans, best of 5 interleaved \
+           runs; minor words of one compile" );
+      ("rows", Obs.Json.List rows);
+    ]

@@ -35,15 +35,6 @@ let ladders =
 let word_ops_metric = Obs.Metric.counter "bitvec.word_ops"
 let facts_metric = Obs.Metric.counter "mustmod.facts"
 
-let timed f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best
-
 let measure family build n =
   let prog = build ~seed:7 ~n in
   let gc0 = Gc.quick_stat () in
@@ -53,7 +44,7 @@ let measure family build n =
   let m = solve () in
   let word_ops = Obs.Metric.value_since ~since:snap word_ops_metric in
   let facts = Obs.Metric.value_since ~since:snap facts_metric in
-  let elapsed = timed solve in
+  let elapsed = Harness.timed reps solve in
   let n_procs = Ir.Prog.n_procs prog in
   let bits = Array.fold_left (fun acc v -> acc + Bitvec.cardinal v) 0 m.M.mustmod in
   let us_per_proc = 1e6 *. elapsed /. float_of_int (max 1 n_procs) in
@@ -91,32 +82,18 @@ let () =
       (fun (family, sizes, build) -> List.map (measure family build) sizes)
       ladders
   in
-  let written = [ "experiment"; "claim"; "workload"; "rows" ] in
-  let kept =
-    match Obs.Json.parse (In_channel.with_open_bin "BENCH_must.json" In_channel.input_all) with
-    | Ok (Obs.Json.Obj kv) -> List.filter (fun (k, _) -> not (List.mem k written)) kv
-    | Ok _ | Error _ | (exception Sys_error _) -> []
-  in
-  let json =
-    Obs.Json.Obj
-      ([
-         ("experiment", Obs.Json.String "mustmod");
-         ( "claim",
-           Obs.Json.String
-             "the must-modify pass does work proportional to its output: one \
-              member solve per procedure (rounds = procedures), derived facts \
-              a flat multiple of the MUSTMOD bits on every family, and word \
-              ops ~2x per size doubling on the bounded-summary regime" );
-         ( "workload",
-           Obs.Json.String
-             "fortran_fixed, fortran_style, dag_style, seed 7, Mustmod.solve \
-              alone after Analyze.run, best of 3" );
-         ("rows", Obs.Json.List rows);
-       ]
-      @ kept)
-  in
-  let oc = open_out "BENCH_must.json" in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   (table written to BENCH_must.json)\n"
+  Harness.write_json "BENCH_must.json"
+    [
+      ("experiment", Obs.Json.String "mustmod");
+      ( "claim",
+        Obs.Json.String
+          "the must-modify pass does work proportional to its output: one \
+           member solve per procedure (rounds = procedures), derived facts \
+           a flat multiple of the MUSTMOD bits on every family, and word \
+           ops ~2x per size doubling on the bounded-summary regime" );
+      ( "workload",
+        Obs.Json.String
+          "fortran_fixed, fortran_style, dag_style, seed 7, Mustmod.solve \
+           alone after Analyze.run, best of 3" );
+      ("rows", Obs.Json.List rows);
+    ]

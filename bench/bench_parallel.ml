@@ -64,16 +64,6 @@ let counted f =
     Obs.Metric.value_since ~since:snap par_tasks,
     Obs.Metric.value_since ~since:snap par_batches )
 
-(* Best wall-clock time of [reps] runs. *)
-let timed f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best
-
 let measure family build n =
   let prog = build ~seed:7 ~n in
   (* Level structure of the call-graph condensation: how much
@@ -81,7 +71,7 @@ let measure family build n =
   let levels = (Callgraph.Call.build prog).Callgraph.Call.scc.Graphs.Scc.levels in
   let gc0 = Gc.quick_stat () in
   let seq, seq_vec, _, _ = counted (fun () -> A.run prog) in
-  let seq_s = timed (fun () -> A.run prog) in
+  let seq_s = Harness.timed reps (fun () -> A.run prog) in
   let rows =
     List.map
       (fun jobs ->
@@ -100,7 +90,7 @@ let measure family build n =
               failwith
                 (Printf.sprintf "%s n=%d jobs=%d: vector_ops %d <> jobs=1 %d"
                    family n jobs par_vec seq_vec);
-            let par_s = timed (fun () -> A.run ~pool prog) in
+            let par_s = Harness.timed reps (fun () -> A.run ~pool prog) in
             let speedup = seq_s /. Float.max par_s 1e-9 in
             let best_speedup, _, _, _ = !best in
             if speedup > best_speedup then best := (speedup, family, n, jobs);

@@ -25,15 +25,6 @@ let families =
     ("ptr_funnel", Workload.Families.ptr_funnel);
   ]
 
-let timed f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best
-
 let total_pairs t prog =
   let n = ref 0 in
   for pid = 0 to Ir.Prog.n_procs prog - 1 do
@@ -42,7 +33,7 @@ let total_pairs t prog =
   !n
 
 let tier_row prog tier =
-  let solve_s = timed (fun () -> Ptsto.analyze ~tier prog) in
+  let solve_s = Harness.timed reps (fun () -> Ptsto.analyze ~tier prog) in
   let pt = Ptsto.analyze ~tier prog in
   let t = A.run ~ptsto:tier prog in
   let pairs = total_pairs t prog in

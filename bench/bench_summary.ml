@@ -130,41 +130,25 @@ let () =
      queries x%d) ==\n"
     reps query_reps;
   let rows = List.map measure ladder in
-  let written = [ "experiment"; "claim"; "workload"; "rows" ] in
-  let kept =
-    match
-      Obs.Json.parse (In_channel.with_open_bin "BENCH_summary.json" In_channel.input_all)
-    with
-    | Ok (Obs.Json.Obj kv) -> List.filter (fun (k, _) -> not (List.mem k written)) kv
-    | Ok _ | Error _ | (exception Sys_error _) -> []
-  in
-  let json =
-    Obs.Json.Obj
-      ([
-         ("experiment", Obs.Json.String "summary");
-         ( "claim",
-           Obs.Json.String
-             "a per-site MOD/USE query copies the callee's shared GMOD \\ LOCAL \
-              vector (eq. 8, computed once per procedure by Summary.make) and \
-              closes it over the partner rows its set hits, so its word ops \
-              follow the answer rather than the callee's GMOD; the alias \
-              closure keeps its pair visits and pairs, and a site re-sorts its \
-              caller's log slice only when an earlier site of that caller did \
-              not already sort the same one (slice_reads - slice_sorts hits); \
-              a dereference actual binds one interned cell set, so the \
-              projection cells the closure reads (binding_cells) follow the \
-              pairs it produces, not sites x cells" );
-         ( "workload",
-           Obs.Json.String
-             "fortran_fixed / fortran_style seed 1, pascal_style seed 1 depth 4, \
-              ptr_funnel; Analyze.run spans, then every site's mod_of_site and \
-              use_of_site" );
-         ("rows", Obs.Json.List rows);
-       ]
-      @ kept)
-  in
-  let oc = open_out "BENCH_summary.json" in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   (table written to BENCH_summary.json)\n"
+  Harness.write_json "BENCH_summary.json"
+    [
+      ("experiment", Obs.Json.String "summary");
+      ( "claim",
+        Obs.Json.String
+          "a per-site MOD/USE query copies the callee's shared GMOD \\ LOCAL \
+           vector (eq. 8, computed once per procedure by Summary.make) and \
+           closes it over the partner rows its set hits, so its word ops \
+           follow the answer rather than the callee's GMOD; the alias \
+           closure keeps its pair visits and pairs, and a site re-sorts its \
+           caller's log slice only when an earlier site of that caller did \
+           not already sort the same one (slice_reads - slice_sorts hits); \
+           a dereference actual binds one interned cell set, so the \
+           projection cells the closure reads (binding_cells) follow the \
+           pairs it produces, not sites x cells" );
+      ( "workload",
+        Obs.Json.String
+          "fortran_fixed / fortran_style seed 1, pascal_style seed 1 depth 4, \
+           ptr_funnel; Analyze.run spans, then every site's mod_of_site and \
+           use_of_site" );
+      ("rows", Obs.Json.List rows);
+    ]

@@ -1,12 +1,14 @@
-(** One-call driver for the whole analysis pipeline.
+(** The analysis pipeline, written once.
 
-    Runs, in order: program views ({!Ir.Info}), local analysis
-    ({!Frontend.Local}), call multi-graph and binding multi-graph
-    construction ({!Callgraph}), [RMOD]/[RUSE] on β (Figure 1),
-    [IMOD+]/[IUSE+] (equation 5), [GMOD]/[GUSE] ([findgmod], Figure 2 —
-    or its multi-level variant when the program nests procedures more
-    than one level deep), alias pairs, and the per-site summary
-    machinery of §5.
+    {!solve} runs, in order: call multi-graph and binding multi-graph
+    construction ({!Callgraph}), local analysis ({!Frontend.Local}) and
+    its nesting fold, [RMOD]/[RUSE] on β (Figure 1), [IMOD+]/[IUSE+]
+    (equation 5), [GMOD]/[GUSE] ([findgmod], Figure 2, in its
+    multi-level form), alias pairs, [MUSTMOD] and the per-site summary
+    machinery of §5.  {!run} is points-to, program views ({!Ir.Info})
+    and that solve over the whole program; the incremental engine runs
+    the same solve for every edit, with the analysis the edit replaces
+    when one is still in the right coordinates.
 
     The [USE] side is run through the same algorithms with the [USE]
     seeds — the paper's "analogous solution". *)
@@ -21,10 +23,18 @@ type t = {
           pointer-free (then every phase ran its original, pointer-less
           code path).  Its projection ({!Ptsto.pointers}) is the one
           [info] was made with, and every phase read it from there. *)
+  imod_flat : Bitvec.t array;
+      (** Per-procedure [⋃ LMOD], before the nesting fold. *)
+  iuse_flat : Bitvec.t array;
   imod : Bitvec.t array;  (** Nesting-extended [IMOD], per procedure. *)
   iuse : Bitvec.t array;
   rmod : Rmod.result;
   ruse : Rmod.result;
+  imod_aug : Bitvec.t array;
+      (** [IMOD] with the [RMOD] site projections added
+          ({!Imod_plus.augment}), before the second nesting fold:
+          [imod_plus] is its fold. *)
+  iuse_aug : Bitvec.t array;
   imod_plus : Bitvec.t array;
   iuse_plus : Bitvec.t array;
   gmod : Bitvec.t array;
@@ -49,6 +59,58 @@ and provenance = {
           {!provenance_forest} the first time it is read. *)
 }
 
+type site_index = {
+  by_caller : Ir.Prog.site list array;  (** The call sites of each procedure. *)
+  by_formal : int list array;
+      (** Per variable id, the sites binding an actual to it as a
+          by-reference formal. *)
+}
+
+val site_index : Ir.Prog.t -> site_index
+
+type change =
+  | Body of int
+      (** One procedure's statements changed; its call sites, both
+          multi-graphs and the alias pairs did not. *)
+  | Call_shape of { caller : int; local_sets_touched : bool }
+      (** [caller]'s call sites changed, no declaration did;
+          [local_sets_touched] is [false] when even its [LMOD]/[LUSE]
+          are unchanged. *)
+
+type previous = {
+  analysis : t;  (** The analysis the edit replaces. *)
+  change : change;
+  sites : site_index;  (** Of the edited program. *)
+}
+
+val solve :
+  ?pool:Par.Pool.t ->
+  ?provenance:bool ->
+  ?previous:previous ->
+  Ir.Info.t ->
+  Ptsto.t option ->
+  t * int
+(** [solve info ptsto] runs every stage after points-to over the
+    program of [info], which must have been made with [ptsto]'s
+    projection, and returns the analysis with the number of [GMOD]
+    and [GUSE] procedure solves.
+
+    Without [previous] every stage runs over the whole program, under
+    its own span: that is the batch analysis ([2 × n_procs] solves).
+    With [previous], whose [info] had the same ids, projection and
+    [&x] set, each stage diffs against the previous vectors and
+    re-solves only where its inputs moved: the edited procedure's
+    local sets and the nesting cone above it, moved seed bits through
+    the previous β condensation ({!Rmod.resolve}), [IMOD+] of the
+    touched callers, and [findgmod] over the call-graph condensation
+    ancestors of moved seeds ({!Gmod_nested.solve_region}).  A body
+    edit keeps both multi-graphs, the alias pairs (and their recorded
+    reasons) and [MUSTMOD]'s condensation ({!Mustmod.resolve}); a
+    call-shape edit rebuilds them and re-solves β.  The result is
+    bit-identical to the solve without [previous], shares its
+    unchanged vectors and never writes them.  [?provenance] is as in
+    {!run}. *)
+
 val run :
   ?jobs:int ->
   ?pool:Par.Pool.t ->
@@ -56,7 +118,9 @@ val run :
   ?ptsto:Ptsto.tier ->
   Ir.Prog.t ->
   t
-(** Analyze a program.  GMOD and GUSE come from the multi-level
+(** Analyze a program: points-to on a program with pointers,
+    {!Ir.Info.make} with its projection, then {!solve} with no previous
+    analysis.  GMOD and GUSE come from the multi-level
     [findgmod] ({!Gmod_nested.solve}) on every program, at [dP = 1] on
     a flat one; plain Figure 2 on a nested program is {!Gmod.solve}.
 

@@ -235,5 +235,5 @@ let solve_escape ?region ?pool ~levels info (call : Callgraph.Call.t) ~seed =
   List.iter (fun v -> ignore (Bitvec.union_into ~src:seed.(v) ~dst:gmod.(v))) cone;
   (gmod, cone)
 
-let solve ?(label = "gmod") ?pool info call ~imod_plus:seed =
-  Obs.Span.with_ label (fun () -> fst (solve_escape ?pool ~levels:false info call ~seed))
+let solve ?pool info call ~imod_plus:seed =
+  Obs.Span.with_ "gmod" (fun () -> fst (solve_escape ?pool ~levels:false info call ~seed))

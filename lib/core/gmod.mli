@@ -106,14 +106,12 @@ val solve_escape :
     live seed size for batching. *)
 
 val solve :
-  ?label:string ->
   ?pool:Par.Pool.t ->
   Ir.Info.t -> Callgraph.Call.t -> imod_plus:Bitvec.t array -> Bitvec.t array
 (** Per-procedure [GMOD] by plain Figure 2: {!solve_escape} with
     [~levels:false].  Fresh vectors.  Runs under an {!Obs.Span} named
-    [label] (default ["gmod"]), whose [bitvec.vector_ops] /
-    [bitvec.word_ops] deltas are the paper's bit-vector-step count.
-    Seeded with [IUSE+] instead it computes [GUSE] (§2: "the USE
-    problem has an analogous solution"); callers pass [~label:"guse"].
-    The analysis runs {!Gmod_nested.solve}, which on a program without
-    nesting or dereferences returns the same sets. *)
+    ["gmod"], whose [bitvec.vector_ops] / [bitvec.word_ops] deltas are
+    the paper's bit-vector-step count.  Seeded with [IUSE+] instead it
+    computes [GUSE] (§2: "the USE problem has an analogous
+    solution").  The analysis runs {!Gmod_nested.solve}, which on a
+    program without nesting or dereferences returns the same sets. *)

@@ -2,9 +2,8 @@ module Prog = Ir.Prog
 
 (* --- per-level repetition (reference implementation) --- *)
 
-let solve_by_levels ?(label = "gmod.by_levels") ?pool info
-    (call : Callgraph.Call.t) ~imod_plus =
-  Obs.Span.with_ label @@ fun () ->
+let solve_by_levels ?pool info (call : Callgraph.Call.t) ~imod_plus =
+  Obs.Span.with_ "gmod.by_levels" @@ fun () ->
   let prog = call.Callgraph.Call.prog in
   let dp = Prog.max_level prog in
   let result = Array.map Bitvec.copy imod_plus in

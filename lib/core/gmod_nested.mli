@@ -69,11 +69,10 @@ val solve_region :
     [cached] (one [Bitvec.equal] per cone member) runs outside it. *)
 
 val solve_by_levels :
-  ?label:string ->
   ?pool:Par.Pool.t ->
   Ir.Info.t -> Callgraph.Call.t -> imod_plus:Bitvec.t array -> Bitvec.t array
 (** Per-level repetition of Figure 2, [O(dP·(E+N))] bit-vector steps.
-    Span default ["gmod.by_levels"].  [?pool] is forwarded to each
+    Span ["gmod.by_levels"].  [?pool] is forwarded to each
     level's {!Gmod.solve}; the per-level loop itself is sequential
     (each [C_i] is an independent problem, but the masked unions fold
     into one shared result array). *)

@@ -23,6 +23,6 @@ let augment_proc info ~rmod ~imod ~sites pid =
   List.iter (project info ~rmod v) sites;
   v
 
-let compute ?(label = "imod_plus") info ~rmod ~imod =
-  Obs.Span.with_ label @@ fun () ->
+let compute info ~rmod ~imod =
+  Obs.Span.with_ "imod_plus" @@ fun () ->
   fst (Ir.Info.fold_up_nesting info (augment info ~rmod ~imod))

@@ -37,12 +37,12 @@ val augment_proc :
     caller is [pid]. *)
 
 val compute :
-  ?label:string ->
   Ir.Info.t ->
   rmod:Rmod.result ->
   imod:Bitvec.t array ->
   Bitvec.t array
 (** Per-procedure [IMOD+]; [imod] must be the nesting-extended family
     the [rmod] solve was seeded with.  Runs under an {!Obs.Span} named
-    [label] (default ["imod_plus"]; the [USE] side passes
-    ["iuse_plus"]). *)
+    ["imod_plus"].  {!Analyze.solve} keeps the augmented family
+    and runs {!augment} and the fold itself, the [USE] side under
+    ["iuse_plus"]. *)

@@ -322,8 +322,8 @@ let propagate ?prev pool prog st ~gmod ~demoted ~seeds =
   Obs.Metric.add rounds_metric rounds;
   rounds
 
-let solve ?(label = "mustmod") ?pool info call ~alias ~gmod =
-  Obs.Span.with_ label @@ fun () ->
+let solve ?pool info call ~alias ~gmod =
+  Obs.Span.with_ "mustmod" @@ fun () ->
   let prog = Ir.Info.prog info in
   let nv = Ir.Info.n_vars info in
   let np = Prog.n_procs prog in
@@ -342,8 +342,8 @@ let solve ?(label = "mustmod") ?pool info call ~alias ~gmod =
 
 (* Copies before it writes: a server session re-solves from the
    registry's shared record, which must not change. *)
-let resolve ?(label = "mustmod.region") ?pool r info ~alias ~gmod ~changed_procs =
-  Obs.Span.with_ label @@ fun () ->
+let resolve ?pool r info ~alias ~gmod ~changed_procs =
+  Obs.Span.with_ "mustmod.region" @@ fun () ->
   let prog = Ir.Info.prog info in
   let nv = Ir.Info.n_vars info in
   let fr = r.state.frame in

@@ -55,7 +55,6 @@ type result = {
 }
 
 val solve :
-  ?label:string ->
   ?pool:Par.Pool.t ->
   Ir.Info.t ->
   Callgraph.Call.t ->
@@ -68,13 +67,12 @@ val solve :
     {!Par.Wavefront.resolve} with every component dirty, inline without
     [?pool]; per-component work does not depend on the pool, so results
     and counted bit-vector op totals are bit-identical at every jobs
-    setting.  Runs under an {!Obs.Span} named [label] (default
-    ["mustmod"]), adds its round count to the [mustmod.rounds] registry
-    counter and the facts it derived to [mustmod.facts]: each derived
-    fact is a point operation, which [bitvec.word_ops] does not see. *)
+    setting.  Runs under an {!Obs.Span} named ["mustmod"], adds its
+    round count to the [mustmod.rounds] registry counter and the facts
+    it derived to [mustmod.facts]: each derived fact is a point
+    operation, which [bitvec.word_ops] does not see. *)
 
 val resolve :
-  ?label:string ->
   ?pool:Par.Pool.t ->
   result ->
   Ir.Info.t ->
@@ -92,8 +90,8 @@ val resolve :
     runs only if a callee component's sets came out changed.  With no
     [changed_procs] it runs no component.  [r] itself is left
     untouched.  Equal, bit for bit, to {!solve} on the edited program,
-    and the same with or without [?pool], [rounds] included (default
-    span label ["mustmod.region"]). *)
+    and the same with or without [?pool], [rounds] included (span
+    ["mustmod.region"]). *)
 
 val mustmod_of : result -> int -> Bitvec.t
 (** [MUSTMOD(p)] by pid.  Do not mutate. *)

@@ -32,8 +32,3 @@ type result = {
 }
 
 val solve : Cfg.t -> problem -> result
-
-val rpo : Cfg.t -> direction -> int array
-(** The visit order [solve] uses: reverse postorder from the entry over
-    successor edges (forward), or from the exit over predecessor edges
-    (backward).  Exposed for tests. *)

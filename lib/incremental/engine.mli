@@ -3,26 +3,24 @@
 
     The contract is the one the test suite enforces: after every edit,
     {!analysis} is {e bit-identical} to [Core.Analyze.run] on the
-    edited program (the per-result operation counters aside).  What the
-    driver buys is locality:
+    edited program (the per-result operation counters aside).  The
+    engine holds no copy of the pipeline: every edit runs
+    {!Core.Analyze.solve}, the stages [Core.Analyze.run] runs, and
+    what the engine buys is the previous analysis it passes:
 
-    - a {b body} edit keeps both multi-graphs and their condensations
-      (it runs no Tarjan), reruns local analysis for the one edited
-      procedure, refolds the nesting cone above it, pushes flipped seed
-      bits through the previous β condensation ({!Core.Rmod.resolve}),
-      recomputes [IMOD+] for the touched callers, and reruns [findgmod]
-      only on the call-graph condensation ancestors of procedures whose
-      seeds changed ({!Core.Gmod_nested.solve_region}) — everything
-      else is shared with the previous analysis;
-    - a {b call-shape} edit additionally rebuilds the two multi-graphs
-      and the alias sets (site-table products, linear in the site
-      count) and re-solves β in full (cheap single-word booleans), but
-      still confines the bit-vector [GMOD]/[GUSE] work to the ancestor
-      cone of the edited caller;
+    - a {b body} edit passes it with the edited procedure, and the
+      solve keeps both multi-graphs and their condensations (it runs
+      no Tarjan), re-solves only the cones above the edited procedure
+      and shares everything else with the previous analysis;
+    - a {b call-shape} edit passes it with the edited caller and the
+      new program's site index; the solve additionally rebuilds the
+      two multi-graphs, the alias sets and [MUSTMOD] and re-solves β
+      in full, but still confines the bit-vector [GMOD]/[GUSE] work to
+      the ancestor cone of the edited caller;
     - a {b structural} edit (procedure added/removed — every id
-      renumbered) keeps nothing: the same stages run with every
-      procedure dirty over a fresh {!Ir.Info.make} — the batch run,
-      [2 × n_procs] procedures re-solved.
+      renumbered) passes none: the solve runs over a fresh
+      {!Ir.Info.make}, which is the batch run, with the same counted
+      operations, [2 × n_procs] procedures re-solved.
 
     There is no size cut-off: however large the dirty cone, [findgmod]
     over it does a subset of the batch walk's work, and the batch run
@@ -35,8 +33,8 @@
     in {!analysis}.  When the dereference projection
     ({!Ptsto.same_projection}) and the set of [&x] operands are
     unchanged, the edit takes its body or call-shape path as above;
-    when either moved, every cached phase read a stale input, and the
-    edit runs with every procedure dirty, as a structural one does.
+    when either moved, every previous vector read a stale input, and
+    the edit passes no previous analysis, as a structural one does.
 
     The engine never validates the edited program (that would cost the
     [O(N)] it just avoided); callers that accept untrusted edit scripts
@@ -64,10 +62,12 @@ val create : ?pool:Par.Pool.t -> Ir.Prog.t -> t
     engine never shuts it down). *)
 
 val of_analysis : ?pool:Par.Pool.t -> Core.Analyze.t -> t
-(** Adopt an already-solved batch result instead of re-running it:
-    only the caches are built (local set re-derivation and the
-    [RMOD]-site projections — no solver runs; the [RMOD]/[RUSE]/
-    [MUSTMOD] condensations come with the record).  The adopted record is
+(** Adopt an already-solved batch result instead of re-running it.
+    Adoption computes nothing: every family an edit diffs against
+    (the local sets before and after the nesting fold, the [RMOD]
+    site projections, the [RMOD]/[RUSE]/[MUSTMOD] condensations) comes
+    with the record, and the site index is built by the first edit
+    that needs it.  The adopted record is
     treated as read-only: until the first {!apply} the engine answers
     queries straight from it, and every edit replaces the engine's
     analysis wholesale, so several engines may adopt one shared record

@@ -3,8 +3,8 @@
     A session is created on the client's first [edit] (queries without
     a session read the registry's shared base analysis directly) and
     wraps an {!Incremental.Engine.t} adopted from the base via
-    {!Incremental.Engine.of_analysis} — re-entry costs the engine
-    caches, not a re-analysis.  Sessions are keyed by
+    {!Incremental.Engine.of_analysis}, which computes nothing: the
+    engine diffs its first edit against the base record itself.  Sessions are keyed by
     [(client, program, session-name)] in the server; distinct keys
     never share an engine, which is what makes concurrent sessions on
     distinct programs safe to run in one pool batch. *)

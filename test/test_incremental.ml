@@ -52,11 +52,28 @@ let rec spans_named name (s : Obs.Span.t) =
    [gmod.region]. *)
 let all_dirty span = spans_named "gmod" span <> []
 
+(* The counters an all-dirty edit and the batch run must agree on. *)
+let pipeline_counters =
+  [ "bitvec.word_ops"; "bitvec.vector_ops"; "rmod.steps"; "mustmod.facts" ]
+
+(* [f ()] and what it added to each of [pipeline_counters]. *)
+let counted f =
+  let snap = Obs.Metric.snapshot () in
+  let r = f () in
+  ( r,
+    List.map
+      (fun name ->
+        Obs.Metric.value_since ~since:snap (Option.get (Obs.Metric.find name)))
+      pipeline_counters )
+
 (* Run a generated script through the engine, checking equivalence (and
    that the engine's program is the one the script built) after every
    single edit, batch and engine at the same points-to tier.  A body or
    call-shape edit of a pointer-free program must take the region
-   path, however large its cone.  Returns, per edit, its kind and
+   path, however large its cone; an edit that re-solves every procedure
+   (structural, or moving the points-to projection or the [&x] set)
+   must count exactly what the batch run of the edited program counts,
+   since both are one pipeline.  Returns, per edit, its kind and
    whether it re-solved every procedure. *)
 let run_script ?ptsto prog script =
   let engine = Engine.of_analysis (A.run ?ptsto prog) in
@@ -65,8 +82,8 @@ let run_script ?ptsto prog script =
       let before = Engine.prog engine in
       let label = Printf.sprintf "edit %d (%s)" i (Edit.to_string before edit) in
       let kind = Edit.kind before edit in
-      let (_ : Engine.outcome), span =
-        Obs.Span.collect "edit" (fun () -> Engine.apply engine edit)
+      let ((_ : Engine.outcome), span), edit_counts =
+        counted (fun () -> Obs.Span.collect "edit" (fun () -> Engine.apply engine edit))
       in
       (match kind with
       | (Edit.Body _ | Edit.Call_shape _)
@@ -75,7 +92,16 @@ let run_script ?ptsto prog script =
       | _ -> ());
       if Engine.prog engine <> expected then
         Alcotest.failf "%s: engine program diverges from script program" label;
-      check_equiv label (Engine.analysis engine) (A.run ?ptsto expected);
+      let batch, batch_counts = counted (fun () -> A.run ?ptsto expected) in
+      check_equiv label (Engine.analysis engine) batch;
+      if all_dirty span then
+        List.iter2
+          (fun name (e, b) ->
+            if e <> b then
+              Alcotest.failf "%s: the edit counted %d %s, the batch run %d" label
+                e name b)
+          pipeline_counters
+          (List.combine edit_counts batch_counts);
       (edit, kind, all_dirty span))
     script
 
@@ -502,21 +528,26 @@ let prop_provenance_equiv ?ptsto of_seed steps seed =
     script;
   true
 
-(* Adoption costs no solver work: the engine reads RMOD, RUSE and
-   MUSTMOD (and the condensations they were solved on) straight from
-   the adopted record. *)
+(* Adoption costs nothing: the engine reads every family it diffs
+   against (the condensations of RMOD, RUSE and MUSTMOD included)
+   straight from the adopted record, so it runs no solver and no
+   bit-vector operation. *)
 let test_adopt_no_resolve () =
   List.iter
     (fun prog ->
       let a = A.run prog in
-      let steps = Option.get (Obs.Metric.find "rmod.steps") in
-      let rounds = Option.get (Obs.Metric.find "mustmod.rounds") in
+      let added =
+        List.map
+          (fun name -> (name, Option.get (Obs.Metric.find name)))
+          [ "rmod.steps"; "mustmod.rounds"; "bitvec.vector_ops"; "bitvec.word_ops" ]
+      in
       let snap = Obs.Metric.snapshot () in
       let (_ : Engine.t) = Engine.of_analysis a in
-      check_int "rmod.steps added by of_analysis" 0
-        (Obs.Metric.value_since ~since:snap steps);
-      check_int "mustmod.rounds added by of_analysis" 0
-        (Obs.Metric.value_since ~since:snap rounds))
+      List.iter
+        (fun (name, h) ->
+          check_int (name ^ " added by of_analysis") 0
+            (Obs.Metric.value_since ~since:snap h))
+        added)
     [
       Workload.Families.fortran_style ~seed:7 ~n:64;
       Workload.Families.pascal_style ~seed:7 ~n:64 ~depth:4;
